@@ -272,18 +272,16 @@ impl Controller {
             return Ok(None);
         };
         store.sync(&mut self.db)?;
-        let store_findings = store.storage_audit(&self.db)?;
-        let durable_golden = store.durable_golden_detail()?;
-        let block = store.config().block_size.max(1);
-        let mut findings = Vec::with_capacity(store_findings.len());
-        for f in store_findings {
+        let audit = store.storage_audit(&self.db)?;
+        let mut findings = Vec::with_capacity(audit.findings.len());
+        for f in audit.findings {
             let mut action = RecoveryAction::Flagged;
             let mut target = None;
             let mut detail = f.to_string();
             if f.kind == StoreFindingKind::GoldenDivergence {
-                if let (Some(offset), Some(durable)) = (f.offset, durable_golden.as_ref()) {
+                if let (Some(offset), Some(durable)) = (f.offset, audit.repair_source.as_ref()) {
                     let offset = offset as usize;
-                    let end = (offset + block).min(durable.golden.len());
+                    let end = (offset + durable.block_size).min(durable.golden.len());
                     if offset < end
                         && self
                             .db
@@ -293,9 +291,10 @@ impl Controller {
                         action = RecoveryAction::ReloadedRange { offset, len: end - offset };
                         target = Some(FindingTarget::Range { offset, len: end - offset });
                         // How the repair bytes were authenticated:
-                        // checkpoint-pure blocks carry a Merkle path to
-                        // the sealed root; journal-overlaid blocks are
-                        // vouched only by their records' CRC framing.
+                        // checkpoint-pure blocks were verified against
+                        // the sealed Merkle root; journal-overlaid
+                        // blocks are vouched only by their records'
+                        // CRC framing.
                         detail.push_str(if durable.is_attested(offset) {
                             " [repair source merkle-attested]"
                         } else {

@@ -81,8 +81,9 @@ pub struct Checkpoint {
     pub region: Vec<u8>,
     /// The golden image.
     pub golden: Vec<u8>,
-    /// The flat Merkle node table, bottom-up (leaves first, root last).
-    pub nodes: Vec<u64>,
+    /// The Merkle tree the digest seals, verified against every
+    /// content block and every interior node.
+    pub tree: MerkleTree,
     /// The stored (and verified) chain digest of this checkpoint.
     pub digest: u64,
 }
@@ -117,6 +118,26 @@ pub struct DeltaCheckpoint {
     pub nodes: Vec<NodeUpdate>,
     /// The stored (and verified) chain digest of this checkpoint.
     pub digest: u64,
+}
+
+impl DeltaCheckpoint {
+    /// Writes the dirty blocks over `region ‖ golden`, which must have
+    /// this delta's shape; a block may straddle the boundary.
+    pub fn apply_blocks(&self, region: &mut [u8], golden: &mut [u8]) {
+        let r = region.len();
+        for (index, block) in &self.blocks {
+            let start = *index as usize * self.meta.block_size;
+            let end = start + block.len();
+            if start < r {
+                let take = end.min(r) - start;
+                region[start..start + take].copy_from_slice(&block[..take]);
+            }
+            if end > r {
+                let from = start.max(r);
+                golden[from - r..end - r].copy_from_slice(&block[from - start..]);
+            }
+        }
+    }
 }
 
 /// Why a checkpoint failed to decode. Each variant is a distinct
@@ -324,7 +345,8 @@ pub fn encode_checkpoint(
 
 /// Decodes and fully verifies a full checkpoint: framing, digest,
 /// every content block's keyed leaf MAC, and the internal consistency
-/// of the Merkle node table.
+/// of the Merkle node table. The verified tree is returned with the
+/// image, so callers never rebuild it.
 ///
 /// # Errors
 ///
@@ -402,7 +424,7 @@ pub fn decode_checkpoint(bytes: &[u8], key: &[u8; 16]) -> Result<Checkpoint, Che
         meta: CheckpointMeta { gen, prev_digest, region_len, golden_len, block_size },
         region: content[..region_len].to_vec(),
         golden: content[region_len..].to_vec(),
-        nodes,
+        tree,
         digest: stored_digest,
     })
 }
@@ -564,13 +586,19 @@ pub fn decode_delta_checkpoint(
     }
 
     // Every persisted block must carry its recomputed leaf MAC in the
-    // node list, and the block bytes must match it.
+    // node list, and the block bytes must match it. The stable sort
+    // keeps the first entry of a repeated index first, as a scan of
+    // the list would find it.
+    let mut leaves: Vec<(u32, u64)> =
+        nodes.iter().filter(|u| u.level == 0).map(|u| (u.index, u.mac)).collect();
+    leaves.sort_by_key(|&(index, _)| index);
     let mut bad_blocks = Vec::new();
     for (index, block) in &blocks {
-        let Some(leaf) = nodes.iter().find(|u| u.level == 0 && u.index == *index) else {
+        let at = leaves.partition_point(|&(i, _)| i < *index);
+        let Some(&(_, mac)) = leaves.get(at).filter(|&&(i, _)| i == *index) else {
             return Err(torn("dirty block without a leaf node update"));
         };
-        if leaf_mac(key, block, base_gen, *index as u64) != leaf.mac {
+        if leaf_mac(key, block, base_gen, *index as u64) != mac {
             bad_blocks.push(*index as usize);
         }
     }
@@ -625,11 +653,10 @@ mod tests {
         assert_eq!(c.region.len(), 700);
         assert_eq!(c.golden.len(), 700);
         assert_eq!(c.region[5], 5);
-        assert_eq!(c.nodes.len(), total_nodes(1400usize.div_ceil(256)));
-        // The node table round-trips into the tree a rebuild produces.
-        let tree = MerkleTree::from_flat(&KEY, 42, 256, c.nodes.len().min(6), &c.nodes).unwrap();
+        // The verified node table is the tree a rebuild produces.
         let rebuilt = MerkleTree::build(&KEY, &c.region, &c.golden, 42, 256);
-        assert_eq!(tree.root(), rebuilt.root());
+        assert_eq!(c.tree.flatten(), rebuilt.flatten());
+        assert_eq!(c.tree.flatten().len(), total_nodes(1400usize.div_ceil(256)));
     }
 
     #[test]

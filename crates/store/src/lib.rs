@@ -24,8 +24,12 @@
 //!   across torn or tampered checkpoints;
 //! - the disk side of the **storage audit**
 //!   ([`Store::storage_audit`]) — cross-checking the durable golden
-//!   image against the in-memory one, block by block, with per-block
-//!   Merkle authentication paths ([`Store::durable_golden_detail`]).
+//!   image against the in-memory one, block by block. A durable-golden
+//!   read ([`Store::durable_golden_detail`]) MACs each content byte
+//!   once: it keeps the tree the checkpoint decode verified, folds
+//!   deltas by updating the paths of their dirty leaves, and compares
+//!   the result with the sealed root, so every block no journaled
+//!   golden commit overlaid is attested by that one comparison.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,8 +55,8 @@ pub use merkle::{
     leaf_mac, total_nodes, verify_proof, MerkleError, MerkleTree, NodeUpdate, SplitContent,
 };
 pub use store::{
-    ChainEntry, CheckpointKind, DurableGolden, ImagePair, RecoveryInfo, Store, StoreConfig,
-    StoreError, StoreFinding, StoreFindingKind, StoreStats, DEFAULT_KEY,
+    ChainEntry, CheckpointKind, DurableGolden, ImagePair, RecoveryInfo, StorageAudit, Store,
+    StoreConfig, StoreError, StoreFinding, StoreFindingKind, StoreStats, DEFAULT_KEY,
 };
 
 use std::path::{Path, PathBuf};

@@ -18,6 +18,7 @@
 
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use wtnc_db::{crc32, CapturedMutation, Database, DbError, DIRTY_BLOCK_SIZE};
@@ -31,7 +32,7 @@ use crate::journal::{
     append_framed, rotate_journal, scan_journal, JournalDamage, JournalScan, JOURNAL_FILE,
     JOURNAL_TMP_FILE,
 };
-use crate::merkle::{verify_proof, MerkleTree, SplitContent};
+use crate::merkle::MerkleTree;
 
 /// Default 128-bit MAC key. Deployments supply their own via
 /// [`StoreConfig`]; the default keeps fixtures and tooling
@@ -369,8 +370,8 @@ struct FoldedImage {
     gen: u64,
     /// Generation the Merkle leaves are keyed at (the lineage base).
     base_gen: u64,
-    /// The tree over the reconstructed content, rebuilt and verified
-    /// against the sealed root.
+    /// The tree over the reconstructed content, equal to the root the
+    /// checkpoint sealed.
     tree: MerkleTree,
 }
 
@@ -691,145 +692,108 @@ impl Store {
 
     /// Reconstructs and verifies the image of chain entry `i`: decodes
     /// a full checkpoint directly, or folds a delta's lineage (full
-    /// base + every delta up to it) and checks the folded content's
-    /// recomputed Merkle root against the root the deltas sealed.
-    /// Failures push findings and return `None` so the caller can fall
-    /// back to an older candidate.
+    /// base + every delta up to it). The fold path-updates the base's
+    /// verified tree over the union of the deltas' dirty leaves and
+    /// checks the resulting root against the root the deltas sealed.
+    /// Either way each content byte is MACed once. Failures push
+    /// findings and return `None` so the caller can fall back to an
+    /// older candidate.
     fn fold_candidate(
         &self,
         i: usize,
         findings: &mut Vec<StoreFinding>,
     ) -> Result<Option<FoldedImage>, StoreError> {
         let entry = &self.chain[i];
-        match entry.kind {
-            CheckpointKind::Full => {
-                let bytes = std::fs::read(&entry.path)?;
-                match decode_checkpoint(&bytes, &self.config.key) {
-                    Ok(ckpt) => {
-                        let tree = MerkleTree::build(
-                            &self.config.key,
-                            &ckpt.region,
-                            &ckpt.golden,
-                            ckpt.meta.gen,
-                            ckpt.meta.block_size,
-                        );
-                        Ok(Some(FoldedImage {
-                            region: ckpt.region,
-                            golden: ckpt.golden,
-                            gen: ckpt.meta.gen,
-                            base_gen: ckpt.meta.gen,
-                            tree,
-                        }))
-                    }
-                    // The file changed since the open-time scan.
-                    Err(e) => {
-                        findings.push(checkpoint_finding(entry.gen, &e));
-                        Ok(None)
-                    }
-                }
-            }
+        let base = entry.base_gen;
+        let base_entry = match entry.kind {
+            CheckpointKind::Full => Some(entry),
             CheckpointKind::Delta => {
-                let base = entry.base_gen;
-                let Some(base_entry) =
-                    self.chain.iter().find(|e| e.kind == CheckpointKind::Full && e.gen == base)
-                else {
-                    findings.push(StoreFinding {
-                        kind: StoreFindingKind::ChainBreak,
-                        detail: format!(
-                            "delta checkpoint references missing or invalid base image {base}"
-                        ),
-                        gen: Some(entry.gen),
-                        offset: None,
-                    });
-                    return Ok(None);
-                };
-                let bytes = std::fs::read(&base_entry.path)?;
-                let ckpt = match decode_checkpoint(&bytes, &self.config.key) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        findings.push(checkpoint_finding(base_entry.gen, &e));
-                        return Ok(None);
-                    }
-                };
-                let (mut region, mut golden) = (ckpt.region, ckpt.golden);
-                let block_size = ckpt.meta.block_size;
-                let mut claimed_root = {
-                    let tree =
-                        MerkleTree::build(&self.config.key, &region, &golden, base, block_size);
-                    tree.root()
-                };
-                // Fold every delta of this lineage up to the candidate.
-                for d in self.chain.iter().filter(|e| {
-                    e.kind == CheckpointKind::Delta
-                        && e.base_gen == base
-                        && e.gen > base
-                        && e.gen <= entry.gen
-                }) {
-                    let bytes = std::fs::read(&d.path)?;
-                    let delta = match decode_delta_checkpoint(&bytes, &self.config.key) {
-                        Ok(x) => x,
-                        Err(e) => {
-                            findings.push(checkpoint_finding(d.gen, &e));
-                            return Ok(None);
-                        }
-                    };
-                    if delta.meta.region_len != region.len()
-                        || delta.meta.golden_len != golden.len()
-                        || delta.meta.block_size != block_size
-                    {
-                        findings.push(StoreFinding {
-                            kind: StoreFindingKind::ChainBreak,
-                            detail: "delta image shape disagrees with its base".to_string(),
-                            gen: Some(d.gen),
-                            offset: None,
-                        });
-                        return Ok(None);
-                    }
-                    let content_len = region.len() + golden.len();
-                    for (index, block) in &delta.blocks {
-                        let start = *index as usize * block_size;
-                        let end = (start + block.len()).min(content_len);
-                        let r = region.len();
-                        if start < r {
-                            let take = end.min(r) - start;
-                            region[start..start + take].copy_from_slice(&block[..take]);
-                        }
-                        if end > r {
-                            let from = start.max(r);
-                            golden[from - r..end - r]
-                                .copy_from_slice(&block[from - start..end - start]);
-                        }
-                    }
-                    if let Some(root) =
-                        delta.nodes.iter().filter(|u| u.level > 0).max_by_key(|u| u.level)
-                    {
-                        claimed_root = root.mac;
-                    } else if let Some(leaf_root) =
-                        delta.nodes.iter().find(|u| u.level == 0 && delta.meta.leaf_count == 1)
-                    {
-                        claimed_root = leaf_root.mac;
-                    }
-                }
-                // The folded content must recompute to exactly the
-                // root the delta lineage sealed — this is what catches
-                // a silently missing middle delta.
-                let tree = MerkleTree::build(&self.config.key, &region, &golden, base, block_size);
-                if tree.root() != claimed_root {
-                    findings.push(StoreFinding {
-                        kind: StoreFindingKind::BlockMacMismatch,
-                        detail: format!(
-                            "folded delta lineage root {:#018x} does not match the sealed root \
-                             {claimed_root:#018x}",
-                            tree.root()
-                        ),
-                        gen: Some(entry.gen),
-                        offset: None,
-                    });
+                self.chain.iter().find(|e| e.kind == CheckpointKind::Full && e.gen == base)
+            }
+        };
+        let Some(base_entry) = base_entry else {
+            findings.push(StoreFinding {
+                kind: StoreFindingKind::ChainBreak,
+                detail: format!("delta checkpoint references missing or invalid base image {base}"),
+                gen: Some(entry.gen),
+                offset: None,
+            });
+            return Ok(None);
+        };
+        let ckpt = match decode_checkpoint(&std::fs::read(&base_entry.path)?, &self.config.key) {
+            Ok(c) => c,
+            // For a full candidate: the file changed since the
+            // open-time scan.
+            Err(e) => {
+                findings.push(checkpoint_finding(base_entry.gen, &e));
+                return Ok(None);
+            }
+        };
+        let (mut region, mut golden, mut tree) = (ckpt.region, ckpt.golden, ckpt.tree);
+        if entry.kind == CheckpointKind::Full {
+            return Ok(Some(FoldedImage { region, golden, gen: entry.gen, base_gen: base, tree }));
+        }
+        let block_size = ckpt.meta.block_size;
+        let mut claimed_root = tree.root();
+        let mut dirty: Vec<usize> = Vec::new();
+        // Fold every delta of this lineage up to the candidate.
+        for d in self.chain.iter().filter(|e| {
+            e.kind == CheckpointKind::Delta
+                && e.base_gen == base
+                && e.gen > base
+                && e.gen <= entry.gen
+        }) {
+            let bytes = std::fs::read(&d.path)?;
+            let delta = match decode_delta_checkpoint(&bytes, &self.config.key) {
+                Ok(x) => x,
+                Err(e) => {
+                    findings.push(checkpoint_finding(d.gen, &e));
                     return Ok(None);
                 }
-                Ok(Some(FoldedImage { region, golden, gen: entry.gen, base_gen: base, tree }))
+            };
+            if delta.meta.region_len != region.len()
+                || delta.meta.golden_len != golden.len()
+                || delta.meta.block_size != block_size
+            {
+                findings.push(StoreFinding {
+                    kind: StoreFindingKind::ChainBreak,
+                    detail: "delta image shape disagrees with its base".to_string(),
+                    gen: Some(d.gen),
+                    offset: None,
+                });
+                return Ok(None);
+            }
+            delta.apply_blocks(&mut region, &mut golden);
+            dirty.extend(delta.blocks.iter().map(|(index, _)| *index as usize));
+            if let Some(root) = delta.nodes.iter().filter(|u| u.level > 0).max_by_key(|u| u.level) {
+                claimed_root = root.mac;
+            } else if let Some(leaf_root) =
+                delta.nodes.iter().find(|u| u.level == 0 && delta.meta.leaf_count == 1)
+            {
+                claimed_root = leaf_root.mac;
             }
         }
+        // Leaves outside `dirty` still hold the base content, so the
+        // path-updated tree is exactly the tree of the folded content.
+        // It must recompute to the root the delta lineage sealed —
+        // this is what catches a silently missing middle delta.
+        dirty.sort_unstable();
+        dirty.dedup();
+        tree.update_blocks(&region, &golden, &dirty);
+        if tree.root() != claimed_root {
+            findings.push(StoreFinding {
+                kind: StoreFindingKind::BlockMacMismatch,
+                detail: format!(
+                    "folded delta lineage root {:#018x} does not match the sealed root \
+                     {claimed_root:#018x}",
+                    tree.root()
+                ),
+                gen: Some(entry.gen),
+                offset: None,
+            });
+            return Ok(None);
+        }
+        Ok(Some(FoldedImage { region, golden, gen: entry.gen, base_gen: base, tree }))
     }
 
     /// The newest usable image, folding deltas as needed. Findings
@@ -941,118 +905,111 @@ impl Store {
 
     /// [`Store::durable_golden`] plus per-block Merkle attestation:
     /// for each `block_size` block of the golden image, whether its
-    /// bytes come straight from Merkle-path-verified checkpoint
-    /// content (`true`) or were overlaid by journaled golden commits,
-    /// which are CRC-framed but outside the tree (`false`).
+    /// bytes come straight from checkpoint content verified against
+    /// the sealed Merkle root (`true`) or were overlaid by journaled
+    /// golden commits, which are CRC-framed but outside the tree
+    /// (`false`).
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::Io`] on read failure.
     pub fn durable_golden_detail(&self) -> Result<Option<DurableGolden>, StoreError> {
-        let Some(img) = self.newest_image()? else {
-            return Ok(None);
-        };
-        let region_len = img.region.len();
+        // Callers keep the result until their next read (it is the
+        // recovery engine's repair source), so it gets an allocation of
+        // its own: keeping the fold's decode buffer instead pins that
+        // buffer among the journal's small allocations, and the heap
+        // fragments (peak RSS of a call-heavy node grows measurably).
+        Ok(self.newest_image()?.map(|img| self.carry_golden_forward(img.gen, img.golden.clone())))
+    }
+
+    /// Overlays every journaled commit newer than `gen` onto one half
+    /// of an image — golden commits when `golden`, region commits
+    /// otherwise — and reports each byte range written. Nothing is
+    /// overlaid when compaction reclaimed records past `gen`.
+    fn overlay_journal(
+        &self,
+        gen: u64,
+        golden: bool,
+        target: &mut [u8],
+        mut written: impl FnMut(Range<usize>),
+    ) {
+        if self.compacted_through > gen {
+            return;
+        }
+        for m in &self.journal_cache {
+            if m.golden == golden && m.gen > gen && m.offset < target.len() {
+                let end = (m.offset + m.bytes.len()).min(target.len());
+                target[m.offset..end].copy_from_slice(&m.bytes[..end - m.offset]);
+                written(m.offset..end);
+            }
+        }
+    }
+
+    /// Carries the golden half of the verified image at `gen` forward
+    /// by the journal. The fold already matched the whole image
+    /// against its sealed root, so every block the journal left alone
+    /// is attested.
+    fn carry_golden_forward(&self, gen: u64, mut golden: Vec<u8>) -> DurableGolden {
         let block = self.config.block_size.max(1);
-        let n_blocks = img.golden.len().div_ceil(block);
-        let mut golden = img.golden.clone();
-        let mut overlaid = vec![false; n_blocks];
-        if self.compacted_through <= img.gen {
-            for m in &self.journal_cache {
-                if m.golden && m.gen > img.gen && m.offset < golden.len() {
-                    let end = (m.offset + m.bytes.len()).min(golden.len());
-                    golden[m.offset..end].copy_from_slice(&m.bytes[..end - m.offset]);
-                    overlaid[m.offset / block..end.div_ceil(block)].fill(true);
-                }
-            }
-        }
-        // Blocks untouched by the journal overlay are authenticated
-        // against the sealed root via their Merkle paths.
-        let content = SplitContent::new(&img.region, &img.golden);
-        let leaf_count = img.tree.leaf_count();
-        let mut scratch = Vec::new();
-        let mut attested = vec![false; n_blocks];
-        for (b, slot) in attested.iter_mut().enumerate() {
-            if overlaid[b] {
-                continue;
-            }
-            let start = region_len + b * block;
-            let end = (start + block).min(region_len + img.golden.len());
-            let first_leaf = start / block;
-            let last_leaf = (end - 1) / block;
-            *slot = (first_leaf..=last_leaf).all(|leaf| {
-                let proof = img.tree.proof(leaf).unwrap_or_default();
-                verify_proof(
-                    &self.config.key,
-                    img.base_gen,
-                    leaf_count,
-                    leaf,
-                    content.block(leaf, block, &mut scratch),
-                    &proof,
-                    img.tree.root(),
-                )
-            });
-        }
-        Ok(Some(DurableGolden { base_gen: img.gen, golden, attested, block_size: block }))
+        let mut attested = vec![true; golden.len().div_ceil(block)];
+        self.overlay_journal(gen, true, &mut golden, |r| {
+            attested[r.start / block..r.end.div_ceil(block)].fill(false);
+        });
+        DurableGolden { base_gen: gen, golden, attested, block_size: block }
     }
 
     /// The disk side of the storage audit: re-reads and re-verifies
     /// the newest checkpoint image from disk (catching tampering that
-    /// happened *after* open, and authenticating checkpoint-pure
-    /// blocks via their Merkle paths), reconstructs the durable golden
-    /// image, and cross-checks it block-by-block (CRC32 per block)
-    /// against the in-memory golden image. Call [`Store::sync`] first
-    /// so pending golden commits are on disk.
+    /// happened *after* open), reconstructs the durable golden image,
+    /// and cross-checks it block-by-block (CRC32 per block) against
+    /// the in-memory golden image. Call [`Store::sync`] first so
+    /// pending golden commits are on disk.
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::Io`] on read failure.
-    pub fn storage_audit(&self, db: &Database) -> Result<Vec<StoreFinding>, StoreError> {
-        let mut findings = Vec::new();
+    pub fn storage_audit(&self, db: &Database) -> Result<StorageAudit, StoreError> {
+        let mut audit = StorageAudit { findings: Vec::new(), repair_source: None };
         if self.chain.is_empty() {
-            return Ok(findings);
+            return Ok(audit);
         }
         // Reconstruct via the newest candidate only — a failure here
         // is a finding, not a silent fallback.
         let last = self.chain.len() - 1;
-        let Some(img) = self.fold_candidate(last, &mut findings)? else {
-            return Ok(findings);
+        let Some(img) = self.fold_candidate(last, &mut audit.findings)? else {
+            return Ok(audit);
         };
-        let mut durable = img.golden.clone();
-        if self.compacted_through <= img.gen {
-            for m in &self.journal_cache {
-                if m.golden && m.gen > img.gen && m.offset < durable.len() {
-                    let end = (m.offset + m.bytes.len()).min(durable.len());
-                    durable[m.offset..end].copy_from_slice(&m.bytes[..end - m.offset]);
-                }
-            }
-        }
+        let durable = self.carry_golden_forward(img.gen, img.golden);
         let mem = db.golden();
-        if durable.len() != mem.len() {
-            findings.push(StoreFinding {
+        if durable.golden.len() != mem.len() {
+            audit.findings.push(StoreFinding {
                 kind: StoreFindingKind::GoldenDivergence,
                 detail: format!(
                     "durable golden is {} bytes, in-memory golden is {} bytes",
-                    durable.len(),
+                    durable.golden.len(),
                     mem.len()
                 ),
-                gen: Some(img.gen),
+                gen: Some(durable.base_gen),
                 offset: None,
             });
-            return Ok(findings);
-        }
-        let block = self.config.block_size.max(1);
-        for (i, (disk, ram)) in durable.chunks(block).zip(mem.chunks(block)).enumerate() {
-            if crc32(disk) != crc32(ram) {
-                findings.push(StoreFinding {
-                    kind: StoreFindingKind::GoldenDivergence,
-                    detail: format!("golden block {i} differs between disk and memory"),
-                    gen: Some(img.gen),
-                    offset: Some((i * block) as u64),
-                });
+        } else {
+            let block = durable.block_size;
+            for (i, (disk, ram)) in durable.golden.chunks(block).zip(mem.chunks(block)).enumerate()
+            {
+                if crc32(disk) != crc32(ram) {
+                    audit.findings.push(StoreFinding {
+                        kind: StoreFindingKind::GoldenDivergence,
+                        detail: format!("golden block {i} differs between disk and memory"),
+                        gen: Some(durable.base_gen),
+                        offset: Some((i * block) as u64),
+                    });
+                }
             }
         }
-        Ok(findings)
+        if !audit.findings.is_empty() {
+            audit.repair_source = Some(durable);
+        }
+        Ok(audit)
     }
 
     /// The durable region+golden bytes the newest usable checkpoint
@@ -1062,24 +1019,24 @@ impl Store {
     ///
     /// Returns [`StoreError::Io`] on read failure.
     pub fn recovered_image_preview(&self) -> Result<Option<ImagePair>, StoreError> {
-        let Some(img) = self.newest_image()? else {
-            return Ok(None);
-        };
-        let (mut region, mut golden) = (img.region, img.golden);
-        if self.compacted_through <= img.gen {
-            for m in &self.journal_cache {
-                if m.gen <= img.gen {
-                    continue;
-                }
-                let target = if m.golden { &mut golden } else { &mut region };
-                if m.offset < target.len() {
-                    let end = (m.offset + m.bytes.len()).min(target.len());
-                    target[m.offset..end].copy_from_slice(&m.bytes[..end - m.offset]);
-                }
-            }
-        }
-        Ok(Some((region, golden)))
+        Ok(self.newest_image()?.map(|img| {
+            let mut region = img.region;
+            self.overlay_journal(img.gen, false, &mut region, |_| {});
+            (region, self.carry_golden_forward(img.gen, img.golden).golden)
+        }))
     }
+}
+
+/// What one [`Store::storage_audit`] pass found.
+#[derive(Debug, Clone)]
+pub struct StorageAudit {
+    /// Disk-side damage of the newest checkpoint image, or golden
+    /// blocks that differ between disk and memory.
+    pub findings: Vec<StoreFinding>,
+    /// The durable golden the audit compared against — the repair
+    /// source for [`StoreFindingKind::GoldenDivergence`] findings.
+    /// Present only when the golden diverged.
+    pub repair_source: Option<DurableGolden>,
 }
 
 /// The durable golden image plus per-block Merkle attestation, from

@@ -235,17 +235,21 @@ fn storage_audit_detects_golden_divergence() {
     store.attach(&mut db);
     mutate(&mut db, 4, 3);
     store.checkpoint(&mut db).expect("checkpoint");
-    assert!(store.storage_audit(&db).expect("audit").is_empty());
+    let audit = store.storage_audit(&db).expect("audit");
+    assert!(audit.findings.is_empty());
+    assert!(audit.repair_source.is_none(), "no divergence, no repair source");
 
     // Diverge the in-memory golden image without telling the store
     // (simulates an unjournaled golden corruption).
     db.set_capture(false);
     let byte = db.golden()[3] ^ 0x10;
     db.restore_golden_range(3, &[byte]).expect("tweak golden");
-    let findings = store.storage_audit(&db).expect("audit");
-    assert_eq!(findings.len(), 1);
-    assert_eq!(findings[0].kind, StoreFindingKind::GoldenDivergence);
-    assert_eq!(findings[0].offset, Some(0));
+    let audit = store.storage_audit(&db).expect("audit");
+    assert_eq!(audit.findings.len(), 1);
+    assert_eq!(audit.findings[0].kind, StoreFindingKind::GoldenDivergence);
+    assert_eq!(audit.findings[0].offset, Some(0));
+    let source = audit.repair_source.expect("divergence carries its repair source");
+    assert_eq!(source.golden[3], byte ^ 0x10, "the source holds the durable byte");
 }
 
 #[test]

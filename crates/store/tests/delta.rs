@@ -2,10 +2,12 @@
 //! checkpoints (dirty blocks + Merkle path updates against a full base
 //! image), fold-based recovery, and journal compaction.
 
+use proptest::prelude::*;
 use wtnc_db::{Database, FieldDef, FieldWidth, TableDef, TableNature};
 use wtnc_store::{
-    parse_checkpoint_file_name, parse_delta_file_name, CheckpointKind, ScratchDir, Store,
-    StoreConfig, StoreFindingKind, JOURNAL_FILE,
+    decode_checkpoint, decode_delta_checkpoint, encode_checkpoint, encode_delta_checkpoint,
+    parse_checkpoint_file_name, parse_delta_file_name, verify_proof, CheckpointKind, MerkleTree,
+    ScratchDir, SplitContent, Store, StoreConfig, StoreFindingKind, JOURNAL_FILE,
 };
 
 fn schema() -> Vec<TableDef> {
@@ -169,8 +171,93 @@ fn missing_middle_delta_is_detected_by_the_folded_root() {
     // surviving newest delta recomputes to a root that does not match
     // the sealed one.
     assert!(ks.contains(&StoreFindingKind::ChainBreak), "{ks:?}");
+    assert!(ks.contains(&StoreFindingKind::BlockMacMismatch), "the fold's own finding: {ks:?}");
     assert!(ks.contains(&StoreFindingKind::StaleCheckpointRecovered), "{ks:?}");
     assert_eq!(db2.region(), &region[..], "journal replay still reaches the exact image");
+
+    // The durable golden falls back to the lineage's full image rather
+    // than serving the newest delta's unverifiable fold.
+    let newest_full = store.chain().iter().rev().find(|e| e.kind == CheckpointKind::Full);
+    let newest_delta = store.chain().last().expect("chained delta");
+    assert_eq!(newest_delta.kind, CheckpointKind::Delta);
+    let durable = store.durable_golden_detail().expect("read").expect("an image survives");
+    assert_eq!(durable.base_gen, newest_full.expect("full image").gen);
+    assert_ne!(durable.base_gen, newest_delta.gen);
+    assert_eq!(durable.golden, db2.golden(), "the journal carries the older image forward");
+}
+
+#[test]
+fn attested_golden_blocks_prove_against_the_sealed_root() {
+    let scratch = ScratchDir::new("delta-attested");
+    let config = delta_config();
+    let bs = config.block_size;
+    let mut db = db();
+    let mut store = Store::open(scratch.path(), config).expect("open");
+    store.attach(&mut db);
+    // Full, delta, delta — the deltas carry golden blocks too.
+    for c in 0..3u8 {
+        mutate(&mut db, 4, u64::from(c) + 1);
+        if c > 0 {
+            let at = db.golden().len() / 3 * usize::from(c);
+            let byte = db.golden()[at] ^ 0x3C;
+            db.restore_golden_range(at, &[byte]).expect("golden commit");
+        }
+        store.checkpoint(&mut db).expect("checkpoint");
+    }
+    let (region_ckpt, golden_ckpt) = (db.region().to_vec(), db.golden().to_vec());
+    // Journaled golden commits after the newest delta (a golden commit
+    // shares the generation of the mutation before it, so advance it).
+    mutate(&mut db, 1, 9);
+    let overlays = [1, golden_ckpt.len() / 2, golden_ckpt.len() - 3];
+    for &at in &overlays {
+        let byte = db.golden()[at] ^ 0x5A;
+        db.restore_golden_range(at, &[byte]).expect("golden commit");
+    }
+    store.sync(&mut db).expect("sync");
+
+    let (fulls, deltas) = files(scratch.path());
+    assert_eq!((fulls.len(), deltas.len()), (1, 2));
+    let base_gen = store.chain()[0].gen;
+    let newest = std::fs::read(deltas.last().unwrap()).unwrap();
+    let newest = decode_delta_checkpoint(&newest, &config.key).expect("newest delta");
+    let sealed_root = newest.nodes.iter().max_by_key(|u| u.level).expect("root node").mac;
+    let tree = MerkleTree::build(&config.key, &region_ckpt, &golden_ckpt, base_gen, bs);
+    assert_eq!(tree.root(), sealed_root, "the newest delta seals the checkpointed content");
+
+    let durable = store.durable_golden_detail().expect("read").expect("image");
+    assert_eq!(durable.base_gen, newest.meta.gen);
+    assert_eq!(durable.golden, db.golden(), "journal overlay applied");
+    let content = SplitContent::new(&region_ckpt, &golden_ckpt);
+    let r = region_ckpt.len();
+    let mut scratch_block = Vec::new();
+    let mut proved = 0;
+    for (b, &attested) in durable.attested.iter().enumerate() {
+        if overlays.iter().any(|&at| at / bs == b) {
+            assert!(!attested, "journal-overlaid block {b} must not read as attested");
+            continue;
+        }
+        assert!(attested, "block {b} is checkpoint-pure");
+        let (start, end) = (b * bs, ((b + 1) * bs).min(golden_ckpt.len()));
+        assert_eq!(durable.golden[start..end], golden_ckpt[start..end]);
+        for leaf in (r + start) / bs..=(r + end - 1) / bs {
+            let block = content.block(leaf, bs, &mut scratch_block);
+            let proof = tree.proof(leaf).expect("leaf in range");
+            assert!(
+                verify_proof(
+                    &config.key,
+                    base_gen,
+                    tree.leaf_count(),
+                    leaf,
+                    block,
+                    &proof,
+                    sealed_root
+                ),
+                "golden block {b} (leaf {leaf}) fails its proof"
+            );
+        }
+        proved += 1;
+    }
+    assert!(proved > 0 && proved + overlays.len() == durable.attested.len());
 }
 
 #[test]
@@ -397,4 +484,66 @@ fn crashed_compaction_tmp_file_is_swept_at_open() {
     assert!(!scratch.path().join("journal.wal.tmp").exists());
     assert!(store.open_findings().is_empty());
     assert!(scratch.path().join(JOURNAL_FILE).exists());
+}
+
+const PROP_KEY: [u8; 16] = *b"delta-fold-key-0";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Folding a delta lineage by path-updating the base's verified
+    /// tree over the union of dirty leaves yields the root of a full
+    /// rebuild over the folded content — and that root is the one the
+    /// newest delta sealed.
+    #[test]
+    fn path_update_fold_equals_a_rebuild(
+        region_len in 1usize..1500,
+        golden_len in 0usize..1500,
+        block_size in prop_oneof![Just(16usize), Just(64usize), Just(100usize)],
+        writes in proptest::collection::vec(
+            proptest::collection::vec((0.0f64..1.0, 1u8..=255), 0..12),
+            1..6,
+        ),
+    ) {
+        let base_gen = 7u64;
+        let mut region: Vec<u8> = (0..region_len).map(|i| (i % 251) as u8).collect();
+        let mut golden: Vec<u8> = (0..golden_len).map(|i| (i % 127) as u8).collect();
+        let full = encode_checkpoint(&region, &golden, base_gen, 0, block_size, &PROP_KEY);
+        let mut writer = MerkleTree::build(&PROP_KEY, &region, &golden, base_gen, block_size);
+        let mut files = Vec::new();
+        for (d, delta_writes) in writes.iter().enumerate() {
+            let mut dirty = Vec::new();
+            for &(frac, flip) in delta_writes {
+                let at = ((region_len + golden_len - 1) as f64 * frac) as usize;
+                if at < region_len {
+                    region[at] ^= flip;
+                } else {
+                    golden[at - region_len] ^= flip;
+                }
+                dirty.push(at / block_size);
+            }
+            let updates = writer.update_blocks(&region, &golden, &dirty);
+            files.push(encode_delta_checkpoint(
+                &region, &golden, base_gen + 1 + d as u64, 0, base_gen, block_size, &dirty,
+                &updates, &PROP_KEY,
+            ));
+        }
+
+        let base = decode_checkpoint(&full, &PROP_KEY).expect("full image");
+        let (mut r, mut g, mut tree) = (base.region, base.golden, base.tree);
+        let mut dirty = Vec::new();
+        for bytes in &files {
+            let delta = decode_delta_checkpoint(bytes, &PROP_KEY).expect("delta");
+            delta.apply_blocks(&mut r, &mut g);
+            dirty.extend(delta.blocks.iter().map(|(i, _)| *i as usize));
+        }
+        dirty.sort_unstable();
+        dirty.dedup();
+        tree.update_blocks(&r, &g, &dirty);
+        prop_assert_eq!(&r, &region);
+        prop_assert_eq!(&g, &golden);
+        let rebuilt = MerkleTree::build(&PROP_KEY, &r, &g, base_gen, block_size);
+        prop_assert_eq!(tree.root(), rebuilt.root());
+        prop_assert_eq!(tree.root(), writer.root());
+    }
 }
