@@ -163,6 +163,32 @@ pub struct Finding {
     pub caught: Vec<TaintEntry>,
 }
 
+/// Which engine ran an audit cycle.
+///
+/// The serial element loop is the only audit engine, so every cycle
+/// reports [`ExecutorMode::Serial`]. The other two variants are kept
+/// only because downstream harnesses match on all three; they are
+/// never produced.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum ExecutorMode {
+    /// The serial element loop.
+    #[default]
+    Serial,
+    /// Never produced.
+    Parallel,
+    /// Never produced.
+    SerialFallback,
+}
+
+/// Per-cycle engine bookkeeping carried on the [`AuditReport`]. It
+/// always reads [`ExecutorMode::Serial`]; it stays so harnesses that
+/// count cycles by engine keep compiling.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ExecSummary {
+    /// Which engine ran the cycle.
+    pub mode: ExecutorMode,
+}
+
 /// The outcome of one audit cycle.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct AuditReport {
@@ -175,9 +201,8 @@ pub struct AuditReport {
     /// The escalation policy concluded that localized repair is not
     /// holding: the manager should restart the controller.
     pub restart_requested: bool,
-    /// Which execution engine ran the cycle and how the work was
-    /// batched (serial, parallel, or governor-chosen serial fallback).
-    pub exec: crate::executor::ExecSummary,
+    /// Which engine ran the cycle; always [`ExecutorMode::Serial`].
+    pub exec: ExecSummary,
     /// Tables actually screened this cycle, in execution order.
     pub tables_audited: Vec<TableId>,
     /// Tables shed because the CPU budget ran dry; they are re-queued

@@ -70,11 +70,9 @@
 
 mod budget;
 mod escalation;
-mod executor;
 mod finding;
 mod genskip;
 mod heartbeat;
-mod links;
 mod process;
 mod progress;
 mod ranged;
@@ -87,8 +85,10 @@ mod supervisor;
 
 pub use budget::{BudgetConfig, TokenBucket};
 pub use escalation::{EscalationConfig, EscalationPolicy};
-pub use executor::{ExecSummary, ExecutorMode, ParallelConfig};
-pub use finding::{AuditElementKind, AuditReport, Finding, FindingTarget, RecoveryAction};
+pub use finding::{
+    AuditElementKind, AuditReport, ExecSummary, ExecutorMode, Finding, FindingTarget,
+    RecoveryAction,
+};
 pub use heartbeat::{HeartbeatElement, Manager, ManagerConfig};
 pub use process::{AuditConfig, AuditElement, AuditProcess, AuditScope};
 pub use progress::{ProgressConfig, ProgressIndicator};

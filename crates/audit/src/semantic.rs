@@ -14,14 +14,38 @@
 //! until the walk returns to its start (consistent) or breaks
 //! (violation).
 
-use std::collections::BTreeSet;
-
 use wtnc_db::layout::LINK_NONE;
-use wtnc_db::{Database, DbRead, RecordRef, TableId, TaintFate};
+use wtnc_db::{Catalog, Database, FieldId, FieldKind, RecordRef, TableId, TaintFate};
 use wtnc_sim::{Pid, SimDuration, SimTime};
 
 use crate::finding::{AuditElementKind, Finding, FindingTarget, RecoveryAction};
-use crate::links::{link_closure, link_field};
+
+/// The first dynamic link field of a table, if any.
+fn link_field(catalog: &Catalog, table: TableId) -> Option<(FieldId, TableId)> {
+    let tm = catalog.table(table).ok()?;
+    tm.def.fields.iter().enumerate().find_map(|(i, f)| {
+        (f.kind == FieldKind::Dynamic)
+            .then_some(())
+            .and(f.link)
+            .map(|target| (FieldId(i as u16), target))
+    })
+}
+
+/// Transitive closure of tables reachable from `table` over link
+/// fields (including `table` itself).
+fn link_closure(catalog: &Catalog, table: TableId) -> Vec<TableId> {
+    let mut closure = vec![table];
+    let mut i = 0;
+    while i < closure.len() {
+        if let Some((_, target)) = link_field(catalog, closure[i]) {
+            if !closure.contains(&target) {
+                closure.push(target);
+            }
+        }
+        i += 1;
+    }
+    closure
+}
 
 /// Verified-clean state of one anchor table, for incremental skipping.
 #[derive(Debug, Clone, Copy)]
@@ -42,153 +66,7 @@ struct CleanPass {
 /// catalog the walk consults is guarded by the static-data element,
 /// which runs first in a cycle and repairs it inline), so while every
 /// generation is unchanged the walk would repeat its clean verdict.
-pub(crate) type WalkWitness = Vec<(RecordRef, u64)>;
-
-/// Outcome of a read-only semantic screen over one shard of anchors.
-#[derive(Debug, Clone)]
-pub(crate) enum SemScreen {
-    /// Every walk came back clean (or abstained on a lock).
-    Clean {
-        /// `(anchor index, new witness)` for every anchor actually
-        /// re-walked; witness-skipped anchors are absent, leaving their
-        /// stored witness untouched — exactly like the serial pass.
-        witnesses: Vec<(u32, Option<WalkWitness>)>,
-        /// A locked record interrupted at least one walk.
-        abstained: bool,
-        /// Earliest `last_access` among tolerated unlinked records.
-        earliest_unlinked: Option<SimTime>,
-        /// Records-checked count the serial pass would have reported.
-        checked: u64,
-    },
-    /// A walk would free records (or age out an orphan): the owner
-    /// re-runs the serial element, which repairs and reports in the
-    /// legacy order.
-    Suspect,
-}
-
-/// Screens the semantic walks anchored at records `lo..hi` of `table`
-/// without mutating anything. `prior` holds the stored clean-walk
-/// witnesses and `last_access` the anchors' access times, both aligned
-/// to `lo`; `locked` is the frozen set of client-locked records.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn screen_walks<D: DbRead>(
-    db: &D,
-    table: TableId,
-    lo: u32,
-    hi: u32,
-    use_witness: bool,
-    incremental: bool,
-    prior: &[Option<WalkWitness>],
-    last_access: &[SimTime],
-    locked: &BTreeSet<RecordRef>,
-    orphan_grace: SimDuration,
-    at: SimTime,
-) -> SemScreen {
-    let mut witnesses = Vec::new();
-    let mut abstained = false;
-    let mut earliest_unlinked: Option<SimTime> = None;
-    let mut checked = 0u64;
-    let clean = |witnesses, abstained, earliest_unlinked, checked| SemScreen::Clean {
-        witnesses,
-        abstained,
-        earliest_unlinked,
-        checked,
-    };
-    let Some((start_field, _)) = link_field(db.catalog(), table) else {
-        return clean(witnesses, abstained, earliest_unlinked, checked);
-    };
-    let Ok(tm) = db.catalog().table(table) else {
-        return clean(witnesses, abstained, earliest_unlinked, checked);
-    };
-    let record_count = tm.def.record_count;
-    let max_hops = db.catalog().table_count();
-
-    'records: for index in lo..hi.min(record_count) {
-        let start = RecordRef::new(table, index);
-        let slot = (index - lo) as usize;
-        if use_witness {
-            if let Some(w) = &prior[slot] {
-                if w.iter().all(|&(r, g)| db.record_generation(r) == g) {
-                    continue;
-                }
-            }
-        }
-        if !db.is_active(start).unwrap_or(false) {
-            let w = incremental.then(|| vec![(start, db.record_generation(start))]);
-            witnesses.push((index, w));
-            continue;
-        }
-        if locked.contains(&start) {
-            abstained = true;
-            witnesses.push((index, None));
-            continue;
-        }
-        checked += 1;
-
-        let start_link = db.read_field_raw(start, start_field).expect("field exists");
-        if start_link == LINK_NONE as u64 {
-            let accessed = last_access[slot];
-            if at.saturating_since(accessed) > orphan_grace {
-                // Orphan: the serial pass would free it.
-                return SemScreen::Suspect;
-            }
-            earliest_unlinked = Some(match earliest_unlinked {
-                Some(t0) => t0.min(accessed),
-                None => accessed,
-            });
-            witnesses.push((index, None));
-            continue;
-        }
-
-        let mut visited: Vec<RecordRef> = vec![start];
-        let mut cur = start;
-        let mut cur_field = start_field;
-        for _ in 0..max_hops {
-            let link_val = db.read_field_raw(cur, cur_field).expect("field exists");
-            let (_, target_table) =
-                link_field(db.catalog(), cur.table).expect("walk uses link fields");
-            let target_tm = db.catalog().table(target_table).expect("valid link target");
-            if link_val == LINK_NONE as u64 || link_val >= target_tm.def.record_count as u64 {
-                return SemScreen::Suspect;
-            }
-            let next = RecordRef::new(target_table, link_val as u32);
-            if locked.contains(&next) {
-                abstained = true;
-                witnesses.push((index, None));
-                continue 'records;
-            }
-            if !db.is_active(next).unwrap_or(false) {
-                return SemScreen::Suspect;
-            }
-            if next == start {
-                let w = incremental
-                    .then(|| visited.iter().map(|&r| (r, db.record_generation(r))).collect());
-                witnesses.push((index, w));
-                continue 'records;
-            }
-            if visited.contains(&next) {
-                return SemScreen::Suspect;
-            }
-            let Some((next_field, _)) = link_field(db.catalog(), next.table) else {
-                let w = incremental.then(|| {
-                    visited
-                        .iter()
-                        .chain(std::iter::once(&next))
-                        .map(|&r| (r, db.record_generation(r)))
-                        .collect()
-                });
-                witnesses.push((index, w));
-                continue 'records;
-            };
-            visited.push(next);
-            cur = next;
-            cur_field = next_field;
-        }
-        // Hop budget exhausted: the serial pass would free the walk.
-        return SemScreen::Suspect;
-    }
-    clean(witnesses, abstained, earliest_unlinked, checked)
-}
+type WalkWitness = Vec<(RecordRef, u64)>;
 
 /// The referential-integrity audit element.
 #[derive(Debug, Clone)]
@@ -235,9 +113,8 @@ impl SemanticAudit {
     }
 
     /// Advances the per-table pass counter; returns whether this pass
-    /// is a forced full re-walk. Called exactly once per pass — by the
-    /// serial scan, or by the owner when committing a screened pass.
-    pub(crate) fn advance_pass(&mut self, table: TableId) -> bool {
+    /// is a forced full re-walk.
+    fn advance_pass(&mut self, table: TableId) -> bool {
         let pass = self.passes.entry(table).or_insert(0);
         if self.full_rescan_period > 0 && *pass + 1 >= self.full_rescan_period {
             *pass = 0;
@@ -245,65 +122,6 @@ impl SemanticAudit {
         } else {
             *pass += 1;
             false
-        }
-    }
-
-    /// Whether the next pass over `table` will be a forced full
-    /// re-walk, without advancing the counter.
-    pub(crate) fn peek_due_full(&self, table: TableId) -> bool {
-        self.full_rescan_period > 0
-            && self.passes.get(&table).copied().unwrap_or(0) + 1 >= self.full_rescan_period
-    }
-
-    /// Whether a witness-eligible pass over `table` would skip the
-    /// whole table, given the closure signature observed at plan time.
-    pub(crate) fn would_skip_table(&self, table: TableId, closure_sig: u64, at: SimTime) -> bool {
-        self.clean.get(&table).is_some_and(|cp| {
-            let orphan_possible = cp
-                .earliest_unlinked_access
-                .is_some_and(|t0| at.saturating_since(t0) > self.orphan_grace);
-            cp.closure_sig == closure_sig && !orphan_possible
-        })
-    }
-
-    /// Stored clean-walk witnesses for anchors `lo..hi`, padded with
-    /// `None` where no witness exists.
-    pub(crate) fn walk_slice(&self, table: TableId, lo: u32, hi: u32) -> Vec<Option<WalkWitness>> {
-        (lo..hi)
-            .map(|i| self.walks.get(&table).and_then(|w| w.get(i as usize)).cloned().flatten())
-            .collect()
-    }
-
-    /// Commits a screened table-skip verdict: the serial pass would
-    /// have returned before touching anything but the pass counter.
-    pub(crate) fn commit_skip(&mut self, table: TableId) {
-        let _ = self.advance_pass(table);
-    }
-
-    /// Commits an all-clean screened pass over the whole table,
-    /// replicating the serial scan's end-of-pass bookkeeping.
-    pub(crate) fn commit_clean(
-        &mut self,
-        table: TableId,
-        record_count: u32,
-        closure_sig: u64,
-        updates: Vec<(u32, Option<WalkWitness>)>,
-        abstained: bool,
-        earliest_unlinked: Option<SimTime>,
-    ) {
-        let _ = self.advance_pass(table);
-        let walks = self.walks.entry(table).or_default();
-        walks.resize(record_count as usize, None);
-        for (index, w) in updates {
-            walks[index as usize] = w;
-        }
-        if !abstained {
-            self.clean.insert(
-                table,
-                CleanPass { closure_sig, earliest_unlinked_access: earliest_unlinked },
-            );
-        } else {
-            self.clean.remove(&table);
         }
     }
 

@@ -5,13 +5,16 @@
 //!
 //! Two identical worlds run the same operation stream; one audits
 //! incrementally (with an aggressive full-rescan period to exercise
-//! both code paths), the other always scans everything. After every
+//! both code paths), the other always scans everything. The worlds
+//! also hash on different CRC kernels: the full scan on the portable
+//! slice-by-8 kernel, the incremental audit on the hardware kernel
+//! (which falls back to slice-by-8 on hosts without it). After every
 //! cycle the findings must match field-for-field, and at the end the
 //! two database images must be byte-identical.
 
 use proptest::prelude::*;
 use wtnc_audit::{AuditConfig, AuditProcess};
-use wtnc_db::{schema, Database, DbApi, FieldId, TableId};
+use wtnc_db::{schema, set_crc_kernel_override, CrcKernel, Database, DbApi, FieldId, TableId};
 use wtnc_sim::{Pid, ProcessRegistry, SimTime};
 
 /// One step of the randomized workload. Raw variants bypass the API —
@@ -79,8 +82,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The tentpole guarantee: per-cycle findings and the final image
-    /// are identical between incremental and full-scan auditing.
+    /// Per-cycle findings and the final image are identical between
+    /// incremental auditing on the hardware CRC kernel and full-scan
+    /// auditing on the portable one.
     #[test]
     fn incremental_audit_matches_full_scan(
         ops in proptest::collection::vec(op_strategy(), 1..120),
@@ -88,7 +92,7 @@ proptest! {
     ) {
         let db = Database::build(schema::standard_schema()).unwrap();
         let mut worlds = Vec::new();
-        for incremental in [true, false] {
+        for (incremental, kernel) in [(true, CrcKernel::Hardware), (false, CrcKernel::Slice8)] {
             let db = db.clone();
             let mut api = DbApi::new();
             let registry = ProcessRegistry::new();
@@ -103,7 +107,7 @@ proptest! {
                 &db,
             );
             api.init(Pid(1));
-            worlds.push((db, api, registry, audit));
+            worlds.push((kernel, db, api, registry, audit));
         }
 
         let mut cycle = 0u64;
@@ -111,12 +115,14 @@ proptest! {
             let at = SimTime::from_secs(cycle * 10);
             cycle += 1;
             let mut reports = Vec::new();
-            for (db, api, registry, audit) in &mut worlds {
+            for (kernel, db, api, registry, audit) in &mut worlds {
+                set_crc_kernel_override(Some(*kernel));
                 for op in batch {
                     apply(op, db, api, Pid(1), at);
                 }
                 reports.push(audit.run_cycle(db, api, registry, at));
             }
+            set_crc_kernel_override(None);
             prop_assert_eq!(
                 &reports[0].findings,
                 &reports[1].findings,
@@ -130,9 +136,11 @@ proptest! {
         for extra in 0..3 {
             let at = SimTime::from_secs((cycle + extra) * 10 + 100);
             let mut reports = Vec::new();
-            for (db, api, registry, audit) in &mut worlds {
+            for (kernel, db, api, registry, audit) in &mut worlds {
+                set_crc_kernel_override(Some(*kernel));
                 reports.push(audit.run_cycle(db, api, registry, at));
             }
+            set_crc_kernel_override(None);
             prop_assert_eq!(
                 &reports[0].findings,
                 &reports[1].findings,
@@ -142,8 +150,8 @@ proptest! {
         }
 
         prop_assert_eq!(
-            worlds[0].0.region(),
-            worlds[1].0.region(),
+            worlds[0].1.region(),
+            worlds[1].1.region(),
             "final database images differ"
         );
     }

@@ -287,9 +287,9 @@ fn main() {
          the dispatch workload isolates the engine"
     );
 
-    // Speedup gate, mirroring audit_scaling: assert when requested,
-    // but stamp an honest fallback on single-CPU hosts instead of
-    // failing, since shared 1-CPU containers time too noisily.
+    // Speedup gate: assert when requested, but stamp an honest
+    // fallback on single-CPU hosts instead of failing, since shared
+    // 1-CPU containers time too noisily.
     let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let target: Option<f64> =
         std::env::var("WTNC_BENCH_ASSERT_SPEEDUP").ok().and_then(|s| s.parse().ok());

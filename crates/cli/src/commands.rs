@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use wtnc::audit::{AuditConfig, ParallelConfig, SupervisorConfig};
+use wtnc::audit::{AuditConfig, SupervisorConfig};
 use wtnc::db::schema;
 use wtnc::inject::db_campaign::{run_campaign as run_db_campaign, DbCampaignConfig};
 use wtnc::inject::powerfail_campaign::{
@@ -41,11 +41,10 @@ USAGE:
                                            corrupt the Nth CFI and watch
                                            PECOS; per-run superblock report
     wtnc audit-demo                        inject -> detect -> repair
-    wtnc audit [--workers N] [--cycles N] [--dirty-pct P]
-               [--force-parallel] [--no-hwcrc]
-                                           steady-state audit cycles with
-                                           executor mode / batch / CRC-
-                                           kernel bookkeeping per cycle
+    wtnc audit [--cycles N] [--dirty-pct P] [--no-hwcrc]
+                                           steady-state audit cycles:
+                                           findings, records checked and
+                                           wall time per cycle
     wtnc audit --storm [--load X] [--model NAME]
                                            overload walkthrough: one
                                            traffic-storm run with and
@@ -69,7 +68,6 @@ USAGE:
                                            records the newest checkpoint
                                            already covers
     wtnc campaign db [--runs N] [--no-audit] [--no-incremental]
-                     [--audit-workers N]
     wtnc campaign text [--runs N] [--directed]
     wtnc campaign priority [--runs N] [--proportional]
     wtnc campaign recovery [--runs N] [--budget N]
@@ -83,9 +81,8 @@ USAGE:
 without --dir they demonstrate the journal/checkpoint/recovery cycle in
 a temporary scratch directory that is removed on exit.
 
-Audit cycles shard across a deterministic worker pool when
---audit-workers (or the WTNC_WORKERS environment variable) is above 1;
-findings are identical for any worker count.";
+WTNC_WORKERS=N pins the number of threads a campaign runs its
+independent runs on; every audit cycle runs serially.";
 
 /// Parses `--flag value` pairs and positional arguments.
 fn parse(args: &[String]) -> Result<(Vec<&str>, HashMap<&str, &str>), String> {
@@ -316,8 +313,7 @@ fn print_superblock_report(machine: &Machine) {
 
 /// `wtnc audit-demo`
 pub fn audit_demo(_args: &[String]) -> Result<(), String> {
-    let mut controller = Controller::standard()
-        .with_audit(AuditConfig { parallel: ParallelConfig::from_env(), ..AuditConfig::default() });
+    let mut controller = Controller::standard().with_audit(AuditConfig::default());
     println!(
         "controller: {} tables, {} byte image, audit process alive",
         controller.db.catalog().table_count(),
@@ -340,44 +336,32 @@ pub fn audit_demo(_args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `wtnc audit [--workers N] [--cycles N] [--dirty-pct P]
-/// [--force-parallel] [--no-hwcrc]`: runs steady-state audit cycles
-/// over a populated database and prints each cycle's executor
-/// bookkeeping — which engine ran, how the screens were batched, and
-/// which CRC kernel hashed the bytes.
+/// `wtnc audit [--cycles N] [--dirty-pct P] [--no-hwcrc]`: runs
+/// steady-state audit cycles over a populated database and prints each
+/// cycle's findings, records checked and wall time; `--no-hwcrc` pins
+/// the portable CRC kernel.
 pub fn audit(args: &[String]) -> Result<(), String> {
     let (_, flags) = parse(args)?;
     if flags.contains_key("storm") {
         return audit_storm_demo(&flags);
     }
-    let workers: usize = flag_num(&flags, "workers", ParallelConfig::from_env().workers)?;
     let cycles: u64 = flag_num(&flags, "cycles", 3u64)?;
     let dirty_pct: f64 = flag_num(&flags, "dirty-pct", 25.0)?;
-    let force_parallel = flags.contains_key("force-parallel");
     if flags.contains_key("no-hwcrc") {
         wtnc::db::set_crc_kernel_override(Some(wtnc::db::CrcKernel::Slice8));
     }
 
-    let mut controller = Controller::standard().with_audit(AuditConfig {
-        parallel: ParallelConfig {
-            workers: workers.max(1),
-            governor: !force_parallel,
-            ..ParallelConfig::default()
-        },
-        ..AuditConfig::default()
-    });
+    let mut controller = Controller::standard().with_audit(AuditConfig::default());
     println!(
-        "controller: {} tables, {} byte image; {} worker(s), governor {}, crc kernel {}",
+        "controller: {} tables, {} byte image; crc kernel {}",
         controller.db.catalog().table_count(),
         controller.db.region_len(),
-        workers.max(1),
-        if force_parallel { "off (forced parallel)" } else { "on" },
         wtnc::db::crc_kernel().name()
     );
 
     // Steady-state workload: touch a fraction of the blocks with
     // same-value writes so the audit re-verifies them and finds
-    // nothing — the recurring cost the executor exists to shrink.
+    // nothing — the recurring cost of an incremental audit.
     let n_blocks = controller.db.region_len() / wtnc::db::DIRTY_BLOCK_SIZE;
     let k = ((n_blocks as f64 * dirty_pct / 100.0) as usize).clamp(1, n_blocks);
     for cycle in 1..=cycles {
@@ -391,16 +375,8 @@ pub fn audit(args: &[String]) -> Result<(), String> {
         let report =
             controller.run_audit_cycle(SimTime::from_secs(10 * cycle)).expect("audit alive");
         let us = start.elapsed().as_secs_f64() * 1e6;
-        let e = report.exec;
         println!(
-            "cycle {cycle}: mode {:<15} workers {} tasks {:>3} batches {:>3} steals {:>2} \
-             est {:>6} B  {} finding(s), {} records, {us:.0} us",
-            e.mode.name(),
-            e.workers,
-            e.tasks,
-            e.batches,
-            e.steals,
-            e.estimated_bytes,
+            "cycle {cycle}: {} finding(s), {} records, {us:.0} us",
             report.findings.len(),
             report.records_checked
         );
@@ -468,7 +444,7 @@ pub fn recover(args: &[String]) -> Result<(), String> {
     let (_, flags) = parse(args)?;
     let budget: u32 = flag_num(&flags, "budget", RecoveryConfig::default().cycle_budget)?;
     let mut controller = Controller::standard()
-        .with_audit(AuditConfig { parallel: ParallelConfig::from_env(), ..AuditConfig::default() })
+        .with_audit(AuditConfig::default())
         .with_recovery(RecoveryConfig { cycle_budget: budget, ..RecoveryConfig::default() });
     println!(
         "controller: {} tables, {} byte image; audits detect-only; \
@@ -540,7 +516,7 @@ pub fn supervise(_args: &[String]) -> Result<(), String> {
     use wtnc::sim::Responsiveness;
 
     let mut controller = Controller::standard()
-        .with_audit(AuditConfig { parallel: ParallelConfig::from_env(), ..AuditConfig::default() })
+        .with_audit(AuditConfig::default())
         .with_supervision(SupervisorConfig::default());
     let hung = controller.spawn_client("client-a", SimTime::ZERO);
     let crashed = controller.spawn_client("client-b", SimTime::ZERO);
@@ -793,12 +769,9 @@ pub fn campaign(args: &[String]) -> Result<(), String> {
             let runs: usize = flag_num(&flags, "runs", 5)?;
             let audits = !flags.contains_key("no-audit");
             let incremental = !flags.contains_key("no-incremental");
-            let audit_workers: usize =
-                flag_num(&flags, "audit-workers", ParallelConfig::from_env().workers)?;
             let config = DbCampaignConfig {
                 audits,
                 incremental,
-                audit_workers: audit_workers.max(1),
                 duration: SimDuration::from_secs(500),
                 ..DbCampaignConfig::default()
             };
@@ -1015,8 +988,7 @@ mod tests {
     #[test]
     fn audit_command_runs_in_every_mode() {
         audit(&strings(&["--cycles", "2"])).unwrap();
-        audit(&strings(&["--workers", "4", "--cycles", "2", "--no-hwcrc"])).unwrap();
-        audit(&strings(&["--workers", "2", "--cycles", "1", "--force-parallel"])).unwrap();
+        audit(&strings(&["--cycles", "2", "--dirty-pct", "5", "--no-hwcrc"])).unwrap();
         // Leave the process-global kernel override clear for other
         // tests in this binary.
         wtnc::db::set_crc_kernel_override(None);
@@ -1032,7 +1004,6 @@ mod tests {
     fn campaign_db_runs() {
         campaign(&strings(&["db", "--runs", "1"])).unwrap();
         campaign(&strings(&["db", "--runs", "1", "--no-incremental"])).unwrap();
-        campaign(&strings(&["db", "--runs", "1", "--audit-workers", "2"])).unwrap();
     }
 
     #[test]

@@ -118,7 +118,7 @@ pub struct Database {
     region: Vec<u8>,
     golden: Vec<u8>,
     /// The parsed catalog, immutable after build. Shared (`Arc`) so
-    /// audit snapshots can reference the layout without copying it.
+    /// clones of the database reference the layout without copying it.
     catalog: Arc<Catalog>,
     meta: Vec<Vec<RecordMeta>>,
     stats: Vec<TableStats>,
@@ -236,19 +236,6 @@ impl Database {
     /// Read-only view of the golden disk image.
     pub fn golden(&self) -> &[u8] {
         &self.golden
-    }
-
-    /// Captures an epoch-stamped consistent snapshot of the audited
-    /// state (region bytes, catalog reference, mutation generations)
-    /// for parallel audit screening. See [`crate::DbSnapshot`].
-    pub fn snapshot(&self) -> crate::snapshot::DbSnapshot {
-        crate::snapshot::DbSnapshot {
-            epoch: self.global_gen,
-            catalog: Arc::clone(&self.catalog),
-            region: self.region.clone().into_boxed_slice(),
-            table_gen: self.table_gen.clone(),
-            record_gen: self.record_gen.clone(),
-        }
     }
 
     /// The ground-truth taint ledger.

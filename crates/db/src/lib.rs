@@ -67,7 +67,6 @@ mod error;
 mod events;
 pub mod layout;
 pub mod schema;
-mod snapshot;
 mod taint;
 
 pub use api::{ApiCosts, DbApi, IpcConfig, LockTable};
@@ -82,5 +81,4 @@ pub use database::{CapturedMutation, Database, RecordMeta, RecordRef, TableStats
 pub use dirty::{DirtyTracker, DIRTY_BLOCK_SIZE};
 pub use error::DbError;
 pub use events::{DbEvent, DbOp};
-pub use snapshot::{DbRead, DbSnapshot};
 pub use taint::{TaintEntry, TaintFate, TaintKind, TaintMap};

@@ -3,112 +3,17 @@
 //! The paper adds "a standard POSIX IPC message queue" between the
 //! database API and the audit process (its Figure 1). In the
 //! deterministic simulation, processes run interleaved on one OS
-//! thread, so the queue is a bounded FIFO with drop-oldest overflow —
-//! the same observable behaviour an `mq_send` with `O_NONBLOCK` gives a
-//! non-critical telemetry path.
-//!
-//! [`MessageQueue`] keeps those classic telemetry semantics. The
-//! overload work adds [`FairQueue`]: a bounded queue with *per-producer*
-//! admission control and an explicit [`Enqueue`] verdict, so a single
-//! spamming client saturates only its own lane — it can neither evict
-//! other producers' messages nor grow the consumer's backlog without
-//! bound. Every rejected message is accounted (shed or backpressured),
-//! never silently lost.
+//! thread, so the queue is an in-memory FIFO. [`FairQueue`] bounds it
+//! with *per-producer* admission control and an explicit [`Enqueue`]
+//! verdict, so a single spamming client saturates only its own lane —
+//! it can neither evict other producers' messages nor grow the
+//! consumer's backlog without bound. Every rejected message is
+//! accounted (shed or backpressured), never silently lost.
 
 use std::collections::{BTreeMap, VecDeque};
 
 use crate::process::Pid;
 use crate::time::SimDuration;
-
-/// A bounded FIFO message queue between simulated processes.
-///
-/// # Example
-///
-/// ```
-/// use wtnc_sim::MessageQueue;
-///
-/// let mut q = MessageQueue::with_capacity(2);
-/// q.send(1);
-/// q.send(2);
-/// q.send(3); // overflows: drops the oldest
-/// assert_eq!(q.recv(), Some(2));
-/// assert_eq!(q.recv(), Some(3));
-/// assert_eq!(q.recv(), None);
-/// ```
-#[derive(Debug, Clone)]
-pub struct MessageQueue<T> {
-    buf: VecDeque<T>,
-    capacity: usize,
-    dropped: u64,
-    total_sent: u64,
-}
-
-impl<T> MessageQueue<T> {
-    /// Creates a queue that holds at most `capacity` undelivered
-    /// messages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "a message queue needs capacity for at least one message");
-        MessageQueue {
-            buf: VecDeque::with_capacity(capacity.min(1024)),
-            capacity,
-            dropped: 0,
-            total_sent: 0,
-        }
-    }
-
-    /// Enqueues a message. If the queue is full the *oldest* message is
-    /// dropped to make room (telemetry semantics: fresher events are
-    /// more valuable to the audit process than stale ones).
-    pub fn send(&mut self, msg: T) {
-        self.total_sent += 1;
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(msg);
-    }
-
-    /// Dequeues the oldest pending message, or `None` if empty.
-    pub fn recv(&mut self) -> Option<T> {
-        self.buf.pop_front()
-    }
-
-    /// Drains every pending message in FIFO order.
-    pub fn drain(&mut self) -> impl Iterator<Item = T> + '_ {
-        self.buf.drain(..)
-    }
-
-    /// Iterates the pending messages in FIFO order without consuming
-    /// them. A supervision tier taps the queue this way: it observes
-    /// the traffic while the audit process remains the consumer.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.buf.iter()
-    }
-
-    /// Number of pending messages.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when no messages are pending.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Messages dropped due to overflow since creation.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Messages sent (including dropped ones) since creation.
-    pub fn total_sent(&self) -> u64 {
-        self.total_sent
-    }
-}
 
 /// The verdict of a bounded, backpressured enqueue attempt on a
 /// [`FairQueue`].
@@ -151,7 +56,7 @@ pub struct LaneStats {
 /// A bounded FIFO queue with per-producer admission control.
 ///
 /// Delivery order is plain arrival order (the consumer sees one FIFO
-/// stream, exactly like [`MessageQueue`]); *fairness* is enforced at
+/// stream); *fairness* is enforced at
 /// admission: each producer may occupy at most `lane_capacity` of the
 /// queue's `capacity` slots, so one spamming client cannot evict or
 /// crowd out the others. The two rejection modes are distinct and both
@@ -195,9 +100,9 @@ impl<T> FairQueue<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` or `lane_capacity` is zero — like
-    /// [`MessageQueue::with_capacity`], a queue that can never admit a
-    /// message would misbehave silently everywhere it is consumed.
+    /// Panics if `capacity` or `lane_capacity` is zero — a queue that
+    /// can never admit a message would misbehave silently everywhere it
+    /// is consumed.
     pub fn new(capacity: usize, lane_capacity: usize, retry_after: SimDuration) -> Self {
         assert!(capacity > 0, "a fair queue needs capacity for at least one message");
         assert!(lane_capacity > 0, "a fair queue needs lane capacity for at least one message");
@@ -249,7 +154,8 @@ impl<T> FairQueue<T> {
     }
 
     /// Iterates the pending messages in FIFO order without consuming
-    /// them — the supervision tap, exactly as on [`MessageQueue`].
+    /// them. A supervision tier taps the queue this way: it observes
+    /// the traffic while the audit process remains the consumer.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.items.iter().map(|(_, msg)| msg)
     }
@@ -305,46 +211,6 @@ impl<T> FairQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fifo_order() {
-        let mut q = MessageQueue::with_capacity(8);
-        for i in 0..5 {
-            q.send(i);
-        }
-        let got: Vec<_> = q.drain().collect();
-        assert_eq!(got, vec![0, 1, 2, 3, 4]);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn overflow_drops_oldest_and_counts() {
-        let mut q = MessageQueue::with_capacity(3);
-        for i in 0..10 {
-            q.send(i);
-        }
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.dropped(), 7);
-        assert_eq!(q.total_sent(), 10);
-        assert_eq!(q.recv(), Some(7));
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity")]
-    fn zero_capacity_panics() {
-        let _ = MessageQueue::<u8>::with_capacity(0);
-    }
-
-    #[test]
-    fn iter_does_not_consume() {
-        let mut q = MessageQueue::with_capacity(8);
-        q.send(1);
-        q.send(2);
-        let seen: Vec<_> = q.iter().copied().collect();
-        assert_eq!(seen, vec![1, 2]);
-        assert_eq!(q.len(), 2, "tapping leaves the messages for the consumer");
-        assert_eq!(q.recv(), Some(1));
-    }
 
     #[test]
     fn fair_queue_delivers_fifo_across_producers() {
@@ -403,7 +269,7 @@ mod tests {
     }
 
     #[test]
-    fn fair_queue_tap_matches_message_queue_semantics() {
+    fn fair_queue_tap_does_not_consume() {
         let mut q = FairQueue::new(8, 8, SimDuration::from_millis(1));
         q.try_send(Pid(1), 1);
         q.try_send(Pid(1), 2);

@@ -15,11 +15,10 @@
 //! * [`SimRng`] — a seeded random-number generator with the
 //!   distributions the paper uses (exponential inter-arrival times,
 //!   uniform placement, weighted choice).
-//! * [`MessageQueue`] — an in-simulation stand-in for the POSIX IPC
-//!   message queue between the database API and the audit process,
-//!   plus [`FairQueue`], its bounded per-producer variant with
-//!   explicit [`Enqueue`] verdicts (accepted / backpressured / shed)
-//!   for the overload experiments.
+//! * [`FairQueue`] — an in-simulation stand-in for the POSIX IPC
+//!   message queue between the database API and the audit process:
+//!   bounded per-producer lanes with explicit [`Enqueue`] verdicts
+//!   (accepted / backpressured / shed) for the overload experiments.
 //! * [`ProcessRegistry`] — bookkeeping for simulated processes and
 //!   threads, including the kill/restart actions the manager and the
 //!   progress-indicator element perform.
@@ -54,7 +53,7 @@ pub mod stats;
 mod time;
 
 pub use events::{EventQueue, ScheduledEvent};
-pub use ipc::{Enqueue, FairQueue, LaneStats, MessageQueue};
+pub use ipc::{Enqueue, FairQueue, LaneStats};
 pub use process::{Pid, ProcessRegistry, ProcessState, Responsiveness, Tid};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
