@@ -1,17 +1,18 @@
-//! The heartbeat element and the manager (§4.1).
+//! The heartbeat element and the manager's heartbeat settings (§4.1).
 //!
 //! "Periodically, the manager process sends a heartbeat message to the
 //! heartbeat element in the audit process and waits for a reply. If the
 //! entire audit process has crashed or hung … the manager times out and
-//! restarts the audit process."
+//! restarts the audit process." The [`Supervisor`](crate::Supervisor)
+//! plays the manager: it probes the audit process (and every client)
+//! once per [`ManagerConfig::interval`] and restarts it after
+//! [`ManagerConfig::miss_limit`] consecutive misses.
 
 use serde::{Deserialize, Serialize};
-use wtnc_sim::{Pid, ProcessRegistry, SimDuration, SimTime};
-
-use crate::finding::{AuditElementKind, Finding, RecoveryAction};
+use wtnc_sim::{SimDuration, SimTime};
 
 /// The heartbeat element living inside the audit process: replies to
-/// manager queries while the process is alive.
+/// the supervisor's queries while the process is alive and responsive.
 #[derive(Debug, Clone, Default)]
 pub struct HeartbeatElement {
     queries: u64,
@@ -39,256 +40,19 @@ impl HeartbeatElement {
     }
 }
 
-/// Manager configuration.
+/// Heartbeat settings of the manager tier
+/// ([`SupervisorConfig::heartbeat`](crate::SupervisorConfig::heartbeat)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ManagerConfig {
     /// Interval between heartbeat queries.
     pub interval: SimDuration,
-    /// Consecutive missed replies before the audit process is declared
-    /// dead and restarted.
+    /// Consecutive missed replies before a process is declared dead
+    /// and restarted.
     pub miss_limit: u32,
 }
 
 impl Default for ManagerConfig {
     fn default() -> Self {
         ManagerConfig { interval: SimDuration::from_secs(1), miss_limit: 3 }
-    }
-}
-
-/// The manager process: supervises the audit process by heartbeat and
-/// restarts it on failure. (In the real controller the manager runs
-/// duplicated; its own failover is outside the audit subsystem.)
-#[derive(Debug, Clone)]
-pub struct Manager {
-    config: ManagerConfig,
-    supervised: Pid,
-    misses: u32,
-    restarts: u32,
-}
-
-impl Manager {
-    /// Creates a manager supervising the audit process `supervised`.
-    pub fn new(config: ManagerConfig, supervised: Pid) -> Self {
-        Manager { config, supervised, misses: 0, restarts: 0 }
-    }
-
-    /// The currently supervised audit-process pid (changes after a
-    /// restart).
-    pub fn supervised(&self) -> Pid {
-        self.supervised
-    }
-
-    /// Restarts performed so far.
-    pub fn restarts(&self) -> u32 {
-        self.restarts
-    }
-
-    /// The heartbeat query interval.
-    pub fn interval(&self) -> SimDuration {
-        self.config.interval
-    }
-
-    /// One heartbeat round: query the element if the audit process is
-    /// alive *and responsive* — a hung process is alive in the registry
-    /// but never answers, so its element must not count as a reply. On
-    /// `miss_limit` consecutive failures, restart the process via the
-    /// registry and report the restart as a finding. If the registry
-    /// refuses the restart, the manager cannot recover locally: it
-    /// surfaces a controller-restart finding instead of panicking.
-    /// Returns the new pid when a restart happened.
-    pub fn beat(
-        &mut self,
-        element: Option<&mut HeartbeatElement>,
-        registry: &mut ProcessRegistry,
-        now: SimTime,
-        out: &mut Vec<Finding>,
-    ) -> Option<Pid> {
-        let replied = match element {
-            Some(el) if registry.is_responsive(self.supervised) => {
-                el.query(now);
-                true
-            }
-            _ => false,
-        };
-        if replied {
-            self.misses = 0;
-            return None;
-        }
-        self.misses += 1;
-        if self.misses < self.config.miss_limit {
-            return None;
-        }
-        // Declare dead and restart. If the registry still thinks the
-        // process is alive (hung rather than crashed), kill it first.
-        if registry.is_alive(self.supervised) {
-            registry.kill(self.supervised, now);
-        }
-        let old = self.supervised;
-        self.misses = 0;
-        match registry.restart(old, now) {
-            Some(new_pid) => {
-                self.supervised = new_pid;
-                self.restarts += 1;
-                out.push(Finding {
-                    element: AuditElementKind::Heartbeat,
-                    at: now,
-                    table: None,
-                    record: None,
-                    detail: format!(
-                        "{} consecutive heartbeat misses; restarted {old} as {new_pid}",
-                        self.config.miss_limit
-                    ),
-                    action: RecoveryAction::RestartedProcess { old, new: new_pid },
-                    target: Some(crate::FindingTarget::Client { pid: old }),
-                    caught: Vec::new(),
-                });
-                Some(new_pid)
-            }
-            None => {
-                out.push(Finding {
-                    element: AuditElementKind::Heartbeat,
-                    at: now,
-                    table: None,
-                    record: None,
-                    detail: format!(
-                        "{old} missed {} heartbeats but the registry refused the restart; \
-                         requesting a controller restart",
-                        self.config.miss_limit
-                    ),
-                    action: RecoveryAction::RequestedControllerRestart,
-                    target: Some(crate::FindingTarget::Client { pid: old }),
-                    caught: Vec::new(),
-                });
-                None
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use wtnc_sim::Responsiveness;
-
-    #[test]
-    fn healthy_process_never_restarts() {
-        let mut registry = ProcessRegistry::new();
-        let audit = registry.spawn("audit", SimTime::ZERO);
-        let mut element = HeartbeatElement::new();
-        let mut manager = Manager::new(ManagerConfig::default(), audit);
-        let mut out = Vec::new();
-        for s in 0..10 {
-            assert_eq!(
-                manager.beat(Some(&mut element), &mut registry, SimTime::from_secs(s), &mut out),
-                None
-            );
-        }
-        assert_eq!(manager.restarts(), 0);
-        assert_eq!(element.queries(), 10);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn crashed_process_restarts_after_miss_limit() {
-        let mut registry = ProcessRegistry::new();
-        let audit = registry.spawn("audit", SimTime::ZERO);
-        let mut manager = Manager::new(ManagerConfig::default(), audit);
-        let mut out = Vec::new();
-        registry.crash(audit, SimTime::from_secs(1));
-        // Two misses: nothing yet.
-        assert_eq!(manager.beat(None, &mut registry, SimTime::from_secs(2), &mut out), None);
-        assert_eq!(manager.beat(None, &mut registry, SimTime::from_secs(3), &mut out), None);
-        // Third miss: restart.
-        let new_pid = manager
-            .beat(None, &mut registry, SimTime::from_secs(4), &mut out)
-            .expect("restart expected");
-        assert_ne!(new_pid, audit);
-        assert!(registry.is_alive(new_pid));
-        assert_eq!(manager.supervised(), new_pid);
-        assert_eq!(manager.restarts(), 1);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].action, RecoveryAction::RestartedProcess { old: audit, new: new_pid });
-    }
-
-    #[test]
-    fn hung_process_is_killed_then_restarted() {
-        // The process is "alive" in the registry but its heartbeat
-        // element is unreachable (element = None models a hang or a
-        // scheduling anomaly).
-        let mut registry = ProcessRegistry::new();
-        let audit = registry.spawn("audit", SimTime::ZERO);
-        let mut manager = Manager::new(
-            ManagerConfig { interval: SimDuration::from_secs(1), miss_limit: 2 },
-            audit,
-        );
-        let mut out = Vec::new();
-        assert_eq!(manager.beat(None, &mut registry, SimTime::from_secs(1), &mut out), None);
-        let new_pid = manager
-            .beat(None, &mut registry, SimTime::from_secs(2), &mut out)
-            .expect("restart expected");
-        assert!(!registry.is_alive(audit));
-        assert!(registry.is_alive(new_pid));
-    }
-
-    #[test]
-    fn hung_but_alive_process_does_not_count_as_replying() {
-        // Regression: the registry reports the audit process alive and
-        // its heartbeat element is reachable, but the process is hung —
-        // alive-but-silent. The manager must not treat the element's
-        // mere existence as a reply; the query goes unanswered and miss
-        // counting restarts the process.
-        let mut registry = ProcessRegistry::new();
-        let audit = registry.spawn("audit", SimTime::ZERO);
-        registry.set_responsiveness(audit, Responsiveness::Hung);
-        let mut element = HeartbeatElement::new();
-        let mut manager = Manager::new(ManagerConfig::default(), audit);
-        let mut out = Vec::new();
-        let mut restarted = None;
-        for s in 1..=3 {
-            restarted = restarted.or(manager.beat(
-                Some(&mut element),
-                &mut registry,
-                SimTime::from_secs(s),
-                &mut out,
-            ));
-        }
-        assert_eq!(element.queries(), 0, "a hung process must not answer queries");
-        let new_pid = restarted.expect("hung process restarted at the miss limit");
-        assert!(!registry.is_alive(audit));
-        assert!(registry.is_alive(new_pid));
-        assert_eq!(manager.restarts(), 1);
-    }
-
-    #[test]
-    fn refused_restart_surfaces_a_controller_restart_finding() {
-        // The manager supervises a pid the registry does not know (the
-        // registry refuses to restart it). Instead of panicking, the
-        // miss limit produces a controller-restart finding.
-        let mut registry = ProcessRegistry::new();
-        let mut manager = Manager::new(ManagerConfig::default(), Pid(999));
-        let mut out = Vec::new();
-        for s in 1..=3 {
-            assert_eq!(manager.beat(None, &mut registry, SimTime::from_secs(s), &mut out), None);
-        }
-        assert_eq!(manager.restarts(), 0);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].action, RecoveryAction::RequestedControllerRestart);
-        assert_eq!(out[0].element, AuditElementKind::Heartbeat);
-    }
-
-    #[test]
-    fn recovery_resets_miss_count() {
-        let mut registry = ProcessRegistry::new();
-        let audit = registry.spawn("audit", SimTime::ZERO);
-        let mut element = HeartbeatElement::new();
-        let mut manager = Manager::new(ManagerConfig::default(), audit);
-        let mut out = Vec::new();
-        // Two misses, then a reply: counter resets, no restart ever.
-        manager.beat(None, &mut registry, SimTime::from_secs(1), &mut out);
-        manager.beat(None, &mut registry, SimTime::from_secs(2), &mut out);
-        manager.beat(Some(&mut element), &mut registry, SimTime::from_secs(3), &mut out);
-        manager.beat(None, &mut registry, SimTime::from_secs(4), &mut out);
-        manager.beat(None, &mut registry, SimTime::from_secs(5), &mut out);
-        assert_eq!(manager.restarts(), 0);
     }
 }

@@ -1,8 +1,8 @@
 //! The database audit subsystem (§4 of the paper).
 //!
-//! The audit process is a separate, manager-supervised process that
-//! keeps the controller database healthy. Its architecture follows the
-//! paper's Figure 1:
+//! The audit process is a separate, supervised process that keeps the
+//! controller database healthy. Its architecture follows the paper's
+//! Figure 1:
 //!
 //! * the **audit main thread** ([`AuditProcess`]) drains the IPC
 //!   message queue the database API posts to, routes messages to
@@ -13,12 +13,11 @@
 //!   offsets), [`RangeAudit`] (catalog min/max rules),
 //!   [`SemanticAudit`] (referential-integrity loops) and
 //!   [`SelectiveMonitor`] (runtime invariant inference, §4.4.2);
-//! * the [`Manager`] supervises the audit process itself by heartbeat
-//!   and restarts it on failure;
-//! * the [`Supervisor`] generalizes that tier to the whole process
-//!   population: clients and the audit process register as supervised
-//!   processes, hangs and livelocks are detected by decoupling
-//!   liveness from responsiveness, condemned clients have their locks
+//! * the [`Supervisor`] is the paper's manager, generalized to the
+//!   whole process population: clients and the audit process register
+//!   as supervised processes and are probed by heartbeat, hangs and
+//!   livelocks are detected by decoupling liveness from
+//!   responsiveness, condemned clients have their locks
 //!   stolen and are warm-restarted, restart storms back off and
 //!   escalate to a controller restart, and an [`AvailabilityLedger`]
 //!   accounts every downtime interval;
@@ -89,7 +88,7 @@ pub use finding::{
     AuditElementKind, AuditReport, ExecSummary, ExecutorMode, Finding, FindingTarget,
     RecoveryAction,
 };
-pub use heartbeat::{HeartbeatElement, Manager, ManagerConfig};
+pub use heartbeat::{HeartbeatElement, ManagerConfig};
 pub use process::{AuditConfig, AuditElement, AuditProcess, AuditScope};
 pub use progress::{ProgressConfig, ProgressIndicator};
 pub use ranged::RangeAudit;

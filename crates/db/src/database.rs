@@ -1084,50 +1084,6 @@ impl Database {
         }
         TaintKind::Slack
     }
-
-    /// Classifies a byte offset for taint bookkeeping: catalog bytes and
-    /// static fields are [`TaintKind::StaticData`], record headers are
-    /// [`TaintKind::Structural`], dynamic fields split into ruled
-    /// (range or link available) and unruled, and padding or fields of
-    /// free dynamic records are [`TaintKind::Slack`].
-    pub fn classify_offset(&self, offset: usize) -> TaintKind {
-        if offset < self.catalog.catalog_len() {
-            return TaintKind::StaticData;
-        }
-        for tm in self.catalog.tables() {
-            let start = tm.offset;
-            let end = start + tm.data_len();
-            if offset < start || offset >= end {
-                continue;
-            }
-            let rel = offset - start;
-            let index = (rel / tm.record_size) as u32;
-            let in_rec = rel % tm.record_size;
-            if in_rec < RECORD_HEADER_SIZE {
-                return TaintKind::Structural;
-            }
-            let active = self.is_active(RecordRef::new(tm.id, index)).unwrap_or(false);
-            for (fi, f) in tm.def.fields.iter().enumerate() {
-                let fo = tm.field_offsets[fi];
-                if in_rec >= fo && in_rec < fo + f.width.bytes() {
-                    return match f.kind {
-                        crate::catalog::FieldKind::Static => TaintKind::StaticData,
-                        crate::catalog::FieldKind::Dynamic => {
-                            if !active {
-                                TaintKind::Slack
-                            } else if f.range.is_some() || f.link.is_some() {
-                                TaintKind::DynamicRuled
-                            } else {
-                                TaintKind::DynamicUnruled
-                            }
-                        }
-                    };
-                }
-            }
-            return TaintKind::Slack; // padding inside the record
-        }
-        TaintKind::Slack // inter-table alignment padding
-    }
 }
 
 #[cfg(test)]
@@ -1261,28 +1217,38 @@ mod tests {
     }
 
     #[test]
-    fn classify_offset_covers_all_kinds() {
+    fn classify_injection_covers_all_kinds() {
         let mut db = Database::build(schema()).unwrap();
         // Catalog bytes.
-        assert_eq!(db.classify_offset(0), TaintKind::StaticData);
-        // Structural: header of config record 0.
+        assert_eq!(db.classify_injection(0, 0), TaintKind::StaticData);
+        // Every byte of a Config table, its record headers included, is
+        // static data: the golden CRC covers it.
         let cfg_off = db.record_offset(RecordRef::new(TableId(0), 0)).unwrap();
-        assert_eq!(db.classify_offset(cfg_off), TaintKind::Structural);
-        // Static field data.
+        assert_eq!(db.classify_injection(cfg_off, 0), TaintKind::StaticData);
         let (f_off, _) = db.field_extent(RecordRef::new(TableId(0), 0), FieldId(0)).unwrap();
-        assert_eq!(db.classify_offset(f_off), TaintKind::StaticData);
+        assert_eq!(db.classify_injection(f_off, 0), TaintKind::StaticData);
         // Dynamic, free record: slack.
-        let (d_off, _) = db.field_extent(RecordRef::new(TableId(1), 0), FieldId(0)).unwrap();
-        assert_eq!(db.classify_offset(d_off), TaintKind::Slack);
-        // Activate it: ruled (has range) and unruled fields.
+        let (d_off, d_len) = db.field_extent(RecordRef::new(TableId(1), 0), FieldId(0)).unwrap();
+        assert_eq!(db.classify_injection(d_off, 0), TaintKind::Slack);
+        // Activate it. The ranged field is ruled only when the flipped
+        // value leaves the range: 0 -> 1 passes, 0 -> 2^31 does not.
         let i = db.alloc_record_raw(TableId(1)).unwrap();
         assert_eq!(i, 0);
-        assert_eq!(db.classify_offset(d_off), TaintKind::DynamicRuled);
+        assert_eq!(db.classify_injection(d_off, 0), TaintKind::DynamicUnruled);
+        assert_eq!(db.classify_injection(d_off + d_len - 1, 7), TaintKind::DynamicRuled);
+        // A perturbed link is always caught.
+        let (l_off, _) = db.field_extent(RecordRef::new(TableId(1), 0), FieldId(1)).unwrap();
+        assert_eq!(db.classify_injection(l_off, 0), TaintKind::DynamicRuled);
         let (u_off, _) = db.field_extent(RecordRef::new(TableId(1), 0), FieldId(2)).unwrap();
-        assert_eq!(db.classify_offset(u_off), TaintKind::DynamicUnruled);
-        // Header of a dynamic record is structural even when free.
+        assert_eq!(db.classify_injection(u_off, 5), TaintKind::DynamicUnruled);
+        // The record-id bytes of a dynamic header are structural even
+        // when the record is free; its group byte carries no rule.
         let hdr_off = db.record_offset(RecordRef::new(TableId(1), 1)).unwrap();
-        assert_eq!(db.classify_offset(hdr_off), TaintKind::Structural);
+        assert_eq!(db.classify_injection(hdr_off, 0), TaintKind::Structural);
+        assert_eq!(db.classify_injection(hdr_off + HDR_STATUS, 0), TaintKind::Structural);
+        assert_eq!(db.classify_injection(hdr_off + HDR_GROUP, 0), TaintKind::Slack);
+        let active_hdr = db.record_offset(RecordRef::new(TableId(1), 0)).unwrap();
+        assert_eq!(db.classify_injection(active_hdr + HDR_GROUP, 0), TaintKind::DynamicUnruled);
     }
 
     #[test]

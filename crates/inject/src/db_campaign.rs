@@ -12,9 +12,11 @@
 use serde::{Deserialize, Serialize};
 use wtnc_audit::{AuditConfig, AuditElementKind, AuditProcess};
 use wtnc_callproc::{CallHandle, DesClient, WorkloadConfig};
-use wtnc_db::{schema, Database, DbApi, TaintEntry, TaintFate, TaintKind};
+use wtnc_db::{schema, Database, DbApi, TaintFate, TaintKind};
 use wtnc_sim::stats::Accumulator;
-use wtnc_sim::{EventQueue, ProcessRegistry, SimDuration, SimRng, SimTime};
+use wtnc_sim::{EventQueue, SimDuration, SimRng, SimTime};
+
+use crate::Controller;
 
 /// Configuration of one database-injection run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -192,21 +194,16 @@ fn catalog_broken(db: &Database) -> bool {
 /// Runs one §5.1 experiment run and returns its result.
 pub fn run_once(config: &DbCampaignConfig, seed: u64) -> DbCampaignResult {
     let mut rng = SimRng::seed_from(seed);
-    let mut db =
-        Database::build(schema::standard_schema_with_slots(config.slots)).expect("schema builds");
-    let mut api = if config.audits { DbApi::new() } else { DbApi::without_instrumentation() };
-    let mut registry = ProcessRegistry::new();
-    let mut audit = config.audits.then(|| {
-        let mut audit = AuditProcess::new(
-            AuditConfig {
-                periodic_interval: config.audit_period,
-                incremental: config.incremental,
-                ..AuditConfig::default()
-            },
-            &db,
-        );
+    let mut c =
+        Controller::new(schema::standard_schema_with_slots(config.slots)).expect("schema builds");
+    if config.audits {
+        c = c.with_audit(AuditConfig {
+            periodic_interval: config.audit_period,
+            incremental: config.incremental,
+            ..AuditConfig::default()
+        });
         if config.selective_monitoring {
-            audit.register_element(Box::new(wtnc_audit::SelectiveMonitor::new(
+            let monitor = wtnc_audit::SelectiveMonitor::new(
                 wtnc_audit::SelectiveConfig {
                     suspect_fraction: 0.25,
                     min_observations: 40,
@@ -217,10 +214,13 @@ pub fn run_once(config: &DbCampaignConfig, seed: u64) -> DbCampaignResult {
                     (schema::CONNECTION_TABLE, schema::connection::BILLING_UNITS),
                     (schema::RESOURCE_TABLE, schema::resource::POWER_MW),
                 ],
-            )));
+            );
+            c.audit_mut().expect("audit attached").register_element(Box::new(monitor));
         }
-        audit
-    });
+    } else {
+        // The "original" API: no audit instrumentation, base costs.
+        c.api = DbApi::without_instrumentation();
+    }
     let mut client = DesClient::new(config.workload, rng.bits(), config.audits);
 
     let mut queue: EventQueue<Ev> = EventQueue::new();
@@ -231,7 +231,6 @@ pub fn run_once(config: &DbCampaignConfig, seed: u64) -> DbCampaignResult {
     }
 
     let mut injected: u64 = 0;
-    let mut next_taint_id: u64 = 1;
     let mut cold_restarts: u64 = 0;
     let end_of_run = SimTime::ZERO + config.duration;
 
@@ -242,7 +241,7 @@ pub fn run_once(config: &DbCampaignConfig, seed: u64) -> DbCampaignResult {
         let (now, ev) = queue.pop().expect("peeked");
         match ev {
             Ev::Arrival => {
-                match client.start_call(&mut db, &mut api, &mut registry, now) {
+                match client.start_call(&mut c.db, &mut c.api, &mut c.registry, now) {
                     Some((handle, setup)) => {
                         let call_duration = client.next_call_duration();
                         queue.schedule(now + setup + call_duration, Ev::End(handle));
@@ -254,12 +253,12 @@ pub fn run_once(config: &DbCampaignConfig, seed: u64) -> DbCampaignResult {
                         // cold restart (full reload from disk). Errors
                         // swept away by the reload never reached the
                         // application: no effect.
-                        if catalog_broken(&db) {
+                        if catalog_broken(&c.db) {
                             // Reload the descriptor area from disk;
                             // call state survives the warm restart.
-                            let len = db.catalog().catalog_len();
-                            db.reload_range(0, len).expect("catalog within region");
-                            db.taint_mut().resolve_range(
+                            let len = c.db.catalog().catalog_len();
+                            c.db.reload_range(0, len).expect("catalog within region");
+                            c.db.taint_mut().resolve_range(
                                 0,
                                 len,
                                 TaintFate::Overwritten { at: now },
@@ -271,33 +270,28 @@ pub fn run_once(config: &DbCampaignConfig, seed: u64) -> DbCampaignResult {
                 queue.schedule(now + client.next_arrival_gap(), Ev::Arrival);
             }
             Ev::Poll(handle) => {
-                if client.poll_call(&mut db, &mut api, &registry, handle, now) {
+                if client.poll_call(&mut c.db, &mut c.api, &c.registry, handle, now) {
                     queue.schedule(now + client.config().poll_period, Ev::Poll(handle));
                 }
             }
             Ev::End(handle) => {
-                client.end_call(&mut db, &mut api, &mut registry, handle, now);
+                client.end_call(&mut c.db, &mut c.api, &mut c.registry, handle, now);
             }
             Ev::AuditTick => {
-                if let Some(audit) = audit.as_mut() {
-                    audit.run_cycle(&mut db, &mut api, &mut registry, now);
-                }
+                c.run_audit_cycle(now);
                 queue.schedule(now + config.audit_period, Ev::AuditTick);
             }
             Ev::Inject => {
-                let offset = rng.index(db.region_len());
+                let offset = rng.index(c.db.region_len());
                 let bit = (rng.bits() % 8) as u8;
-                let kind = db.classify_injection(offset, bit);
-                db.flip_bit(offset, bit).expect("offset within region");
-                db.taint_mut().insert(offset, TaintEntry { id: next_taint_id, at: now, kind });
-                next_taint_id += 1;
+                c.inject_bit_flip(offset, bit, now);
                 injected += 1;
                 queue.schedule(now + rng.exponential(config.error_iat), Ev::Inject);
             }
         }
     }
 
-    let mut result = classify(&db, audit.as_ref(), &client, injected);
+    let mut result = classify(&c.db, c.audit(), &client, injected);
     result.cold_restarts = cold_restarts;
     result
 }
@@ -373,12 +367,7 @@ fn classify(
 /// 30 runs per configuration). Runs execute in parallel across cores;
 /// results are identical to a serial execution.
 pub fn run_campaign(config: &DbCampaignConfig, runs: usize) -> DbCampaignResult {
-    let mut rng = SimRng::seed_from(config.seed);
-    let seeds: Vec<u64> = (0..runs).map(|_| rng.bits()).collect();
-    let results =
-        crate::parallel::run_seeded(&seeds, crate::parallel::default_workers(), |_, seed| {
-            run_once(config, seed)
-        });
+    let results = crate::parallel::run_runs(config.seed, runs, |seed| run_once(config, seed));
     let mut total = DbCampaignResult::default();
     let mut setup = Accumulator::new();
     let mut latency = Accumulator::new();

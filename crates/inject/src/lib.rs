@@ -1,5 +1,6 @@
 //! Software-implemented fault injection and the paper's experiment
-//! campaigns (NFTAPE-equivalent).
+//! campaigns (NFTAPE-equivalent), and the [`Controller`] node they run
+//! on.
 //!
 //! Two injection families, matching §5 and §6 of the paper:
 //!
@@ -58,6 +59,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod controller;
 pub mod coverage;
 pub mod db_campaign;
 mod models;
@@ -70,5 +72,6 @@ pub mod recovery_campaign;
 pub mod storm_campaign;
 pub mod text_campaign;
 
+pub use controller::{Controller, StoreSyncReport};
 pub use models::ErrorModel;
 pub use outcome::{OutcomeCounts, RunOutcome};

@@ -6,6 +6,21 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use wtnc_sim::SimRng;
+
+/// Runs a campaign's `runs` independent runs: draws one seed per run
+/// from `base_seed`, executes `f(seed)` for each over
+/// [`default_workers`] threads, and returns the results in seed order.
+pub(crate) fn run_runs<R, F>(base_seed: u64, runs: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(u64) -> R + Sync,
+{
+    let mut rng = SimRng::seed_from(base_seed);
+    let seeds: Vec<u64> = (0..runs).map(|_| rng.bits()).collect();
+    run_seeded(&seeds, default_workers(), |_, seed| f(seed))
+}
+
 /// Executes `f(index, seed)` for every seed, spread over up to
 /// `max_workers` OS threads (clamped to the number of seeds), and
 /// returns the results in seed order.
@@ -112,6 +127,14 @@ mod tests {
         let serial = run_seeded(&seeds, 1, |i, s| s.wrapping_mul(31).wrapping_add(i as u64));
         let parallel = run_seeded(&seeds, 6, |i, s| s.wrapping_mul(31).wrapping_add(i as u64));
         assert_eq!(serial, parallel);
+    }
+
+    #[test]
+    fn run_runs_keeps_the_seed_order() {
+        let mut rng = SimRng::seed_from(42);
+        let expected: Vec<u64> = (0..9).map(|_| rng.bits()).collect();
+        assert_eq!(run_runs(42, 9, |seed| seed), expected);
+        assert!(run_runs(42, 0, |seed| seed).is_empty());
     }
 
     #[test]

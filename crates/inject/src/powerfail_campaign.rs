@@ -409,12 +409,7 @@ pub fn run_once(config: &PowerFailConfig, seed: u64) -> PowerFailRunResult {
 /// Runs `runs` independent seeded runs in parallel and sums the
 /// results (deterministic: identical to a serial execution).
 pub fn run_campaign(config: &PowerFailConfig, runs: usize) -> PowerFailCampaignResult {
-    let mut rng = SimRng::seed_from(config.seed);
-    let seeds: Vec<u64> = (0..runs).map(|_| rng.bits()).collect();
-    let results =
-        crate::parallel::run_seeded(&seeds, crate::parallel::default_workers(), |_, seed| {
-            run_once(config, seed)
-        });
+    let results = crate::parallel::run_runs(config.seed, runs, |seed| run_once(config, seed));
     let mut total = PowerFailCampaignResult::default();
     for r in results {
         total.injected += r.injected;

@@ -10,10 +10,12 @@
 //! to table access frequency.
 
 use serde::{Deserialize, Serialize};
-use wtnc_audit::{AuditConfig, AuditProcess, AuditScope, PriorityScheduler, PriorityWeights};
-use wtnc_db::{schema, Database, DbApi, TaintEntry, TaintFate};
+use wtnc_audit::{AuditConfig, AuditScope, PriorityScheduler, PriorityWeights};
+use wtnc_db::{schema, TaintFate};
 use wtnc_sim::stats::Accumulator;
-use wtnc_sim::{EventQueue, Pid, ProcessRegistry, SimDuration, SimRng, SimTime};
+use wtnc_sim::{EventQueue, Pid, SimDuration, SimRng, SimTime};
+
+use crate::Controller;
 
 /// The paper's access-frequency ratio across the six tables.
 pub const ACCESS_RATIO: [f64; 6] = [6.0, 5.0, 4.0, 3.0, 2.0, 1.0];
@@ -110,20 +112,18 @@ pub fn run_once_with_weights(
     seed: u64,
 ) -> PriorityResult {
     let mut rng = SimRng::seed_from(seed);
-    let mut db = Database::build(schema::six_table_schema(config.scale)).expect("schema builds");
-    let mut api = DbApi::new();
-    let mut registry = ProcessRegistry::new();
-    let mut audit = AuditProcess::new(
-        AuditConfig {
+    let mut c = Controller::new(schema::six_table_schema(config.scale))
+        .expect("schema builds")
+        .with_audit(AuditConfig {
             periodic_interval: config.audit_period,
             scope: AuditScope::OneTable,
             ..AuditConfig::default()
-        },
-        &db,
-    );
+        });
     if let Some(weights) = weights {
+        let audit = c.audit_mut().expect("audit attached");
         audit.set_scheduler(Box::new(PriorityScheduler::new(weights)));
     }
+    let db = &mut c.db;
 
     let n_tables = db.catalog().table_count();
     // Pre-populate each table with an occupancy correlated to its
@@ -142,12 +142,8 @@ pub fn run_once_with_weights(
         }
     }
 
-    let mut pids: Vec<Pid> = Vec::new();
-    for _ in 0..config.threads {
-        let pid = registry.spawn("app-thread", SimTime::ZERO);
-        api.init(pid);
-        pids.push(pid);
-    }
+    let pids: Vec<Pid> =
+        (0..config.threads).map(|_| c.spawn_client("app-thread", SimTime::ZERO)).collect();
 
     let op_gap = SimDuration::from_secs_f64(1.0 / config.ops_per_sec_per_thread);
     let mut queue: EventQueue<Ev> = EventQueue::new();
@@ -159,10 +155,9 @@ pub fn run_once_with_weights(
 
     // Pre-compute table extents for proportional placement.
     let extents: Vec<(usize, usize)> =
-        db.catalog().tables().map(|tm| (tm.offset, tm.data_len())).collect();
+        c.db.catalog().tables().map(|tm| (tm.offset, tm.data_len())).collect();
 
     let mut injected = 0u64;
-    let mut next_id = 1u64;
     let end = SimTime::ZERO + config.duration;
 
     while let Some(at) = queue.peek_time() {
@@ -175,16 +170,17 @@ pub fn run_once_with_weights(
                 let pid = pids[thread];
                 let table_idx = rng.weighted_index(&ACCESS_RATIO);
                 let table = wtnc_db::TableId(table_idx as u16);
-                let cap = db.catalog().table(table).unwrap().def.record_count;
+                let cap = c.db.catalog().table(table).unwrap().def.record_count;
                 let index = rng.range_u64(0, cap as u64) as u32;
                 let choice = rng.unit();
+                let (db, api) = (&mut c.db, &mut c.api);
                 if choice < 0.45 {
                     // Read the whole record (inactive ones are simply
                     // skipped by the API error).
-                    let _ = api.read_rec(&mut db, pid, table, index, now);
+                    let _ = api.read_rec(db, pid, table, index, now);
                 } else if choice < 0.85 {
                     let _ = api.write_fld(
-                        &mut db,
+                        db,
                         pid,
                         table,
                         index,
@@ -193,14 +189,14 @@ pub fn run_once_with_weights(
                         now,
                     );
                 } else if choice < 0.93 {
-                    let _ = api.alloc_record(&mut db, pid, table, now);
+                    let _ = api.alloc_record(db, pid, table, now);
                 } else {
-                    let _ = api.free_record(&mut db, pid, table, index, now);
+                    let _ = api.free_record(db, pid, table, index, now);
                 }
                 queue.schedule(now + rng.exponential(op_gap), Ev::Op(thread));
             }
             Ev::AuditTick => {
-                audit.run_cycle(&mut db, &mut api, &mut registry, now);
+                c.run_audit_cycle(now);
                 queue.schedule(now + config.audit_period, Ev::AuditTick);
             }
             Ev::Inject => {
@@ -209,13 +205,10 @@ pub fn run_once_with_weights(
                     let (off, len) = extents[t];
                     off + rng.index(len)
                 } else {
-                    rng.index(db.region_len())
+                    rng.index(c.db.region_len())
                 };
                 let bit = (rng.bits() % 8) as u8;
-                let kind = db.classify_injection(offset, bit);
-                db.flip_bit(offset, bit).expect("offset within region");
-                db.taint_mut().insert(offset, TaintEntry { id: next_id, at: now, kind });
-                next_id += 1;
+                c.inject_bit_flip(offset, bit, now);
                 injected += 1;
                 queue.schedule(now + rng.exponential(config.mtbf), Ev::Inject);
             }
@@ -224,10 +217,11 @@ pub fn run_once_with_weights(
 
     // Classify.
     let mut result = PriorityResult { injected, ..PriorityResult::default() };
+    let audit = c.audit().expect("audit attached");
     let caught_at: std::collections::HashMap<u64, SimTime> =
         audit.catch_log().iter().map(|&(entry, _, at)| (entry.id, at)).collect();
     let mut latency = Accumulator::new();
-    for &(_offset, entry, fate) in db.taint().resolved() {
+    for &(_offset, entry, fate) in c.db.taint().resolved() {
         match fate {
             TaintFate::Caught { at } => {
                 result.caught += 1;
@@ -245,12 +239,7 @@ pub fn run_once_with_weights(
 /// Runs `runs` independent runs and aggregates. Runs execute in
 /// parallel across cores; results are identical to a serial execution.
 pub fn run_campaign(config: &PriorityCampaignConfig, runs: usize) -> PriorityResult {
-    let mut rng = SimRng::seed_from(config.seed);
-    let seeds: Vec<u64> = (0..runs).map(|_| rng.bits()).collect();
-    let results =
-        crate::parallel::run_seeded(&seeds, crate::parallel::default_workers(), |_, seed| {
-            run_once(config, seed)
-        });
+    let results = crate::parallel::run_runs(config.seed, runs, |seed| run_once(config, seed));
     let mut total = PriorityResult::default();
     let mut latency = Accumulator::new();
     for r in results {

@@ -2,7 +2,8 @@
 //!
 //! The database and text campaigns corrupt *data*; this harness faults
 //! the *processes* themselves, exercising the supervision tier end to
-//! end ([`Supervisor`]): clients and the audit process register as
+//! end ([`Supervisor`](wtnc_audit::Supervisor), run through the
+//! [`Controller`]): clients and the audit process register as
 //! supervised, faults are injected as crashes, hangs (alive but
 //! silent, optionally holding a record lock) and livelocks (replying
 //! but making no database progress), and every fault must be detected,
@@ -31,15 +32,13 @@
 //! of a telephone controller.
 
 use serde::{Deserialize, Serialize};
-use wtnc_audit::{
-    AuditConfig, AuditProcess, HeartbeatElement, RecoveryAction, RestartRecord, SupervisedRole,
-    Supervisor, SupervisorConfig,
-};
-use wtnc_db::{schema, Database, DbApi, RecordRef, TaintFate};
+use wtnc_audit::{AuditConfig, RecoveryAction, RestartRecord, SupervisorConfig};
+use wtnc_db::{schema, Database, DbApi, RecordRef};
 use wtnc_sim::stats::Accumulator;
-use wtnc_sim::{EventQueue, Pid, ProcessRegistry, Responsiveness, SimDuration, SimRng, SimTime};
+use wtnc_sim::{EventQueue, Pid, Responsiveness, SimDuration, SimRng, SimTime};
 
 use crate::outcome::{OutcomeCounts, RunOutcome};
+use crate::Controller;
 
 /// The process-fault models (the rows of the campaign table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -198,13 +197,79 @@ pub struct ProcessCampaignResult {
 /// A call-processing worker: one supervised client advancing a
 /// two-step call transaction (allocate + write, then read + free) on
 /// the connection table, holding the record lock while the call is in
-/// flight.
+/// flight. The storm campaign's background workload runs the same
+/// worker.
 #[derive(Debug)]
-struct Worker {
-    pid: Pid,
+pub(crate) struct Worker {
+    pub(crate) pid: Pid,
     /// The in-flight call's connection-record index.
-    call: Option<u32>,
-    completed: u64,
+    pub(crate) call: Option<u32>,
+    pub(crate) completed: u64,
+}
+
+impl Worker {
+    /// Spawns `clients` supervised workers named `client-<i>`.
+    pub(crate) fn spawn_all(c: &mut Controller, clients: u32) -> Vec<Worker> {
+        (0..clients)
+            .map(|i| Worker {
+                pid: c.spawn_client(&format!("client-{i}"), SimTime::ZERO),
+                call: None,
+                completed: 0,
+            })
+            .collect()
+    }
+
+    /// Re-binds the workers to their restarted pids. A restarted
+    /// worker's in-flight call is dropped (its lock was already stolen
+    /// at condemnation); the controller re-opened its connection.
+    pub(crate) fn rebind(workers: &mut [Worker], restarts: &[(Pid, Pid)], c: &mut Controller) {
+        for &(old, new) in restarts {
+            if let Some(w) = workers.iter_mut().find(|w| w.pid == old) {
+                w.pid = new;
+                if w.call.take().is_some() {
+                    c.supervisor_mut().expect("supervision attached").note_dropped_calls(1);
+                }
+            }
+        }
+    }
+
+    /// Advances the call transaction by one step. The caller id written
+    /// is the pid modulo 9 999, inside CALLER_ID's `0..=9_999` range
+    /// rule however many restarts the run has seen.
+    pub(crate) fn step_call(&mut self, db: &mut Database, api: &mut DbApi, now: SimTime) {
+        let table = schema::CONNECTION_TABLE;
+        match self.call {
+            None => {
+                let Ok(index) = api.alloc_record(db, self.pid, table, now) else {
+                    return;
+                };
+                let rec = RecordRef::new(table, index);
+                if api.lock(rec, self.pid, now).is_err() {
+                    let _ = api.free_record(db, self.pid, table, index, now);
+                    return;
+                }
+                let _ = api.write_fld(
+                    db,
+                    self.pid,
+                    table,
+                    index,
+                    schema::connection::CALLER_ID,
+                    u64::from(self.pid.0) % 9_999,
+                    now,
+                );
+                self.call = Some(index);
+            }
+            Some(index) => {
+                let rec = RecordRef::new(table, index);
+                let _ =
+                    api.read_fld(db, self.pid, table, index, schema::connection::CALLER_ID, now);
+                api.unlock(rec, self.pid);
+                let _ = api.free_record(db, self.pid, table, index, now);
+                self.call = None;
+                self.completed += 1;
+            }
+        }
+    }
 }
 
 /// One injected fault awaiting resolution.
@@ -231,27 +296,14 @@ enum Ev {
 /// Runs one process-campaign run and returns its result.
 pub fn run_once(config: &ProcessCampaignConfig, seed: u64) -> ProcessRunResult {
     let mut rng = SimRng::seed_from(seed);
-    let mut db =
-        Database::build(schema::standard_schema_with_slots(config.slots)).expect("schema builds");
-    let mut api = DbApi::new();
-    let mut registry = ProcessRegistry::new();
-    let mut sup = Supervisor::new(config.supervisor);
-    let mut audit = AuditProcess::new(
-        AuditConfig { periodic_interval: config.audit_period, ..AuditConfig::default() },
-        &db,
-    );
-
-    let mut audit_pid = registry.spawn("audit", SimTime::ZERO);
-    sup.register(audit_pid, SupervisedRole::Audit, false, SimTime::ZERO);
-
-    let mut workers: Vec<Worker> = (0..config.clients)
-        .map(|i| {
-            let pid = registry.spawn(&format!("client-{i}"), SimTime::ZERO);
-            api.init_at(pid, SimTime::ZERO);
-            sup.register(pid, SupervisedRole::Client, true, SimTime::ZERO);
-            Worker { pid, call: None, completed: 0 }
+    let mut c = Controller::new(schema::standard_schema_with_slots(config.slots))
+        .expect("schema builds")
+        .with_audit(AuditConfig {
+            periodic_interval: config.audit_period,
+            ..AuditConfig::default()
         })
-        .collect();
+        .with_supervision(config.supervisor);
+    let mut workers = Worker::spawn_all(&mut c, config.clients);
 
     let mut queue: EventQueue<Ev> = EventQueue::new();
     queue.schedule(SimTime::ZERO + config.work_period, Ev::WorkTick);
@@ -264,7 +316,6 @@ pub fn run_once(config: &ProcessCampaignConfig, seed: u64) -> ProcessRunResult {
     let mut pending: Vec<PendingFault> = Vec::new();
     let mut detection = Accumulator::new();
     let mut unavailability = Accumulator::new();
-    let mut controller_restarts: u64 = 0;
     let end_of_run = SimTime::ZERO + config.duration;
     let mut final_now = SimTime::ZERO;
 
@@ -277,17 +328,17 @@ pub fn run_once(config: &ProcessCampaignConfig, seed: u64) -> ProcessRunResult {
         match ev {
             Ev::WorkTick => {
                 for w in workers.iter_mut() {
-                    if registry.responsiveness(w.pid) != Some(Responsiveness::Responsive) {
+                    if c.registry.responsiveness(w.pid) != Some(Responsiveness::Responsive) {
                         continue;
                     }
-                    step_call(w, &mut db, &mut api, now);
-                    sup.note_progress(w.pid, now);
+                    w.step_call(&mut c.db, &mut c.api, now);
+                    c.supervisor_mut().expect("supervision attached").note_progress(w.pid, now);
                 }
                 queue.schedule(now + config.work_period, Ev::WorkTick);
             }
             Ev::Supervise => {
-                let ledger_before = sup.ledger().restarts.len();
-                let report = sup.tick(&mut api, &mut registry, Some(audit.heartbeat_mut()), now);
+                let ledger_before = supervisor(&c).ledger().restarts.len();
+                let report = c.supervise_tick(now).expect("supervision attached");
                 // An escalation finding marks its lineage's pending
                 // fault as beyond local repair.
                 for f in &report.findings {
@@ -299,36 +350,9 @@ pub fn run_once(config: &ProcessCampaignConfig, seed: u64) -> ProcessRunResult {
                         }
                     }
                 }
-                apply_restarts(
-                    &report.restarts,
-                    &mut workers,
-                    &mut audit_pid,
-                    &mut audit,
-                    &mut api,
-                    &mut sup,
-                    now,
-                );
-                if report.controller_restart_requested {
-                    // The global action: reload the database from the
-                    // golden disk image (in-flight dynamic state is
-                    // sacrificed) and restart every supervised process.
-                    db.reload_all();
-                    let len = db.region_len();
-                    db.taint_mut().resolve_range(0, len, TaintFate::Overwritten { at: now });
-                    let mapping = sup.execute_controller_restart(&mut registry, &mut api, now);
-                    controller_restarts += 1;
-                    apply_restarts(
-                        &mapping,
-                        &mut workers,
-                        &mut audit_pid,
-                        &mut audit,
-                        &mut api,
-                        &mut sup,
-                        now,
-                    );
-                }
+                Worker::rebind(&mut workers, &report.restarts, &mut c);
                 // Resolve pending faults against the new trace tail.
-                for rec in &sup.ledger().restarts[ledger_before..] {
+                for rec in &supervisor(&c).ledger().restarts[ledger_before..] {
                     let Some(i) = pending.iter().position(|p| p.pid == rec.old) else {
                         continue;
                     };
@@ -347,25 +371,15 @@ pub fn run_once(config: &ProcessCampaignConfig, seed: u64) -> ProcessRunResult {
                 queue.schedule(now + config.supervisor.heartbeat.interval, Ev::Supervise);
             }
             Ev::AuditTick => {
-                if registry.responsiveness(audit_pid) == Some(Responsiveness::Responsive) {
-                    audit.run_cycle(&mut db, &mut api, &mut registry, now);
-                    sup.note_progress(audit_pid, now);
+                let audit_pid = c.audit_pid().expect("audit attached");
+                if c.registry.responsiveness(audit_pid) == Some(Responsiveness::Responsive) {
+                    c.run_audit_cycle(now);
                 }
                 queue.schedule(now + config.audit_period, Ev::AuditTick);
             }
             Ev::Inject => {
                 injected += 1;
-                match inject_fault(
-                    config.model,
-                    &mut rng,
-                    &workers,
-                    audit_pid,
-                    &pending,
-                    &mut registry,
-                    &mut api,
-                    &sup,
-                    now,
-                ) {
+                match inject_fault(config.model, &mut rng, &workers, &pending, &mut c, now) {
                     Some(fault) => pending.push(fault),
                     None => outcomes.record(RunOutcome::NotActivated),
                 }
@@ -374,6 +388,7 @@ pub fn run_once(config: &ProcessCampaignConfig, seed: u64) -> ProcessRunResult {
         }
     }
 
+    let sup = supervisor(&c);
     // Faults still pending at end of run.
     for fault in &pending {
         if sup.is_down(fault.pid) {
@@ -398,7 +413,7 @@ pub fn run_once(config: &ProcessCampaignConfig, seed: u64) -> ProcessRunResult {
         downtime_s: sup.total_downtime(final_now).as_secs_f64(),
         restarts: ledger.restarts.len() as u64,
         escalations: ledger.controller_restarts_requested,
-        controller_restarts,
+        controller_restarts: ledger.controller_restarts_executed,
         dropped_calls: ledger.dropped_calls,
         locks_stolen: ledger.restarts.iter().map(|r| r.locks_stolen as u64).sum(),
         calls_completed: workers.iter().map(|w| w.completed).sum(),
@@ -407,91 +422,28 @@ pub fn run_once(config: &ProcessCampaignConfig, seed: u64) -> ProcessRunResult {
     }
 }
 
-/// Advances one worker's call transaction by one step.
-fn step_call(w: &mut Worker, db: &mut Database, api: &mut DbApi, now: SimTime) {
-    let table = schema::CONNECTION_TABLE;
-    match w.call {
-        None => {
-            let Ok(index) = api.alloc_record(db, w.pid, table, now) else {
-                return;
-            };
-            let rec = RecordRef::new(table, index);
-            if api.lock(rec, w.pid, now).is_err() {
-                let _ = api.free_record(db, w.pid, table, index, now);
-                return;
-            }
-            let _ = api.write_fld(
-                db,
-                w.pid,
-                table,
-                index,
-                schema::connection::CALLER_ID,
-                u64::from(w.pid.0),
-                now,
-            );
-            w.call = Some(index);
-        }
-        Some(index) => {
-            let rec = RecordRef::new(table, index);
-            let _ = api.read_fld(db, w.pid, table, index, schema::connection::CALLER_ID, now);
-            api.unlock(rec, w.pid);
-            let _ = api.free_record(db, w.pid, table, index, now);
-            w.call = None;
-            w.completed += 1;
-        }
-    }
-}
-
-/// Re-binds workers and the audit process to their restarted pids. A
-/// restarted client's in-flight call is dropped (its lock was already
-/// stolen at condemnation); a restarted audit process gets a fresh
-/// heartbeat element, mirroring its re-initialized state.
-#[allow(clippy::too_many_arguments)]
-fn apply_restarts(
-    mapping: &[(Pid, Pid)],
-    workers: &mut [Worker],
-    audit_pid: &mut Pid,
-    audit: &mut AuditProcess,
-    api: &mut DbApi,
-    sup: &mut Supervisor,
-    now: SimTime,
-) {
-    for &(old, new) in mapping {
-        if old == *audit_pid {
-            *audit_pid = new;
-            *audit.heartbeat_mut() = HeartbeatElement::new();
-            continue;
-        }
-        if let Some(w) = workers.iter_mut().find(|w| w.pid == old) {
-            w.pid = new;
-            if w.call.take().is_some() {
-                sup.note_dropped_calls(1);
-            }
-            api.init_at(new, now);
-        }
-    }
+fn supervisor(c: &Controller) -> &wtnc_audit::Supervisor {
+    c.supervisor().expect("supervision attached")
 }
 
 /// Injects one fault per the model. Returns `None` when no healthy
 /// target existed (the attempt is `NotActivated`).
-#[allow(clippy::too_many_arguments)]
 fn inject_fault(
     model: ProcessFaultModel,
     rng: &mut SimRng,
     workers: &[Worker],
-    audit_pid: Pid,
     pending: &[PendingFault],
-    registry: &mut ProcessRegistry,
-    api: &mut DbApi,
-    sup: &Supervisor,
+    c: &mut Controller,
     now: SimTime,
 ) -> Option<PendingFault> {
+    let sup = supervisor(c);
     let healthy = |pid: Pid| {
-        registry.responsiveness(pid) == Some(Responsiveness::Responsive)
+        c.registry.responsiveness(pid) == Some(Responsiveness::Responsive)
             && !sup.is_down(pid)
             && !pending.iter().any(|p| p.pid == pid)
     };
     let target = if model.targets_audit() {
+        let audit_pid = c.audit_pid().expect("audit attached");
         if healthy(audit_pid) {
             Some((audit_pid, None))
         } else {
@@ -509,11 +461,11 @@ fn inject_fault(
     let (pid, call) = target?;
     match model {
         ProcessFaultModel::ClientCrash | ProcessFaultModel::AuditCrash => {
-            registry.crash(pid, now);
+            c.registry.crash(pid, now);
             if model == ProcessFaultModel::ClientCrash {
                 // The connection vanishes; locks stay behind (the
                 // supervisor must steal them).
-                api.crash_client(pid);
+                c.api.crash_client(pid);
             }
         }
         ProcessFaultModel::ClientHangWithLock => {
@@ -521,15 +473,15 @@ fn inject_fault(
             // in-flight call record, or a fresh lock it wedges on.
             if call.is_none() {
                 let index = rng.index(8) as u32;
-                let _ = api.lock(RecordRef::new(schema::CONNECTION_TABLE, index), pid, now);
+                let _ = c.api.lock(RecordRef::new(schema::CONNECTION_TABLE, index), pid, now);
             }
-            registry.set_responsiveness(pid, Responsiveness::Hung);
+            c.registry.set_responsiveness(pid, Responsiveness::Hung);
         }
         ProcessFaultModel::ClientLivelock => {
-            registry.set_responsiveness(pid, Responsiveness::Livelocked);
+            c.registry.set_responsiveness(pid, Responsiveness::Livelocked);
         }
         ProcessFaultModel::AuditHang => {
-            registry.set_responsiveness(pid, Responsiveness::Hung);
+            c.registry.set_responsiveness(pid, Responsiveness::Hung);
         }
     }
     Some(PendingFault { pid, injected_at: now, escalated: false })
@@ -538,12 +490,7 @@ fn inject_fault(
 /// Runs `runs` independent runs in parallel and sums the results
 /// (deterministic: identical to a serial execution).
 pub fn run_campaign(config: &ProcessCampaignConfig, runs: usize) -> ProcessCampaignResult {
-    let mut rng = SimRng::seed_from(config.seed);
-    let seeds: Vec<u64> = (0..runs).map(|_| rng.bits()).collect();
-    let results =
-        crate::parallel::run_seeded(&seeds, crate::parallel::default_workers(), |_, seed| {
-            run_once(config, seed)
-        });
+    let results = crate::parallel::run_runs(config.seed, runs, |seed| run_once(config, seed));
     let mut total = ProcessCampaignResult::default();
     let mut latency = Accumulator::new();
     let mut unavail = Accumulator::new();
@@ -573,7 +520,7 @@ pub fn run_campaign(config: &ProcessCampaignConfig, runs: usize) -> ProcessCampa
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wtnc_audit::RestartCause;
+    use wtnc_audit::{RestartCause, SupervisedRole};
 
     fn short(model: ProcessFaultModel) -> ProcessCampaignConfig {
         ProcessCampaignConfig {

@@ -15,14 +15,15 @@
 //! corruption storm.
 
 use serde::{Deserialize, Serialize};
-use wtnc_audit::{AuditConfig, AuditProcess};
+use wtnc_audit::AuditConfig;
 use wtnc_callproc::{CallHandle, DesClient, WorkloadConfig};
-use wtnc_db::{schema, DbApi, TaintEntry, TaintFate};
+use wtnc_db::{schema, TaintFate};
 use wtnc_recovery::{RecoveryConfig, RecoveryEngine, RepairLogEntry, RepairOutcome};
 use wtnc_sim::stats::Accumulator;
-use wtnc_sim::{EventQueue, ProcessRegistry, SimDuration, SimRng, SimTime};
+use wtnc_sim::{EventQueue, SimDuration, SimRng, SimTime};
 
 use crate::outcome::{OutcomeCounts, RunOutcome};
+use crate::Controller;
 
 /// Configuration of one recovery-campaign run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -133,16 +134,13 @@ enum Ev {
 /// Runs one recovery-campaign run and returns its result.
 pub fn run_once(config: &RecoveryCampaignConfig, seed: u64) -> RecoveryRunResult {
     let mut rng = SimRng::seed_from(seed);
-    let mut db = wtnc_db::Database::build(schema::standard_schema_with_slots(config.slots))
-        .expect("schema builds");
-    let mut api = DbApi::new();
-    let mut registry = ProcessRegistry::new();
-    let mut audit = AuditProcess::new(
-        AuditConfig { periodic_interval: config.audit_period, ..AuditConfig::default() },
-        &db,
-    );
-    audit.set_deferred_repair(true);
-    let mut engine = RecoveryEngine::new(config.recovery);
+    let mut c = Controller::new(schema::standard_schema_with_slots(config.slots))
+        .expect("schema builds")
+        .with_audit(AuditConfig {
+            periodic_interval: config.audit_period,
+            ..AuditConfig::default()
+        })
+        .with_recovery(config.recovery);
     let mut client = DesClient::new(config.workload, rng.bits(), true);
 
     let mut queue: EventQueue<Ev> = EventQueue::new();
@@ -151,7 +149,6 @@ pub fn run_once(config: &RecoveryCampaignConfig, seed: u64) -> RecoveryRunResult
     queue.schedule(SimTime::ZERO + config.audit_period, Ev::AuditTick);
 
     let mut injected: u64 = 0;
-    let mut next_taint_id: u64 = 1;
     // Repairs consume controller time; arrivals stall (not drop) until
     // the engine's busy window has passed.
     let mut busy_until = SimTime::ZERO;
@@ -169,7 +166,7 @@ pub fn run_once(config: &RecoveryCampaignConfig, seed: u64) -> RecoveryRunResult
                     continue;
                 }
                 if let Some((handle, setup)) =
-                    client.start_call(&mut db, &mut api, &mut registry, now)
+                    client.start_call(&mut c.db, &mut c.api, &mut c.registry, now)
                 {
                     let call_duration = client.next_call_duration();
                     queue.schedule(now + setup + call_duration, Ev::End(handle));
@@ -178,17 +175,15 @@ pub fn run_once(config: &RecoveryCampaignConfig, seed: u64) -> RecoveryRunResult
                 queue.schedule(now + client.next_arrival_gap(), Ev::Arrival);
             }
             Ev::Poll(handle) => {
-                if client.poll_call(&mut db, &mut api, &registry, handle, now) {
+                if client.poll_call(&mut c.db, &mut c.api, &c.registry, handle, now) {
                     queue.schedule(now + client.config().poll_period, Ev::Poll(handle));
                 }
             }
             Ev::End(handle) => {
-                client.end_call(&mut db, &mut api, &mut registry, handle, now);
+                client.end_call(&mut c.db, &mut c.api, &mut c.registry, handle, now);
             }
             Ev::AuditTick => {
-                let report = audit.run_cycle(&mut db, &mut api, &mut registry, now);
-                engine.ingest(&report.findings, now);
-                let outcome = engine.run_cycle(&mut db, &mut api, &mut registry, &mut audit, now);
+                let (_, outcome) = c.run_recovery_cycle(now).expect("audit alive, engine attached");
                 let stalled = now + outcome.busy;
                 if stalled > busy_until {
                     busy_until = stalled;
@@ -196,19 +191,16 @@ pub fn run_once(config: &RecoveryCampaignConfig, seed: u64) -> RecoveryRunResult
                 queue.schedule(now + config.audit_period, Ev::AuditTick);
             }
             Ev::Inject => {
-                let offset = rng.index(db.region_len());
+                let offset = rng.index(c.db.region_len());
                 let bit = (rng.bits() % 8) as u8;
-                let kind = db.classify_injection(offset, bit);
-                db.flip_bit(offset, bit).expect("offset within region");
-                db.taint_mut().insert(offset, TaintEntry { id: next_taint_id, at: now, kind });
-                next_taint_id += 1;
+                c.inject_bit_flip(offset, bit, now);
                 injected += 1;
                 queue.schedule(now + rng.exponential(config.error_iat), Ev::Inject);
             }
         }
     }
 
-    classify(&db, &engine, &client, injected)
+    classify(&c.db, c.recovery().expect("engine attached"), &client, injected)
 }
 
 /// Maps every injected error's fate to an extended-table outcome.
@@ -272,12 +264,7 @@ fn classify(
 /// Runs `runs` independent runs in parallel and sums the results
 /// (deterministic: identical to a serial execution).
 pub fn run_campaign(config: &RecoveryCampaignConfig, runs: usize) -> RecoveryCampaignResult {
-    let mut rng = SimRng::seed_from(config.seed);
-    let seeds: Vec<u64> = (0..runs).map(|_| rng.bits()).collect();
-    let results =
-        crate::parallel::run_seeded(&seeds, crate::parallel::default_workers(), |_, seed| {
-            run_once(config, seed)
-        });
+    let results = crate::parallel::run_runs(config.seed, runs, |seed| run_once(config, seed));
     let mut total = RecoveryCampaignResult::default();
     let mut setup = Accumulator::new();
     let mut latency = Accumulator::new();

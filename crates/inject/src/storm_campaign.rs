@@ -9,7 +9,7 @@
 //! false restarts — with and without the resource-isolation layer
 //! (bounded fair IPC via [`wtnc_db::IpcConfig`], the audit CPU token
 //! bucket via [`wtnc_audit::BudgetConfig`], and starved-vs-silent
-//! supervision via [`Supervisor::note_starved`]).
+//! supervision via [`wtnc_audit::Supervisor::note_starved`]).
 //!
 //! The audit's CPU consumption is modeled in virtual time: a cycle that
 //! drains `n` queued events and screens `r` records occupies the audit
@@ -25,16 +25,14 @@
 //! findings), and starvation notices keep the escalation ladder quiet.
 
 use serde::{Deserialize, Serialize};
-use wtnc_audit::{
-    AuditConfig, AuditProcess, BudgetConfig, SupervisedRole, Supervisor, SupervisorConfig,
-};
-use wtnc_db::{schema, Database, DbApi, DbOp, IpcConfig, RecordRef};
+use wtnc_audit::{AuditConfig, AuditProcess, BudgetConfig, SupervisedRole, SupervisorConfig};
+use wtnc_db::{schema, DbApi, DbOp, IpcConfig, RecordRef};
 use wtnc_sim::stats::Accumulator;
-use wtnc_sim::{
-    Enqueue, EventQueue, Pid, ProcessRegistry, Responsiveness, SimDuration, SimRng, SimTime,
-};
+use wtnc_sim::{Enqueue, EventQueue, Responsiveness, SimDuration, SimRng, SimTime};
 
 use crate::outcome::{OutcomeCounts, RunOutcome};
+use crate::process_campaign::Worker;
+use crate::Controller;
 
 /// Virtual CPU time the audit main thread spends routing one drained
 /// IPC event. The reciprocal is the auditor's saturation rate: offered
@@ -222,15 +220,6 @@ pub struct StormCampaignResult {
     pub calls_completed: u64,
 }
 
-/// A background call-processing worker (same two-step transaction as
-/// the process campaign, at a gentle fixed pace).
-#[derive(Debug)]
-struct Worker {
-    pid: Pid,
-    call: Option<u32>,
-    completed: u64,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
     ClientTick,
@@ -272,11 +261,6 @@ fn isolated_budget() -> BudgetConfig {
 /// Runs one storm run and returns its result.
 pub fn run_once(config: &StormCampaignConfig, seed: u64) -> StormRunResult {
     let mut rng = SimRng::seed_from(seed);
-    let mut db =
-        Database::build(schema::standard_schema_with_slots(config.slots)).expect("schema builds");
-    let mut api = DbApi::with_ipc(if config.isolation { isolated_ipc() } else { unisolated_ipc() });
-    let mut registry = ProcessRegistry::new();
-    let mut sup = Supervisor::new(config.supervisor);
     let audit_config = AuditConfig {
         periodic_interval: config.audit_period,
         // Hardware-style corruption does not mark the dirty bitmap:
@@ -289,38 +273,40 @@ pub fn run_once(config: &StormCampaignConfig, seed: u64) -> StormRunResult {
         budget: config.isolation.then(isolated_budget),
         ..AuditConfig::default()
     };
-    let mut audit = AuditProcess::new(audit_config, &db);
-
-    let mut audit_pid = registry.spawn("audit", SimTime::ZERO);
+    let mut c = Controller::new(schema::standard_schema_with_slots(config.slots))
+        .expect("schema builds")
+        .with_audit(audit_config)
+        .with_supervision(config.supervisor);
+    c.api = DbApi::with_ipc(if config.isolation { isolated_ipc() } else { unisolated_ipc() });
     // Watch the audit's progress watermark: this is the supervision
     // behavior the storm subverts (a busy auditor looks livelocked).
-    sup.register(audit_pid, SupervisedRole::Audit, true, SimTime::ZERO);
-
-    let mut workers: Vec<Worker> = (0..config.clients.max(1))
-        .map(|i| {
-            let pid = registry.spawn(&format!("client-{i}"), SimTime::ZERO);
-            api.init_at(pid, SimTime::ZERO);
-            sup.register(pid, SupervisedRole::Client, true, SimTime::ZERO);
-            Worker { pid, call: None, completed: 0 }
-        })
-        .collect();
+    let audit_pid = c.audit_pid().expect("audit attached");
+    c.supervisor_mut().expect("supervision attached").register(
+        audit_pid,
+        SupervisedRole::Audit,
+        true,
+        SimTime::ZERO,
+    );
+    let mut workers = Worker::spawn_all(&mut c, config.clients.max(1));
 
     // The victim: a long-lived valid connection record whose ruled
     // caller_id field the storm-time corruption will flip out of range.
     let victim_pid = workers[0].pid;
-    let victim = api
-        .alloc_record(&mut db, victim_pid, schema::CONNECTION_TABLE, SimTime::ZERO)
+    let victim = c
+        .api
+        .alloc_record(&mut c.db, victim_pid, schema::CONNECTION_TABLE, SimTime::ZERO)
         .expect("victim slot");
-    api.write_fld(
-        &mut db,
-        victim_pid,
-        schema::CONNECTION_TABLE,
-        victim,
-        schema::connection::CALLER_ID,
-        1_234,
-        SimTime::ZERO,
-    )
-    .expect("victim field");
+    c.api
+        .write_fld(
+            &mut c.db,
+            victim_pid,
+            schema::CONNECTION_TABLE,
+            victim,
+            schema::connection::CALLER_ID,
+            1_234,
+            SimTime::ZERO,
+        )
+        .expect("victim field");
 
     let mut queue: EventQueue<Ev> = EventQueue::new();
     queue.schedule(SimTime::ZERO + CLIENT_TICK, Ev::ClientTick);
@@ -345,15 +331,15 @@ pub fn run_once(config: &StormCampaignConfig, seed: u64) -> StormRunResult {
         match ev {
             Ev::ClientTick => {
                 for (i, w) in workers.iter_mut().enumerate() {
-                    if registry.responsiveness(w.pid) != Some(Responsiveness::Responsive) {
+                    if c.registry.responsiveness(w.pid) != Some(Responsiveness::Responsive) {
                         continue;
                     }
-                    step_call(w, &mut db, &mut api, now);
-                    sup.note_progress(w.pid, now);
+                    w.step_call(&mut c.db, &mut c.api, now);
+                    c.supervisor_mut().expect("supervision attached").note_progress(w.pid, now);
                     let n = storm_posts(config, i, now, &mut rng);
                     for k in 0..n {
                         r.offered_events += 1;
-                        let verdict = api.post_event(
+                        let verdict = c.api.post_event(
                             w.pid,
                             DbOp::ReadFld,
                             Some(schema::CONNECTION_TABLE),
@@ -375,24 +361,14 @@ pub fn run_once(config: &StormCampaignConfig, seed: u64) -> StormRunResult {
                 queue.schedule(now + CLIENT_TICK, Ev::ClientTick);
             }
             Ev::Supervise => {
-                let before = sup.ledger().restarts.len();
-                let report = sup.tick(&mut api, &mut registry, Some(audit.heartbeat_mut()), now);
-                let mut audit_restarted = false;
-                for &(old, new) in &report.restarts {
-                    if old == audit_pid {
-                        audit_pid = new;
-                        audit_restarted = true;
-                    } else if let Some(w) = workers.iter_mut().find(|w| w.pid == old) {
-                        w.pid = new;
-                        if w.call.take().is_some() {
-                            sup.note_dropped_calls(1);
-                        }
-                        api.init_at(new, now);
-                    }
-                }
+                let audit_pid = c.audit_pid();
+                let report = c.supervise_tick(now).expect("supervision attached");
+                let audit_restarted =
+                    report.restarts.iter().any(|&(old, _)| Some(old) == audit_pid);
+                Worker::rebind(&mut workers, &report.restarts, &mut c);
                 // No process fault is ever injected: every restart the
                 // supervisor performs is a false positive.
-                r.false_restarts += (sup.ledger().restarts.len() - before) as u64;
+                r.false_restarts += report.restarts.len() as u64;
                 if audit_restarted {
                     // The in-flight cycle dies with the old incarnation;
                     // its drained-but-unprocessed work is lost.
@@ -400,7 +376,8 @@ pub fn run_once(config: &StormCampaignConfig, seed: u64) -> StormRunResult {
                         r.cycles_aborted += 1;
                     }
                     cycle_gen += 1;
-                    audit = AuditProcess::new(audit_config, &db);
+                    let fresh = AuditProcess::new(audit_config, &c.db);
+                    *c.audit_mut().expect("audit attached") = fresh;
                     queue.schedule(now + config.audit_period, Ev::AuditStart);
                 }
                 queue.schedule(now + config.supervisor.heartbeat.interval, Ev::Supervise);
@@ -409,9 +386,9 @@ pub fn run_once(config: &StormCampaignConfig, seed: u64) -> StormRunResult {
                 // Cost model: the cycle occupies the auditor for the
                 // drain of the current backlog plus the screen work;
                 // results publish at completion.
-                let backlog = api.events().len() as u64;
+                let backlog = c.api.events().len() as u64;
                 let screens: u64 =
-                    db.catalog().tables().map(|tm| u64::from(tm.def.record_count)).sum();
+                    c.db.catalog().tables().map(|tm| u64::from(tm.def.record_count)).sum();
                 let cost = EVENT_COST * backlog + RECORD_COST * screens;
                 inflight = Some(now);
                 queue.schedule(now + cost, Ev::AuditDone { gen: cycle_gen });
@@ -420,13 +397,18 @@ pub fn run_once(config: &StormCampaignConfig, seed: u64) -> StormRunResult {
                 if gen != cycle_gen {
                     continue; // aborted incarnation
                 }
+                // A condemned auditor awaiting its restart (backing
+                // off) cannot finish the cycle: it stays in flight and
+                // is counted aborted when the restart lands.
+                let Some(report) = c.run_audit_cycle(now) else {
+                    continue;
+                };
                 let started = inflight.take().expect("cycle in flight");
-                let report = audit.run_cycle(&mut db, &mut api, &mut registry, now);
                 r.cycles_completed += 1;
                 cycle_time.push(now.saturating_since(started).as_secs_f64());
-                sup.note_progress(audit_pid, now);
                 if report.degraded {
-                    sup.note_starved(audit_pid, now);
+                    let audit_pid = c.audit_pid().expect("audit attached");
+                    c.supervisor_mut().expect("supervision attached").note_starved(audit_pid, now);
                 }
                 r.tables_shed += report.tables_shed.len() as u64;
                 r.degraded_findings +=
@@ -444,10 +426,11 @@ pub fn run_once(config: &StormCampaignConfig, seed: u64) -> StormRunResult {
             }
             Ev::Corrupt => {
                 let rec = RecordRef::new(schema::CONNECTION_TABLE, victim);
-                let (off, len) = db.field_extent(rec, schema::connection::CALLER_ID).expect("ext");
+                let (off, len) =
+                    c.db.field_extent(rec, schema::connection::CALLER_ID).expect("ext");
                 // Flip the MSB of the little-endian u32: far outside the
                 // 0..=9_999 range rule.
-                db.flip_bit(off + len - 1, 7).expect("in region");
+                c.db.flip_bit(off + len - 1, 7).expect("in region");
                 corrupted_at = Some(now);
                 r.injected += 1;
             }
@@ -467,9 +450,10 @@ pub fn run_once(config: &StormCampaignConfig, seed: u64) -> StormRunResult {
             RunOutcome::ClientHang
         });
     }
-    r.degraded_cycles = audit.degraded_cycles();
-    r.starved_notes = sup.ledger().starved_notes;
-    r.escalations = sup.ledger().controller_restarts_requested;
+    r.degraded_cycles = c.audit().expect("audit attached").degraded_cycles();
+    let ledger = c.supervisor().expect("supervision attached").ledger();
+    r.starved_notes = ledger.starved_notes;
+    r.escalations = ledger.controller_restarts_requested;
     r.mean_cycle_s = cycle_time.mean();
     r.calls_completed = workers.iter().map(|w| w.completed).sum();
     r
@@ -500,51 +484,10 @@ fn storm_posts(config: &StormCampaignConfig, i: usize, now: SimTime, rng: &mut S
     whole + u64::from(rng.unit() < share.fract())
 }
 
-/// Advances one worker's two-step call transaction (same shape as the
-/// process campaign's workload).
-fn step_call(w: &mut Worker, db: &mut Database, api: &mut DbApi, now: SimTime) {
-    let table = schema::CONNECTION_TABLE;
-    match w.call {
-        None => {
-            let Ok(index) = api.alloc_record(db, w.pid, table, now) else {
-                return;
-            };
-            let rec = RecordRef::new(table, index);
-            if api.lock(rec, w.pid, now).is_err() {
-                let _ = api.free_record(db, w.pid, table, index, now);
-                return;
-            }
-            let _ = api.write_fld(
-                db,
-                w.pid,
-                table,
-                index,
-                schema::connection::CALLER_ID,
-                u64::from(w.pid.0) % 9_999,
-                now,
-            );
-            w.call = Some(index);
-        }
-        Some(index) => {
-            let rec = RecordRef::new(table, index);
-            let _ = api.read_fld(db, w.pid, table, index, schema::connection::CALLER_ID, now);
-            api.unlock(rec, w.pid);
-            let _ = api.free_record(db, w.pid, table, index, now);
-            w.call = None;
-            w.completed += 1;
-        }
-    }
-}
-
 /// Runs `runs` independent runs in parallel and aggregates the results
 /// (deterministic: identical to a serial execution).
 pub fn run_campaign(config: &StormCampaignConfig, runs: usize) -> StormCampaignResult {
-    let mut rng = SimRng::seed_from(config.seed);
-    let seeds: Vec<u64> = (0..runs).map(|_| rng.bits()).collect();
-    let results =
-        crate::parallel::run_seeded(&seeds, crate::parallel::default_workers(), |_, seed| {
-            run_once(config, seed)
-        });
+    let results = crate::parallel::run_runs(config.seed, runs, |seed| run_once(config, seed));
     let mut total = StormCampaignResult { runs: runs as u64, ..StormCampaignResult::default() };
     let mut latency = Accumulator::new();
     let mut cycle = Accumulator::new();
@@ -662,6 +605,26 @@ mod tests {
 
     fn config_period_s() -> f64 {
         StormCampaignConfig::default().audit_period.as_secs_f64()
+    }
+
+    #[test]
+    fn escalated_storm_executes_the_controller_restart() {
+        // Fast escalation under an unisolated 4x flood: the busy
+        // auditor is condemned until its lineage exhausts the backoff
+        // ladder. The requested controller restart is executed, which
+        // clears the lineage's storm history, so the auditor comes
+        // back and the ladder can escalate again.
+        let config = StormCampaignConfig {
+            supervisor: SupervisorConfig {
+                storm_threshold: 2,
+                backoff_base: SimDuration::from_secs(4),
+                escalate_after_backoffs: 1,
+                ..SupervisorConfig::default()
+            },
+            ..storm(StormModel::IpcFlood, 4.0, false)
+        };
+        let r = run_once(&config, 0);
+        assert!(r.escalations >= 2, "the restarted auditor escalated again: {r:?}");
     }
 
     #[test]

@@ -322,12 +322,8 @@ pub fn run_one(config: &TextCampaignConfig, seed: u64) -> RunOutcome {
 /// seeded) runs over the machine's cores. Results are identical to a
 /// serial execution.
 pub fn run_campaign(config: &TextCampaignConfig) -> TextCampaignResult {
-    let mut rng = SimRng::seed_from(config.seed);
-    let seeds: Vec<u64> = (0..config.runs).map(|_| rng.bits()).collect();
     let outcomes =
-        crate::parallel::run_seeded(&seeds, crate::parallel::default_workers(), |_, seed| {
-            run_one(config, seed)
-        });
+        crate::parallel::run_runs(config.seed, config.runs, |seed| run_one(config, seed));
     let mut counts = OutcomeCounts::new();
     for outcome in outcomes {
         counts.record(outcome);

@@ -2,7 +2,7 @@
 //! that cross every crate boundary (database ↔ audit ↔ clients ↔
 //! PECOS ↔ injection).
 
-use wtnc::audit::{AuditConfig, AuditElementKind, RecoveryAction};
+use wtnc::audit::{AuditConfig, AuditElementKind, RecoveryAction, SupervisorConfig};
 use wtnc::callproc::{
     AsmClientConfig, BridgeStats, CallOutcome, DbSyscallBridge, DesClient, WorkloadConfig,
 };
@@ -46,10 +46,13 @@ fn injected_errors_are_repaired_and_service_continues() {
     );
 }
 
-/// The manager restarts a crashed audit process; protection resumes.
+/// The manager tier (the supervisor's heartbeat probes) restarts a
+/// crashed audit process; protection resumes.
 #[test]
 fn manager_restores_audit_protection_after_crash() {
-    let mut c = Controller::standard().with_audit(AuditConfig::default());
+    let mut c = Controller::standard()
+        .with_audit(AuditConfig::default())
+        .with_supervision(SupervisorConfig::default());
     c.crash_audit_process(SimTime::from_secs(5));
     assert!(!c.audit_alive());
 
@@ -61,9 +64,11 @@ fn manager_restores_audit_protection_after_crash() {
     assert_eq!(c.db.taint().latent_count(), 1);
 
     // Heartbeats detect the failure and restart the process.
+    let mut restarts = Vec::new();
     for s in 8..14 {
-        c.manager_beat(SimTime::from_secs(s));
+        restarts.extend(c.supervise_tick(SimTime::from_secs(s)).unwrap().restarts);
     }
+    assert_eq!(restarts.len(), 1, "one restart, of the audit process");
     assert!(c.audit_alive());
     let report = c.run_audit_cycle(SimTime::from_secs(20)).unwrap();
     assert_eq!(report.caught_count(), 1);
