@@ -190,11 +190,6 @@ impl AuditProcess {
         self.semantic.deferred = deferred;
     }
 
-    /// Whether the data audits are in detect-only mode.
-    pub fn deferred_repair(&self) -> bool {
-        self.deferred
-    }
-
     /// Re-runs one audit element over one table (or the full static
     /// region when `table` is `None`) without side effects on cycle
     /// counters, the catch log or escalation. The recovery engine uses

@@ -4,9 +4,7 @@
 //! This binary reports the calibrated simulation cost model (used by
 //! the DES experiments) side by side with **measured wall-clock
 //! timings** of this implementation's API functions, instrumented vs
-//! original. The companion Criterion bench
-//! (`cargo bench -p wtnc-bench --bench fig4_api_overhead`) measures the
-//! same operations with full statistical rigor.
+//! original.
 //!
 //! ```sh
 //! cargo run --release -p wtnc-bench --bin fig4

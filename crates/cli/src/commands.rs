@@ -36,7 +36,7 @@ USAGE:
                                            execute on the machine
     wtnc trace <file.s> [--steps N]        single-step with a per-
                                            instruction listing
-    wtnc pecos <file.s> [--corrupt-cfi N] [--engine slow|decoded|superblock]
+    wtnc pecos <file.s> [--corrupt-cfi N] [--engine slow|superblock]
                                            instrument and run; optionally
                                            corrupt the Nth CFI and watch
                                            PECOS; per-run superblock report
@@ -84,14 +84,25 @@ a temporary scratch directory that is removed on exit.
 WTNC_WORKERS=N pins the number of threads a campaign runs its
 independent runs on; every audit cycle runs serially.";
 
-/// Parses `--flag value` pairs and positional arguments.
-fn parse(args: &[String]) -> Result<(Vec<&str>, HashMap<&str, &str>), String> {
+/// Parses `--flag value` pairs and positional arguments, rejecting any
+/// flag not in `known` (the subcommand's flags, without the `--`).
+fn parse<'a>(
+    args: &'a [String],
+    known: &[&str],
+) -> Result<(Vec<&'a str>, HashMap<&'a str, &'a str>), String> {
     let mut positional = Vec::new();
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         let a = args[i].as_str();
         if let Some(name) = a.strip_prefix("--") {
+            if !known.contains(&name) {
+                return Err(if known.is_empty() {
+                    format!("unknown flag --{name}; this command takes no flags")
+                } else {
+                    format!("unknown flag --{name}; expected one of --{}", known.join(", --"))
+                });
+            }
             // Boolean flags are followed by another flag or nothing.
             if i + 1 < args.len() && !args[i + 1].starts_with("--") {
                 flags.insert(name, args[i + 1].as_str());
@@ -126,7 +137,7 @@ fn load_assembly(path: &str) -> Result<Assembly, String> {
 
 /// `wtnc asm <file.s>`
 pub fn asm(args: &[String]) -> Result<(), String> {
-    let (positional, _) = parse(args)?;
+    let (positional, _) = parse(args, &[])?;
     let [path] = positional.as_slice() else {
         return Err("usage: wtnc asm <file.s>".into());
     };
@@ -144,7 +155,7 @@ pub fn asm(args: &[String]) -> Result<(), String> {
 
 /// `wtnc run <file.s> [--threads N] [--steps N]`
 pub fn run(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse(args)?;
+    let (positional, flags) = parse(args, &["threads", "steps"])?;
     let [path] = positional.as_slice() else {
         return Err("usage: wtnc run <file.s> [--threads N] [--steps N]".into());
     };
@@ -171,7 +182,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
 
 /// `wtnc trace <file.s> [--steps N]`
 pub fn trace(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse(args)?;
+    let (positional, flags) = parse(args, &["steps"])?;
     let [path] = positional.as_slice() else {
         return Err("usage: wtnc trace <file.s> [--steps N]".into());
     };
@@ -203,11 +214,10 @@ pub fn trace(args: &[String]) -> Result<(), String> {
 
 /// `wtnc pecos <file.s> [--corrupt-cfi N] [--engine E]`
 pub fn pecos(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse(args)?;
+    let (positional, flags) = parse(args, &["corrupt-cfi", "engine"])?;
     let [path] = positional.as_slice() else {
         return Err(
-            "usage: wtnc pecos <file.s> [--corrupt-cfi N] [--engine slow|decoded|superblock]"
-                .into(),
+            "usage: wtnc pecos <file.s> [--corrupt-cfi N] [--engine slow|superblock]".into()
         );
     };
     let assembly = load_assembly(path)?;
@@ -223,8 +233,7 @@ pub fn pecos(args: &[String]) -> Result<(), String> {
     let engine = match flags.get("engine") {
         None => None,
         Some(s) => Some(
-            Engine::parse(s)
-                .ok_or_else(|| format!("unknown engine '{s}' (slow, decoded, superblock)"))?,
+            Engine::parse(s).ok_or_else(|| format!("unknown engine '{s}' (slow, superblock)"))?,
         ),
     };
     let corrupt = match flags.get("corrupt-cfi") {
@@ -312,7 +321,8 @@ fn print_superblock_report(machine: &Machine) {
 }
 
 /// `wtnc audit-demo`
-pub fn audit_demo(_args: &[String]) -> Result<(), String> {
+pub fn audit_demo(args: &[String]) -> Result<(), String> {
+    parse(args, &[])?;
     let mut controller = Controller::standard().with_audit(AuditConfig::default());
     println!(
         "controller: {} tables, {} byte image, audit process alive",
@@ -341,7 +351,7 @@ pub fn audit_demo(_args: &[String]) -> Result<(), String> {
 /// cycle's findings, records checked and wall time; `--no-hwcrc` pins
 /// the portable CRC kernel.
 pub fn audit(args: &[String]) -> Result<(), String> {
-    let (_, flags) = parse(args)?;
+    let (_, flags) = parse(args, &["cycles", "dirty-pct", "no-hwcrc", "storm", "load", "model"])?;
     if flags.contains_key("storm") {
         return audit_storm_demo(&flags);
     }
@@ -441,7 +451,7 @@ fn parse_storm_model(name: &str) -> Result<StormModel, String> {
 /// `wtnc recover [--budget N]`: a walkthrough of the staged
 /// detect→diagnose→repair→verify loop.
 pub fn recover(args: &[String]) -> Result<(), String> {
-    let (_, flags) = parse(args)?;
+    let (_, flags) = parse(args, &["budget"])?;
     let budget: u32 = flag_num(&flags, "budget", RecoveryConfig::default().cycle_budget)?;
     let mut controller = Controller::standard()
         .with_audit(AuditConfig::default())
@@ -512,9 +522,10 @@ pub fn recover(args: &[String]) -> Result<(), String> {
 /// `wtnc supervise`: a walkthrough of the process-supervision loop —
 /// a client hangs holding a lock, another crashes, the supervisor
 /// condemns both, steals the lock, and warm-restarts the lineages.
-pub fn supervise(_args: &[String]) -> Result<(), String> {
+pub fn supervise(args: &[String]) -> Result<(), String> {
     use wtnc::sim::Responsiveness;
 
+    parse(args, &[])?;
     let mut controller = Controller::standard()
         .with_audit(AuditConfig::default())
         .with_supervision(SupervisorConfig::default());
@@ -613,7 +624,7 @@ fn print_store_findings(findings: &[wtnc::store::StoreFinding]) {
 /// `wtnc store <checkpoint|replay|verify|compact> [--dir D] [--seed N]
 /// [--mutations N] [--delta] [--full-every N]`
 pub fn store(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse(args)?;
+    let (positional, flags) = parse(args, &["dir", "seed", "mutations", "delta", "full-every"])?;
     let seed: u64 = flag_num(&flags, "seed", 0x00C0_FFEE)?;
     let mutations: usize = flag_num(&flags, "mutations", 64)?;
     // `--delta` switches on incremental checkpoints (every 4th full by
@@ -761,9 +772,19 @@ fn parse_fault_model(name: &str) -> Result<ProcessFaultModel, String> {
     })
 }
 
-/// `wtnc campaign <db|text> [...]`
+/// `wtnc campaign <db|text|priority|recovery|process|powerfail|storm>
+/// [...]`; the campaign name comes first and picks the known flags.
 pub fn campaign(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse(args)?;
+    let known: &[&str] = match args.first().map(String::as_str) {
+        Some("db") => &["runs", "no-audit", "no-incremental"],
+        Some("text") => &["runs", "directed"],
+        Some("priority") => &["runs", "proportional"],
+        Some("recovery") => &["runs", "budget"],
+        Some("process" | "powerfail") => &["runs", "model"],
+        Some("storm") => &["runs", "model", "load", "no-isolation"],
+        _ => &[],
+    };
+    let (positional, flags) = parse(args, known)?;
     match positional.as_slice() {
         ["db"] => {
             let runs: usize = flag_num(&flags, "runs", 5)?;
@@ -971,13 +992,14 @@ mod tests {
     #[test]
     fn parser_handles_flags_and_positionals() {
         let args = strings(&["file.s", "--threads", "4", "--directed", "--steps", "100"]);
-        let (pos, flags) = parse(&args).unwrap();
+        let (pos, flags) = parse(&args, &["threads", "directed", "steps"]).unwrap();
         assert_eq!(pos, vec!["file.s"]);
         assert_eq!(flags.get("threads"), Some(&"4"));
         assert_eq!(flags.get("directed"), Some(&"true"));
         assert_eq!(flag_num(&flags, "steps", 0u64).unwrap(), 100);
         assert_eq!(flag_num(&flags, "missing", 7u64).unwrap(), 7);
         assert!(flag_num::<u64>(&flags, "directed", 0).is_err());
+        assert!(parse(&args, &["threads", "steps"]).is_err(), "--directed is not known");
     }
 
     #[test]
@@ -992,6 +1014,8 @@ mod tests {
         // Leave the process-global kernel override clear for other
         // tests in this binary.
         wtnc::db::set_crc_kernel_override(None);
+        // `--workers` left with the audit worker pool.
+        assert!(audit(&strings(&["--workers", "4"])).is_err());
     }
 
     #[test]
@@ -1004,6 +1028,7 @@ mod tests {
     fn campaign_db_runs() {
         campaign(&strings(&["db", "--runs", "1"])).unwrap();
         campaign(&strings(&["db", "--runs", "1", "--no-incremental"])).unwrap();
+        assert!(campaign(&strings(&["db", "--runs", "1", "--no-incremetal"])).is_err());
     }
 
     #[test]
@@ -1135,10 +1160,11 @@ mod tests {
         )
         .unwrap();
         let p = path.to_str().unwrap().to_string();
-        for engine in ["slow", "decoded", "superblock"] {
+        for engine in ["slow", "superblock"] {
             pecos(&strings(&[&p, "--engine", engine])).unwrap();
             pecos(&strings(&[&p, "--engine", engine, "--corrupt-cfi", "0"])).unwrap();
         }
+        assert!(pecos(&strings(&[&p, "--engine", "decoded"])).is_err());
         assert!(pecos(&strings(&[&p, "--engine", "warp"])).is_err());
     }
 }

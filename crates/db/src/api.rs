@@ -282,16 +282,6 @@ impl DbApi {
         api
     }
 
-    /// Overrides the cost model.
-    pub fn set_costs(&mut self, costs: ApiCosts) {
-        self.costs = costs;
-    }
-
-    /// Whether audit instrumentation is active.
-    pub fn is_instrumented(&self) -> bool {
-        self.instrumented
-    }
-
     /// The event queue towards the audit process. The audit main
     /// thread drains this.
     pub fn events_mut(&mut self) -> &mut FairQueue<DbEvent> {

@@ -51,11 +51,6 @@ impl DirtyTracker {
         self.n_blocks
     }
 
-    /// Block index containing byte `offset`.
-    pub fn block_of(&self, offset: usize) -> usize {
-        offset / self.block_size
-    }
-
     /// Half-open block-index range `[first, last)` overlapping the byte
     /// range `[offset, offset + len)`, clamped to the region.
     fn overlapping(&self, offset: usize, len: usize) -> (usize, usize) {

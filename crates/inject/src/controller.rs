@@ -183,20 +183,6 @@ impl Controller {
         }
     }
 
-    /// Compacts the attached store's journal past the newest
-    /// checkpoint. Returns the bytes reclaimed, or `None` when no
-    /// store is attached.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Io`] if the rotation fails.
-    pub fn compact_store(&mut self) -> Result<Option<u64>, StoreError> {
-        match self.durable.as_mut() {
-            Some(store) => Ok(Some(store.compact()?)),
-            None => Ok(None),
-        }
-    }
-
     /// Takes a checkpoint: syncs the journal, then writes the full
     /// database image as the next link of the golden-image hash chain.
     /// Returns the checkpoint generation, or `None` when no store is

@@ -54,14 +54,14 @@ pub struct TextCampaignConfig {
     pub step_budget: u64,
     /// Base RNG seed.
     pub seed: u64,
-    /// Run the client on the machine's predecoded fast path. Outcomes
+    /// Run the client on the machine's superblock fast path. Outcomes
     /// are identical either way (the engines are semantics-preserving);
     /// `false` exists for parity testing and overhead benchmarks.
     #[serde(default = "default_fast_path")]
     pub fast_path: bool,
     /// Explicit engine selection, overriding `fast_path` when set
     /// (same precedence as [`MachineConfig::effective_engine`]). Lets
-    /// parity campaigns pin all three engines individually.
+    /// parity campaigns pin each engine individually.
     #[serde(default)]
     pub engine: Option<Engine>,
 }
@@ -133,11 +133,7 @@ pub fn run_one(config: &TextCampaignConfig, seed: u64) -> RunOutcome {
         )
     });
 
-    let machine_cfg = MachineConfig {
-        fast_path: config.fast_path,
-        engine: config.engine,
-        ..MachineConfig::default()
-    };
+    let machine_cfg = MachineConfig { fast_path: config.fast_path, engine: config.engine };
     let mut machine = Machine::load(&program, machine_cfg);
     if machine.engine() != Engine::Slow {
         if let Some(m) = &meta {

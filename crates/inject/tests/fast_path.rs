@@ -1,4 +1,4 @@
-//! Fast-path regression tests: the predecoded engine must observe
+//! Fast-path regression tests: the superblock engine must observe
 //! every text-segment injection, including corruptions landing inside
 //! an assertion block whose decoded slots and fused plan are already
 //! cached — and campaign classifications must be bit-identical across
@@ -79,8 +79,8 @@ fn warmed_assertion_block_observes_interior_injection() {
     );
 }
 
-/// Campaign classifications are identical on all three engines for a
-/// grid of seeds across both targeting modes — the fast engines change
+/// Campaign classifications are identical on both engines for a grid
+/// of seeds across both targeting modes — the superblock engine changes
 /// wall-clock only, never outcomes. Directed-CFI runs corrupt exactly
 /// the input word of a warmed fused plan; random-text runs also land
 /// inside assertion blocks and target tables.
@@ -103,14 +103,11 @@ fn run_one_outcomes_identical_across_engines() {
                 engine: Some(engine),
             };
             for seed in 0..20u64 {
-                let slow = run_one(&config(Engine::Slow), seed);
-                for engine in [Engine::Decoded, Engine::Superblock] {
-                    let fast = run_one(&config(engine), seed);
-                    assert_eq!(
-                        fast, slow,
-                        "outcome diverged for {target:?}/{model:?}/{engine:?} seed {seed}"
-                    );
-                }
+                assert_eq!(
+                    run_one(&config(Engine::Superblock), seed),
+                    run_one(&config(Engine::Slow), seed),
+                    "outcome diverged for {target:?}/{model:?} seed {seed}"
+                );
             }
         }
     }
@@ -187,7 +184,7 @@ proptest! {
         let load = |engine: Engine| {
             let mut m = Machine::load(
                 &inst.program,
-                MachineConfig { fast_path: engine != Engine::Slow, engine: Some(engine), ..MachineConfig::default() },
+                MachineConfig { fast_path: engine != Engine::Slow, engine: Some(engine) },
             );
             if engine != Engine::Slow {
                 inst.meta.install_fast_path(&mut m);

@@ -31,7 +31,6 @@ proptest! {
         engine in prop_oneof![
             Just(None),
             Just(Some(wtnc_isa::Engine::Slow)),
-            Just(Some(wtnc_isa::Engine::Decoded)),
             Just(Some(wtnc_isa::Engine::Superblock)),
         ],
         seed in any::<u64>(),

@@ -28,10 +28,10 @@
 //!   live text. Build-time faults (count word out of text, corrupted
 //!   count, table overrunning the segment) are cached as the *same*
 //!   [`ExceptionKind`] the scan would raise.
-//! * **Fused assertion superstep** — an installed straight-line region
+//! * **Fused assertion plans** — an installed straight-line region
 //!   (a PECOS assertion block) whose instructions match one of the
-//!   instrumenter's four shapes is compiled to a [`FusedPlan`] that
-//!   [`Machine::run`](crate::Machine::run) can apply in O(1): scratch
+//!   instrumenter's four shapes is compiled to a [`FusedPlan`] that the
+//!   superblock compiler embeds as one op applied in O(1): scratch
 //!   registers get their precomputed final values and the PC
 //!   short-circuits to the protected CFI when the check passes, while a
 //!   failing check raises the identical divide-by-zero at the identical
@@ -39,7 +39,7 @@
 //!   execution.
 
 use crate::inst::{decode, Inst};
-use crate::machine::ExceptionKind;
+use crate::machine::{ExceptionKind, MAX_PCKT_TABLE};
 
 /// One predecoded text word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -211,12 +211,6 @@ impl DecodedCache {
         self.regions = regions;
     }
 
-    /// True when any fusable region is installed.
-    #[inline]
-    pub fn has_regions(&self) -> bool {
-        !self.regions.is_empty()
-    }
-
     /// The region starting exactly at `pc`, if any.
     #[inline]
     pub fn region_starting_at(&self, pc: u16) -> Option<usize> {
@@ -286,13 +280,11 @@ impl DecodedCache {
     }
 
     /// The materialized table at `table`, building it on a miss.
-    /// `max_count` is [`MachineConfig::max_pckt_table`]
-    /// (crate::MachineConfig::max_pckt_table).
-    pub fn table(&mut self, text: &[u32], table: u16, max_count: u32) -> &TableEntry {
+    pub fn table(&mut self, text: &[u32], table: u16) -> &TableEntry {
         if let Some(i) = self.tables.iter().position(|&(t, _)| t == table) {
             return &self.tables[i].1;
         }
-        let entry = Self::build_table(text, table, max_count);
+        let entry = Self::build_table(text, table);
         self.tables.push((table, entry));
         &self.tables.last().expect("just pushed").1
     }
@@ -300,14 +292,14 @@ impl DecodedCache {
     /// Replicates the slow path's fault order exactly: count word out
     /// of text, corrupted count, table overrunning the segment — then
     /// membership.
-    fn build_table(text: &[u32], table: u16, max_count: u32) -> TableEntry {
+    fn build_table(text: &[u32], table: u16) -> TableEntry {
         let Some(&count) = text.get(table as usize) else {
             return TableEntry {
                 span: 0,
                 result: Err(ExceptionKind::TextFault { addr: table as u32 }),
             };
         };
-        if count > max_count {
+        if count > MAX_PCKT_TABLE {
             // A corrupted table counts as a failed assertion.
             return TableEntry { span: 0, result: Err(ExceptionKind::DivideByZero) };
         }
@@ -352,15 +344,16 @@ mod tests {
         // {count=3, 9, 2, 5} at address 1.
         let text = vec![encode(Inst::Nop), 3, 9, 2, 5];
         let mut cache = DecodedCache::new(text.len());
-        let entry = cache.table(&text, 1, 1_024);
+        let entry = cache.table(&text, 1);
         assert_eq!(entry.result.as_ref().unwrap(), &vec![2, 5, 9]);
         // Overrunning table faults with the slow path's address.
         let mut cache = DecodedCache::new(text.len());
-        let entry = cache.table(&text, 3, 1_024);
+        let entry = cache.table(&text, 3);
         assert_eq!(entry.result, Err(ExceptionKind::TextFault { addr: 6 }));
         // Corrupted count is a failed assertion.
+        let text = vec![encode(Inst::Nop), MAX_PCKT_TABLE + 1, 9, 2, 5];
         let mut cache = DecodedCache::new(text.len());
-        let entry = cache.table(&text, 1, 2);
+        let entry = cache.table(&text, 1);
         assert_eq!(entry.result, Err(ExceptionKind::DivideByZero));
     }
 
@@ -368,12 +361,12 @@ mod tests {
     fn table_invalidation_covers_count_and_members() {
         let text = vec![2, 7, 8, encode(Inst::Halt)];
         let mut cache = DecodedCache::new(text.len());
-        cache.table(&text, 0, 16);
+        cache.table(&text, 0);
         cache.invalidate_word(3); // outside the table
         assert_eq!(cache.tables.len(), 1);
         cache.invalidate_word(2); // member word
         assert_eq!(cache.tables.len(), 0);
-        cache.table(&text, 0, 16);
+        cache.table(&text, 0);
         cache.invalidate_word(0); // count word
         assert_eq!(cache.tables.len(), 0);
     }

@@ -291,11 +291,6 @@ impl Inst {
             _ => None,
         }
     }
-
-    /// True for conditional branches (two static successors).
-    pub fn is_branch(self) -> bool {
-        matches!(self, Inst::Beq { .. } | Inst::Bne { .. } | Inst::Blt { .. } | Inst::Bge { .. })
-    }
 }
 
 const fn r3(op: u8, a: u8, b: u8, c: u8) -> u32 {

@@ -62,7 +62,7 @@ mod superblock;
 pub use inst::{decode, encode, DecodeError, Inst, OPCODE_SHIFT, TARGET_MASK};
 pub use machine::{
     Engine, ExceptionInfo, ExceptionKind, Machine, MachineConfig, NoSyscalls, StepOutcome,
-    SyscallHandler, SyscallRequest, ThreadState,
+    SyscallHandler, SyscallRequest, ThreadState, DATA_WORDS, MAX_PCKT_TABLE,
 };
 pub use program::Program;
 pub use superblock::{ExitKind, SuperblockInfo, SuperblockStats};

@@ -16,40 +16,45 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::decoded::{DecodedCache, FusedPlan, PlanSlot};
+use crate::decoded::DecodedCache;
 use crate::inst::{decode, Inst};
 use crate::program::Program;
 use crate::superblock::{self, Flow, OpCtx, SuperblockCache, SuperblockStats};
 use crate::ThreadId;
 
-/// Which execution engine [`Machine::run`] dispatches from. All three
-/// are observationally identical — same retired-step counts, exception
+/// Words of per-thread data memory (stack + locals). The stack
+/// pointer (`r15`) starts here and grows down.
+pub const DATA_WORDS: usize = 4_096;
+
+/// Maximum size of a PECOS target table; a stored count above this is
+/// treated as a failed assertion (corrupted table).
+pub const MAX_PCKT_TABLE: u32 = 1_024;
+
+/// Which execution engine [`Machine::run`] dispatches from. Both are
+/// observationally identical — same retired-step counts, exception
 /// PCs/kinds, register files and `peek_next` sequences — and differ
 /// only in speed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 #[serde(rename_all = "lowercase")]
 pub enum Engine {
     /// The original word-at-a-time interpreter: strict decode on every
-    /// fetch, round-robin scan on every step.
+    /// fetch, round-robin scan on every step. The parity oracle.
     Slow,
-    /// PR 4's predecoded cache: decode-once slots, materialized `PCKT`
-    /// tables, fused assertion supersteps, batched dispatch.
-    Decoded,
     /// The superblock compiler on top of the decoded cache: hot
     /// straight-line regions run as direct-threaded plans chaining
-    /// instructions and fused supersteps across basic blocks.
+    /// instructions and fused assertion blocks across basic blocks;
+    /// everything else runs from decode-once slots.
     Superblock,
 }
 
 impl Engine {
     /// All engines, for A/B matrices.
-    pub const ALL: [Engine; 3] = [Engine::Slow, Engine::Decoded, Engine::Superblock];
+    pub const ALL: [Engine; 2] = [Engine::Slow, Engine::Superblock];
 
-    /// Parses the CLI spelling (`slow`/`decoded`/`superblock`).
+    /// Parses the CLI spelling (`slow`/`superblock`).
     pub fn parse(s: &str) -> Option<Engine> {
         match s {
             "slow" => Some(Engine::Slow),
-            "decoded" => Some(Engine::Decoded),
             "superblock" => Some(Engine::Superblock),
             _ => None,
         }
@@ -59,7 +64,6 @@ impl Engine {
     pub fn name(self) -> &'static str {
         match self {
             Engine::Slow => "slow",
-            Engine::Decoded => "decoded",
             Engine::Superblock => "superblock",
         }
     }
@@ -68,14 +72,8 @@ impl Engine {
 /// Configuration for a [`Machine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MachineConfig {
-    /// Words of per-thread data memory (stack + locals). The stack
-    /// pointer (`r15`) starts here and grows down.
-    pub data_words: usize,
-    /// Maximum size of a PECOS target table; a stored count above this
-    /// is treated as a failed assertion (corrupted table).
-    pub max_pckt_table: u32,
     /// Back-compat fast-path switch: `false` selects [`Engine::Slow`],
-    /// `true` (the default) selects the fastest engine unless
+    /// `true` (the default) selects [`Engine::Superblock`] unless
     /// [`MachineConfig::engine`] picks one explicitly.
     #[serde(default = "default_fast_path")]
     pub fast_path: bool,
@@ -99,12 +97,7 @@ impl MachineConfig {
 
 impl Default for MachineConfig {
     fn default() -> Self {
-        MachineConfig {
-            data_words: 4_096,
-            max_pckt_table: 1_024,
-            fast_path: default_fast_path(),
-            engine: None,
-        }
+        MachineConfig { fast_path: default_fast_path(), engine: None }
     }
 }
 
@@ -217,7 +210,6 @@ struct Thread {
 pub struct Machine {
     text: Vec<u32>,
     threads: Vec<Thread>,
-    config: MachineConfig,
     engine: Engine,
     next: usize,
     total_steps: u64,
@@ -235,7 +227,6 @@ impl Machine {
             text: program.text.clone(),
             threads: Vec::new(),
             engine: config.effective_engine(),
-            config,
             next: 0,
             total_steps: 0,
             supersteps: 0,
@@ -246,11 +237,11 @@ impl Machine {
     /// memory; returns its id.
     pub fn spawn_thread(&mut self, entry: u16) -> ThreadId {
         let mut regs = [0u64; 16];
-        regs[15] = self.config.data_words as u64; // stack grows down
+        regs[15] = DATA_WORDS as u64; // stack grows down
         self.threads.push(Thread {
             regs,
             pc: entry,
-            data: vec![0; self.config.data_words],
+            data: vec![0; DATA_WORDS],
             state: ThreadState::Runnable,
             steps: 0,
         });
@@ -291,11 +282,12 @@ impl Machine {
     }
 
     /// Registers the PECOS assertion blocks `[start, end)` (with the
-    /// protected CFI at `end`) as candidates for fused superstep
-    /// execution in [`Machine::run`]. Blocks whose instructions do not
-    /// match a known instrumenter shape — or that are later corrupted
-    /// into not matching — simply execute word-at-a-time; installing
-    /// regions never changes observable behavior, only speed.
+    /// protected CFI at `end`) as candidates for fused ops inside the
+    /// superblocks [`Machine::run`] compiles. Blocks whose instructions
+    /// do not match a known instrumenter shape — or that are later
+    /// corrupted into not matching — simply execute word-at-a-time;
+    /// installing regions never changes observable behavior, only
+    /// speed.
     pub fn install_fused_regions(&mut self, ranges: &[(u16, u16)]) {
         self.cache.install_regions(ranges);
     }
@@ -324,11 +316,6 @@ impl Machine {
     /// memory images across engines.
     pub fn data(&self, t: ThreadId) -> Option<&[u64]> {
         Some(&self.threads.get(t)?.data)
-    }
-
-    /// Number of spawned threads.
-    pub fn thread_count(&self) -> usize {
-        self.threads.len()
     }
 
     /// State of a thread.
@@ -462,21 +449,17 @@ impl Machine {
     /// Runs until `max_steps` instructions have retired, a thread
     /// faults, or the machine goes idle. Returns the last outcome.
     ///
-    /// On the fast engines, work reached by the only runnable thread
-    /// is dispatched in descending-granularity order — a compiled
-    /// superblock ([`Engine::Superblock`]), a fused assertion
-    /// superstep, a decoded batch — each declining to the next tier
-    /// whenever its exactness preconditions do not hold, with
-    /// identical retired-step accounting, register effects, and fault
-    /// PCs at every tier.
+    /// On [`Engine::Superblock`], work reached by the only runnable
+    /// thread is dispatched in descending-granularity order — a
+    /// compiled superblock, a decoded batch, a single step — each
+    /// declining to the next tier whenever its exactness preconditions
+    /// do not hold, with identical retired-step accounting, register
+    /// effects, and fault PCs at every tier.
     pub fn run(&mut self, sys: &mut dyn SyscallHandler, max_steps: u64) -> StepOutcome {
         let mut last = StepOutcome::Idle;
         let mut remaining = max_steps;
         while remaining > 0 {
             if let Some((out, retired)) = self.try_superblock(sys, remaining) {
-                remaining -= retired;
-                last = out;
-            } else if let Some((out, retired)) = self.try_superstep(remaining) {
                 remaining -= retired;
                 last = out;
             } else if let Some((out, retired)) = self.run_batch(sys, remaining) {
@@ -496,8 +479,9 @@ impl Machine {
 
     /// Fast-path dispatch batch: when exactly one thread is runnable,
     /// steps it repeatedly without the per-step round-robin scan and
-    /// modulo arithmetic of [`Machine::step`] — stopping at a fused
-    /// region start (handed back to [`Machine::try_superstep`]), a
+    /// modulo arithmetic of [`Machine::step`] — stopping after a
+    /// control transfer or at a fused region start (both handed back to
+    /// [`Machine::try_superblock`], which counts entries there), a
     /// non-`Executed` outcome, a thread-state change, or the end of the
     /// budget. Bookkeeping (retired counts, `next` rotation, fault
     /// sites) is identical to single-stepping.
@@ -509,10 +493,6 @@ impl Machine {
         if self.engine == Engine::Slow {
             return None;
         }
-        // The superblock engine also breaks batches after any control
-        // transfer, handing the dispatcher the targets it counts
-        // entries at (and the compiled blocks it enters there).
-        let track_transfers = self.engine == Engine::Superblock;
         let mut runnable =
             self.threads.iter().enumerate().filter(|(_, t)| t.state == ThreadState::Runnable);
         let (tid, _) = runnable.next()?;
@@ -523,7 +503,7 @@ impl Machine {
         self.next = if tid + 1 == n { 0 } else { tid + 1 };
         let mut retired: u64 = 0;
         loop {
-            // The first step runs unconditionally: try_superstep already
+            // The first step runs unconditionally: try_superblock already
             // declined this address, so deferring would livelock.
             let pc = self.threads[tid].pc;
             self.total_steps += 1;
@@ -546,90 +526,17 @@ impl Machine {
                 || !matches!(last, StepOutcome::Executed { .. })
                 || self.threads[tid].state != ThreadState::Runnable
                 || self.cache.region_starting_at(self.threads[tid].pc).is_some()
-                || (track_transfers && self.threads[tid].pc != pc.wrapping_add(1))
+                || self.threads[tid].pc != pc.wrapping_add(1)
             {
                 return Some((last, retired));
             }
         }
     }
 
-    /// Attempts to execute a whole fused assertion block in one go.
-    /// Returns the resulting outcome and the number of retired steps,
-    /// or `None` to fall back to single-stepping.
-    ///
-    /// The fusion preconditions keep every observable identical to
-    /// word-at-a-time execution: only the sole runnable thread may
-    /// fuse (so round-robin interleaving is unaffected), the remaining
-    /// budget must cover the whole block (so `max_steps` cutoffs land
-    /// on the same instruction), and runtime faults other than the
-    /// assertion's own divide-by-zero (e.g. a bad stack pointer under
-    /// the `ret` block's load) bail out to the slow path.
-    fn try_superstep(&mut self, remaining: u64) -> Option<(StepOutcome, u64)> {
-        if self.engine == Engine::Slow || !self.cache.has_regions() {
-            return None;
-        }
-        let mut runnable =
-            self.threads.iter().enumerate().filter(|(_, t)| t.state == ThreadState::Runnable);
-        let (tid, _) = runnable.next()?;
-        if runnable.next().is_some() {
-            return None;
-        }
-        let idx = self.cache.region_starting_at(self.threads[tid].pc)?;
-        let (start, end) = self.cache.region(idx);
-        let len = u64::from(end - start);
-        if remaining < len {
-            return None;
-        }
-        let plan = match self.cache.plan(&self.text, idx) {
-            PlanSlot::Ready(p) => p,
-            _ => return None,
-        };
-
-        // From here on the whole block retires (a failing assertion
-        // faults on its last instruction, which still counts).
-        let (r12, pass) = match plan {
-            FusedPlan::Static { r11, r12, pass } => {
-                if let Some(v) = r11 {
-                    self.threads[tid].regs[11] = v;
-                }
-                (r12, pass)
-            }
-            FusedPlan::StackTable { table } => {
-                let sp = self.threads[tid].regs[15];
-                if sp as i64 >= self.config.data_words as i64 || (sp as i64) < 0 {
-                    return None; // the block's `ld` would memory-fault
-                }
-                let value = self.threads[tid].data[sp as usize];
-                (value, self.table_pass(table, value as u32)?)
-            }
-            FusedPlan::RegTable { src, table } => {
-                let value = self.threads[tid].regs[src as usize & 0xF];
-                (value, self.table_pass(table, value as u32)?)
-            }
-        };
-
-        self.next = (tid + 1) % self.threads.len();
-        self.total_steps += len;
-        self.supersteps += 1;
-        let th = &mut self.threads[tid];
-        th.steps += len;
-        th.regs[12] = r12;
-        if matches!(plan, FusedPlan::Static { .. }) {
-            th.regs[13] = pass as u64;
-        }
-        if pass {
-            th.pc = end;
-            Some((StepOutcome::Executed { thread: tid, pc: end - 1 }, len))
-        } else {
-            th.pc = end - 1;
-            Some((self.fault(tid, end - 1, ExceptionKind::DivideByZero), len))
-        }
-    }
-
     /// Attempts to execute compiled superblocks at the sole runnable
     /// thread's PC, compiling them on the fly once entries are hot.
     /// Returns the outcome and retired-step count, or `None` to fall
-    /// through to the superstep/batch/step tiers.
+    /// through to the batch/step tiers.
     ///
     /// Blocks chain: when a block exits with the thread still runnable
     /// and the next PC has (or earns) a compiled entry that fits the
@@ -641,12 +548,12 @@ impl Machine {
     /// intermediate outcomes it skips are exactly the ones `run`
     /// overwrites anyway.
     ///
-    /// The exactness preconditions mirror [`Machine::try_superstep`]:
-    /// only the sole runnable thread enters blocks (round-robin
-    /// interleaving unaffected), the remaining budget must cover each
-    /// block's whole weight (budget cutoffs land on the same
-    /// instruction), and an op that cannot reproduce the slow path's
-    /// exception deopts with nothing of it retired.
+    /// The exactness preconditions keep every observable identical to
+    /// word-at-a-time execution: only the sole runnable thread enters
+    /// blocks (round-robin interleaving unaffected), the remaining
+    /// budget must cover each block's whole weight (budget cutoffs land
+    /// on the same instruction), and an op that cannot reproduce the
+    /// slow path's exception deopts with nothing of it retired.
     fn try_superblock(
         &mut self,
         sys: &mut dyn SyscallHandler,
@@ -663,7 +570,6 @@ impl Machine {
         }
         let mut pc = th.pc;
         let n = self.threads.len();
-        let data_words = self.config.data_words as i64;
         let mut total_retired: u64 = 0;
         let mut fused: u64 = 0;
         let mut entered: u64 = 0;
@@ -673,13 +579,8 @@ impl Machine {
                 if pc as usize >= self.text.len() || !self.sblocks.note_miss(pc) {
                     break;
                 }
-                let block = superblock::compile(
-                    &mut self.cache,
-                    &self.text,
-                    pc,
-                    self.config.max_pckt_table,
-                    self.sblocks.generation(),
-                );
+                let block =
+                    superblock::compile(&mut self.cache, &self.text, pc, self.sblocks.generation());
                 self.sblocks.insert(block);
             }
             let Some(block) = self.sblocks.entry_for_exec(pc) else { break };
@@ -693,7 +594,6 @@ impl Machine {
                 text: &self.text,
                 sys: &mut *sys,
                 tid,
-                data_words,
                 aux: &block.aux,
                 pc: 0,
                 supersteps: 0,
@@ -765,21 +665,6 @@ impl Machine {
         Some((last, total_retired))
     }
 
-    /// Membership result for a fused table check, or `None` when the
-    /// table itself is faulty in a way whose exception the slow path
-    /// must raise (so the superstep bails out).
-    fn table_pass(&mut self, table: u16, value: u32) -> Option<bool> {
-        let entry = self.cache.table(&self.text, table, self.config.max_pckt_table);
-        match &entry.result {
-            Ok(words) => Some(words.binary_search(&value).is_ok()),
-            // A corrupted count is a failed assertion (divide-by-zero
-            // at the PCKT), which the fail path below raises anyway.
-            Err(ExceptionKind::DivideByZero) => Some(false),
-            // Text faults have different kinds/addresses: slow path.
-            Err(_) => None,
-        }
-    }
-
     fn fault(&mut self, tid: ThreadId, pc: u16, kind: ExceptionKind) -> StepOutcome {
         self.threads[tid].state = ThreadState::Faulted(kind);
         StepOutcome::Exception(ExceptionInfo { thread: tid, pc, kind })
@@ -792,7 +677,7 @@ impl Machine {
         inst: Inst,
         sys: &mut dyn SyscallHandler,
     ) -> Result<(), ExceptionKind> {
-        let data_words = self.config.data_words as i64;
+        let data_words = DATA_WORDS as i64;
         let next_pc = pc.wrapping_add(1);
         // Helper closures cannot borrow self twice; work on the thread
         // via index.
@@ -955,7 +840,7 @@ impl Machine {
                 if self.engine != Engine::Slow {
                     // Binary search over the materialized sorted table;
                     // build-time faults were cached in slow-path order.
-                    let entry = self.cache.table(&self.text, table, self.config.max_pckt_table);
+                    let entry = self.cache.table(&self.text, table);
                     match &entry.result {
                         Err(kind) => return Err(*kind),
                         Ok(words) => {
@@ -968,7 +853,7 @@ impl Machine {
                     let Some(&count) = self.text.get(table as usize) else {
                         return Err(ExceptionKind::TextFault { addr: table as u32 });
                     };
-                    if count > self.config.max_pckt_table {
+                    if count > MAX_PCKT_TABLE {
                         // A corrupted table counts as a failed assertion.
                         return Err(ExceptionKind::DivideByZero);
                     }
@@ -1039,7 +924,7 @@ mod tests {
         assert_eq!(m.thread_state(t), ThreadState::Halted);
         assert_eq!(m.reg(t, 1), Some(12));
         // Stack pointer restored.
-        assert_eq!(m.reg(t, 15), Some(MachineConfig::default().data_words as u64));
+        assert_eq!(m.reg(t, 15), Some(DATA_WORDS as u64));
     }
 
     #[test]
@@ -1275,7 +1160,6 @@ mod tests {
                 (seq, m.total_steps())
             };
             let slow = drive(Engine::Slow);
-            assert_eq!(drive(Engine::Decoded), slow, "decoded diverged ({threads} threads)");
             assert_eq!(drive(Engine::Superblock), slow, "superblock diverged ({threads} threads)");
         }
     }
@@ -1343,12 +1227,11 @@ mod tests {
             assert_eq!(Engine::parse(engine.name()), Some(engine));
         }
         assert_eq!(Engine::parse("warp"), None);
-        let explicit =
-            MachineConfig { fast_path: true, engine: Some(Engine::Slow), ..Default::default() };
+        let explicit = MachineConfig { fast_path: true, engine: Some(Engine::Slow) };
         assert_eq!(explicit.effective_engine(), Engine::Slow, "explicit engine wins");
-        let legacy_fast = MachineConfig { fast_path: true, engine: None, ..Default::default() };
+        let legacy_fast = MachineConfig { fast_path: true, engine: None };
         assert_eq!(legacy_fast.effective_engine(), Engine::Superblock);
-        let legacy_slow = MachineConfig { fast_path: false, engine: None, ..Default::default() };
+        let legacy_slow = MachineConfig { fast_path: false, engine: None };
         assert_eq!(legacy_slow.effective_engine(), Engine::Slow);
     }
 }

@@ -48,7 +48,7 @@
 
 use crate::decoded::{DecodedCache, FusedPlan, PlanSlot};
 use crate::inst::Inst;
-use crate::machine::{ExceptionKind, SyscallHandler, SyscallRequest};
+use crate::machine::{ExceptionKind, SyscallHandler, SyscallRequest, DATA_WORDS};
 use crate::ThreadId;
 
 /// Ops per superblock before compilation stops chaining. Bounds both
@@ -187,7 +187,6 @@ pub(crate) struct OpCtx<'a> {
     pub text: &'a [u32],
     pub sys: &'a mut dyn SyscallHandler,
     pub tid: ThreadId,
-    pub data_words: i64,
     pub aux: &'a [Aux],
     /// Out-parameter: next PC after a [`Flow::Done`] op.
     pub pc: u16,
@@ -430,7 +429,6 @@ pub(crate) fn compile(
     dc: &mut DecodedCache,
     text: &[u32],
     entry: u16,
-    max_count: u32,
     gen: u64,
 ) -> Box<Superblock> {
     let mut ops: Vec<Op> = Vec::new();
@@ -470,11 +468,11 @@ pub(crate) fn compile(
                     Some((Aux::FusedStatic { r11, r12, pass }, !pass))
                 }
                 PlanSlot::Ready(FusedPlan::StackTable { table }) => {
-                    embed_table(dc, text, table, max_count, &mut words)
+                    embed_table(dc, text, table, &mut words)
                         .map(|t| (Aux::FusedStackTable { table: t }, false))
                 }
                 PlanSlot::Ready(FusedPlan::RegTable { src, table }) => {
-                    embed_table(dc, text, table, max_count, &mut words)
+                    embed_table(dc, text, table, &mut words)
                         .map(|t| (Aux::FusedRegTable { src, table: t }, false))
                 }
                 _ => None,
@@ -647,7 +645,7 @@ pub(crate) fn compile(
                 break;
             }
             Pckt { rs, table } => {
-                let entry = dc.table(text, table, max_count);
+                let entry = dc.table(text, table);
                 let span = entry.span;
                 let data = match &entry.result {
                     Ok(members) => TableData::Members(members.clone().into_boxed_slice()),
@@ -704,15 +702,14 @@ fn embed_table(
     dc: &mut DecodedCache,
     text: &[u32],
     table: u16,
-    max_count: u32,
     words: &mut Vec<u16>,
 ) -> Option<TableData> {
-    let entry = dc.table(text, table, max_count);
+    let entry = dc.table(text, table);
     let span = entry.span;
     let data = match &entry.result {
         Ok(members) => TableData::Members(members.clone().into_boxed_slice()),
         // A corrupted count is a failed assertion: membership is
-        // simply always false, like `table_pass` on the fused path.
+        // simply always false.
         Err(ExceptionKind::DivideByZero) => TableData::Fault(ExceptionKind::DivideByZero),
         Err(_) => return None,
     };
@@ -812,16 +809,16 @@ fn op_seqz(c: &mut OpCtx<'_>, op: &Op) -> Flow {
 }
 
 #[inline]
-fn mem_addr(c: &OpCtx<'_>, base: u64, off: i64) -> Result<usize, Flow> {
+fn mem_addr(base: u64, off: i64) -> Result<usize, Flow> {
     let addr = base as i64 + off;
-    if addr < 0 || addr >= c.data_words {
+    if addr < 0 || addr >= DATA_WORDS as i64 {
         return Err(Flow::Fault(0, ExceptionKind::MemoryFault { addr }));
     }
     Ok(addr as usize)
 }
 
 fn op_ld(c: &mut OpCtx<'_>, op: &Op) -> Flow {
-    match mem_addr(c, reg(c, op.rs), op.imm) {
+    match mem_addr(reg(c, op.rs), op.imm) {
         Ok(addr) => {
             c.regs[op.rd as usize & 0xF] = c.data[addr];
             Flow::Next
@@ -831,7 +828,7 @@ fn op_ld(c: &mut OpCtx<'_>, op: &Op) -> Flow {
 }
 
 fn op_st(c: &mut OpCtx<'_>, op: &Op) -> Flow {
-    match mem_addr(c, reg(c, op.rs), op.imm) {
+    match mem_addr(reg(c, op.rs), op.imm) {
         Ok(addr) => {
             c.data[addr] = reg(c, op.rt);
             Flow::Next
@@ -851,7 +848,7 @@ fn op_ldt(c: &mut OpCtx<'_>, op: &Op) -> Flow {
 
 fn op_call(c: &mut OpCtx<'_>, op: &Op) -> Flow {
     let sp = c.regs[15].wrapping_sub(1);
-    match mem_addr(c, sp, 0) {
+    match mem_addr(sp, 0) {
         Ok(slot) => {
             c.data[slot] = u64::from(op.pc.wrapping_add(1));
             c.regs[15] = sp;
@@ -863,7 +860,7 @@ fn op_call(c: &mut OpCtx<'_>, op: &Op) -> Flow {
 
 fn op_ret(c: &mut OpCtx<'_>, op: &Op) -> Flow {
     let sp = c.regs[15];
-    match mem_addr(c, sp, 0) {
+    match mem_addr(sp, 0) {
         Ok(slot) => {
             let ra = c.data[slot];
             c.regs[15] = sp.wrapping_add(1);
@@ -877,7 +874,7 @@ fn op_ret(c: &mut OpCtx<'_>, op: &Op) -> Flow {
 fn op_callr(c: &mut OpCtx<'_>, op: &Op) -> Flow {
     let target = reg(c, op.rs) as u16;
     let sp = c.regs[15].wrapping_sub(1);
-    match mem_addr(c, sp, 0) {
+    match mem_addr(sp, 0) {
         Ok(slot) => {
             c.data[slot] = u64::from(op.pc.wrapping_add(1));
             c.regs[15] = sp;
@@ -940,7 +937,7 @@ fn op_pckt(c: &mut OpCtx<'_>, op: &Op) -> Flow {
 
 /// An embedded fused assertion block: retires the whole region,
 /// producing the identical scratch-register finals, fault PC and step
-/// counts as [`Machine::run`](crate::Machine::run)'s superstep path.
+/// counts as word-at-a-time execution of the block.
 fn op_fused(c: &mut OpCtx<'_>, op: &Op) -> Flow {
     let fail_pc = op.out_pc; // region end - 1, the fused `divu`/`pckt`
     let pass = match &c.aux[op.imm as usize] {
@@ -954,7 +951,7 @@ fn op_fused(c: &mut OpCtx<'_>, op: &Op) -> Flow {
         }
         Aux::FusedStackTable { table } => {
             let sp = c.regs[15];
-            if sp as i64 >= c.data_words || (sp as i64) < 0 {
+            if sp as i64 >= DATA_WORDS as i64 || (sp as i64) < 0 {
                 return Flow::Deopt; // the region's `ld` would fault
             }
             let value = c.data[sp as usize];

@@ -90,7 +90,7 @@ impl PecosMeta {
     }
 
     /// Installs the machine-side PECOS fast path: registers every
-    /// assertion block as a fused-superstep candidate and seeds the
+    /// assertion block as a fused-op candidate and seeds the
     /// superblock compiler at every CFI-block head, so the hot
     /// instrumented regions compile on first execution instead of
     /// after the warm-up threshold. Purely an optimization — detection

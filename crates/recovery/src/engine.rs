@@ -213,11 +213,6 @@ impl RecoveryEngine {
         self.disk = source;
     }
 
-    /// The attached repair-from-disk source, if any.
-    pub fn disk_source(&self) -> Option<&crate::DiskGoldenSource> {
-        self.disk.as_ref()
-    }
-
     /// Total golden bytes refreshed from disk ahead of repairs.
     pub fn disk_refreshed_bytes(&self) -> u64 {
         self.disk_refreshed_bytes
@@ -247,12 +242,6 @@ impl RecoveryEngine {
     /// Tickets currently queued.
     pub fn pending(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Escalation history of one target: how many closed repairs it
-    /// has already consumed.
-    pub fn recurrences(&self, target: &FindingTarget) -> u32 {
-        self.history.get(target).map_or(0, |h| h.repairs)
     }
 
     /// Enqueues the `Flagged` findings of one audit report. Targets

@@ -55,8 +55,8 @@ pub use merkle::{
     leaf_mac, total_nodes, verify_proof, MerkleError, MerkleTree, NodeUpdate, SplitContent,
 };
 pub use store::{
-    ChainEntry, CheckpointKind, DurableGolden, ImagePair, RecoveryInfo, StorageAudit, Store,
-    StoreConfig, StoreError, StoreFinding, StoreFindingKind, StoreStats, DEFAULT_KEY,
+    ChainEntry, CheckpointKind, DurableGolden, RecoveryInfo, StorageAudit, Store, StoreConfig,
+    StoreError, StoreFinding, StoreFindingKind, StoreStats, DEFAULT_KEY,
 };
 
 use std::path::{Path, PathBuf};

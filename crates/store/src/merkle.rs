@@ -312,18 +312,6 @@ impl MerkleTree {
         updates
     }
 
-    /// Applies persisted node updates (from a delta checkpoint) to
-    /// this tree. Returns `false` if any update is out of range.
-    pub fn apply_updates(&mut self, updates: &[NodeUpdate]) -> bool {
-        for u in updates {
-            match self.levels.get_mut(u.level as usize).and_then(|l| l.get_mut(u.index as usize)) {
-                Some(slot) => *slot = u.mac,
-                None => return false,
-            }
-        }
-        true
-    }
-
     /// The authentication path for leaf `index`: the sibling MAC at
     /// each level where one exists, bottom-up. Verified by
     /// [`verify_proof`] against the root.

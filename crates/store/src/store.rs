@@ -177,9 +177,6 @@ impl std::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-/// A durable `(region, golden)` byte-image pair.
-pub type ImagePair = (Vec<u8>, Vec<u8>);
-
 /// What warm recovery did.
 #[derive(Debug, Clone)]
 pub struct RecoveryInfo {
@@ -1010,20 +1007,6 @@ impl Store {
             audit.repair_source = Some(durable);
         }
         Ok(audit)
-    }
-
-    /// The durable region+golden bytes the newest usable checkpoint
-    /// would recover (after journal replay), for harness comparison.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Io`] on read failure.
-    pub fn recovered_image_preview(&self) -> Result<Option<ImagePair>, StoreError> {
-        Ok(self.newest_image()?.map(|img| {
-            let mut region = img.region;
-            self.overlay_journal(img.gen, false, &mut region, |_| {});
-            (region, self.carry_golden_forward(img.gen, img.golden).golden)
-        }))
     }
 }
 
