@@ -1,15 +1,22 @@
-//! The heartbeat element and the manager's heartbeat settings (§4.1).
+//! The heartbeat element and the manager's heartbeat cadence (§4.1).
 //!
 //! "Periodically, the manager process sends a heartbeat message to the
 //! heartbeat element in the audit process and waits for a reply. If the
 //! entire audit process has crashed or hung … the manager times out and
 //! restarts the audit process." The [`Supervisor`](crate::Supervisor)
 //! plays the manager: it probes the audit process (and every client)
-//! once per [`ManagerConfig::interval`] and restarts it after
-//! [`ManagerConfig::miss_limit`] consecutive misses.
+//! once per [`HEARTBEAT_INTERVAL`] and restarts it after
+//! [`HEARTBEAT_MISS_LIMIT`] consecutive misses.
 
-use serde::{Deserialize, Serialize};
 use wtnc_sim::{SimDuration, SimTime};
+
+/// Interval between the manager's heartbeat queries. Callers invoke
+/// [`Supervisor::tick`](crate::Supervisor::tick) once per interval.
+pub const HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_secs(1);
+
+/// Consecutive missed replies before a process is declared dead and
+/// restarted.
+pub(crate) const HEARTBEAT_MISS_LIMIT: u32 = 3;
 
 /// The heartbeat element living inside the audit process: replies to
 /// the supervisor's queries while the process is alive and responsive.
@@ -37,22 +44,5 @@ impl HeartbeatElement {
     /// Queries served so far.
     pub fn queries(&self) -> u64 {
         self.queries
-    }
-}
-
-/// Heartbeat settings of the manager tier
-/// ([`SupervisorConfig::heartbeat`](crate::SupervisorConfig::heartbeat)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ManagerConfig {
-    /// Interval between heartbeat queries.
-    pub interval: SimDuration,
-    /// Consecutive missed replies before a process is declared dead
-    /// and restarted.
-    pub miss_limit: u32,
-}
-
-impl Default for ManagerConfig {
-    fn default() -> Self {
-        ManagerConfig { interval: SimDuration::from_secs(1), miss_limit: 3 }
     }
 }

@@ -88,9 +88,9 @@ pub use finding::{
     AuditElementKind, AuditReport, ExecSummary, ExecutorMode, Finding, FindingTarget,
     RecoveryAction,
 };
-pub use heartbeat::{HeartbeatElement, ManagerConfig};
+pub use heartbeat::{HeartbeatElement, HEARTBEAT_INTERVAL};
 pub use process::{AuditConfig, AuditElement, AuditProcess, AuditScope};
-pub use progress::{ProgressConfig, ProgressIndicator};
+pub use progress::ProgressIndicator;
 pub use ranged::RangeAudit;
 pub use scheduler::{AuditScheduler, PriorityScheduler, PriorityWeights, RoundRobinScheduler};
 pub use selective::{SelectiveConfig, SelectiveMonitor};

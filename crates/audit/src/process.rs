@@ -15,7 +15,7 @@ use wtnc_sim::{ProcessRegistry, SimDuration, SimTime};
 use crate::budget::{BudgetConfig, TokenBucket};
 use crate::finding::{AuditElementKind, AuditReport, ExecSummary, Finding, RecoveryAction};
 use crate::heartbeat::HeartbeatElement;
-use crate::progress::{ProgressConfig, ProgressIndicator};
+use crate::progress::ProgressIndicator;
 use crate::ranged::RangeAudit;
 use crate::scheduler::{AuditScheduler, RoundRobinScheduler};
 use crate::semantic::SemanticAudit;
@@ -58,10 +58,6 @@ pub struct AuditConfig {
     /// Interval of the periodic trigger (the experiments use 10 s for
     /// full audits and 5 s for one-table audits).
     pub periodic_interval: SimDuration,
-    /// Progress-indicator timings.
-    pub progress: ProgressConfig,
-    /// Consecutive damaged headers that escalate to a full reload.
-    pub structural_escalation: u32,
     /// Grace period before unlinked records are treated as orphans.
     pub orphan_grace: SimDuration,
     /// Per-tick coverage.
@@ -91,8 +87,6 @@ impl Default for AuditConfig {
     fn default() -> Self {
         AuditConfig {
             periodic_interval: SimDuration::from_secs(10),
-            progress: ProgressConfig::default(),
-            structural_escalation: 3,
             orphan_grace: SimDuration::from_secs(60),
             scope: AuditScope::Full,
             event_triggered: false,
@@ -144,7 +138,7 @@ impl AuditProcess {
         let mut static_audit = StaticDataAudit::new(db);
         static_audit.incremental = config.incremental;
         static_audit.full_rescan_period = config.full_rescan_period;
-        let mut structural = StructuralAudit::new(config.structural_escalation);
+        let mut structural = StructuralAudit::default();
         structural.incremental = config.incremental;
         structural.full_rescan_period = config.full_rescan_period;
         let mut range = RangeAudit::new();
@@ -156,7 +150,7 @@ impl AuditProcess {
         AuditProcess {
             config,
             heartbeat: HeartbeatElement::new(),
-            progress: ProgressIndicator::new(config.progress),
+            progress: ProgressIndicator::new(),
             static_audit,
             structural,
             range,

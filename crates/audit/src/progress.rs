@@ -9,37 +9,23 @@
 //! terminates the client process holding the lock for greater than a
 //! predetermined threshold duration, thereby releasing the lock".
 
-use serde::{Deserialize, Serialize};
 use wtnc_db::{DbEvent, LockTable};
 use wtnc_sim::{Pid, ProcessRegistry, SimDuration, SimTime};
 
 use crate::finding::{AuditElementKind, Finding, RecoveryAction};
 
-/// Timing parameters. The paper's defaults: clients should hold a lock
-/// for at most ~100 ms, while the progress timeout is much larger
-/// (~100 s) "in order to reduce runtime overhead".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ProgressConfig {
-    /// Maximum tolerated lock-holding duration.
-    pub lock_threshold: SimDuration,
-    /// How long the activity counter may stay unchanged before recovery
-    /// triggers.
-    pub progress_timeout: SimDuration,
-}
+/// Maximum tolerated lock-holding duration. The paper: clients should
+/// hold a lock for at most ~100 ms.
+const LOCK_THRESHOLD: SimDuration = SimDuration::from_millis(100);
 
-impl Default for ProgressConfig {
-    fn default() -> Self {
-        ProgressConfig {
-            lock_threshold: SimDuration::from_millis(100),
-            progress_timeout: SimDuration::from_secs(100),
-        }
-    }
-}
+/// How long the activity counter may stay unchanged before recovery
+/// triggers. The paper sets it far above [`LOCK_THRESHOLD`] "in order
+/// to reduce runtime overhead".
+const PROGRESS_TIMEOUT: SimDuration = SimDuration::from_secs(100);
 
 /// The progress-indicator element.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ProgressIndicator {
-    config: ProgressConfig,
     counter: u64,
     last_change: SimTime,
     starved: u64,
@@ -47,8 +33,8 @@ pub struct ProgressIndicator {
 
 impl ProgressIndicator {
     /// Creates the element.
-    pub fn new(config: ProgressConfig) -> Self {
-        ProgressIndicator { config, counter: 0, last_change: SimTime::ZERO, starved: 0 }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Messages observed so far.
@@ -92,7 +78,7 @@ impl ProgressIndicator {
     /// True when the counter has been still for longer than the
     /// progress timeout.
     pub fn timed_out(&self, now: SimTime) -> bool {
-        now.saturating_since(self.last_change) > self.config.progress_timeout
+        now.saturating_since(self.last_change) > PROGRESS_TIMEOUT
     }
 
     /// Runs the element: on timeout, terminates every client holding a
@@ -107,7 +93,7 @@ impl ProgressIndicator {
         if !self.timed_out(now) {
             return;
         }
-        let stale = locks.stale(now, self.config.lock_threshold);
+        let stale = locks.stale(now, LOCK_THRESHOLD);
         if stale.is_empty() {
             return;
         }
@@ -124,7 +110,7 @@ impl ProgressIndicator {
                 record: None,
                 detail: format!(
                     "no database activity for over {}; terminated {pid} and released {released} stale lock(s)",
-                    self.config.progress_timeout
+                    PROGRESS_TIMEOUT
                 ),
                 action: RecoveryAction::TerminatedClient { pid },
                 target: Some(crate::FindingTarget::Client { pid }),
@@ -157,7 +143,7 @@ mod tests {
 
     #[test]
     fn activity_resets_the_timer() {
-        let mut p = ProgressIndicator::new(ProgressConfig::default());
+        let mut p = ProgressIndicator::new();
         p.observe(&event(SimTime::from_secs(50)));
         assert_eq!(p.counter(), 1);
         assert!(!p.timed_out(SimTime::from_secs(100)));
@@ -166,7 +152,7 @@ mod tests {
 
     #[test]
     fn wedged_lock_holder_is_terminated_and_lock_released() {
-        let mut p = ProgressIndicator::new(ProgressConfig::default());
+        let mut p = ProgressIndicator::new();
         let mut locks = LockTable::new();
         let mut registry = ProcessRegistry::new();
         let wedged = registry.spawn("client", SimTime::ZERO);
@@ -183,7 +169,7 @@ mod tests {
 
     #[test]
     fn no_recovery_while_activity_flows() {
-        let mut p = ProgressIndicator::new(ProgressConfig::default());
+        let mut p = ProgressIndicator::new();
         let mut locks = LockTable::new();
         let mut registry = ProcessRegistry::new();
         let pid = registry.spawn("client", SimTime::ZERO);
@@ -206,11 +192,7 @@ mod tests {
         // terminated, and its lock actually leaves the lock table; a
         // client whose lock is fresher than the threshold survives with
         // its lock intact.
-        let config = ProgressConfig {
-            lock_threshold: SimDuration::from_millis(100),
-            progress_timeout: SimDuration::from_secs(100),
-        };
-        let mut p = ProgressIndicator::new(config);
+        let mut p = ProgressIndicator::new();
         let mut locks = LockTable::new();
         let mut registry = ProcessRegistry::new();
         let wedged = registry.spawn("wedged", SimTime::ZERO);
@@ -220,6 +202,7 @@ mod tests {
         // Held since t=1 s: stale by ~199 s at the check.
         locks.acquire(wedged_rec, wedged, SimTime::from_secs(1)).unwrap();
         // Held for only 50 ms at the check: under the 100 ms threshold.
+        assert!(SimDuration::from_millis(50) < LOCK_THRESHOLD);
         locks.acquire(fresh_rec, healthy, SimTime::from_millis(199_950)).unwrap();
 
         let now = SimTime::from_secs(200);
@@ -242,7 +225,7 @@ mod tests {
 
     #[test]
     fn note_activity_counts_like_an_observed_event() {
-        let mut p = ProgressIndicator::new(ProgressConfig::default());
+        let mut p = ProgressIndicator::new();
         p.note_activity(SimTime::from_secs(50));
         assert_eq!(p.counter(), 1);
         assert!(!p.timed_out(SimTime::from_secs(100)));
@@ -251,7 +234,7 @@ mod tests {
 
     #[test]
     fn starvation_refreshes_the_watermark_without_inflating_the_counter() {
-        let mut p = ProgressIndicator::new(ProgressConfig::default());
+        let mut p = ProgressIndicator::new();
         p.observe(&event(SimTime::from_secs(10)));
         assert_eq!(p.counter(), 1);
         // A storm starves the process of budget for 140 s, but it keeps
@@ -265,7 +248,7 @@ mod tests {
 
     #[test]
     fn timeout_without_stale_locks_is_benign() {
-        let mut p = ProgressIndicator::new(ProgressConfig::default());
+        let mut p = ProgressIndicator::new();
         let mut locks = LockTable::new();
         let mut registry = ProcessRegistry::new();
         let mut out = Vec::new();
@@ -275,7 +258,7 @@ mod tests {
 
     #[test]
     fn multiple_locks_one_offender_one_termination() {
-        let mut p = ProgressIndicator::new(ProgressConfig::default());
+        let mut p = ProgressIndicator::new();
         let mut locks = LockTable::new();
         let mut registry = ProcessRegistry::new();
         let pid = registry.spawn("client", SimTime::ZERO);

@@ -18,6 +18,10 @@ use wtnc_sim::SimTime;
 use crate::finding::{AuditElementKind, Finding, FindingTarget, RecoveryAction};
 use crate::genskip::GenSkip;
 
+/// Consecutive damaged headers in one table that escalate to a full
+/// reload.
+const ESCALATION_THRESHOLD: u32 = 3;
+
 /// The structural audit element.
 #[derive(Debug, Clone)]
 pub struct StructuralAudit {
@@ -40,7 +44,7 @@ pub struct StructuralAudit {
 
 impl Default for StructuralAudit {
     fn default() -> Self {
-        Self::new(3)
+        Self::new(ESCALATION_THRESHOLD)
     }
 }
 

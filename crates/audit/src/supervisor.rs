@@ -39,8 +39,8 @@ use wtnc_sim::{Pid, ProcessRegistry, ProcessState, SimDuration, SimTime};
 
 use crate::escalation::{EscalationConfig, EscalationPolicy};
 use crate::finding::{AuditElementKind, Finding, FindingTarget, RecoveryAction};
-use crate::heartbeat::{HeartbeatElement, ManagerConfig};
-use crate::progress::{ProgressConfig, ProgressIndicator};
+use crate::heartbeat::{HeartbeatElement, HEARTBEAT_MISS_LIMIT};
+use crate::progress::ProgressIndicator;
 
 /// What kind of process a supervised pid is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -69,23 +69,19 @@ pub enum RestartCause {
     Storm,
 }
 
-/// Supervision thresholds. Probe cadence and miss limit reuse the
-/// manager's §4.1 parameters; the global stall backstop reuses the
-/// §4.2 progress parameters.
+/// Restarts of one lineage within this window count toward a storm.
+const STORM_WINDOW: SimDuration = SimDuration::from_secs(60);
+
+/// Supervision thresholds. Probe cadence and miss limit are the
+/// manager's fixed §4.1 parameters and the global stall backstop uses
+/// the §4.2 progress-indicator thresholds. The caller is expected to
+/// invoke [`Supervisor::tick`] once per
+/// [`HEARTBEAT_INTERVAL`](crate::HEARTBEAT_INTERVAL).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SupervisorConfig {
-    /// Heartbeat probe interval and miss limit (§4.1). The caller is
-    /// expected to invoke [`Supervisor::tick`] once per interval.
-    pub heartbeat: ManagerConfig,
-    /// Global progress-indicator backstop (§4.2): counter-stall
-    /// timeout and stale-lock threshold.
-    pub progress: ProgressConfig,
     /// How long a *replying* process may go without database progress
     /// before it is condemned as livelocked.
     pub livelock_timeout: SimDuration,
-    /// Restarts of one lineage within this window count toward a
-    /// storm.
-    pub storm_window: SimDuration,
     /// Restarts inside the window at which the lineage is storming and
     /// the supervisor backs off instead of restarting again.
     pub storm_threshold: u32,
@@ -99,10 +95,7 @@ pub struct SupervisorConfig {
 impl Default for SupervisorConfig {
     fn default() -> Self {
         SupervisorConfig {
-            heartbeat: ManagerConfig::default(),
-            progress: ProgressConfig::default(),
             livelock_timeout: SimDuration::from_secs(15),
-            storm_window: SimDuration::from_secs(60),
             storm_threshold: 3,
             backoff_base: SimDuration::from_secs(5),
             escalate_after_backoffs: 2,
@@ -279,7 +272,7 @@ impl Supervisor {
         Supervisor {
             config,
             procs: BTreeMap::new(),
-            progress: ProgressIndicator::new(config.progress),
+            progress: ProgressIndicator::new(),
             escalation: EscalationPolicy::new(EscalationConfig::disabled()),
             ledger: AvailabilityLedger::default(),
             events_seen: 0,
@@ -466,7 +459,7 @@ impl Supervisor {
                 s.first_miss = Some(now);
             }
             s.misses += 1;
-            if s.misses < self.config.heartbeat.miss_limit {
+            if s.misses < HEARTBEAT_MISS_LIMIT {
                 continue;
             }
             // Condemned: crashed (dead in the registry) or hung
@@ -577,7 +570,7 @@ impl Supervisor {
         if s.backoff_until.is_some_and(|until| now < until) {
             return;
         }
-        s.recent_restarts.retain(|&t| now.saturating_since(t) <= config.storm_window);
+        s.recent_restarts.retain(|&t| now.saturating_since(t) <= STORM_WINDOW);
         if s.recent_restarts.len() as u32 >= config.storm_threshold {
             // Storm: back off exponentially, then escalate.
             s.backoffs += 1;
@@ -611,7 +604,7 @@ impl Supervisor {
                 detail: format!(
                     "restart storm: {} restart(s) of {pid} within {}; backing off {backoff}",
                     s.recent_restarts.len(),
-                    config.storm_window
+                    STORM_WINDOW
                 ),
                 action: RecoveryAction::Flagged,
                 target: Some(FindingTarget::Client { pid }),
@@ -734,13 +727,10 @@ mod tests {
 
     fn fast_config() -> SupervisorConfig {
         SupervisorConfig {
-            heartbeat: ManagerConfig { interval: SimDuration::from_secs(1), miss_limit: 3 },
             livelock_timeout: SimDuration::from_secs(5),
-            storm_window: SimDuration::from_secs(60),
             storm_threshold: 2,
             backoff_base: SimDuration::from_secs(4),
             escalate_after_backoffs: 1,
-            ..SupervisorConfig::default()
         }
     }
 

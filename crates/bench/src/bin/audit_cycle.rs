@@ -8,8 +8,8 @@
 //! re-checksums only the dirty blocks and generation-skips unchanged
 //! records; the full world scans everything every time.
 //!
-//! Emits `results/BENCH_audit_cycle.json`. Set `WTNC_BENCH_SMOKE=1`
-//! for a one-iteration CI smoke pass.
+//! Emits `results/BENCH_audit_cycle.json`. `WTNC_BENCH_SMOKE=1` (or
+//! `--smoke`) runs a one-iteration CI smoke pass.
 //!
 //! ```sh
 //! cargo run --release -p wtnc-bench --bin audit_cycle
@@ -104,7 +104,7 @@ impl World {
 }
 
 fn main() {
-    let smoke = std::env::var("WTNC_BENCH_SMOKE").map(|v| v == "1").unwrap_or(false);
+    let smoke = wtnc_bench::smoke();
     let iters: usize = if smoke { 1 } else { 40 };
     let base = populated_db();
     let n_blocks = base.region_len() / DIRTY_BLOCK_SIZE;

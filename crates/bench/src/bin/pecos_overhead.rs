@@ -33,7 +33,7 @@ use wtnc::db::{Database, DbApi};
 use wtnc::isa::{asm::Assembly, Engine, Machine, MachineConfig, NoSyscalls, Program, ThreadState};
 use wtnc::pecos::{instrument, PecosMeta};
 use wtnc::sim::ProcessRegistry;
-use wtnc_bench::{host_info_json, write_results};
+use wtnc_bench::{host_info_json, smoke, write_results};
 
 #[derive(Clone, Copy, PartialEq)]
 enum Workload {
@@ -157,8 +157,7 @@ fn measure(
 }
 
 fn main() {
-    let smoke =
-        std::env::var("WTNC_BENCH_SMOKE").is_ok() || std::env::args().any(|a| a == "--smoke");
+    let smoke = smoke();
     let (iterations, reps) = if smoke { (6u16, 5usize) } else { (120, 120) };
 
     let source = AsmClientConfig { iterations, ..AsmClientConfig::default() }.program_source();

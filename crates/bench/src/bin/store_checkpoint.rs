@@ -40,7 +40,7 @@ use wtnc::sim::SimRng;
 use wtnc::store::{
     encode_checkpoint_with_tree, encode_delta_checkpoint, encode_record, MerkleTree,
 };
-use wtnc_bench::{host_info_json, write_results};
+use wtnc_bench::{host_info_json, smoke, write_results};
 
 const KEY: [u8; 16] = *b"bench-ckpt-key16";
 const BLOCK: usize = 256;
@@ -90,8 +90,7 @@ fn median(samples: &mut [f64]) -> f64 {
 }
 
 fn main() {
-    let smoke =
-        std::env::var("WTNC_BENCH_SMOKE").is_ok() || std::env::args().any(|a| a == "--smoke");
+    let smoke = smoke();
     let gate: Option<f64> =
         std::env::var("WTNC_BENCH_ASSERT_SPEEDUP").ok().and_then(|s| s.parse().ok());
     let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);

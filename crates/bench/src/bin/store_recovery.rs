@@ -21,52 +21,13 @@
 
 use std::time::Instant;
 
-use wtnc::db::{schema, Database, DbError, RecordRef};
-use wtnc::inject::powerfail_campaign::{run_campaign, PowerFailConfig, PowerFailModel};
+use wtnc::db::{schema, Database};
+use wtnc::inject::powerfail_campaign::{
+    run_campaign, workload_step, PowerFailConfig, PowerFailModel,
+};
 use wtnc::sim::SimRng;
 use wtnc::store::{ScratchDir, Store, StoreConfig};
 use wtnc_bench::{host_info_json, outcome_counts_json, scaled_runs, write_results};
-
-/// One seeded mutation step against the connection table (allocate /
-/// free / field write), tolerating a full table by freeing instead.
-fn workload_step(db: &mut Database, rng: &mut SimRng, live: &mut Vec<u32>) {
-    let table = schema::CONNECTION_TABLE;
-    let result = match rng.index(4) {
-        0 => match db.alloc_record_raw(table) {
-            Ok(idx) => {
-                live.push(idx);
-                db.write_field_raw(
-                    RecordRef::new(table, idx),
-                    schema::connection::CALLER_ID,
-                    rng.range_u64(0, 99_999),
-                )
-            }
-            Err(DbError::TableFull(_)) if !live.is_empty() => {
-                let idx = live.swap_remove(rng.index(live.len()));
-                db.free_record_raw(RecordRef::new(table, idx))
-            }
-            Err(e) => Err(e),
-        },
-        1 if !live.is_empty() => {
-            let idx = live.swap_remove(rng.index(live.len()));
-            db.free_record_raw(RecordRef::new(table, idx))
-        }
-        _ if !live.is_empty() => {
-            let idx = live[rng.index(live.len())];
-            db.write_field_raw(
-                RecordRef::new(table, idx),
-                schema::connection::STATE,
-                rng.range_u64(0, 4),
-            )
-        }
-        _ => db.write_field_raw(
-            RecordRef::new(schema::CHANNEL_CONFIG_TABLE, 0),
-            schema::channel_config::FREQ_KHZ,
-            rng.range_u64(800_000, 900_000),
-        ),
-    };
-    result.expect("workload step");
-}
 
 /// Builds a store directory holding one baseline checkpoint followed
 /// by a journal tail of at least `records` mutation records. Returns
@@ -81,7 +42,7 @@ fn build_tail(dir: &std::path::Path, records: usize, seed: u64) -> (usize, u64) 
     let mut live = Vec::new();
     while store.journal_records() - baseline < records as u64 {
         for _ in 0..16 {
-            workload_step(&mut db, &mut rng, &mut live);
+            workload_step(&mut db, &mut rng, &mut live).expect("workload step");
         }
         store.sync(&mut db).expect("journal sync");
     }

@@ -22,6 +22,13 @@ pub fn scaled_runs(paper_default: usize) -> usize {
     ((paper_default as f64 * scale).round() as usize).max(1)
 }
 
+/// Whether a bench binary runs its reduced CI smoke pass:
+/// `WTNC_BENCH_SMOKE` is set (to any value) or `--smoke` is among the
+/// arguments.
+pub fn smoke() -> bool {
+    std::env::var_os("WTNC_BENCH_SMOKE").is_some() || std::env::args().any(|a| a == "--smoke")
+}
+
 /// A JSON object describing the machine a benchmark ran on, embedded
 /// in every `results/BENCH_*.json`: wall-clock numbers measured on a
 /// single-core container do not transfer to multi-core hosts, so the

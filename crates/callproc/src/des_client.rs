@@ -7,37 +7,37 @@ use wtnc_db::{schema, Database, DbApi, DbError};
 use wtnc_sim::stats::Accumulator;
 use wtnc_sim::{Pid, ProcessRegistry, SimDuration, SimRng, SimTime};
 
+/// Minimum call duration (paper Table 2: 20–30 s calls).
+const CALL_MIN: SimDuration = SimDuration::from_secs(20);
+
+/// Maximum call duration.
+const CALL_MAX: SimDuration = SimDuration::from_secs(30);
+
+/// Client-side processing time for the setup phases (auth + resource
+/// allocation + feature setup), excluding database API costs.
+/// Calibrated so uninstrumented setup lands near the paper's 160 ms.
+const SETUP_PROCESSING: SimDuration = SimDuration::from_millis(150);
+
+/// Fractional slow-down of client processing while the audit process
+/// shares the controller CPU (the paper's measured 160 ms → 270 ms
+/// comes mostly from this contention). Applied only when audits run.
+const AUDIT_CONTENTION: f64 = 0.62;
+
 /// Workload parameters (paper Table 2 defaults).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct WorkloadConfig {
     /// Concurrent call-processing threads.
     pub threads: usize,
-    /// Minimum call duration.
-    pub call_min: SimDuration,
-    /// Maximum call duration.
-    pub call_max: SimDuration,
     /// Mean call inter-arrival time (exponential).
     pub interarrival_mean: SimDuration,
     /// Mid-call health-poll period.
     pub poll_period: SimDuration,
-    /// Client-side processing time for the setup phases (auth +
-    /// resource allocation + feature setup), excluding database API
-    /// costs. Calibrated so uninstrumented setup lands near the
-    /// paper's 160 ms.
-    pub setup_processing: SimDuration,
-    /// Fractional slow-down of client processing while the audit
-    /// process shares the controller CPU (the paper's measured 160 ms →
-    /// 270 ms comes mostly from this contention). Applied only when
-    /// audits run.
-    pub audit_contention: f64,
 }
 
 impl Default for WorkloadConfig {
     fn default() -> Self {
         WorkloadConfig {
             threads: 16,
-            call_min: SimDuration::from_secs(20),
-            call_max: SimDuration::from_secs(30),
             interarrival_mean: SimDuration::from_secs(10),
             // The paper's client provides "the basic call-processing
             // service of setting up and tearing down a call without
@@ -45,8 +45,6 @@ impl Default for WorkloadConfig {
             // tear-down only, so the supervision poll defaults beyond
             // the maximum call duration.
             poll_period: SimDuration::from_secs(60),
-            setup_processing: SimDuration::from_millis(150),
-            audit_contention: 0.62,
         }
     }
 }
@@ -151,9 +149,9 @@ impl DesClient {
         self.rng.exponential(self.config.interarrival_mean)
     }
 
-    /// Draws a call duration uniform in `[call_min, call_max]`.
+    /// Draws a call duration uniform in `[CALL_MIN, CALL_MAX]` (20–30 s).
     pub fn next_call_duration(&mut self) -> SimDuration {
-        self.rng.uniform_duration(self.config.call_min, self.config.call_max)
+        self.rng.uniform_duration(CALL_MIN, CALL_MAX)
     }
 
     /// Attempts to set up a call at `now`: authentication (config
@@ -182,11 +180,10 @@ impl DesClient {
                 let api_cost = api.take_cost();
                 let processing = if self.audits_active {
                     SimDuration::from_secs_f64(
-                        self.config.setup_processing.as_secs_f64()
-                            * (1.0 + self.config.audit_contention),
+                        SETUP_PROCESSING.as_secs_f64() * (1.0 + AUDIT_CONTENTION),
                     )
                 } else {
-                    self.config.setup_processing
+                    SETUP_PROCESSING
                 };
                 let setup = processing + api_cost;
                 self.stats.calls_completed_setup += 1;

@@ -41,7 +41,7 @@ USAGE:
                                            corrupt the Nth CFI and watch
                                            PECOS; per-run superblock report
     wtnc audit-demo                        inject -> detect -> repair
-    wtnc audit [--cycles N] [--dirty-pct P] [--no-hwcrc]
+    wtnc audit [--cycles N] [--dirty-pct P]
                                            steady-state audit cycles:
                                            findings, records checked and
                                            wall time per cycle
@@ -81,8 +81,9 @@ USAGE:
 without --dir they demonstrate the journal/checkpoint/recovery cycle in
 a temporary scratch directory that is removed on exit.
 
-WTNC_WORKERS=N pins the number of threads a campaign runs its
-independent runs on; every audit cycle runs serially.";
+Campaigns spread their independent runs over the available cores;
+every audit cycle runs serially. WTNC_NO_HWCRC=1 forces the portable
+CRC kernel.";
 
 /// Parses `--flag value` pairs and positional arguments, rejecting any
 /// flag not in `known` (the subcommand's flags, without the `--`).
@@ -346,20 +347,17 @@ pub fn audit_demo(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `wtnc audit [--cycles N] [--dirty-pct P] [--no-hwcrc]`: runs
-/// steady-state audit cycles over a populated database and prints each
-/// cycle's findings, records checked and wall time; `--no-hwcrc` pins
-/// the portable CRC kernel.
+/// `wtnc audit [--cycles N] [--dirty-pct P]`: runs steady-state audit
+/// cycles over a populated database and prints each cycle's findings,
+/// records checked and wall time. `WTNC_NO_HWCRC=1` pins the portable
+/// CRC kernel.
 pub fn audit(args: &[String]) -> Result<(), String> {
-    let (_, flags) = parse(args, &["cycles", "dirty-pct", "no-hwcrc", "storm", "load", "model"])?;
+    let (_, flags) = parse(args, &["cycles", "dirty-pct", "storm", "load", "model"])?;
     if flags.contains_key("storm") {
         return audit_storm_demo(&flags);
     }
     let cycles: u64 = flag_num(&flags, "cycles", 3u64)?;
     let dirty_pct: f64 = flag_num(&flags, "dirty-pct", 25.0)?;
-    if flags.contains_key("no-hwcrc") {
-        wtnc::db::set_crc_kernel_override(Some(wtnc::db::CrcKernel::Slice8));
-    }
 
     let mut controller = Controller::standard().with_audit(AuditConfig::default());
     println!(
@@ -1010,10 +1008,7 @@ mod tests {
     #[test]
     fn audit_command_runs_in_every_mode() {
         audit(&strings(&["--cycles", "2"])).unwrap();
-        audit(&strings(&["--cycles", "2", "--dirty-pct", "5", "--no-hwcrc"])).unwrap();
-        // Leave the process-global kernel override clear for other
-        // tests in this binary.
-        wtnc::db::set_crc_kernel_override(None);
+        audit(&strings(&["--cycles", "2", "--dirty-pct", "5"])).unwrap();
         // `--workers` left with the audit worker pool.
         assert!(audit(&strings(&["--workers", "4"])).is_err());
     }

@@ -163,7 +163,7 @@ fn kernel_for(no_hwcrc_env: Option<&str>, hw_available: bool) -> CrcKernel {
 
 /// Process-wide override: 0 = auto-detect, 1 = force portable,
 /// 2 = prefer hardware (still falls back when unsupported). Set by
-/// [`set_crc_kernel_override`] (CLI `--no-hwcrc`, kernel-parity tests).
+/// [`set_crc_kernel_override`] (kernel-parity tests).
 static KERNEL_OVERRIDE: AtomicU8 = AtomicU8::new(0);
 
 /// Forces (or un-forces, with `None`) the kernel [`crc32`] uses.

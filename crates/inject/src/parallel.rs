@@ -75,15 +75,9 @@ where
     indexed.into_iter().map(|(_, r)| r).collect()
 }
 
-/// A reasonable worker count for campaign runs: the `WTNC_WORKERS`
-/// environment variable when set to a positive integer, otherwise the
-/// machine's available parallelism.
+/// The worker count for campaign runs: the machine's available
+/// parallelism. Fan-out never changes a result, only wall time.
 pub fn default_workers() -> usize {
-    if let Some(n) = std::env::var("WTNC_WORKERS").ok().and_then(|s| s.parse::<usize>().ok()) {
-        if n >= 1 {
-            return n;
-        }
-    }
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 

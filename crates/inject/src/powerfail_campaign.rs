@@ -100,15 +100,17 @@ impl PowerFailModel {
     }
 }
 
+/// Journal sync (fsync) interval, in workload steps.
+const SYNC_EVERY: usize = 4;
+
+/// Checkpoint interval, in workload steps.
+const CHECKPOINT_EVERY: usize = 40;
+
 /// Configuration of one power-fail run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PowerFailConfig {
     /// Workload length in mutation steps.
     pub mutations: usize,
-    /// Journal sync (fsync) interval, in steps.
-    pub sync_every: usize,
-    /// Checkpoint interval, in steps.
-    pub checkpoint_every: usize,
     /// The fault model.
     pub model: PowerFailModel,
     /// Campaign seed (each run forks its own).
@@ -118,12 +120,10 @@ pub struct PowerFailConfig {
 impl Default for PowerFailConfig {
     fn default() -> Self {
         PowerFailConfig {
-            // Deliberately not a multiple of `checkpoint_every`: the
+            // Deliberately not a multiple of `CHECKPOINT_EVERY`: the
             // journal tail past the last checkpoint is what a torn or
             // corrupt journal can actually cost.
             mutations: 130,
-            sync_every: 4,
-            checkpoint_every: 40,
             model: PowerFailModel::JournalTruncation,
             seed: 0xD15C_0BEE,
         }
@@ -174,7 +174,11 @@ fn image_hash(region: &[u8], golden: &[u8]) -> u64 {
 /// One random workload step against the raw record API. Steps that hit
 /// a full or empty table fall through to a plain field write so every
 /// step mutates something.
-fn workload_step(db: &mut Database, rng: &mut SimRng, live: &mut Vec<u32>) -> Result<(), DbError> {
+pub fn workload_step(
+    db: &mut Database,
+    rng: &mut SimRng,
+    live: &mut Vec<u32>,
+) -> Result<(), DbError> {
     let table = schema::CONNECTION_TABLE;
     match rng.index(4) {
         0 => match db.alloc_record_raw(table) {
@@ -355,18 +359,16 @@ pub fn run_once(config: &PowerFailConfig, seed: u64) -> PowerFailRunResult {
         };
         for step in 1..=config.mutations {
             workload_step(&mut db, &mut rng, &mut live).expect("workload step");
-            if step % config.sync_every.max(1) == 0 {
+            if step % SYNC_EVERY == 0 {
                 drain(&mut db, &mut store, &mut journal_records);
             }
-            if step % config.checkpoint_every.max(1) == 0 {
+            if step % CHECKPOINT_EVERY == 0 {
                 drain(&mut db, &mut store, &mut journal_records);
                 store.checkpoint(&mut db).expect("checkpoint");
                 // The compaction-crash model compacts mid-run (at the
                 // second checkpoint) so the later crash tears a journal
                 // that has already been rotated once.
-                if config.model == PowerFailModel::CompactionCrash
-                    && step == config.checkpoint_every.max(1) * 2
-                {
+                if config.model == PowerFailModel::CompactionCrash && step == CHECKPOINT_EVERY * 2 {
                     store.compact().expect("compact");
                 }
             }

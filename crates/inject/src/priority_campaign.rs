@@ -20,6 +20,9 @@ use crate::Controller;
 /// The paper's access-frequency ratio across the six tables.
 pub const ACCESS_RATIO: [f64; 6] = [6.0, 5.0, 4.0, 3.0, 2.0, 1.0];
 
+/// Database operations per second per application thread (paper: 20).
+const OPS_PER_SEC_PER_THREAD: f64 = 20.0;
+
 /// Configuration of one prioritized-audit run (paper Table 5).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PriorityCampaignConfig {
@@ -34,8 +37,6 @@ pub struct PriorityCampaignConfig {
     pub duration: SimDuration,
     /// Application threads (paper: 16).
     pub threads: usize,
-    /// Database operations per second per thread (paper: 20).
-    pub ops_per_sec_per_thread: f64,
     /// Audit period — one table checked per tick (paper: 5 s).
     pub audit_period: SimDuration,
     /// Schema scale factor (multiplies the size ratio).
@@ -52,7 +53,6 @@ impl Default for PriorityCampaignConfig {
             mtbf: SimDuration::from_secs(2),
             duration: SimDuration::from_secs(300),
             threads: 16,
-            ops_per_sec_per_thread: 20.0,
             audit_period: SimDuration::from_secs(5),
             // Sized from the paper's "actual controller database
             // measurements": large enough that per-record touch
@@ -145,7 +145,7 @@ pub fn run_once_with_weights(
     let pids: Vec<Pid> =
         (0..config.threads).map(|_| c.spawn_client("app-thread", SimTime::ZERO)).collect();
 
-    let op_gap = SimDuration::from_secs_f64(1.0 / config.ops_per_sec_per_thread);
+    let op_gap = SimDuration::from_secs_f64(1.0 / OPS_PER_SEC_PER_THREAD);
     let mut queue: EventQueue<Ev> = EventQueue::new();
     for (i, _) in pids.iter().enumerate() {
         queue.schedule(SimTime::ZERO + rng.exponential(op_gap), Ev::Op(i));

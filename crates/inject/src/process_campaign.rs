@@ -32,7 +32,9 @@
 //! of a telephone controller.
 
 use serde::{Deserialize, Serialize};
-use wtnc_audit::{AuditConfig, RecoveryAction, RestartRecord, SupervisorConfig};
+use wtnc_audit::{
+    AuditConfig, RecoveryAction, RestartRecord, SupervisorConfig, HEARTBEAT_INTERVAL,
+};
 use wtnc_db::{schema, Database, DbApi, RecordRef};
 use wtnc_sim::stats::Accumulator;
 use wtnc_sim::{EventQueue, Pid, Responsiveness, SimDuration, SimRng, SimTime};
@@ -89,6 +91,10 @@ impl ProcessFaultModel {
     }
 }
 
+/// Client work-transaction period: every period each healthy client
+/// advances its current call by one step.
+const WORK_PERIOD: SimDuration = SimDuration::from_secs(2);
+
 /// Configuration of one process-campaign run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ProcessCampaignConfig {
@@ -96,17 +102,14 @@ pub struct ProcessCampaignConfig {
     pub duration: SimDuration,
     /// Mean fault inter-arrival time (exponential).
     pub fault_iat: SimDuration,
-    /// Client work-transaction period: every period each healthy
-    /// client advances its current call by one step.
-    pub work_period: SimDuration,
     /// Periodic audit-cycle interval.
     pub audit_period: SimDuration,
     /// Call-processing clients.
     pub clients: u32,
     /// Record slots per dynamic table.
     pub slots: u32,
-    /// Supervision thresholds. The supervision tick runs at
-    /// `supervisor.heartbeat.interval`.
+    /// Supervision thresholds. The supervision tick runs every
+    /// [`HEARTBEAT_INTERVAL`].
     pub supervisor: SupervisorConfig,
     /// The fault model injected this run.
     pub model: ProcessFaultModel,
@@ -119,7 +122,6 @@ impl Default for ProcessCampaignConfig {
         ProcessCampaignConfig {
             duration: SimDuration::from_secs(600),
             fault_iat: SimDuration::from_secs(60),
-            work_period: SimDuration::from_secs(2),
             audit_period: SimDuration::from_secs(10),
             clients: 4,
             slots: 64,
@@ -306,8 +308,8 @@ pub fn run_once(config: &ProcessCampaignConfig, seed: u64) -> ProcessRunResult {
     let mut workers = Worker::spawn_all(&mut c, config.clients);
 
     let mut queue: EventQueue<Ev> = EventQueue::new();
-    queue.schedule(SimTime::ZERO + config.work_period, Ev::WorkTick);
-    queue.schedule(SimTime::ZERO + config.supervisor.heartbeat.interval, Ev::Supervise);
+    queue.schedule(SimTime::ZERO + WORK_PERIOD, Ev::WorkTick);
+    queue.schedule(SimTime::ZERO + HEARTBEAT_INTERVAL, Ev::Supervise);
     queue.schedule(SimTime::ZERO + config.audit_period, Ev::AuditTick);
     queue.schedule(SimTime::ZERO + rng.exponential(config.fault_iat), Ev::Inject);
 
@@ -334,7 +336,7 @@ pub fn run_once(config: &ProcessCampaignConfig, seed: u64) -> ProcessRunResult {
                     w.step_call(&mut c.db, &mut c.api, now);
                     c.supervisor_mut().expect("supervision attached").note_progress(w.pid, now);
                 }
-                queue.schedule(now + config.work_period, Ev::WorkTick);
+                queue.schedule(now + WORK_PERIOD, Ev::WorkTick);
             }
             Ev::Supervise => {
                 let ledger_before = supervisor(&c).ledger().restarts.len();
@@ -368,7 +370,7 @@ pub fn run_once(config: &ProcessCampaignConfig, seed: u64) -> ProcessRunResult {
                     unavailability
                         .push(rec.restarted_at.saturating_since(fault.injected_at).as_secs_f64());
                 }
-                queue.schedule(now + config.supervisor.heartbeat.interval, Ev::Supervise);
+                queue.schedule(now + HEARTBEAT_INTERVAL, Ev::Supervise);
             }
             Ev::AuditTick => {
                 let audit_pid = c.audit_pid().expect("audit attached");

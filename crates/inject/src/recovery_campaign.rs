@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 use wtnc_audit::AuditConfig;
 use wtnc_callproc::{CallHandle, DesClient, WorkloadConfig};
 use wtnc_db::{schema, TaintFate};
-use wtnc_recovery::{RecoveryConfig, RecoveryEngine, RepairLogEntry, RepairOutcome};
+use wtnc_recovery::{RecoveryConfig, RecoveryEngine, RepairLogEntry, RepairOutcome, TOKEN_TIME};
 use wtnc_sim::stats::Accumulator;
 use wtnc_sim::{EventQueue, SimDuration, SimRng, SimTime};
 
@@ -38,7 +38,7 @@ pub struct RecoveryCampaignConfig {
     pub workload: WorkloadConfig,
     /// Record slots per dynamic table.
     pub slots: u32,
-    /// Engine configuration (budget, ladder costs, verification).
+    /// Engine configuration (cycle budget, recurrence escalation).
     pub recovery: RecoveryConfig,
     /// Base RNG seed.
     pub seed: u64,
@@ -254,7 +254,7 @@ fn classify(
         tokens_spent: stats.tokens_spent,
         controller_restarts: stats.controller_restarts,
         repair_latency_s: stats.mean_latency_s(),
-        repair_busy_s: engine.config().token_time.as_secs_f64() * stats.tokens_spent as f64,
+        repair_busy_s: TOKEN_TIME.as_secs_f64() * stats.tokens_spent as f64,
         calls: client.stats().calls_completed_setup,
         avg_setup_ms: client.stats().setup_time.mean(),
         log: engine.log().to_vec(),

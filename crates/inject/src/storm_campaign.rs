@@ -25,7 +25,9 @@
 //! findings), and starvation notices keep the escalation ladder quiet.
 
 use serde::{Deserialize, Serialize};
-use wtnc_audit::{AuditConfig, AuditProcess, BudgetConfig, SupervisedRole, SupervisorConfig};
+use wtnc_audit::{
+    AuditConfig, AuditProcess, BudgetConfig, SupervisedRole, SupervisorConfig, HEARTBEAT_INTERVAL,
+};
 use wtnc_db::{schema, DbApi, DbOp, IpcConfig, RecordRef};
 use wtnc_sim::stats::Accumulator;
 use wtnc_sim::{Enqueue, EventQueue, Responsiveness, SimDuration, SimRng, SimTime};
@@ -77,6 +79,12 @@ impl StormModel {
     }
 }
 
+/// When the single data corruption is planted. Deliberately *off* the
+/// audit-period grid: latency then measures a realistic wait from
+/// mid-cycle, not the degenerate corrupt-then-immediately-audit
+/// alignment.
+const CORRUPT_AT: SimDuration = SimDuration::from_secs(32);
+
 /// Configuration of one storm-campaign run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct StormCampaignConfig {
@@ -91,16 +99,11 @@ pub struct StormCampaignConfig {
     pub slots: u32,
     /// Periodic audit-cycle interval.
     pub audit_period: SimDuration,
-    /// Supervision thresholds. The supervision tick runs at
-    /// `supervisor.heartbeat.interval`.
+    /// Supervision thresholds. The supervision tick runs every
+    /// [`HEARTBEAT_INTERVAL`].
     pub supervisor: SupervisorConfig,
     /// The storm traffic model.
     pub model: StormModel,
-    /// When the single data corruption is planted. Deliberately *off*
-    /// the audit-period grid: latency then measures a realistic wait
-    /// from mid-cycle, not the degenerate corrupt-then-immediately-
-    /// audit alignment.
-    pub corrupt_at: SimDuration,
     /// Resource isolation on/off: bounded fair IPC, audit CPU budget,
     /// starvation-aware supervision.
     pub isolation: bool,
@@ -118,7 +121,6 @@ impl Default for StormCampaignConfig {
             audit_period: SimDuration::from_secs(5),
             supervisor: SupervisorConfig::default(),
             model: StormModel::SuperProducer,
-            corrupt_at: SimDuration::from_secs(32),
             isolation: true,
             seed: 0x5708_4ABC,
         }
@@ -138,7 +140,7 @@ pub struct StormRunResult {
     pub detected: bool,
     /// Detection latency (corruption to published audit finding),
     /// virtual seconds. When undetected this is the honest *floor*
-    /// `duration - corrupt_at` (the true latency is at least this).
+    /// `duration - CORRUPT_AT` (the true latency is at least this).
     pub detection_latency_s: f64,
     /// Audit cycles that ran to completion.
     pub cycles_completed: u64,
@@ -310,9 +312,9 @@ pub fn run_once(config: &StormCampaignConfig, seed: u64) -> StormRunResult {
 
     let mut queue: EventQueue<Ev> = EventQueue::new();
     queue.schedule(SimTime::ZERO + CLIENT_TICK, Ev::ClientTick);
-    queue.schedule(SimTime::ZERO + config.supervisor.heartbeat.interval, Ev::Supervise);
+    queue.schedule(SimTime::ZERO + HEARTBEAT_INTERVAL, Ev::Supervise);
     queue.schedule(SimTime::ZERO + config.audit_period, Ev::AuditStart);
-    queue.schedule(SimTime::ZERO + config.corrupt_at, Ev::Corrupt);
+    queue.schedule(SimTime::ZERO + CORRUPT_AT, Ev::Corrupt);
 
     let end_of_run = SimTime::ZERO + config.duration;
     let mut r = StormRunResult::default();
@@ -380,7 +382,7 @@ pub fn run_once(config: &StormCampaignConfig, seed: u64) -> StormRunResult {
                     *c.audit_mut().expect("audit attached") = fresh;
                     queue.schedule(now + config.audit_period, Ev::AuditStart);
                 }
-                queue.schedule(now + config.supervisor.heartbeat.interval, Ev::Supervise);
+                queue.schedule(now + HEARTBEAT_INTERVAL, Ev::Supervise);
             }
             Ev::AuditStart => {
                 // Cost model: the cycle occupies the auditor for the

@@ -50,42 +50,29 @@ impl Rung {
     pub fn next(self) -> Rung {
         Rung::LADDER[(self.index() + 1).min(Rung::LADDER.len() - 1)]
     }
-}
 
-/// Token cost of executing each rung. A cycle's budget
-/// ([`RecoveryConfig::cycle_budget`]) is spent against these.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RungCosts {
-    /// [`Rung::FieldRepair`] cost.
-    pub field: u32,
-    /// [`Rung::RecordReinit`] cost.
-    pub record: u32,
-    /// [`Rung::TableRebuild`] cost.
-    pub table: u32,
-    /// [`Rung::ClientRestart`] cost.
-    pub client: u32,
-    /// [`Rung::ControllerRestart`] cost.
-    pub controller: u32,
-}
-
-impl Default for RungCosts {
-    fn default() -> Self {
-        RungCosts { field: 1, record: 4, table: 16, client: 8, controller: 64 }
-    }
-}
-
-impl RungCosts {
-    /// Cost of one rung.
-    pub fn of(&self, rung: Rung) -> u32 {
-        match rung {
-            Rung::FieldRepair => self.field,
-            Rung::RecordReinit => self.record,
-            Rung::TableRebuild => self.table,
-            Rung::ClientRestart => self.client,
-            Rung::ControllerRestart => self.controller,
+    /// Token cost of executing this rung. A cycle's budget
+    /// ([`RecoveryConfig::cycle_budget`]) is spent against these.
+    pub fn cost(self) -> u32 {
+        match self {
+            Rung::FieldRepair => 1,
+            Rung::RecordReinit => 4,
+            Rung::TableRebuild => 16,
+            Rung::ClientRestart => 8,
+            Rung::ControllerRestart => 64,
         }
     }
 }
+
+/// Virtual controller busy time charged per budget token spent. The
+/// campaign harnesses stall call arrivals for a cycle's total, which is
+/// how a corruption storm degrades throughput gracefully instead of
+/// freezing the controller.
+pub const TOKEN_TIME: SimDuration = SimDuration::from_millis(2);
+
+/// Block size of the golden-image CRC diff used by static-region
+/// repairs.
+const GOLDEN_DIFF_BLOCK: usize = 64;
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -97,37 +84,15 @@ pub struct RecoveryConfig {
     /// first of its cycle (deficit-style), so an escalated repair can
     /// never stall the queue permanently.
     pub cycle_budget: u32,
-    /// Virtual controller busy time charged per token spent. The
-    /// campaign harnesses stall call arrivals for the cycle's total,
-    /// which is how a corruption storm degrades throughput gracefully
-    /// instead of freezing the controller.
-    pub token_time: SimDuration,
-    /// Rung costs.
-    pub costs: RungCosts,
     /// A target that was already repaired-and-verified this many times
     /// re-enters the queue one rung higher per multiple (localized
     /// repair is evidently not holding).
     pub escalate_after: u32,
-    /// Re-run the originating audit element after each repair; only a
-    /// clean re-run closes the finding. Disabling this closes findings
-    /// optimistically (and `DetectedRepaired` outcomes become
-    /// unverifiable).
-    pub verify: bool,
-    /// Block size of the golden-image CRC diff used by static-region
-    /// repairs.
-    pub block_size: usize,
 }
 
 impl Default for RecoveryConfig {
     fn default() -> Self {
-        RecoveryConfig {
-            cycle_budget: 64,
-            token_time: SimDuration::from_millis(2),
-            costs: RungCosts::default(),
-            escalate_after: 2,
-            verify: true,
-            block_size: 64,
-        }
+        RecoveryConfig { cycle_budget: 64, escalate_after: 2 }
     }
 }
 
@@ -138,8 +103,6 @@ pub struct CycleOutcome {
     pub attempted: u64,
     /// Findings closed with a clean verification.
     pub verified: u64,
-    /// Findings closed without verification.
-    pub unverified: u64,
     /// Findings closed as repair failures.
     pub failed: u64,
     /// Verification failures that climbed a rung.
@@ -168,7 +131,7 @@ struct Ticket {
 /// Per-target recurrence history.
 #[derive(Debug, Clone, Copy, Default)]
 struct History {
-    /// Closed (verified/unverified) repairs of this target.
+    /// Closed (verified) repairs of this target.
     repairs: u32,
 }
 
@@ -216,11 +179,6 @@ impl RecoveryEngine {
     /// Total golden bytes refreshed from disk ahead of repairs.
     pub fn disk_refreshed_bytes(&self) -> u64 {
         self.disk_refreshed_bytes
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &RecoveryConfig {
-        &self.config
     }
 
     /// The deterministic repair log.
@@ -284,7 +242,7 @@ impl RecoveryEngine {
         let mut outcome = CycleOutcome::default();
         let budget = self.config.cycle_budget;
         while let Some(ticket) = self.queue.front().cloned() {
-            let cost = self.config.costs.of(ticket.rung);
+            let cost = ticket.rung.cost();
             // The first ticket of a cycle always runs, even when its
             // rung costs more than the whole budget — otherwise an
             // escalated repair at the queue head would stall recovery
@@ -311,9 +269,7 @@ impl RecoveryEngine {
                 db.note_errors_detected(table, caught.len().max(1) as u64);
             }
 
-            let verdict = if !self.config.verify {
-                RepairOutcome::Unverified
-            } else if self.verify_repair(db, api, audit, &ticket, now) {
+            let verdict = if self.verify_repair(db, api, audit, &ticket, now) {
                 RepairOutcome::Verified
             } else if ticket.rung == Rung::ControllerRestart {
                 RepairOutcome::Failed
@@ -325,11 +281,6 @@ impl RecoveryEngine {
                 RepairOutcome::Verified => {
                     outcome.verified += 1;
                     self.stats.verified += 1;
-                    self.close(&ticket, now);
-                }
-                RepairOutcome::Unverified => {
-                    outcome.unverified += 1;
-                    self.stats.unverified += 1;
                     self.close(&ticket, now);
                 }
                 RepairOutcome::Escalated => {
@@ -356,7 +307,7 @@ impl RecoveryEngine {
             });
         }
         outcome.deferred = self.queue.len() as u64;
-        outcome.busy = self.config.token_time * u64::from(outcome.tokens_spent);
+        outcome.busy = TOKEN_TIME * u64::from(outcome.tokens_spent);
         outcome
     }
 
@@ -413,7 +364,7 @@ impl RecoveryEngine {
         }
         match (ticket.rung, ticket.target) {
             (Rung::FieldRepair, FindingTarget::Range { offset, len }) => {
-                for (o, l) in db.golden_block_diff(offset, len, self.config.block_size) {
+                for (o, l) in db.golden_block_diff(offset, len, GOLDEN_DIFF_BLOCK) {
                     db.restore_static_block(o, l).expect("dirty block within region");
                     caught.extend(resolve(db, o, l));
                 }

@@ -28,9 +28,8 @@
 //!   [`Rung::ControllerRestart`].
 //!
 //! Everything is deterministic under a fixed seed: the engine consumes
-//! virtual time only (each budget token costs a fixed
-//! [`SimDuration`](wtnc_sim::SimDuration) of controller busy time) and
-//! iterates its queue in insertion order.
+//! virtual time only (each budget token costs [`TOKEN_TIME`] of
+//! controller busy time) and iterates its queue in insertion order.
 //!
 //! # Example
 //!
@@ -69,5 +68,5 @@ mod engine;
 mod log;
 
 pub use disk::DiskGoldenSource;
-pub use engine::{CycleOutcome, RecoveryConfig, RecoveryEngine, Rung, RungCosts};
+pub use engine::{CycleOutcome, RecoveryConfig, RecoveryEngine, Rung, TOKEN_TIME};
 pub use log::{RecoveryStats, RepairLogEntry, RepairOutcome};

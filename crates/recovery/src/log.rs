@@ -13,9 +13,6 @@ pub enum RepairOutcome {
     /// The repair was executed and the originating audit element no
     /// longer reports the target: the finding is closed.
     Verified,
-    /// The repair was executed with verification disabled; the finding
-    /// is closed optimistically.
-    Unverified,
     /// Verification still reported the target; the ticket climbed one
     /// rung and was requeued.
     Escalated,
@@ -52,8 +49,6 @@ pub struct RecoveryStats {
     pub attempted: u64,
     /// Findings closed with a clean verification re-run.
     pub verified: u64,
-    /// Findings closed without verification (verify disabled).
-    pub unverified: u64,
     /// Findings closed as repair failures.
     pub failed: u64,
     /// Ladder escalations (verification failures that climbed a rung).

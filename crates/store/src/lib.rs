@@ -56,7 +56,7 @@ pub use merkle::{
 };
 pub use store::{
     ChainEntry, CheckpointKind, DurableGolden, RecoveryInfo, StorageAudit, Store, StoreConfig,
-    StoreError, StoreFinding, StoreFindingKind, StoreStats, DEFAULT_KEY,
+    StoreError, StoreFinding, StoreFindingKind, StoreStats, DEFAULT_KEY, LEAF_BLOCK_SIZE,
 };
 
 use std::path::{Path, PathBuf};

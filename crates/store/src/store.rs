@@ -39,16 +39,16 @@ use crate::merkle::MerkleTree;
 /// deterministic.
 pub const DEFAULT_KEY: [u8; 16] = *b"wtnc-store-mac-k";
 
-/// Store tuning: the MAC key, the content block size used for the
-/// Merkle leaves, and the full-image checkpoint period.
+/// Content block size for the checkpoint Merkle leaves: the audit
+/// dirty-tracker block size, so disk blocks line up with in-memory CRC
+/// blocks.
+pub const LEAF_BLOCK_SIZE: usize = DIRTY_BLOCK_SIZE;
+
+/// Store tuning: the MAC key and the full-image checkpoint period.
 #[derive(Debug, Clone, Copy)]
 pub struct StoreConfig {
     /// 128-bit key for the keyed integrity codes and chain digests.
     pub key: [u8; 16],
-    /// Content block size for the checkpoint Merkle leaves. Defaults
-    /// to the audit dirty-tracker block size so disk blocks line up
-    /// with in-memory CRC blocks.
-    pub block_size: usize,
     /// Cut a full image every `full_every`-th checkpoint and dirty
     /// deltas in between. `1` (the default) writes a full image every
     /// time — the v1 behavior.
@@ -57,7 +57,7 @@ pub struct StoreConfig {
 
 impl Default for StoreConfig {
     fn default() -> Self {
-        StoreConfig { key: DEFAULT_KEY, block_size: DIRTY_BLOCK_SIZE, full_every: 1 }
+        StoreConfig { key: DEFAULT_KEY, full_every: 1 }
     }
 }
 
@@ -575,16 +575,16 @@ impl Store {
             && self.since_full + 1 < self.config.full_every
             && tracker.n_blocks() == content_len.div_ceil(tracker.block_size())
             && self.tree.as_ref().is_some_and(|t| {
-                t.block_size() == self.config.block_size
-                    && t.leaf_count() == content_len.div_ceil(self.config.block_size)
+                t.block_size() == LEAF_BLOCK_SIZE
+                    && t.leaf_count() == content_len.div_ceil(LEAF_BLOCK_SIZE)
             });
 
         let (bytes, file_name, kind) = if write_delta {
-            let leaf_count = content_len.div_ceil(self.config.block_size);
+            let leaf_count = content_len.div_ceil(LEAF_BLOCK_SIZE);
             let mut dirty: Vec<usize> = Vec::new();
             for i in 0..leaf_count {
-                let start = i * self.config.block_size;
-                let len = (content_len - start).min(self.config.block_size);
+                let start = i * LEAF_BLOCK_SIZE;
+                let len = (content_len - start).min(LEAF_BLOCK_SIZE);
                 if tracker.any_dirty_in(start, len) {
                     dirty.push(i);
                 }
@@ -597,7 +597,7 @@ impl Store {
                 gen,
                 prev,
                 self.lineage_base,
-                self.config.block_size,
+                LEAF_BLOCK_SIZE,
                 &dirty,
                 &updates,
                 &self.config.key,
@@ -609,7 +609,7 @@ impl Store {
                 db.golden(),
                 gen,
                 prev,
-                self.config.block_size,
+                LEAF_BLOCK_SIZE,
                 &self.config.key,
             );
             self.tree = Some(tree);
@@ -947,7 +947,7 @@ impl Store {
     /// against its sealed root, so every block the journal left alone
     /// is attested.
     fn carry_golden_forward(&self, gen: u64, mut golden: Vec<u8>) -> DurableGolden {
-        let block = self.config.block_size.max(1);
+        let block = LEAF_BLOCK_SIZE;
         let mut attested = vec![true; golden.len().div_ceil(block)];
         self.overlay_journal(gen, true, &mut golden, |r| {
             attested[r.start / block..r.end.div_ceil(block)].fill(false);

@@ -7,7 +7,7 @@ use wtnc_db::{Database, FieldDef, FieldWidth, TableDef, TableNature};
 use wtnc_store::{
     decode_checkpoint, decode_delta_checkpoint, encode_checkpoint, encode_delta_checkpoint,
     parse_checkpoint_file_name, parse_delta_file_name, verify_proof, CheckpointKind, MerkleTree,
-    ScratchDir, SplitContent, Store, StoreConfig, StoreFindingKind, JOURNAL_FILE,
+    ScratchDir, SplitContent, Store, StoreConfig, StoreFindingKind, JOURNAL_FILE, LEAF_BLOCK_SIZE,
 };
 
 fn schema() -> Vec<TableDef> {
@@ -190,7 +190,7 @@ fn missing_middle_delta_is_detected_by_the_folded_root() {
 fn attested_golden_blocks_prove_against_the_sealed_root() {
     let scratch = ScratchDir::new("delta-attested");
     let config = delta_config();
-    let bs = config.block_size;
+    let bs = LEAF_BLOCK_SIZE;
     let mut db = db();
     let mut store = Store::open(scratch.path(), config).expect("open");
     store.attach(&mut db);
