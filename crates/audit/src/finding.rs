@@ -198,9 +198,6 @@ pub struct AuditReport {
     pub records_checked: u64,
     /// Tables examined this cycle.
     pub tables_checked: u64,
-    /// The escalation policy concluded that localized repair is not
-    /// holding: the manager should restart the controller.
-    pub restart_requested: bool,
     /// Which engine ran the cycle; always [`ExecutorMode::Serial`].
     pub exec: ExecSummary,
     /// Tables actually screened this cycle, in execution order.
@@ -223,16 +220,6 @@ impl AuditReport {
     pub fn caught_count(&self) -> usize {
         self.findings.iter().map(|f| f.caught.len()).sum()
     }
-
-    /// Merges another report into this one.
-    pub fn merge(&mut self, other: AuditReport) {
-        self.findings.extend(other.findings);
-        self.records_checked += other.records_checked;
-        self.tables_checked += other.tables_checked;
-        self.tables_audited.extend(other.tables_audited);
-        self.tables_shed.extend(other.tables_shed);
-        self.degraded |= other.degraded;
-    }
 }
 
 #[cfg(test)]
@@ -253,35 +240,23 @@ mod tests {
     }
 
     #[test]
-    fn report_filters_and_merges() {
-        let mut a = AuditReport {
-            findings: vec![finding(AuditElementKind::Range), finding(AuditElementKind::Semantic)],
+    fn report_filters_by_element() {
+        let report = AuditReport {
+            findings: vec![
+                finding(AuditElementKind::Range),
+                finding(AuditElementKind::Semantic),
+                finding(AuditElementKind::Range),
+            ],
             records_checked: 10,
             tables_checked: 2,
-            restart_requested: false,
             exec: Default::default(),
             tables_audited: vec![TableId(1), TableId(2)],
             tables_shed: Vec::new(),
             degraded: false,
         };
-        let b = AuditReport {
-            findings: vec![finding(AuditElementKind::Range)],
-            records_checked: 5,
-            tables_checked: 1,
-            restart_requested: false,
-            exec: Default::default(),
-            tables_audited: vec![TableId(3)],
-            tables_shed: vec![TableId(4)],
-            degraded: true,
-        };
-        a.merge(b);
-        assert_eq!(a.findings.len(), 3);
-        assert_eq!(a.by_element(AuditElementKind::Range).count(), 2);
-        assert_eq!(a.records_checked, 15);
-        assert_eq!(a.tables_checked, 3);
-        assert_eq!(a.caught_count(), 0);
-        assert_eq!(a.tables_audited, vec![TableId(1), TableId(2), TableId(3)]);
-        assert_eq!(a.tables_shed, vec![TableId(4)]);
-        assert!(a.degraded);
+        assert_eq!(report.by_element(AuditElementKind::Range).count(), 2);
+        assert_eq!(report.by_element(AuditElementKind::Semantic).count(), 1);
+        assert_eq!(report.by_element(AuditElementKind::Structural).count(), 0);
+        assert_eq!(report.caught_count(), 0);
     }
 }

@@ -38,6 +38,13 @@
 //! *after* a repair, to attribute ground-truth corruptions to the
 //! element that removed them.
 //!
+//! Elements repair locally and never escalate. Each tier has one
+//! escalation ladder: data damage that local repair does not hold is
+//! climbed field → record → table → client → controller by the
+//! `wtnc-recovery` engine (which runs the audit with
+//! [`AuditProcess::set_deferred_repair`]), and restart storms are
+//! escalated by the [`Supervisor`].
+//!
 //! # Example
 //!
 //! ```
@@ -68,7 +75,6 @@
 #![warn(missing_docs)]
 
 mod budget;
-mod escalation;
 mod finding;
 mod genskip;
 mod heartbeat;
@@ -83,7 +89,6 @@ mod structural;
 mod supervisor;
 
 pub use budget::{BudgetConfig, TokenBucket};
-pub use escalation::{EscalationConfig, EscalationPolicy};
 pub use finding::{
     AuditElementKind, AuditReport, ExecSummary, ExecutorMode, Finding, FindingTarget,
     RecoveryAction,

@@ -111,9 +111,7 @@ pub struct AuditProcess {
     extra: Vec<Box<dyn AuditElement + Send>>,
     event_tables: BTreeSet<TableId>,
     catch_log: Vec<(TaintEntry, AuditElementKind, SimTime)>,
-    escalation: crate::EscalationPolicy,
     cycles: u64,
-    deferred: bool,
     bucket: Option<TokenBucket>,
     shed_backlog: Vec<TableId>,
     starved_for: std::collections::BTreeMap<TableId, u32>,
@@ -159,9 +157,7 @@ impl AuditProcess {
             extra: Vec::new(),
             event_tables: BTreeSet::new(),
             catch_log: Vec::new(),
-            escalation: crate::EscalationPolicy::new(crate::EscalationConfig::disabled()),
             cycles: 0,
-            deferred: false,
             bucket: config.budget.map(TokenBucket::new),
             shed_backlog: Vec::new(),
             starved_for: std::collections::BTreeMap::new(),
@@ -173,11 +169,8 @@ impl AuditProcess {
     /// paper's default) and detect-only mode: findings are emitted with
     /// `RecoveryAction::Flagged` plus a precise
     /// [`FindingTarget`](crate::FindingTarget), and an external
-    /// recovery engine owns repair, escalation and verification. The
-    /// built-in escalation policy is bypassed while deferred, so the
-    /// two escalation ladders cannot fight over the same tables.
+    /// recovery engine owns repair, escalation and verification.
     pub fn set_deferred_repair(&mut self, deferred: bool) {
-        self.deferred = deferred;
         self.static_audit.deferred = deferred;
         self.structural.deferred = deferred;
         self.range.deferred = deferred;
@@ -186,7 +179,7 @@ impl AuditProcess {
 
     /// Re-runs one audit element over one table (or the full static
     /// region when `table` is `None`) without side effects on cycle
-    /// counters, the catch log or escalation. The recovery engine uses
+    /// counters or the catch log. The recovery engine uses
     /// this to *verify* a repair: a repaired target must no longer be
     /// reported by the element that originally detected it.
     pub fn recheck(
@@ -353,15 +346,6 @@ impl AuditProcess {
         }
         self.shed_backlog.clone_from(&shed);
 
-        // Hierarchical escalation: repeated churn in a table reloads it
-        // wholesale; sustained churn requests a controller restart. In
-        // deferred mode the recovery engine's ladder owns escalation.
-        let restart_requested = if self.deferred {
-            false
-        } else {
-            self.escalation.observe_cycle(db, &mut findings, now)
-        };
-
         // Apply process-level recovery actions.
         for f in &findings {
             if let RecoveryAction::TerminatedClient { pid } = f.action {
@@ -381,7 +365,6 @@ impl AuditProcess {
             findings,
             records_checked,
             tables_checked: tables.len() as u64,
-            restart_requested,
             exec: ExecSummary::default(),
             degraded: !shed.is_empty(),
             tables_audited: tables,
@@ -526,17 +509,6 @@ impl AuditProcess {
             }
         }
         records_checked
-    }
-
-    /// Escalation statistics (table reloads performed, restarts
-    /// requested).
-    pub fn escalation(&self) -> &crate::EscalationPolicy {
-        &self.escalation
-    }
-
-    /// Replaces the escalation thresholds.
-    pub fn set_escalation(&mut self, config: crate::EscalationConfig) {
-        self.escalation = crate::EscalationPolicy::new(config);
     }
 }
 

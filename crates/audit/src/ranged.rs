@@ -33,12 +33,11 @@ fn ruled_fields(catalog: &Catalog, table: TableId) -> Vec<(u16, u64, u64, u64)> 
         .collect()
 }
 
-/// The range-check audit element.
+/// The range-check audit element. An out-of-range field is reset to
+/// its catalog default; in a dynamic table the whole record is then
+/// freed preemptively (§4.3.1).
 #[derive(Debug, Clone, Default)]
 pub struct RangeAudit {
-    /// When true (the default), an out-of-range field in a dynamic
-    /// table frees the whole record preemptively.
-    pub free_dynamic_records: bool,
     /// Detect-only mode: out-of-range fields are flagged (targeted at
     /// the field) instead of reset/freed.
     pub deferred: bool,
@@ -52,9 +51,9 @@ pub struct RangeAudit {
 }
 
 impl RangeAudit {
-    /// Creates the element with the paper's recovery policy.
+    /// Creates the element.
     pub fn new() -> Self {
-        RangeAudit { free_dynamic_records: true, ..RangeAudit::default() }
+        RangeAudit::default()
     }
 
     /// Audits the dynamic ranged fields of every active record of one
@@ -134,7 +133,7 @@ impl RangeAudit {
                 db.write_field_raw(rec, fid, default).expect("field exists");
                 let (off, len) = db.field_extent(rec, fid).expect("field exists");
                 let mut caught = db.taint_mut().resolve_range(off, len, TaintFate::Caught { at });
-                let action = if is_dynamic_table && self.free_dynamic_records {
+                let action = if is_dynamic_table {
                     // …and free the record preemptively.
                     db.free_record_raw(rec).expect("record exists");
                     let base = db.record_offset(rec).expect("record exists");
@@ -234,18 +233,27 @@ mod tests {
     }
 
     #[test]
-    fn reset_only_when_freeing_disabled() {
-        let (mut d, idx) = setup();
-        let rec = RecordRef::new(schema::CONNECTION_TABLE, idx);
-        d.write_field_raw(rec, schema::connection::CALLER_ID, 99_999_999).unwrap();
-        let mut audit = RangeAudit { free_dynamic_records: false, ..RangeAudit::new() };
+    fn non_dynamic_table_resets_without_freeing() {
+        use wtnc_db::{FieldDef, FieldWidth, TableDef};
+        // A config table carrying one ranged dynamic field: the range
+        // audit resets it, and the (always active) record stays.
+        let mut d = Database::build(vec![TableDef::new(
+            "limits",
+            TableNature::Config,
+            2,
+            vec![FieldDef::dynamic("load", FieldWidth::U16).with_range(0, 100).with_default(7)],
+        )])
+        .unwrap();
+        let table = TableId(0);
+        let rec = RecordRef::new(table, 1);
+        d.write_field_raw(rec, FieldId(0), 999).unwrap();
         let mut out = Vec::new();
-        audit.audit_table(&mut d, schema::CONNECTION_TABLE, &NOT_LOCKED, SimTime::ZERO, &mut out);
+        RangeAudit::new().audit_table(&mut d, table, &NOT_LOCKED, SimTime::ZERO, &mut out);
         assert_eq!(out.len(), 1);
-        assert!(matches!(out[0].action, RecoveryAction::ResetField { .. }));
+        assert_eq!(out[0].action, RecoveryAction::ResetField { table, record: 1, field: 0 });
         assert!(d.is_active(rec).unwrap());
         // Reset to the catalog default.
-        assert_eq!(d.read_field_raw(rec, schema::connection::CALLER_ID).unwrap(), 0);
+        assert_eq!(d.read_field_raw(rec, FieldId(0)).unwrap(), 7);
     }
 
     #[test]

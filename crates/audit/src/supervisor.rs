@@ -1,6 +1,6 @@
 //! Process-level supervision: one event-driven loop that runs the
-//! heartbeat manager (§4.1), the progress indicator (§4.2) and the
-//! escalation policy over the whole process population.
+//! heartbeat manager (§4.1), the progress indicator (§4.2) and
+//! restart-storm escalation over the whole process population.
 //!
 //! The paper's elements exist as leaves — the manager probes the audit
 //! process, the progress indicator watches the IPC activity counter —
@@ -25,9 +25,12 @@
 //! * **escalation** — restart *storms* (too many restarts of one
 //!   lineage inside a window) back off exponentially, and a lineage
 //!   that exhausts its backoff ladder escalates to a controller
-//!   restart through the [`EscalationPolicy`] — the 5ESS lineage of
-//!   localized repair first, global action only when repair is
-//!   evidently not holding;
+//!   restart, counted in
+//!   [`AvailabilityLedger::controller_restarts_requested`] — the 5ESS
+//!   lineage of localized repair first, global action only when
+//!   repair is evidently not holding. This is the process tier's only
+//!   escalation ladder; data damage climbs the `wtnc-recovery`
+//!   engine's;
 //! * **accounting** — every downtime interval, dropped call and
 //!   restart-by-cause lands in the [`AvailabilityLedger`].
 
@@ -37,7 +40,6 @@ use serde::{Deserialize, Serialize};
 use wtnc_db::DbApi;
 use wtnc_sim::{Pid, ProcessRegistry, ProcessState, SimDuration, SimTime};
 
-use crate::escalation::{EscalationConfig, EscalationPolicy};
 use crate::finding::{AuditElementKind, Finding, FindingTarget, RecoveryAction};
 use crate::heartbeat::{HeartbeatElement, HEARTBEAT_MISS_LIMIT};
 use crate::progress::ProgressIndicator;
@@ -257,7 +259,6 @@ pub struct Supervisor {
     /// tier so stale-lock recovery keeps working even while the audit
     /// process itself is down.
     progress: ProgressIndicator,
-    escalation: EscalationPolicy,
     ledger: AvailabilityLedger,
     /// IPC-queue tap watermark: messages sent up to this count have
     /// already been observed. The supervisor only *taps* the queue
@@ -273,7 +274,6 @@ impl Supervisor {
             config,
             procs: BTreeMap::new(),
             progress: ProgressIndicator::new(),
-            escalation: EscalationPolicy::new(EscalationConfig::disabled()),
             ledger: AvailabilityLedger::default(),
             events_seen: 0,
         }
@@ -334,12 +334,6 @@ impl Supervisor {
     /// The availability ledger.
     pub fn ledger(&self) -> &AvailabilityLedger {
         &self.ledger
-    }
-
-    /// The shared escalation policy (restart storms land in its
-    /// `restarts_requested` ledger).
-    pub fn escalation(&self) -> &EscalationPolicy {
-        &self.escalation
     }
 
     /// Total downtime as of `now`: completed intervals plus every
@@ -576,7 +570,6 @@ impl Supervisor {
             s.backoffs += 1;
             if s.backoffs > config.escalate_after_backoffs {
                 s.escalated = true;
-                self.escalation.observe_restart_storm();
                 self.ledger.controller_restarts_requested += 1;
                 report.controller_restart_requested = true;
                 report.findings.push(Finding {
@@ -648,7 +641,6 @@ impl Supervisor {
                 // The registry refused: local recovery is impossible.
                 let s = self.procs.get_mut(&pid).expect("registered");
                 s.escalated = true;
-                self.escalation.observe_restart_storm();
                 self.ledger.controller_restarts_requested += 1;
                 report.controller_restart_requested = true;
                 report.findings.push(Finding {
@@ -849,7 +841,6 @@ mod tests {
         assert!(backoff_seen, "a storm must back off before escalating");
         assert!(escalated_at.is_some(), "the ladder must escalate");
         assert_eq!(sup.ledger().controller_restarts_requested, 1);
-        assert_eq!(sup.escalation().restarts_requested, 1);
 
         // The global action restarts the lineage and clears its state.
         let now = escalated_at.unwrap() + SimDuration::from_secs(1);

@@ -141,80 +141,3 @@ proptest! {
         prop_assert!(d.is_active(RecordRef::new(schema::RESOURCE_TABLE, r1)).unwrap());
     }
 }
-
-// ---------------------------------------------------------------------------
-// EscalationPolicy properties
-// ---------------------------------------------------------------------------
-
-use wtnc_audit::{AuditElementKind, EscalationConfig, EscalationPolicy, Finding, RecoveryAction};
-
-fn churn_finding(table: wtnc_db::TableId) -> Finding {
-    Finding {
-        element: AuditElementKind::Range,
-        at: SimTime::ZERO,
-        table: Some(table),
-        record: Some(0),
-        detail: "churn".into(),
-        action: RecoveryAction::ResetField { table, record: 0, field: 1 },
-        target: None,
-        caught: Vec::new(),
-    }
-}
-
-proptest! {
-    /// An unbroken streak of finding-cycles in one table escalates
-    /// exactly once every `table_cycles` cycles — never twice in a
-    /// cycle, never early — so after `n` cycles the policy has
-    /// performed exactly `n / table_cycles` reloads.
-    #[test]
-    fn escalation_fires_exactly_once_per_threshold(
-        table_cycles in 1u32..6,
-        cycles in 1u64..25,
-    ) {
-        let mut d = db();
-        let mut policy = EscalationPolicy::new(EscalationConfig {
-            table_cycles,
-            restart_after_reloads: u32::MAX,
-        });
-        let table = schema::CONNECTION_TABLE;
-        for cycle in 0..cycles {
-            let before = policy.table_reloads;
-            let mut fs = vec![churn_finding(table)];
-            policy.observe_cycle(&mut d, &mut fs, SimTime::from_secs(cycle));
-            let fired = policy.table_reloads - before;
-            prop_assert!(fired <= 1, "cycle {cycle} escalated {fired} times");
-            // Each escalation appends exactly one escalation finding.
-            prop_assert_eq!(fs.len() as u64, 1 + fired);
-            let expected = (cycle + 1) / u64::from(table_cycles);
-            prop_assert_eq!(policy.table_reloads, expected);
-        }
-    }
-
-    /// The `disabled()` configuration never escalates and never
-    /// requests a restart, no matter the pattern of churn and quiet
-    /// cycles.
-    #[test]
-    fn disabled_policy_never_escalates(
-        pattern in proptest::collection::vec(0u8..2, 1..40),
-    ) {
-        let mut d = db();
-        let mut policy = EscalationPolicy::new(EscalationConfig::disabled());
-        for (cycle, &hit) in pattern.iter().enumerate() {
-            let mut fs = if hit == 1 {
-                vec![churn_finding(schema::CONNECTION_TABLE)]
-            } else {
-                Vec::new()
-            };
-            let before = fs.len();
-            let restart = policy.observe_cycle(
-                &mut d,
-                &mut fs,
-                SimTime::from_secs(cycle as u64),
-            );
-            prop_assert!(!restart, "disabled policy requested a restart");
-            prop_assert_eq!(fs.len(), before, "disabled policy appended a finding");
-        }
-        prop_assert_eq!(policy.table_reloads, 0);
-        prop_assert_eq!(policy.restarts_requested, 0);
-    }
-}

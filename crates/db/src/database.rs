@@ -71,7 +71,7 @@ impl TableStats {
 ///
 /// The capture buffer is the feed for the `wtnc-store` journal: every
 /// byte-level mutation that goes through the unified
-/// [`Database::note_mutation`] hook — API writes, repairs, reloads,
+/// `Database::note_mutation` hook — API writes, repairs, reloads,
 /// even raw injector bit flips — lands here when capture is enabled,
 /// so the journal sees exactly what the dirty-block bitmap sees.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]

@@ -2,13 +2,12 @@
 //!
 //! The database campaign (§5.1) lets each audit element repair inline.
 //! This harness runs the same workload and error process with the
-//! audit subsystem in *detect-only* mode and the
-//! [`RecoveryEngine`](wtnc_recovery::RecoveryEngine) consuming the
-//! flagged findings: repairs execute under a per-cycle token budget,
-//! escalate along the ladder when verification fails, and every
-//! successful repair is verified by re-running the originating audit
-//! element. Each injected error is classified into the extended
-//! outcome table ([`RunOutcome::DetectedRepaired`],
+//! audit subsystem in *detect-only* mode and the [`RecoveryEngine`]
+//! consuming the flagged findings: repairs execute under a per-cycle
+//! token budget, escalate along the ladder when verification fails,
+//! and every successful repair is verified by re-running the
+//! originating audit element. Each injected error is classified into
+//! the extended outcome table ([`RunOutcome::DetectedRepaired`],
 //! [`RunOutcome::RepairFailed`]), and the engine's busy time stalls
 //! call arrivals — which is how the per-cycle budget translates into
 //! graceful (rather than total) throughput degradation under a

@@ -2,13 +2,14 @@
 //! that cross every crate boundary (database ↔ audit ↔ clients ↔
 //! PECOS ↔ injection).
 
-use wtnc::audit::{AuditConfig, AuditElementKind, RecoveryAction, SupervisorConfig};
+use wtnc::audit::{AuditConfig, AuditElementKind, FindingTarget, RecoveryAction, SupervisorConfig};
 use wtnc::callproc::{
     AsmClientConfig, BridgeStats, CallOutcome, DbSyscallBridge, DesClient, WorkloadConfig,
 };
 use wtnc::db::{schema, Database, DbApi, RecordRef};
 use wtnc::isa::{asm::Assembly, Machine, MachineConfig, StepOutcome, ThreadState};
 use wtnc::pecos::{handle_exception, instrument, PecosVerdict};
+use wtnc::recovery::{RecoveryConfig, Rung};
 use wtnc::sim::{Pid, SimDuration, SimTime};
 use wtnc::Controller;
 
@@ -312,49 +313,46 @@ fn reconfiguration_is_not_mistaken_for_corruption() {
     assert_eq!(c.db.read_field_raw(rec, schema::sysconfig::N_CPUS).unwrap(), 8);
 }
 
-/// Persistent corruption in one table escalates: localized repairs
-/// give way to a wholesale table reload and eventually a controller
-/// restart request (the 5ESS-style recovery hierarchy).
+/// Persistent corruption of one field escalates: each verified repair
+/// of the same target sends its next detection one rung up the
+/// recovery engine's ladder, from a field reset through record and
+/// table reloads to a controller restart request (the 5ESS-style
+/// recovery hierarchy).
 #[test]
 fn sustained_churn_escalates_hierarchically() {
-    let mut c = Controller::standard().with_audit(AuditConfig::default());
-    c.audit_mut().unwrap().set_escalation(wtnc::audit::EscalationConfig {
-        table_cycles: 2,
-        restart_after_reloads: 2,
-    });
-    let client = Pid(1);
-    c.api.init(client);
+    let mut c = Controller::standard()
+        .with_audit(AuditConfig::default())
+        .with_recovery(RecoveryConfig { escalate_after: 1, ..RecoveryConfig::default() });
+    let table = schema::CONNECTION_TABLE;
+    let slot = c.db.alloc_record_raw(table).unwrap();
+    let rec = RecordRef::new(table, slot);
+    let (off, _) = c.db.field_extent(rec, schema::connection::STATE).unwrap();
+    let target = FindingTarget::Field { table, record: slot, field: schema::connection::STATE.0 };
 
-    let mut saw_table_reload = false;
-    let mut saw_restart_request = false;
-    for cycle in 1..=12u64 {
-        // A flaky memory bank keeps corrupting the connection table.
-        let idx = c
-            .api
-            .alloc_record(
-                &mut c.db,
-                client,
-                schema::CONNECTION_TABLE,
-                SimTime::from_secs(cycle * 10),
-            )
-            .unwrap();
-        let rec = RecordRef::new(schema::CONNECTION_TABLE, idx);
-        let (off, _) = c.db.field_extent(rec, schema::connection::STATE).unwrap();
-        c.inject_bit_flip(off, 7, SimTime::from_secs(cycle * 10));
-
-        let report = c.run_audit_cycle(SimTime::from_secs(cycle * 10 + 5)).unwrap();
-        saw_table_reload |= report.findings.iter().any(|f| {
-            matches!(f.action, RecoveryAction::ReloadedRange { .. })
-                && f.detail.contains("escalation")
-        });
-        saw_restart_request |= report.restart_requested;
-        if saw_restart_request {
+    let mut restart_requested = false;
+    for round in 1..=12u64 {
+        // Record and table reloads free the slot; a call takes it again.
+        if !c.db.is_active(rec).unwrap() {
+            // Freeing an already-free slot points the allocator's
+            // first-free hint at it, so the next allocation reuses it.
+            c.db.free_record_raw(rec).unwrap();
+            assert_eq!(c.db.alloc_record_raw(table).unwrap(), slot);
+        }
+        // A flaky memory bank keeps corrupting the same field.
+        c.inject_bit_flip(off, 7, SimTime::from_secs(round));
+        let (_, outcome) = c.run_recovery_cycle(SimTime::from_secs(round)).unwrap();
+        if outcome.restart_requested {
+            restart_requested = true;
             break;
         }
     }
-    assert!(saw_table_reload, "table-level escalation expected");
-    assert!(saw_restart_request, "controller restart request expected");
-    let stats = c.audit_mut().unwrap().escalation();
-    assert!(stats.table_reloads >= 2);
-    assert_eq!(stats.restarts_requested, 1);
+
+    let rungs: Vec<Rung> =
+        c.recovery().unwrap().log().iter().filter(|e| e.target == target).map(|e| e.rung).collect();
+    assert!(rungs.windows(2).all(|w| w[0] < w[1]), "one rung up per recurrence: {rungs:?}");
+    assert!(rungs.contains(&Rung::RecordReinit), "{rungs:?}");
+    assert!(rungs.contains(&Rung::TableRebuild), "climbed past the record: {rungs:?}");
+    assert_eq!(rungs.last(), Some(&Rung::ControllerRestart), "{rungs:?}");
+    assert!(restart_requested, "the top rung requests a controller restart");
+    assert_eq!(c.db.taint().latent_count(), 0, "no corruption stays latent");
 }
