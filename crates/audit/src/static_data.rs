@@ -33,9 +33,7 @@
 //! every block as a belt-and-braces bound on anything that could slip
 //! past the bitmap.
 
-use wtnc_db::{
-    crc32, Catalog, Crc32Shift, Database, TableId, TableNature, TaintFate, DIRTY_BLOCK_SIZE,
-};
+use wtnc_db::{crc32, Crc32Shift, Database, TableId, TableNature, TaintFate, DIRTY_BLOCK_SIZE};
 use wtnc_sim::SimTime;
 
 use crate::finding::{AuditElementKind, Finding, FindingTarget, RecoveryAction};
@@ -250,11 +248,6 @@ impl StaticDataAudit {
         }
     }
 
-    /// Number of protected chunks (catalog + config tables).
-    pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
-    }
-
     /// Re-derives the golden checksums (whole-chunk and per-block) from
     /// the *current* image. Call after a legitimate configuration
     /// change.
@@ -293,12 +286,6 @@ impl StaticDataAudit {
             }
         }
     }
-
-    /// Convenience: is the given catalog the one this element was built
-    /// against (sanity check for callers wiring components together)?
-    pub fn matches_catalog(&self, catalog: &Catalog) -> bool {
-        self.chunks.first().is_some_and(|c| c.len == catalog.catalog_len())
-    }
 }
 
 #[cfg(test)]
@@ -314,7 +301,7 @@ mod tests {
     fn clean_database_has_no_findings() {
         let mut d = db();
         let mut audit = StaticDataAudit::new(&d);
-        assert_eq!(audit.chunk_count(), 3); // catalog + 2 config tables
+        assert_eq!(audit.chunks.len(), 3); // catalog + 2 config tables
         let mut out = Vec::new();
         audit.audit(&mut d, SimTime::ZERO, &mut out);
         assert!(out.is_empty());
@@ -392,7 +379,7 @@ mod tests {
         // so no finding is raised. (Committing the golden image is the
         // API's job.)
         assert!(out.is_empty());
-        assert!(audit.matches_catalog(d.catalog()));
+        assert_eq!(audit.chunks[0].len, d.catalog().catalog_len());
     }
 
     #[test]

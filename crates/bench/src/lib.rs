@@ -65,10 +65,9 @@ pub fn outcome_columns_json(columns: &[(String, OutcomeCounts)]) -> String {
     format!("[\n{}\n  ]", rows.join(",\n"))
 }
 
-/// The workspace-root `results/` directory. Bench *bins* run with the
-/// workspace root as cwd but `cargo bench` harnesses run with the
-/// package dir as cwd, so anchor on the nearest ancestor that holds a
-/// `Cargo.lock` instead of trusting the cwd.
+/// The workspace-root `results/` directory: the nearest ancestor of the
+/// cwd that holds a `Cargo.lock`, so a bin started from a subdirectory
+/// still writes beside the others.
 fn results_dir() -> std::path::PathBuf {
     let start = std::env::current_dir().unwrap_or_else(|_| ".".into());
     let mut dir = start.clone();

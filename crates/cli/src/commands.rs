@@ -623,6 +623,11 @@ fn print_store_findings(findings: &[wtnc::store::StoreFinding]) {
 /// [--mutations N] [--delta] [--full-every N]`
 pub fn store(args: &[String]) -> Result<(), String> {
     let (positional, flags) = parse(args, &["dir", "seed", "mutations", "delta", "full-every"])?;
+    // On an existing directory only `checkpoint` journals a workload and
+    // cuts a checkpoint; the other actions would ignore the rest.
+    if flags.contains_key("dir") && matches!(positional[..], ["replay" | "verify" | "compact"]) {
+        parse(args, &["dir"])?;
+    }
     let seed: u64 = flag_num(&flags, "seed", 0x00C0_FFEE)?;
     let mutations: usize = flag_num(&flags, "mutations", 64)?;
     // `--delta` switches on incremental checkpoints (every 4th full by
@@ -1084,7 +1089,19 @@ mod tests {
             .count();
         assert_eq!(deltas, 3, "--delta writes incremental checkpoints");
         store(&strings(&["compact", "--dir", &dir])).unwrap();
-        store(&strings(&["replay", "--dir", &dir, "--delta"])).unwrap();
+        // On an existing directory only `checkpoint` takes the workload
+        // and period flags; the other actions reject them.
+        for action in ["replay", "verify", "compact"] {
+            for flag in
+                [&["--delta"][..], &["--seed", "1"], &["--mutations", "8"], &["--full-every", "2"]]
+            {
+                let mut args = vec![action, "--dir", &dir];
+                args.extend_from_slice(flag);
+                let err = store(&strings(&args)).unwrap_err();
+                assert!(err.starts_with(&format!("unknown flag {}", flag[0])), "{err}");
+            }
+        }
+        store(&strings(&["replay", "--dir", &dir])).unwrap();
         store(&strings(&["verify", "--dir", &dir])).unwrap();
         assert!(store(&strings(&["checkpoint", "--dir", &dir, "--full-every", "0"])).is_err());
     }

@@ -260,20 +260,6 @@ impl DbApi {
         }
     }
 
-    /// Creates an API instance with the given total event-queue
-    /// capacity, keeping the default 4-lane fairness split.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero (see [`IpcConfig`]).
-    pub fn with_event_capacity(capacity: usize) -> Self {
-        Self::with_ipc(IpcConfig {
-            capacity,
-            lane_capacity: (capacity / 4).max(1),
-            ..IpcConfig::default()
-        })
-    }
-
     /// Creates the "original" API with all audit instrumentation
     /// disabled (no events, no shadow metadata, base costs).
     pub fn without_instrumentation() -> Self {
@@ -1059,7 +1045,8 @@ mod tests {
 
     #[test]
     fn event_capacity_is_configurable() {
-        let api = DbApi::with_event_capacity(16);
+        let api =
+            DbApi::with_ipc(IpcConfig { capacity: 16, lane_capacity: 4, ..IpcConfig::default() });
         assert_eq!(api.events().capacity(), 16);
         assert_eq!(api.events().lane_capacity(), 4);
     }

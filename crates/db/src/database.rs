@@ -304,11 +304,6 @@ impl Database {
         self.capture = if enabled { Some(Vec::new()) } else { None };
     }
 
-    /// Whether journal capture is enabled.
-    pub fn capture_enabled(&self) -> bool {
-        self.capture.is_some()
-    }
-
     /// Drains the capture buffer, returning the mutations in call
     /// order. Empty when capture is disabled.
     pub fn take_captured(&mut self) -> Vec<CapturedMutation> {
@@ -956,14 +951,6 @@ impl Database {
         }
     }
 
-    /// Zeroes each table's `errors_last_cycle` counter (start of an
-    /// audit cycle).
-    pub fn reset_error_cycle(&mut self) {
-        for s in &mut self.stats {
-            s.errors_last_cycle = 0;
-        }
-    }
-
     /// Zeroes one table's `errors_last_cycle` counter (the scheduler
     /// has consumed it and the table is about to be re-audited).
     pub fn reset_error_cycle_table(&mut self, table: TableId) {
@@ -1305,7 +1292,7 @@ mod tests {
     fn capture_feeds_from_the_unified_mutation_hook() {
         let mut db = Database::build(schema()).unwrap();
         db.set_capture(true);
-        assert!(db.capture_enabled());
+        assert!(db.capture.is_some());
         let t = TableId(1);
         let i = db.alloc_record_raw(t).unwrap();
         let rec = RecordRef::new(t, i);
@@ -1383,7 +1370,7 @@ mod tests {
         let mut db = Database::build(schema()).unwrap();
         db.note_errors_detected(TableId(1), 3);
         assert_eq!(db.table_stats(TableId(1)).unwrap().errors_last_cycle, 3);
-        db.reset_error_cycle();
+        db.reset_error_cycle_table(TableId(1));
         let s = db.table_stats(TableId(1)).unwrap();
         assert_eq!(s.errors_last_cycle, 0);
         assert_eq!(s.errors_total, 3);

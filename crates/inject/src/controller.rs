@@ -331,10 +331,10 @@ impl Controller {
             // halves of the image from the durable golden. Loading at
             // generation + 1 keeps the fresh checkpoint's file name
             // distinct from any existing link of the chain.
-            let disk = store.sync(&mut self.db).and_then(|_| store.durable_golden());
-            if let Ok(Some((_, golden))) = disk {
+            let disk = store.sync(&mut self.db).and_then(|_| store.durable_golden_detail());
+            if let Ok(Some(durable)) = disk {
                 let gen = self.db.mutation_generation() + 1;
-                if self.db.load_image(&golden, &golden, gen).is_ok() {
+                if self.db.load_image(&durable.golden, &durable.golden, gen).is_ok() {
                     restored_from_disk = store.checkpoint(&mut self.db).is_ok();
                 }
             }

@@ -29,12 +29,6 @@ pub struct DiskGoldenSource {
 }
 
 impl DiskGoldenSource {
-    /// Wraps a durable golden image reconstructed at `base_gen`,
-    /// without per-block attestation info.
-    pub fn new(base_gen: u64, golden: Vec<u8>) -> Self {
-        DiskGoldenSource { base_gen, golden, attested: Vec::new(), block_size: 0 }
-    }
-
     /// Wraps a durable golden image plus the store's per-block Merkle
     /// attestation bitmap (`block_size`-byte granularity).
     pub fn with_attestation(
@@ -60,15 +54,6 @@ impl DiskGoldenSource {
             return false;
         }
         self.attested.get(offset / self.block_size).copied().unwrap_or(false)
-    }
-
-    /// Fraction of blocks with a verified authentication path (0.0
-    /// when the source carries no attestation info).
-    pub fn attested_fraction(&self) -> f64 {
-        if self.attested.is_empty() {
-            return 0.0;
-        }
-        self.attested.iter().filter(|&&a| a).count() as f64 / self.attested.len() as f64
     }
 
     /// Length of the golden image in bytes.
@@ -110,7 +95,7 @@ mod tests {
     #[test]
     fn refresh_repairs_a_corrupted_golden_range() {
         let mut db = Database::build(schema::standard_schema()).unwrap();
-        let disk = DiskGoldenSource::new(7, db.golden().to_vec());
+        let disk = DiskGoldenSource::with_attestation(7, db.golden().to_vec(), Vec::new(), 0);
         assert_eq!(disk.base_gen(), 7);
         assert_eq!(disk.len(), db.region_len());
 
@@ -132,9 +117,8 @@ mod tests {
     #[test]
     fn attestation_bitmap_answers_per_offset() {
         let golden = vec![0u8; 1024];
-        let plain = DiskGoldenSource::new(1, golden.clone());
+        let plain = DiskGoldenSource::with_attestation(1, golden.clone(), Vec::new(), 0);
         assert!(!plain.is_attested(0));
-        assert_eq!(plain.attested_fraction(), 0.0);
 
         let disk =
             DiskGoldenSource::with_attestation(1, golden, vec![true, false, true, true], 256);
@@ -143,6 +127,5 @@ mod tests {
         assert!(!disk.is_attested(256));
         assert!(disk.is_attested(512));
         assert!(!disk.is_attested(4096), "past the bitmap reads unattested");
-        assert!((disk.attested_fraction() - 0.75).abs() < 1e-9);
     }
 }

@@ -219,11 +219,6 @@ impl ProcessRegistry {
     pub fn alive(&self) -> impl Iterator<Item = Pid> + '_ {
         self.procs.iter().filter(|(_, e)| e.state == ProcessState::Alive).map(|(pid, _)| *pid)
     }
-
-    /// Total processes ever spawned.
-    pub fn total_spawned(&self) -> usize {
-        self.procs.len()
-    }
 }
 
 #[cfg(test)]
@@ -277,7 +272,7 @@ mod tests {
         reg.kill(b, SimTime::ZERO);
         let live: Vec<_> = reg.alive().collect();
         assert_eq!(live, vec![a, c]);
-        assert_eq!(reg.total_spawned(), 3);
+        assert_eq!(reg.procs.len(), 3, "killed processes stay registered");
     }
 
     #[test]

@@ -891,16 +891,7 @@ impl Store {
     /// checkpoint image's golden plus every journaled golden commit
     /// with a newer generation. Returns `None` when no checkpoint is
     /// usable (the journal alone cannot seed the initial golden
-    /// image).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Io`] on read failure.
-    pub fn durable_golden(&self) -> Result<Option<(u64, Vec<u8>)>, StoreError> {
-        Ok(self.durable_golden_detail()?.map(|d| (d.base_gen, d.golden)))
-    }
-
-    /// [`Store::durable_golden`] plus per-block Merkle attestation:
+    /// image). The image carries per-block Merkle attestation:
     /// for each `block_size` block of the golden image, whether its
     /// bytes come straight from checkpoint content verified against
     /// the sealed Merkle root (`true`) or were overlaid by journaled
@@ -1043,14 +1034,5 @@ impl DurableGolden {
     /// Merkle-attested.
     pub fn is_attested(&self, offset: usize) -> bool {
         self.attested.get(offset / self.block_size.max(1)).copied().unwrap_or(false)
-    }
-
-    /// Fraction of golden blocks that are Merkle-attested (1.0 for an
-    /// empty image).
-    pub fn attested_fraction(&self) -> f64 {
-        if self.attested.is_empty() {
-            return 1.0;
-        }
-        self.attested.iter().filter(|&&a| a).count() as f64 / self.attested.len() as f64
     }
 }
