@@ -19,7 +19,6 @@
 //! [`DegradedCycle`](crate::AuditElementKind::DegradedCycle) finding
 //! instead of a silently stretched cycle.
 
-use serde::{Deserialize, Serialize};
 use wtnc_sim::SimTime;
 
 /// Sizing of the audit CPU budget, in record-screen tokens.
@@ -28,7 +27,7 @@ use wtnc_sim::SimTime;
 /// `refill_per_sec = 10_000` guarantees the auditor the CPU share
 /// needed to screen ten thousand records per simulated second no
 /// matter how hard the call-processing clients push.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BudgetConfig {
     /// Tokens earned per simulated second (the guaranteed share).
     pub refill_per_sec: u64,

@@ -1,11 +1,10 @@
 //! Findings, recovery actions and audit reports.
 
-use serde::{Deserialize, Serialize};
 use wtnc_db::{TableId, TaintEntry};
 use wtnc_sim::{Pid, SimTime};
 
 /// Which element produced a finding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AuditElementKind {
     /// Liveness probe of the audit process itself.
     Heartbeat,
@@ -35,7 +34,7 @@ pub enum AuditElementKind {
 /// *deferred* repairer (the `wtnc-recovery` engine) can act on it
 /// later without re-deriving offsets. Inline-repairing elements also
 /// attach it for uniformity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FindingTarget {
     /// A byte range of the region (static chunks, table extents).
     Range {
@@ -75,7 +74,7 @@ pub enum FindingTarget {
 }
 
 /// The recovery action attached to a finding.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RecoveryAction {
     /// Bytes restored from the golden disk image.
     ReloadedRange {
@@ -140,7 +139,7 @@ pub enum RecoveryAction {
 }
 
 /// One detected anomaly and what was done about it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Finding {
     /// The element that detected it.
     pub element: AuditElementKind,
@@ -190,7 +189,7 @@ pub struct ExecSummary {
 }
 
 /// The outcome of one audit cycle.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AuditReport {
     /// Everything detected this cycle.
     pub findings: Vec<Finding>,

@@ -8,7 +8,7 @@
 //! once per [`HEARTBEAT_INTERVAL`] and restarts it after
 //! [`HEARTBEAT_MISS_LIMIT`] consecutive misses.
 
-use wtnc_sim::{SimDuration, SimTime};
+use wtnc_sim::SimDuration;
 
 /// Interval between the manager's heartbeat queries. Callers invoke
 /// [`Supervisor::tick`](crate::Supervisor::tick) once per interval.
@@ -23,7 +23,6 @@ pub(crate) const HEARTBEAT_MISS_LIMIT: u32 = 3;
 #[derive(Debug, Clone, Default)]
 pub struct HeartbeatElement {
     queries: u64,
-    last_query: Option<SimTime>,
 }
 
 impl HeartbeatElement {
@@ -35,9 +34,8 @@ impl HeartbeatElement {
     /// Handles one heartbeat query, returning the reply payload (the
     /// query counter echoes back so the manager can match replies to
     /// queries).
-    pub fn query(&mut self, at: SimTime) -> u64 {
+    pub fn query(&mut self) -> u64 {
         self.queries += 1;
-        self.last_query = Some(at);
         self.queries
     }
 

@@ -14,7 +14,6 @@
 //! * **error history** — "the area where more errors occurred in the
 //!   recent past is likely to contain more errors in the near future".
 
-use serde::{Deserialize, Serialize};
 use wtnc_db::{Database, TableId, TableNature};
 
 /// Chooses the next table to audit.
@@ -46,7 +45,7 @@ impl AuditScheduler for RoundRobinScheduler {
 }
 
 /// Weights of the importance criteria.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PriorityWeights {
     /// Weight of normalized access frequency.
     pub access: f64,
@@ -113,7 +112,7 @@ impl PriorityScheduler {
 
         // Update smoothed access rates from this round's deltas.
         for i in 0..n {
-            let total = db.table_stats(TableId(i as u16)).map(|s| s.accesses()).unwrap_or(0);
+            let total = db.table_stats(TableId(i as u16)).map(|s| s.accesses).unwrap_or(0);
             let delta = total.saturating_sub(self.last_access[i]) as f64;
             self.last_access[i] = total;
             self.rate[i] = 0.7 * self.rate[i] + 0.3 * delta;

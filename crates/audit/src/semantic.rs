@@ -526,6 +526,32 @@ mod tests {
     }
 
     #[test]
+    fn unmutated_closure_skips_the_table_until_an_orphan_can_age_out() {
+        let (mut d, ..) = with_call_loop();
+        let index = d.alloc_record_raw(schema::PROCESS_TABLE).unwrap();
+        let young = RecordRef::new(schema::PROCESS_TABLE, index);
+        d.note_access(young, Pid(7), SimTime::ZERO, true);
+        let mut audit = SemanticAudit::new(SimDuration::from_secs(60));
+        audit.incremental = true;
+        let mut pass = |d: &mut Database, secs: u64, out: &mut Vec<Finding>| {
+            audit.audit_table(d, schema::PROCESS_TABLE, &NOT_LOCKED, SimTime::from_secs(secs), out)
+        };
+        let mut out = Vec::new();
+        assert_eq!(pass(&mut d, 10, &mut out), 2, "first pass walks the loop and the young record");
+        assert!(out.is_empty(), "{out:?}");
+        // The loop's anchor has a walk witness, the unlinked record has
+        // none: only the table-level skip keeps it from a re-check.
+        assert_eq!(pass(&mut d, 20, &mut out), 0, "unmutated closure inside the grace period");
+        assert!(out.is_empty(), "{out:?}");
+        // Still no mutation, but the young record has aged past the
+        // grace period: the skip must not hide the orphan.
+        assert_eq!(pass(&mut d, 100, &mut out), 1);
+        let freed = RecoveryAction::FreedRecord { table: young.table, record: index };
+        assert!(out.iter().any(|f| f.action == freed), "{out:?}");
+        assert!(!d.is_active(young).unwrap());
+    }
+
+    #[test]
     fn locked_records_skip_the_walk() {
         let (mut d, p, c, _) = with_call_loop();
         // Break the loop, but lock the connection record (transaction in

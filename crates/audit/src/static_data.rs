@@ -337,7 +337,7 @@ mod tests {
         assert_eq!(out[0].table, Some(schema::CHANNEL_CONFIG_TABLE));
         assert_eq!(d.read_field_raw(rec, schema::channel_config::FREQ_KHZ).unwrap(), 890_000);
         // Error history recorded for prioritization.
-        assert!(d.table_stats(schema::CHANNEL_CONFIG_TABLE).unwrap().errors_total >= 1);
+        assert!(d.table_stats(schema::CHANNEL_CONFIG_TABLE).unwrap().errors_last_cycle >= 1);
     }
 
     #[test]

@@ -36,7 +36,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 use wtnc_db::DbApi;
 use wtnc_sim::{Pid, ProcessRegistry, ProcessState, SimDuration, SimTime};
 
@@ -45,7 +44,7 @@ use crate::heartbeat::{HeartbeatElement, HEARTBEAT_MISS_LIMIT};
 use crate::progress::ProgressIndicator;
 
 /// What kind of process a supervised pid is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SupervisedRole {
     /// A database client (call processing).
     Client,
@@ -54,7 +53,7 @@ pub enum SupervisedRole {
 }
 
 /// Why a supervised process was condemned and restarted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RestartCause {
     /// The process died on its own (crash; registry state `Crashed`).
     Crash,
@@ -79,7 +78,7 @@ const STORM_WINDOW: SimDuration = SimDuration::from_secs(60);
 /// the §4.2 progress-indicator thresholds. The caller is expected to
 /// invoke [`Supervisor::tick`] once per
 /// [`HEARTBEAT_INTERVAL`](crate::HEARTBEAT_INTERVAL).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SupervisorConfig {
     /// How long a *replying* process may go without database progress
     /// before it is condemned as livelocked.
@@ -107,7 +106,7 @@ impl Default for SupervisorConfig {
 
 /// One completed downtime interval: a condemned process and its warm
 /// restart (or its sweep by a controller restart).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RestartRecord {
     /// The condemned pid.
     pub old: Pid,
@@ -145,7 +144,7 @@ impl RestartRecord {
 /// intervals, dropped calls, and restarts by cause. The ordered
 /// restart vector doubles as the deterministic supervision trace
 /// (same seed ⇒ identical ledger).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AvailabilityLedger {
     /// Every completed restart, in occurrence order.
     pub restarts: Vec<RestartRecord>,
@@ -179,7 +178,7 @@ impl AvailabilityLedger {
 }
 
 /// What one supervision tick did.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SupervisionReport {
     /// Detections and recoveries performed this tick.
     pub findings: Vec<Finding>,
@@ -419,7 +418,7 @@ impl Supervisor {
             let replied = match s.role {
                 SupervisedRole::Audit => match audit_element.as_deref_mut() {
                     Some(el) if responsive => {
-                        el.query(now);
+                        el.query();
                         true
                     }
                     _ => false,

@@ -2,7 +2,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
 use wtnc_db::{schema, Database, DbApi, DbError};
 use wtnc_sim::stats::Accumulator;
 use wtnc_sim::{Pid, ProcessRegistry, SimDuration, SimRng, SimTime};
@@ -24,7 +23,7 @@ const SETUP_PROCESSING: SimDuration = SimDuration::from_millis(150);
 const AUDIT_CONTENTION: f64 = 0.62;
 
 /// Workload parameters (paper Table 2 defaults).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadConfig {
     /// Concurrent call-processing threads.
     pub threads: usize,
@@ -50,7 +49,7 @@ impl Default for WorkloadConfig {
 }
 
 /// Aggregate client statistics for one run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CallStats {
     /// Calls whose setup completed.
     pub calls_completed_setup: u64,
@@ -71,11 +70,11 @@ pub struct CallStats {
 }
 
 /// Identifier of one in-flight call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CallHandle(pub u64);
 
 /// How a call ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CallOutcome {
     /// Normal tear-down; all golden copies matched.
     Clean,

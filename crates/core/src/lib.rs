@@ -49,7 +49,7 @@ pub use wtnc_audit as audit;
 pub use wtnc_callproc as callproc;
 pub use wtnc_db as db;
 pub use wtnc_inject as inject;
-pub use wtnc_inject::{Controller, StoreSyncReport};
+pub use wtnc_inject::Controller;
 pub use wtnc_isa as isa;
 pub use wtnc_pecos as pecos;
 pub use wtnc_recovery as recovery;

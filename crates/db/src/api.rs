@@ -4,8 +4,8 @@
 //! requested operation it (a) maintains and manipulates record locks
 //! transparently, (b) sends a message to the audit process on every
 //! call (the event channel of Figure 1), and (c) maintains the shadow
-//! metadata — last writer, last access time, access counters — that the
-//! audit's diagnosis and prioritization rely on. All of that costs
+//! metadata — last writer, last access time, per-table access counts —
+//! that the audit's diagnosis and prioritization rely on. All of that costs
 //! time, which is exactly what the paper's Figure 4 measures; the
 //! instrumentation can be disabled to obtain the "original" API.
 //!
@@ -15,7 +15,6 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use serde::{Deserialize, Serialize};
 use wtnc_sim::{Enqueue, FairQueue, Pid, SimDuration, SimTime};
 
 use crate::catalog::{Catalog, FieldId, TableId};
@@ -32,7 +31,7 @@ use crate::taint::TaintFate;
 /// audit instrumentation. Defaults approximate the paper's Figure 4
 /// (microseconds on a Sun UltraSPARC-2; only relative magnitudes
 /// matter).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ApiCosts {
     /// Base cost of `DBinit` and its instrumentation overhead fraction.
     pub init: (SimDuration, f64),
@@ -195,7 +194,7 @@ impl LockTable {
 /// Both capacities must be non-zero: [`FairQueue::new`] **panics** on
 /// a zero capacity rather than silently misbehave as an always-full or
 /// always-dropping queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IpcConfig {
     /// Total undelivered-event bound across all producers.
     pub capacity: usize,

@@ -9,8 +9,6 @@
 //! them on every call, so a bit flip in the catalog genuinely breaks
 //! operations rather than being absorbed by out-of-band Rust state.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::DbError;
 use crate::layout::{
     align_up, read_le, write_le, CATALOG_HEADER_SIZE, CATALOG_MAGIC, FIELD_DESC_SIZE,
@@ -18,16 +16,16 @@ use crate::layout::{
 };
 
 /// Identifier of a table: its position in the schema.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TableId(pub u16);
 
 /// Identifier of a field within a table: its position in the table's
 /// field list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FieldId(pub u16);
 
 /// Storage width of a field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FieldWidth {
     /// One byte.
     U8,
@@ -72,7 +70,7 @@ impl FieldWidth {
 }
 
 /// Whether a field holds static configuration or dynamic runtime data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FieldKind {
     /// Constant during operation (system configuration); covered by the
     /// golden checksum.
@@ -85,7 +83,7 @@ pub enum FieldKind {
 /// The nature of a table, used by prioritized audit triggering: the
 /// paper ranks the system catalog as most important "because it is
 /// referenced on every database access".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TableNature {
     /// Static configuration (all fields static); recovered by reload.
     Config,
@@ -94,7 +92,7 @@ pub enum TableNature {
 }
 
 /// Definition of one field of a table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FieldDef {
     /// Human-readable name (diagnostics only; not stored in-region).
     pub name: String,
@@ -161,7 +159,7 @@ impl FieldDef {
 }
 
 /// Definition of one table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableDef {
     /// Human-readable name.
     pub name: String,
@@ -181,7 +179,7 @@ impl TableDef {
 }
 
 /// Computed per-table layout.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableMeta {
     /// The source definition.
     pub def: TableDef,
@@ -216,7 +214,7 @@ impl TableMeta {
 /// A `Catalog` is built once from a schema and then serialized into the
 /// head of the database region with [`Catalog::write_region`]; the API
 /// subsequently trusts only the region copy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Catalog {
     tables: Vec<TableMeta>,
     catalog_len: usize,

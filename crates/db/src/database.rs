@@ -3,7 +3,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 use wtnc_sim::{Pid, SimTime};
 
 use crate::catalog::{Catalog, FieldId, TableDef, TableId, TableNature};
@@ -16,7 +15,7 @@ use crate::layout::{
 use crate::taint::{TaintKind, TaintMap};
 
 /// A `(table, record index)` pair naming one record slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RecordRef {
     /// The table.
     pub table: TableId,
@@ -34,37 +33,24 @@ impl RecordRef {
 /// The redundant per-record data structure of §4.3.3: "the ID of the
 /// client process that last accessed the record ... the time of last
 /// access and counters that maintain database access frequencies".
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// The access frequencies live per table in [`TableStats::accesses`],
+/// the counter the prioritized audit reads.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecordMeta {
     /// Client that last wrote the record, if any.
     pub last_writer: Option<Pid>,
     /// Time of the most recent access (read or write).
     pub last_access: SimTime,
-    /// Number of reads.
-    pub reads: u64,
-    /// Number of writes.
-    pub writes: u64,
 }
 
 /// Per-table access statistics feeding prioritized audit triggering
 /// (§4.4.1).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TableStats {
-    /// Read-class API operations against the table.
-    pub reads: u64,
-    /// Write-class API operations against the table.
-    pub writes: u64,
+    /// API operations (reads and writes) against the table.
+    pub accesses: u64,
     /// Errors the audit found in the table during the last audit cycle.
     pub errors_last_cycle: u64,
-    /// Errors the audit has ever found in the table.
-    pub errors_total: u64,
-}
-
-impl TableStats {
-    /// Total operations.
-    pub fn accesses(&self) -> u64 {
-        self.reads + self.writes
-    }
 }
 
 /// One captured region (or golden-image) mutation, in call order.
@@ -74,7 +60,7 @@ impl TableStats {
 /// `Database::note_mutation` hook — API writes, repairs, reloads,
 /// even raw injector bit flips — lands here when capture is enabled,
 /// so the journal sees exactly what the dirty-block bitmap sees.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CapturedMutation {
     /// The global mutation generation stamped on the write. Golden
     /// commits share the generation of the region write they follow
@@ -90,7 +76,7 @@ pub struct CapturedMutation {
 }
 
 /// The decoded header of one record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecordHeader {
     /// Stored record identifier (should equal
     /// [`encode_record_id`]`(table, index)`).
@@ -922,13 +908,9 @@ impl Database {
             if let Some(m) = per_table.get_mut(rec.index as usize) {
                 m.last_access = at;
                 if write {
-                    m.writes += 1;
                     m.last_writer = Some(pid);
-                    stats.writes += 1;
-                } else {
-                    m.reads += 1;
-                    stats.reads += 1;
                 }
+                stats.accesses += 1;
             }
         }
     }
@@ -947,7 +929,6 @@ impl Database {
     pub fn note_errors_detected(&mut self, table: TableId, n: u64) {
         if let Some(s) = self.stats.get_mut(table.0 as usize) {
             s.errors_last_cycle += n;
-            s.errors_total += n;
         }
     }
 
@@ -1248,9 +1229,7 @@ mod tests {
         let m = db.record_meta(rec).unwrap();
         assert_eq!(m.last_writer, Some(Pid(9)));
         assert_eq!(m.last_access, SimTime::from_secs(6));
-        assert_eq!((m.reads, m.writes), (1, 1));
-        let s = db.table_stats(TableId(1)).unwrap();
-        assert_eq!((s.reads, s.writes), (1, 1));
+        assert_eq!(db.table_stats(TableId(1)).unwrap().accesses, 2);
     }
 
     #[test]
@@ -1371,8 +1350,6 @@ mod tests {
         db.note_errors_detected(TableId(1), 3);
         assert_eq!(db.table_stats(TableId(1)).unwrap().errors_last_cycle, 3);
         db.reset_error_cycle_table(TableId(1));
-        let s = db.table_stats(TableId(1)).unwrap();
-        assert_eq!(s.errors_last_cycle, 0);
-        assert_eq!(s.errors_total, 3);
+        assert_eq!(db.table_stats(TableId(1)).unwrap().errors_last_cycle, 0);
     }
 }

@@ -5,13 +5,12 @@
 //! process ID information and the database location being accessed."
 //! (§4.2)
 
-use serde::{Deserialize, Serialize};
 use wtnc_sim::{Pid, SimTime};
 
 use crate::catalog::TableId;
 
 /// Which API primitive produced an event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DbOp {
     /// `DBinit`
     Init,
@@ -43,7 +42,7 @@ impl DbOp {
 }
 
 /// A message on the IPC queue between the DB API and the audit process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DbEvent {
     /// When the API call happened.
     pub at: SimTime,

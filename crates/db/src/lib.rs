@@ -21,8 +21,8 @@
 //! * Clients access the database through the **DB API** ([`DbApi`]):
 //!   `DBinit`, `DBclose`, `DBread_rec`, `DBread_fld`, `DBwrite_rec`,
 //!   `DBwrite_fld`, `DBmove` — with transparent per-record locking,
-//!   shadow metadata (last writer, last access time, access counters)
-//!   and event notification to the audit process.
+//!   shadow metadata (last writer, last access time), per-table access
+//!   counts and event notification to the audit process.
 //! * A **golden disk image** supports the paper's recovery actions
 //!   (reload affected portion / reload entire database).
 //!

@@ -12,12 +12,11 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 use wtnc_sim::SimTime;
 
 /// What region class a taint landed in, fixed at injection time; this
 /// is the row key of the paper's Table 4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaintKind {
     /// Catalog descriptors or a static/config data region.
     StaticData,
@@ -33,7 +32,7 @@ pub enum TaintKind {
 }
 
 /// One injected corruption.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaintEntry {
     /// Identifier assigned by the injector.
     pub id: u64,
@@ -44,7 +43,7 @@ pub struct TaintEntry {
 }
 
 /// Resolution of a taint, recorded when it leaves the map.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaintFate {
     /// An audit element repaired the bytes.
     Caught {
@@ -64,7 +63,7 @@ pub enum TaintFate {
 }
 
 /// Byte-offset → taint map over the database region.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TaintMap {
     by_offset: BTreeMap<usize, TaintEntry>,
     resolved: Vec<(usize, TaintEntry, TaintFate)>,

@@ -17,19 +17,7 @@ use wtnc_audit::{AuditElementKind, Finding, FindingTarget, RecoveryAction};
 use wtnc_db::{Database, DbApi, DbError, TableDef, TaintEntry, TaintFate};
 use wtnc_recovery::{CycleOutcome, RecoveryConfig, RecoveryEngine};
 use wtnc_sim::{Pid, ProcessRegistry, SimTime};
-use wtnc_store::{RecoveryInfo, Store, StoreConfig, StoreError, StoreFindingKind, StoreStats};
-
-/// One store sync's outcome plus the store's running size counters: a
-/// small copy-out struct the harness can log every cycle without
-/// poking at store internals.
-#[derive(Debug, Clone, Copy)]
-pub struct StoreSyncReport {
-    /// Journal records persisted by this sync.
-    pub records: usize,
-    /// The store's journal size and checkpoint/compaction counters
-    /// after the sync.
-    pub stats: StoreStats,
-}
+use wtnc_store::{RecoveryInfo, Store, StoreConfig, StoreError, StoreFindingKind};
 
 /// The assembled controller node: database, client API, process
 /// registry, and (optionally) the audit process, the recovery engine,
@@ -167,18 +155,14 @@ impl Controller {
     }
 
     /// Drains captured mutations into the journal. Returns how many
-    /// records were persisted plus the store's running size and
-    /// compaction counters, or `None` when no store is attached.
+    /// records were persisted, or `None` when no store is attached.
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::Io`] if the journal append fails.
-    pub fn sync_store(&mut self) -> Result<Option<StoreSyncReport>, StoreError> {
+    pub fn sync_store(&mut self) -> Result<Option<usize>, StoreError> {
         match self.durable.as_mut() {
-            Some(store) => {
-                let records = store.sync(&mut self.db)?;
-                Ok(Some(StoreSyncReport { records, stats: store.stats() }))
-            }
+            Some(store) => Ok(Some(store.sync(&mut self.db)?)),
             None => Ok(None),
         }
     }

@@ -8,13 +8,11 @@
 //! violation + hang)%` for the client and `(caught + no effect)%` for
 //! the database.
 
-use serde::{Deserialize, Serialize};
-
 use crate::db_campaign::DbCampaignResult;
 use crate::outcome::OutcomeCounts;
 
 /// One column of Table 10.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoverageColumn {
     /// Column label (e.g. "With PECOS / With Audit").
     pub name: String,
@@ -27,7 +25,7 @@ pub struct CoverageColumn {
 }
 
 /// The full Table 10.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table10 {
     /// Fraction of errors assumed to hit the client (paper: 0.25).
     pub client_fraction: f64,

@@ -9,7 +9,6 @@
 //! it), or **no effect** (overwritten by a legitimate write, or latent
 //! at the end of the run).
 
-use serde::{Deserialize, Serialize};
 use wtnc_audit::{AuditConfig, AuditElementKind, AuditProcess};
 use wtnc_callproc::{CallHandle, DesClient, WorkloadConfig};
 use wtnc_db::{schema, Database, DbApi, TaintFate, TaintKind};
@@ -19,7 +18,7 @@ use wtnc_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use crate::Controller;
 
 /// Configuration of one database-injection run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DbCampaignConfig {
     /// Whether the audit subsystem runs.
     pub audits: bool,
@@ -73,7 +72,7 @@ impl Default for DbCampaignConfig {
 
 /// The paper's Table 4 row structure: per-error-type detection and
 /// escape counts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Table4Breakdown {
     /// Structural errors detected (paper: 100%).
     pub structural_detected: u64,
@@ -104,7 +103,7 @@ pub struct Table4Breakdown {
 }
 
 /// Aggregated result of a database-injection campaign.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct DbCampaignResult {
     /// Total errors injected.
     pub injected: u64,

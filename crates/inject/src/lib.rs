@@ -72,6 +72,6 @@ pub mod recovery_campaign;
 pub mod storm_campaign;
 pub mod text_campaign;
 
-pub use controller::{Controller, StoreSyncReport};
+pub use controller::Controller;
 pub use models::ErrorModel;
 pub use outcome::{OutcomeCounts, RunOutcome};

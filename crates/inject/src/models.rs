@@ -1,13 +1,12 @@
 //! The error models of Table 6 (after Kanawati/Abraham's FERRARI
 //! models, plus random memory errors).
 
-use serde::{Deserialize, Serialize};
 use wtnc_isa::OPCODE_SHIFT;
 use wtnc_sim::SimRng;
 
 /// How an injected error corrupts the instruction word about to be
 /// fetched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ErrorModel {
     /// Address line error: a *different* instruction from the
     /// instruction stream executes (the word at an address with one

@@ -2,11 +2,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use wtnc_sim::stats::Proportion;
 
 /// The possible results of one error-injection run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RunOutcome {
     /// The erroneous instruction was never reached; the run is
     /// discarded from further analysis.
@@ -97,7 +96,7 @@ impl fmt::Display for RunOutcome {
 }
 
 /// Aggregated outcome counts for one campaign.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OutcomeCounts {
     counts: [u64; 9],
 }

@@ -25,7 +25,6 @@
 //!   without reporting a finding. The acceptance bar is **zero** such
 //!   runs.
 
-use serde::{Deserialize, Serialize};
 use wtnc_db::{schema, Database, DbError, RecordRef};
 use wtnc_sim::SimRng;
 use wtnc_store::{ScratchDir, SipHasher24, Store, StoreConfig, JOURNAL_FILE};
@@ -33,7 +32,7 @@ use wtnc_store::{ScratchDir, SipHasher24, Store, StoreConfig, JOURNAL_FILE};
 use crate::outcome::{OutcomeCounts, RunOutcome};
 
 /// The power-fail / tampering models (rows of the campaign table).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PowerFailModel {
     /// Power fails while the newest checkpoint is being written: the
     /// file is truncated at a random byte.
@@ -107,7 +106,7 @@ const SYNC_EVERY: usize = 4;
 const CHECKPOINT_EVERY: usize = 40;
 
 /// Configuration of one power-fail run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PowerFailConfig {
     /// Workload length in mutation steps.
     pub mutations: usize,
@@ -131,7 +130,7 @@ impl Default for PowerFailConfig {
 }
 
 /// Result of one power-fail run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PowerFailRunResult {
     /// Faults injected (always 1: one failure event per run).
     pub injected: u64,
@@ -150,7 +149,7 @@ pub struct PowerFailRunResult {
 }
 
 /// Aggregated campaign result.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PowerFailCampaignResult {
     /// Total failure events injected.
     pub injected: u64,

@@ -9,7 +9,6 @@
 //! and land either uniformly over the database image or proportionally
 //! to table access frequency.
 
-use serde::{Deserialize, Serialize};
 use wtnc_audit::{AuditConfig, AuditScope, PriorityScheduler, PriorityWeights};
 use wtnc_db::{schema, TaintFate};
 use wtnc_sim::stats::Accumulator;
@@ -24,7 +23,7 @@ pub const ACCESS_RATIO: [f64; 6] = [6.0, 5.0, 4.0, 3.0, 2.0, 1.0];
 const OPS_PER_SEC_PER_THREAD: f64 = 20.0;
 
 /// Configuration of one prioritized-audit run (paper Table 5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PriorityCampaignConfig {
     /// Prioritized (weighted) vs unprioritized (round-robin) audit.
     pub prioritized: bool,
@@ -65,7 +64,7 @@ impl Default for PriorityCampaignConfig {
 }
 
 /// Aggregated result.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PriorityResult {
     /// Errors injected.
     pub injected: u64,

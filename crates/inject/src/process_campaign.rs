@@ -31,7 +31,6 @@
 //! the availability accounting the paper's 5ESS lineage (§2) demands
 //! of a telephone controller.
 
-use serde::{Deserialize, Serialize};
 use wtnc_audit::{
     AuditConfig, RecoveryAction, RestartRecord, SupervisorConfig, HEARTBEAT_INTERVAL,
 };
@@ -43,7 +42,7 @@ use crate::outcome::{OutcomeCounts, RunOutcome};
 use crate::Controller;
 
 /// The process-fault models (the rows of the campaign table).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProcessFaultModel {
     /// A call-processing client dies outright; its connection vanishes
     /// but any locks it held stay behind.
@@ -96,7 +95,7 @@ impl ProcessFaultModel {
 const WORK_PERIOD: SimDuration = SimDuration::from_secs(2);
 
 /// Configuration of one process-campaign run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProcessCampaignConfig {
     /// Run length.
     pub duration: SimDuration,
@@ -133,7 +132,7 @@ impl Default for ProcessCampaignConfig {
 }
 
 /// Result of one process-campaign run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProcessRunResult {
     /// Faults injected (including `NotActivated` attempts).
     pub injected: u64,
@@ -168,7 +167,7 @@ pub struct ProcessRunResult {
 }
 
 /// Aggregated result of many runs of one fault model.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProcessCampaignResult {
     /// Faults injected across all runs.
     pub injected: u64,

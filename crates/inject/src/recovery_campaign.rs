@@ -13,7 +13,6 @@
 //! graceful (rather than total) throughput degradation under a
 //! corruption storm.
 
-use serde::{Deserialize, Serialize};
 use wtnc_audit::AuditConfig;
 use wtnc_callproc::{CallHandle, DesClient, WorkloadConfig};
 use wtnc_db::{schema, TaintFate};
@@ -25,7 +24,7 @@ use crate::outcome::{OutcomeCounts, RunOutcome};
 use crate::Controller;
 
 /// Configuration of one recovery-campaign run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryCampaignConfig {
     /// Run length.
     pub duration: SimDuration,
@@ -62,7 +61,7 @@ impl Default for RecoveryCampaignConfig {
 }
 
 /// Result of one recovery-campaign run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RecoveryRunResult {
     /// Errors injected.
     pub injected: u64,
@@ -95,7 +94,7 @@ pub struct RecoveryRunResult {
 }
 
 /// Aggregated result of many runs.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RecoveryCampaignResult {
     /// Errors injected across all runs.
     pub injected: u64,

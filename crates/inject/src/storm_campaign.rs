@@ -24,7 +24,6 @@
 //! token bucket sheds screens honestly (degraded cycles with explicit
 //! findings), and starvation notices keep the escalation ladder quiet.
 
-use serde::{Deserialize, Serialize};
 use wtnc_audit::{
     AuditConfig, AuditProcess, BudgetConfig, SupervisedRole, SupervisorConfig, HEARTBEAT_INTERVAL,
 };
@@ -50,7 +49,7 @@ pub const RECORD_COST: SimDuration = SimDuration::from_micros(50);
 pub const SATURATION_EVENTS_PER_SEC: f64 = 2_000.0;
 
 /// The storm traffic models (the rows of the campaign table).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StormModel {
     /// One client goes rogue and emits the entire offered load while
     /// the others keep their normal call-processing pace — the
@@ -86,7 +85,7 @@ impl StormModel {
 const CORRUPT_AT: SimDuration = SimDuration::from_secs(32);
 
 /// Configuration of one storm-campaign run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StormCampaignConfig {
     /// Run length.
     pub duration: SimDuration,
@@ -128,7 +127,7 @@ impl Default for StormCampaignConfig {
 }
 
 /// Result of one storm-campaign run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StormRunResult {
     /// Corruptions planted (always 1 per run).
     pub injected: u64,
@@ -179,7 +178,7 @@ pub struct StormRunResult {
 
 /// Aggregated result of many runs at one (model, load, isolation)
 /// point.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StormCampaignResult {
     /// Runs executed.
     pub runs: u64,

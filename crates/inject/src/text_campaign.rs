@@ -9,7 +9,6 @@
 //! same multi-threaded ISA call-processing client against the real
 //! controller database.
 
-use serde::{Deserialize, Serialize};
 use wtnc_callproc::{AsmClientConfig, BridgeStats, DbSyscallBridge};
 use wtnc_db::{Database, DbApi};
 use wtnc_isa::{decode, Engine, Machine, MachineConfig, StepOutcome, ThreadState};
@@ -20,7 +19,7 @@ use crate::models::ErrorModel;
 use crate::outcome::{OutcomeCounts, RunOutcome};
 
 /// Where injections land.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InjectionTarget {
     /// Only control-flow instructions (the paper's "directed injection
     /// to control flow instructions").
@@ -31,7 +30,7 @@ pub enum InjectionTarget {
 }
 
 /// Configuration of one campaign cell.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TextCampaignConfig {
     /// PECOS instrumentation on the client.
     pub pecos: bool,
@@ -57,17 +56,11 @@ pub struct TextCampaignConfig {
     /// Run the client on the machine's superblock fast path. Outcomes
     /// are identical either way (the engines are semantics-preserving);
     /// `false` exists for parity testing and overhead benchmarks.
-    #[serde(default = "default_fast_path")]
     pub fast_path: bool,
     /// Explicit engine selection, overriding `fast_path` when set
     /// (same precedence as [`MachineConfig::effective_engine`]). Lets
     /// parity campaigns pin each engine individually.
-    #[serde(default)]
     pub engine: Option<Engine>,
-}
-
-fn default_fast_path() -> bool {
-    true
 }
 
 impl Default for TextCampaignConfig {
@@ -83,14 +76,14 @@ impl Default for TextCampaignConfig {
             audit_every_steps: 4_000,
             step_budget: 400_000,
             seed: 0xD5A1,
-            fast_path: default_fast_path(),
+            fast_path: true,
             engine: None,
         }
     }
 }
 
 /// Result of one campaign cell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TextCampaignResult {
     /// The configuration that produced it.
     pub config: TextCampaignConfig,

@@ -13,7 +13,6 @@
 //! run time with [`TARGET_MASK`] to validate the *actual bits* of the
 //! upcoming jump before it executes.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Bit position of the opcode field.
@@ -46,7 +45,7 @@ impl fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 /// One machine instruction. Registers are encoded 0–15.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Inst {
     /// No operation.
     Nop,

@@ -14,8 +14,6 @@
 //! assertion block and either terminates just that thread (graceful
 //! recovery) or lets the process crash (system detection).
 
-use serde::{Deserialize, Serialize};
-
 use crate::decoded::DecodedCache;
 use crate::inst::{decode, Inst};
 use crate::program::Program;
@@ -34,8 +32,7 @@ pub const MAX_PCKT_TABLE: u32 = 1_024;
 /// observationally identical — same retired-step counts, exception
 /// PCs/kinds, register files and `peek_next` sequences — and differ
 /// only in speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "lowercase")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
     /// The original word-at-a-time interpreter: strict decode on every
     /// fetch, round-robin scan on every step. The parity oracle.
@@ -70,20 +67,14 @@ impl Engine {
 }
 
 /// Configuration for a [`Machine`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MachineConfig {
     /// Back-compat fast-path switch: `false` selects [`Engine::Slow`],
     /// `true` (the default) selects [`Engine::Superblock`] unless
     /// [`MachineConfig::engine`] picks one explicitly.
-    #[serde(default = "default_fast_path")]
     pub fast_path: bool,
     /// Explicit engine selection; `None` derives it from `fast_path`.
-    #[serde(default)]
     pub engine: Option<Engine>,
-}
-
-fn default_fast_path() -> bool {
-    true
 }
 
 impl MachineConfig {
@@ -97,12 +88,12 @@ impl MachineConfig {
 
 impl Default for MachineConfig {
     fn default() -> Self {
-        MachineConfig { fast_path: default_fast_path(), engine: None }
+        MachineConfig { fast_path: true, engine: None }
     }
 }
 
 /// Why a thread faulted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExceptionKind {
     /// `DIVU` with a zero divisor, or a failed `PCKT` membership test.
     /// PECOS assertion blocks raise exactly this.
@@ -124,7 +115,7 @@ pub enum ExceptionKind {
 }
 
 /// A reported exception.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExceptionInfo {
     /// The faulting thread.
     pub thread: ThreadId,
@@ -136,7 +127,7 @@ pub struct ExceptionInfo {
 }
 
 /// Lifecycle state of a machine thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ThreadState {
     /// Eligible to run.
     Runnable,

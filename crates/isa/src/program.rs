@@ -2,8 +2,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::inst::decode;
 
 /// An assembled program.
@@ -12,7 +10,7 @@ use crate::inst::decode;
 /// symbol table maps every label to its resolved address; PECOS reads
 /// back the addresses of its generated labels from here to learn where
 /// its assertion blocks landed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
     /// The text segment: one encoded instruction (or data word) per
     /// element.

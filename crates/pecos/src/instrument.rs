@@ -4,7 +4,6 @@ use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use wtnc_isa::asm::{Assembly, Item, WordValue};
 use wtnc_isa::{Inst, Machine, Program};
 
@@ -55,7 +54,7 @@ impl fmt::Display for PecosError {
 impl Error for PecosError {}
 
 /// Metadata about where assertion blocks landed in the final program.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PecosMeta {
     /// Half-open `[start, end)` address ranges of assertion blocks,
     /// sorted; a divide-by-zero with its PC in one of these is a PECOS
@@ -111,12 +110,10 @@ impl PecosMeta {
     }
 }
 
-/// An instrumented program: rewritten assembly, assembled binary, and
-/// the assertion-block metadata the signal handler needs.
+/// An instrumented program: the assembled binary of the rewritten
+/// assembly, and the assertion-block metadata the signal handler needs.
 #[derive(Debug, Clone)]
 pub struct Instrumented {
-    /// The rewritten listing (useful for inspection and tests).
-    pub assembly: Assembly,
     /// The assembled binary.
     pub program: Program,
     /// Assertion-block metadata.
@@ -297,8 +294,8 @@ pub fn instrument(input: &Assembly) -> Result<Instrumented, PecosError> {
     }
     out.extend(tables);
 
-    let assembly = Assembly { items: out };
-    let program = assembly.assemble().map_err(|e| PecosError::Assemble(e.to_string()))?;
+    let program =
+        Assembly { items: out }.assemble().map_err(|e| PecosError::Assemble(e.to_string()))?;
 
     let original_words: usize = input.items.iter().map(|i| i.size() as usize).sum();
     let mut assertion_ranges: Vec<(u16, u16)> = block_labels
@@ -318,7 +315,7 @@ pub fn instrument(input: &Assembly) -> Result<Instrumented, PecosError> {
         original_words,
         instrumented_words: program.len(),
     };
-    Ok(Instrumented { assembly, program, meta })
+    Ok(Instrumented { program, meta })
 }
 
 /// Parses and instruments source in one call.

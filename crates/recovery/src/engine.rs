@@ -2,7 +2,6 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use serde::{Deserialize, Serialize};
 use wtnc_audit::{AuditElementKind, AuditProcess, Finding, FindingTarget, RecoveryAction};
 use wtnc_db::{Database, DbApi, RecordRef, TableId, TaintEntry, TaintFate};
 use wtnc_sim::{Pid, ProcessRegistry, SimDuration, SimTime};
@@ -12,7 +11,7 @@ use crate::log::{RecoveryStats, RepairLogEntry, RepairOutcome};
 /// A rung of the escalation ladder, ordered from most localized to
 /// most global. Verification failures and recurring targets climb one
 /// rung at a time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rung {
     /// Smallest repair that can close the finding: restore dirty
     /// golden blocks, reset the field to its catalog default, rebuild
@@ -75,7 +74,7 @@ pub const TOKEN_TIME: SimDuration = SimDuration::from_millis(2);
 const GOLDEN_DIFF_BLOCK: usize = 64;
 
 /// Engine configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryConfig {
     /// Budget tokens available per [`RecoveryEngine::run_cycle`] call.
     /// Work beyond the budget stays queued for the next cycle, keeping
@@ -97,7 +96,7 @@ impl Default for RecoveryConfig {
 }
 
 /// Outcome of one engine cycle.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CycleOutcome {
     /// Repair attempts executed this cycle.
     pub attempted: u64,

@@ -1,6 +1,5 @@
 //! The repair log and aggregate statistics.
 
-use serde::{Deserialize, Serialize};
 use wtnc_audit::{AuditElementKind, FindingTarget};
 use wtnc_sim::stats::Accumulator;
 use wtnc_sim::SimTime;
@@ -8,7 +7,7 @@ use wtnc_sim::SimTime;
 use crate::engine::Rung;
 
 /// What happened to one repair attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RepairOutcome {
     /// The repair was executed and the originating audit element no
     /// longer reports the target: the finding is closed.
@@ -22,7 +21,7 @@ pub enum RepairOutcome {
 }
 
 /// One entry of the (deterministic) repair log.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RepairLogEntry {
     /// Monotone sequence number.
     pub seq: u64,

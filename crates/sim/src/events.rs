@@ -5,19 +5,6 @@ use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// An event taken out of an [`EventQueue`], pairing the firing time with
-/// the payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScheduledEvent<E> {
-    /// When the event fires.
-    pub at: SimTime,
-    /// Monotone sequence number assigned at scheduling time; used for
-    /// FIFO tie-breaking and exposed for tracing.
-    pub seq: u64,
-    /// The event payload.
-    pub event: E,
-}
-
 #[derive(Debug)]
 struct HeapEntry<E> {
     at: SimTime,
@@ -112,13 +99,6 @@ impl<E> EventQueue<E> {
         Some((entry.at, entry.event))
     }
 
-    /// Like [`EventQueue::pop`] but also exposes the sequence number.
-    pub fn pop_scheduled(&mut self) -> Option<ScheduledEvent<E>> {
-        let entry = self.heap.pop()?;
-        self.now = entry.at;
-        Some(ScheduledEvent { at: entry.at, seq: entry.seq, event: entry.event })
-    }
-
     /// Timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.at)
@@ -207,14 +187,5 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
         q.clear();
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn pop_scheduled_exposes_sequence() {
-        let mut q = EventQueue::new();
-        let s0 = q.schedule(SimTime::ZERO, Ev::A);
-        let s1 = q.schedule(SimTime::ZERO, Ev::B);
-        assert_eq!(q.pop_scheduled().unwrap().seq, s0);
-        assert_eq!(q.pop_scheduled().unwrap().seq, s1);
     }
 }

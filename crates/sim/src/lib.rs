@@ -52,7 +52,7 @@ mod rng;
 pub mod stats;
 mod time;
 
-pub use events::{EventQueue, ScheduledEvent};
+pub use events::EventQueue;
 pub use ipc::{Enqueue, FairQueue, LaneStats};
 pub use process::{Pid, ProcessRegistry, ProcessState, Responsiveness, Tid};
 pub use rng::SimRng;

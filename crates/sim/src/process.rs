@@ -10,12 +10,10 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimTime;
 
 /// Identifier of a simulated process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Pid(pub u32);
 
 impl fmt::Display for Pid {
@@ -25,7 +23,7 @@ impl fmt::Display for Pid {
 }
 
 /// Identifier of a thread within a simulated process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Tid(pub u32);
 
 impl fmt::Display for Tid {
@@ -35,7 +33,7 @@ impl fmt::Display for Tid {
 }
 
 /// Lifecycle state of a simulated process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProcessState {
     /// Running normally.
     Alive,
@@ -53,7 +51,7 @@ pub enum ProcessState {
 /// replies while doing no useful work — the three failure shapes the
 /// paper's heartbeat and progress-indicator elements divide between
 /// themselves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Responsiveness {
     /// Replies to probes and makes progress.
     Responsive,

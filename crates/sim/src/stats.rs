@@ -4,8 +4,6 @@
 //! percentages with binomial 95% confidence intervals (Tables 8 and 9),
 //! and per-category breakdowns. These helpers compute exactly those.
 
-use serde::{Deserialize, Serialize};
-
 /// Streaming mean/variance accumulator (Welford's algorithm).
 ///
 /// # Example
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(acc.mean(), 2.5);
 /// assert_eq!(acc.count(), 4);
 /// ```
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Accumulator {
     n: u64,
     mean: f64,
@@ -101,7 +99,7 @@ impl Accumulator {
 
 /// A proportion `successes / trials` with its binomial 95% confidence
 /// interval, as reported in the paper's Tables 8 and 9.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Proportion {
     /// Number of successes.
     pub successes: u64,
@@ -155,7 +153,7 @@ impl Proportion {
 
 /// A value histogram used by selective attribute monitoring: counts of
 /// how often each distinct value has been observed.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ValueHistogram {
     counts: std::collections::BTreeMap<u64, u64>,
     total: u64,

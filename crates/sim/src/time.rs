@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// An instant on the simulated clock, in microseconds since simulation
 /// start.
 ///
@@ -21,9 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.as_micros(), 1_500_000);
 /// assert_eq!(t.as_secs_f64(), 1.5);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {
@@ -111,9 +107,7 @@ impl Sub<SimTime> for SimTime {
 /// assert_eq!(audit_period / 2, SimDuration::from_secs(5));
 /// assert_eq!(audit_period.as_millis(), 10_000);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimDuration {

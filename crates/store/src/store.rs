@@ -910,22 +910,15 @@ impl Store {
         Ok(self.newest_image()?.map(|img| self.carry_golden_forward(img.gen, img.golden.clone())))
     }
 
-    /// Overlays every journaled commit newer than `gen` onto one half
-    /// of an image — golden commits when `golden`, region commits
-    /// otherwise — and reports each byte range written. Nothing is
+    /// Overlays every journaled golden commit newer than `gen` onto a
+    /// golden image and reports each byte range written. Nothing is
     /// overlaid when compaction reclaimed records past `gen`.
-    fn overlay_journal(
-        &self,
-        gen: u64,
-        golden: bool,
-        target: &mut [u8],
-        mut written: impl FnMut(Range<usize>),
-    ) {
+    fn overlay_journal(&self, gen: u64, target: &mut [u8], mut written: impl FnMut(Range<usize>)) {
         if self.compacted_through > gen {
             return;
         }
         for m in &self.journal_cache {
-            if m.golden == golden && m.gen > gen && m.offset < target.len() {
+            if m.golden && m.gen > gen && m.offset < target.len() {
                 let end = (m.offset + m.bytes.len()).min(target.len());
                 target[m.offset..end].copy_from_slice(&m.bytes[..end - m.offset]);
                 written(m.offset..end);
@@ -940,7 +933,7 @@ impl Store {
     fn carry_golden_forward(&self, gen: u64, mut golden: Vec<u8>) -> DurableGolden {
         let block = LEAF_BLOCK_SIZE;
         let mut attested = vec![true; golden.len().div_ceil(block)];
-        self.overlay_journal(gen, true, &mut golden, |r| {
+        self.overlay_journal(gen, &mut golden, |r| {
             attested[r.start / block..r.end.div_ceil(block)].fill(false);
         });
         DurableGolden { base_gen: gen, golden, attested, block_size: block }
