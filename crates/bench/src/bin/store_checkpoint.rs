@@ -16,9 +16,10 @@
 //!    against recomputing only the dirty leaves' root paths;
 //! 3. **O(log n) single-block update** — path-update latency as the
 //!    leaf count doubles, with the tree depth alongside;
-//! 4. **sw vs hw CRC framing** — journal record framing throughput
-//!    under the slice-by-8 and hardware CRC kernels (the journal is
-//!    the other half of every checkpoint interval).
+//! 4. **sw vs hw CRC framing** — journal framing throughput of one
+//!    batch into one buffer (`encode_records`, as a store sync writes
+//!    it) under the slice-by-8 and hardware CRC kernels (the journal
+//!    is the other half of every checkpoint interval).
 //!
 //! Gate: with `WTNC_BENCH_ASSERT_SPEEDUP=<x>` set, the bench fails
 //! unless the delta path at ≤10% dirty is at least `x`× faster than a
@@ -38,7 +39,7 @@ use std::time::Instant;
 use wtnc::db::{set_crc_kernel_override, CapturedMutation, CrcKernel};
 use wtnc::sim::SimRng;
 use wtnc::store::{
-    encode_checkpoint_with_tree, encode_delta_checkpoint, encode_record, MerkleTree,
+    encode_checkpoint_with_tree, encode_delta_checkpoint, encode_records, MerkleTree,
 };
 use wtnc_bench::{host_info_json, smoke, write_results};
 
@@ -248,12 +249,10 @@ fn main() {
         let mut mibs = Vec::with_capacity(reps);
         for _ in 0..reps {
             let t = Instant::now();
-            let mut total = 0usize;
-            for m in &records {
-                total += encode_record(m).len();
-            }
+            let mut batch = Vec::new();
+            encode_records(&mut batch, &records);
             let secs = t.elapsed().as_secs_f64();
-            std::hint::black_box(total);
+            std::hint::black_box(batch);
             mibs.push(payload as f64 / (1 << 20) as f64 / secs.max(1e-12));
         }
         let rate = median(&mut mibs);

@@ -19,7 +19,8 @@
 //! mismatch) cuts replay at the last valid prefix, and the damage is
 //! reported instead of a partial record ever being applied.
 
-use std::io::{Read, Write};
+use std::fs::File;
+use std::io::{self, Read, Write};
 use std::path::Path;
 
 use wtnc_db::{crc32, CapturedMutation};
@@ -77,31 +78,42 @@ pub struct JournalScan {
     pub compacted_through: u64,
 }
 
+/// Appends `records` to `out` as framed journal records, growing `out`
+/// once. Each frame's header is reserved first and filled in from the
+/// payload already written after it.
+pub fn encode_records(out: &mut Vec<u8>, records: &[CapturedMutation]) {
+    out.reserve(records.iter().map(|m| FRAME_HEADER + PAYLOAD_PREFIX + m.bytes.len()).sum());
+    for m in records {
+        let kind = if m.golden { KIND_GOLDEN } else { KIND_REGION };
+        push_frame(out, kind, m.gen, m.offset as u64, &m.bytes);
+    }
+}
+
 /// Encodes one captured mutation as a framed journal record.
 pub fn encode_record(m: &CapturedMutation) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(PAYLOAD_PREFIX + m.bytes.len());
-    payload.push(if m.golden { KIND_GOLDEN } else { KIND_REGION });
-    payload.extend_from_slice(&m.gen.to_le_bytes());
-    payload.extend_from_slice(&(m.offset as u64).to_le_bytes());
-    payload.extend_from_slice(&m.bytes);
-    frame(&payload)
+    let mut out = Vec::new();
+    encode_records(&mut out, std::slice::from_ref(m));
+    out
 }
 
 /// Encodes a compaction marker sealing everything at `gen` and below.
 pub fn encode_compaction_marker(gen: u64) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(PAYLOAD_PREFIX);
-    payload.push(KIND_COMPACTION);
-    payload.extend_from_slice(&gen.to_le_bytes());
-    payload.extend_from_slice(&0u64.to_le_bytes());
-    frame(&payload)
+    let mut out = Vec::new();
+    push_frame(&mut out, KIND_COMPACTION, gen, 0, &[]);
+    out
 }
 
-fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+fn push_frame(out: &mut Vec<u8>, kind: u8, gen: u64, offset: u64, data: &[u8]) {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER]);
+    out.push(kind);
+    out.extend_from_slice(&gen.to_le_bytes());
+    out.extend_from_slice(&offset.to_le_bytes());
+    out.extend_from_slice(data);
+    let payload = &out[start + FRAME_HEADER..];
+    let (len, crc) = (payload.len() as u32, crc32(payload));
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..start + FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
 }
 
 fn decode_payload(payload: &[u8]) -> Option<CapturedMutation> {
@@ -126,10 +138,10 @@ fn decode_payload(payload: &[u8]) -> Option<CapturedMutation> {
 /// # Errors
 ///
 /// Propagates I/O errors other than the file not existing.
-pub fn scan_journal(path: &Path) -> std::io::Result<JournalScan> {
-    let mut file = match std::fs::File::open(path) {
+pub fn scan_journal(path: &Path) -> io::Result<JournalScan> {
+    let mut file = match File::open(path) {
         Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(JournalScan::default()),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(JournalScan::default()),
         Err(e) => return Err(e),
     };
     let file_len = file.metadata()?.len();
@@ -184,58 +196,44 @@ pub fn scan_journal(path: &Path) -> std::io::Result<JournalScan> {
     Ok(scan)
 }
 
-/// Appends framed records to an open journal file and flushes them to
-/// the OS. Returns the number of bytes written.
+/// Appends framed records to an open journal file in one write, then
+/// syncs them with one `fdatasync` (none for an empty batch). Returns
+/// the number of bytes written.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from the write or flush.
-pub fn append_framed(
-    file: &mut std::fs::File,
-    records: &[CapturedMutation],
-) -> std::io::Result<u64> {
-    let mut written = 0u64;
-    for m in records {
-        let frame = encode_record(m);
-        file.write_all(&frame)?;
-        written += frame.len() as u64;
-    }
-    if written > 0 {
+/// Propagates I/O errors from the write or sync.
+pub fn append_framed(file: &mut File, records: &[CapturedMutation]) -> io::Result<u64> {
+    let mut buf = Vec::new();
+    encode_records(&mut buf, records);
+    if !buf.is_empty() {
+        file.write_all(&buf)?;
         file.sync_data()?;
     }
-    Ok(written)
+    Ok(buf.len() as u64)
 }
 
 /// Rotates the journal for compaction: writes a fresh journal holding
 /// a compaction marker at `horizon` followed by `retained` records to
-/// [`JOURNAL_TMP_FILE`], syncs it, and atomically renames it over
-/// [`JOURNAL_FILE`]. A crash before the rename leaves the old journal
-/// intact (the stray tmp file is ignored and removed at open); a crash
-/// after it leaves the fully-synced rotated journal. Returns the new
-/// journal's byte length.
+/// [`JOURNAL_TMP_FILE`] in one write, syncs it, and atomically renames
+/// it over [`JOURNAL_FILE`]. A crash before the rename leaves the old
+/// journal intact (the stray tmp file is ignored and removed at open);
+/// a crash after it leaves the fully-synced rotated journal. Returns
+/// the new journal's byte length.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from the write, sync, or rename.
-pub fn rotate_journal(
-    dir: &Path,
-    horizon: u64,
-    retained: &[CapturedMutation],
-) -> std::io::Result<u64> {
+pub fn rotate_journal(dir: &Path, horizon: u64, retained: &[CapturedMutation]) -> io::Result<u64> {
+    let mut buf = encode_compaction_marker(horizon);
+    encode_records(&mut buf, retained);
     let tmp = dir.join(JOURNAL_TMP_FILE);
-    let mut file = std::fs::File::create(&tmp)?;
-    let marker = encode_compaction_marker(horizon);
-    file.write_all(&marker)?;
-    let mut bytes = marker.len() as u64;
-    for m in retained {
-        let frame = encode_record(m);
-        file.write_all(&frame)?;
-        bytes += frame.len() as u64;
-    }
+    let mut file = File::create(&tmp)?;
+    file.write_all(&buf)?;
     file.sync_data()?;
     drop(file);
     std::fs::rename(&tmp, dir.join(JOURNAL_FILE))?;
-    Ok(bytes)
+    Ok(buf.len() as u64)
 }
 
 #[cfg(test)]
@@ -261,6 +259,39 @@ mod tests {
         assert_eq!(scan.valid_bytes, std::fs::metadata(&path).unwrap().len());
         assert!(scan.damage.is_none());
         assert_eq!(scan.compacted_through, 0);
+    }
+
+    #[test]
+    fn one_write_per_batch_is_the_concatenation_of_its_frames() {
+        let dir = ScratchDir::new("journal-bytes");
+        let path = dir.path().join(JOURNAL_FILE);
+        let mut records: Vec<_> = (1..=6).map(|g| sample(g, g % 3 == 0)).collect();
+        records[2].bytes.clear();
+        records[4].bytes = vec![0xA5; 300];
+        let mut file = std::fs::File::create(&path).unwrap();
+        let written = append_framed(&mut file, &records).unwrap();
+        drop(file);
+        let expected: Vec<u8> = records.iter().flat_map(encode_record).collect();
+        assert_eq!(std::fs::read(&path).unwrap(), expected);
+        assert_eq!(written, expected.len() as u64);
+
+        let retained = &records[3..];
+        let bytes = rotate_journal(dir.path(), 3, retained).unwrap();
+        let mut expected = encode_compaction_marker(3);
+        expected.extend(retained.iter().flat_map(encode_record));
+        assert_eq!(std::fs::read(&path).unwrap(), expected);
+        assert_eq!(bytes, expected.len() as u64);
+    }
+
+    #[test]
+    fn an_empty_batch_writes_nothing() {
+        let dir = ScratchDir::new("journal-empty");
+        let path = dir.path().join(JOURNAL_FILE);
+        let mut file = std::fs::File::create(&path).unwrap();
+        append_framed(&mut file, &[sample(1, false)]).unwrap();
+        let before = std::fs::metadata(&path).unwrap().len();
+        assert_eq!(append_framed(&mut file, &[]).unwrap(), 0);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), before);
     }
 
     #[test]

@@ -47,8 +47,8 @@ pub use checkpoint::{
     CheckpointError, CheckpointMeta, DeltaCheckpoint, DeltaMeta, CKPT_MAGIC, DELTA_MAGIC,
 };
 pub use journal::{
-    encode_compaction_marker, encode_record, rotate_journal, scan_journal, JournalDamage,
-    JournalScan, JOURNAL_FILE, JOURNAL_TMP_FILE, MAX_PAYLOAD,
+    encode_compaction_marker, encode_record, encode_records, rotate_journal, scan_journal,
+    JournalDamage, JournalScan, JOURNAL_FILE, JOURNAL_TMP_FILE, MAX_PAYLOAD,
 };
 pub use mac::{siphash24, SipHasher24};
 pub use merkle::{

@@ -5,7 +5,7 @@
 //! past the cut.
 
 use proptest::prelude::*;
-use wtnc::db::{schema, Database, DbError, RecordRef};
+use wtnc::db::{crc32, schema, Database, DbError, RecordRef};
 use wtnc::sim::SimRng;
 use wtnc::store::{ScratchDir, Store, StoreConfig, JOURNAL_FILE};
 
@@ -374,4 +374,65 @@ fn scratch_directories_are_cleaned_up() {
         scratch.path().to_path_buf()
     };
     assert!(!path.exists(), "ScratchDir::drop removes {}", path.display());
+}
+
+/// The on-disk format pin: a fixed seeded workload driven through
+/// `Store::sync`, two checkpoints (one full image, one dirty delta),
+/// a compaction and more syncs after it must leave a journal and
+/// checkpoint files whose byte lengths and CRC-32s equal the constants
+/// below. A change to how the store frames, batches or rotates records
+/// that moves a single byte fails here.
+#[test]
+fn on_disk_format_is_pinned_for_a_fixed_seed() {
+    const JOURNAL_LEN: u64 = 11_565;
+    const JOURNAL_CRC: u32 = 0x6BE5_4676;
+    const CHECKPOINTS_LEN: u64 = 18_980;
+    const CHECKPOINTS_CRC: u32 = 0x45C8_F9C2;
+
+    let scratch = ScratchDir::new("format-pin");
+    let mut rng = SimRng::seed_from(0x5EED_F00D);
+    let mut db = Database::build(schema::standard_schema()).expect("standard schema");
+    let mut store =
+        Store::open(scratch.path(), StoreConfig { full_every: 2, ..StoreConfig::default() })
+            .expect("open");
+    store.attach(&mut db);
+    let mut live = Vec::new();
+    for i in 1..=240usize {
+        step(&mut db, &mut rng, &mut live);
+        if i % 40 == 0 {
+            // A golden-side restore: the journal's second record kind.
+            let offset = rng.index(db.golden().len() - 8);
+            let bytes = db.golden()[offset..offset + 8].to_vec();
+            db.restore_golden_range(offset, &bytes).expect("restore golden");
+        }
+        if i % 7 == 0 {
+            store.sync(&mut db).expect("sync");
+        }
+        if i == 80 || i == 160 {
+            store.checkpoint(&mut db).expect("checkpoint");
+        }
+        if i == 170 {
+            assert!(store.compact().expect("compact") > 0, "compaction reclaims bytes");
+        }
+    }
+    store.sync(&mut db).expect("sync");
+    drop(store);
+
+    let journal = std::fs::read(scratch.path().join(JOURNAL_FILE)).expect("read journal");
+    let mut names: Vec<_> = std::fs::read_dir(scratch.path())
+        .expect("list store")
+        .map(|e| e.expect("entry").file_name().into_string().expect("utf-8 name"))
+        .filter(|n| n != JOURNAL_FILE)
+        .collect();
+    names.sort();
+    assert_eq!(names.len(), 2, "one full image and one delta: {names:?}");
+    let checkpoints: Vec<u8> = names
+        .iter()
+        .flat_map(|n| std::fs::read(scratch.path().join(n)).expect("read checkpoint"))
+        .collect();
+    assert_eq!(
+        (journal.len() as u64, crc32(&journal), checkpoints.len() as u64, crc32(&checkpoints)),
+        (JOURNAL_LEN, JOURNAL_CRC, CHECKPOINTS_LEN, CHECKPOINTS_CRC),
+        "journal (len, crc), checkpoints (len, crc) of {names:?}"
+    );
 }
