@@ -195,18 +195,15 @@ pub struct AuditReport {
     pub findings: Vec<Finding>,
     /// Records examined this cycle.
     pub records_checked: u64,
-    /// Tables examined this cycle.
-    pub tables_checked: u64,
     /// Which engine ran the cycle; always [`ExecutorMode::Serial`].
     pub exec: ExecSummary,
     /// Tables actually screened this cycle, in execution order.
     pub tables_audited: Vec<TableId>,
     /// Tables shed because the CPU budget ran dry; they are re-queued
-    /// at the head of the next cycle.
+    /// at the head of the next cycle. Non-empty exactly when the cycle
+    /// was degraded (a [`AuditElementKind::DegradedCycle`] finding
+    /// accompanies it).
     pub tables_shed: Vec<TableId>,
-    /// True when the budget forced shedding this cycle (a
-    /// [`AuditElementKind::DegradedCycle`] finding accompanies it).
-    pub degraded: bool,
 }
 
 impl AuditReport {
@@ -247,11 +244,9 @@ mod tests {
                 finding(AuditElementKind::Range),
             ],
             records_checked: 10,
-            tables_checked: 2,
             exec: Default::default(),
             tables_audited: vec![TableId(1), TableId(2)],
             tables_shed: Vec::new(),
-            degraded: false,
         };
         assert_eq!(report.by_element(AuditElementKind::Range).count(), 2);
         assert_eq!(report.by_element(AuditElementKind::Semantic).count(), 1);

@@ -1,4 +1,5 @@
-//! Shared generation-tracking state for change-aware audit elements.
+//! Shared change-tracking state for change-aware audit elements: the
+//! one every-`n`-th-pass full-sweep rule, and per-record generations.
 //!
 //! The database bumps a per-record generation on every mutation
 //! overlapping the record (see `wtnc_db::Database::record_generation`),
@@ -14,17 +15,39 @@ use std::collections::BTreeMap;
 
 use wtnc_db::TableId;
 
+use crate::process::ElementPolicy;
+
+/// The every-`n`-th-pass full-sweep rule, one counter per audited unit
+/// (a table, or a static chunk), bumped once per pass, rechecks
+/// included. The count also runs while `incremental` is off, where it
+/// could as well reset every pass: no pass then skips anything, and no
+/// caller turns `incremental` on for an element that has already run.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct SweepCounter(u32);
+
+impl SweepCounter {
+    /// Starts a pass; returns whether it may skip state that the change
+    /// tracking proves unchanged (incremental mode, and not a forced
+    /// full sweep).
+    pub fn may_skip(&mut self, policy: ElementPolicy) -> bool {
+        let period = policy.full_rescan_period;
+        let full_sweep = period > 0 && self.0 + 1 >= period;
+        self.0 = if full_sweep { 0 } else { self.0 + 1 };
+        policy.incremental && !full_sweep
+    }
+}
+
 /// Sentinel: the record has never been verified clean.
 const NEVER_VERIFIED: u64 = u64::MAX;
 
 #[derive(Debug, Clone, Default)]
 struct TableState {
     last_clean: Vec<u64>,
-    passes_since_full: u32,
+    sweep: SweepCounter,
 }
 
-/// Per-record "verified clean at generation g" bookkeeping, plus the
-/// periodic full-sweep counter.
+/// Per-record "verified clean at generation g" bookkeeping, plus each
+/// table's full-sweep counter.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct GenSkip {
     tables: BTreeMap<TableId, TableState>,
@@ -32,18 +55,12 @@ pub(crate) struct GenSkip {
 
 impl GenSkip {
     /// Starts a pass over `table`: sizes the state and returns whether
-    /// this pass is a forced full sweep (every `period`-th pass when
-    /// `period > 0`), during which generations must be ignored.
-    pub fn begin_pass(&mut self, table: TableId, record_count: usize, period: u32) -> bool {
+    /// the pass may skip records verified clean at their current
+    /// generation ([`SweepCounter::may_skip`]).
+    pub fn begin_pass(&mut self, table: TableId, records: usize, policy: ElementPolicy) -> bool {
         let st = self.tables.entry(table).or_default();
-        st.last_clean.resize(record_count, NEVER_VERIFIED);
-        if period > 0 && st.passes_since_full + 1 >= period {
-            st.passes_since_full = 0;
-            true
-        } else {
-            st.passes_since_full += 1;
-            false
-        }
+        st.last_clean.resize(records, NEVER_VERIFIED);
+        st.sweep.may_skip(policy)
     }
 
     /// True when the record was verified clean at exactly generation
@@ -69,10 +86,14 @@ impl GenSkip {
 mod tests {
     use super::*;
 
+    fn incremental(full_rescan_period: u32) -> ElementPolicy {
+        ElementPolicy { incremental: true, full_rescan_period, ..ElementPolicy::default() }
+    }
+
     #[test]
     fn unverified_records_are_never_skippable() {
         let mut s = GenSkip::default();
-        assert!(!s.begin_pass(TableId(0), 4, 0));
+        assert!(s.begin_pass(TableId(0), 4, incremental(0)));
         assert!(!s.is_clean(TableId(0), 0, 0));
         s.set_clean(TableId(0), 0, 0);
         assert!(s.is_clean(TableId(0), 0, 0));
@@ -81,14 +102,20 @@ mod tests {
 
     #[test]
     fn full_sweep_every_nth_pass() {
-        let mut s = GenSkip::default();
-        let sweeps: Vec<bool> = (0..6).map(|_| s.begin_pass(TableId(1), 2, 3)).collect();
-        assert_eq!(sweeps, vec![false, false, true, false, false, true]);
+        let mut c = SweepCounter::default();
+        let skips: Vec<bool> = (0..6).map(|_| c.may_skip(incremental(3))).collect();
+        assert_eq!(skips, vec![true, true, false, true, true, false]);
     }
 
     #[test]
     fn period_zero_never_sweeps() {
-        let mut s = GenSkip::default();
-        assert!((0..10).all(|_| !s.begin_pass(TableId(2), 1, 0)));
+        let mut c = SweepCounter::default();
+        assert!((0..10).all(|_| c.may_skip(incremental(0))));
+    }
+
+    #[test]
+    fn full_scans_never_skip() {
+        let mut c = SweepCounter::default();
+        assert!((0..10).all(|_| !c.may_skip(ElementPolicy::default())));
     }
 }

@@ -26,10 +26,14 @@
 //!   weighted ranking by access frequency, object nature and error
 //!   history.
 //!
-//! New elements implement [`AuditElement`] and are registered with
-//! [`AuditProcess::register_element`] — "new error detection and
-//! recovery techniques can be implemented, encapsulated in new
-//! elements, and added to the system" with no changes elsewhere.
+//! Every per-table element, the built-in structural, range and
+//! semantic audits included, implements [`AuditElement`]; new ones are
+//! appended with [`AuditProcess::register_element`] — "new error
+//! detection and recovery techniques can be implemented, encapsulated
+//! in new elements, and added to the system" with no changes
+//! elsewhere. Elements hold no settings: the process passes one
+//! [`ElementPolicy`] to every call. The static-data element runs
+//! before them each cycle, so the catalog they read is verified first.
 //!
 //! Detection is honest: every element inspects the *actual bytes* of
 //! the database region; repairs rewrite those bytes (reset to catalog
@@ -94,7 +98,7 @@ pub use finding::{
     RecoveryAction,
 };
 pub use heartbeat::{HeartbeatElement, HEARTBEAT_INTERVAL};
-pub use process::{AuditConfig, AuditElement, AuditProcess, AuditScope};
+pub use process::{AuditConfig, AuditElement, AuditProcess, AuditScope, ElementPolicy};
 pub use progress::ProgressIndicator;
 pub use ranged::RangeAudit;
 pub use scheduler::{AuditScheduler, PriorityScheduler, PriorityWeights, RoundRobinScheduler};

@@ -2,10 +2,10 @@
 //!
 //! One cycle runs its elements in sequence over the shared database,
 //! on the calling thread: the static-data audit first, then, table by
-//! table, the structural, range and semantic audits and any registered
-//! custom elements. A repair made by one element is visible to every
-//! element after it. This loop is the only audit engine; DESIGN §4.10
-//! records why.
+//! table, every per-table [`AuditElement`] in order — the structural,
+//! range and semantic audits, then any registered custom elements. A
+//! repair made by one element is visible to every element after it.
+//! This loop is the only audit engine; DESIGN §4.10 records why.
 
 use std::collections::BTreeSet;
 
@@ -33,19 +33,37 @@ pub enum AuditScope {
     OneTable,
 }
 
-/// Extension point for custom audit techniques: "new error detection
-/// and recovery techniques can be implemented, encapsulated in new
-/// elements, and added to the system".
+/// The settings every audit element applies, held once by the
+/// [`AuditProcess`] (from its [`AuditConfig`] and
+/// [`AuditProcess::set_deferred_repair`]) and passed to each call.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ElementPolicy {
+    /// Detect-only mode: flag damage with a precise target instead of
+    /// repairing it; an external recovery engine repairs and escalates.
+    pub deferred: bool,
+    /// Change-aware mode ([`AuditConfig::incremental`]).
+    pub incremental: bool,
+    /// Forced full sweep every `n`-th pass, per table or static chunk
+    /// ([`AuditConfig::full_rescan_period`]).
+    pub full_rescan_period: u32,
+}
+
+/// The per-table audit element — the framework's unit of extension:
+/// "new error detection and recovery techniques can be implemented,
+/// encapsulated in new elements, and added to the system". The
+/// built-in structural, range and semantic audits implement it too,
+/// and the [`AuditProcess`] runs every element through it.
 pub trait AuditElement {
     /// The element's identity in findings.
     fn kind(&self) -> AuditElementKind;
-    /// Audits one table; records skipped when `locked` says a client
-    /// transaction is in flight. Returns the number of records
-    /// checked.
+    /// Audits one table under `policy`; records skipped when `locked`
+    /// says a client transaction is in flight. Returns the number of
+    /// records checked.
     fn audit_table(
         &mut self,
         db: &mut Database,
         table: TableId,
+        policy: ElementPolicy,
         locked: &dyn Fn(RecordRef) -> bool,
         at: SimTime,
         out: &mut Vec<Finding>,
@@ -104,11 +122,11 @@ pub struct AuditProcess {
     heartbeat: HeartbeatElement,
     progress: ProgressIndicator,
     static_audit: StaticDataAudit,
-    structural: StructuralAudit,
-    range: RangeAudit,
-    semantic: SemanticAudit,
+    /// Per-table elements in run order: structural, range, semantic,
+    /// then registered ones.
+    elements: Vec<Box<dyn AuditElement + Send>>,
+    policy: ElementPolicy,
     scheduler: Box<dyn AuditScheduler + Send>,
-    extra: Vec<Box<dyn AuditElement + Send>>,
     event_tables: BTreeSet<TableId>,
     catch_log: Vec<(TaintEntry, AuditElementKind, SimTime)>,
     cycles: u64,
@@ -133,28 +151,22 @@ impl AuditProcess {
     /// Creates the audit process against a freshly built (pristine)
     /// database — golden checksums are derived from its current image.
     pub fn new(config: AuditConfig, db: &Database) -> Self {
-        let mut static_audit = StaticDataAudit::new(db);
-        static_audit.incremental = config.incremental;
-        static_audit.full_rescan_period = config.full_rescan_period;
-        let mut structural = StructuralAudit::default();
-        structural.incremental = config.incremental;
-        structural.full_rescan_period = config.full_rescan_period;
-        let mut range = RangeAudit::new();
-        range.incremental = config.incremental;
-        range.full_rescan_period = config.full_rescan_period;
-        let mut semantic = SemanticAudit::new(config.orphan_grace);
-        semantic.incremental = config.incremental;
-        semantic.full_rescan_period = config.full_rescan_period;
         AuditProcess {
             config,
             heartbeat: HeartbeatElement::new(),
             progress: ProgressIndicator::new(),
-            static_audit,
-            structural,
-            range,
-            semantic,
+            static_audit: StaticDataAudit::new(db),
+            elements: vec![
+                Box::new(StructuralAudit::default()),
+                Box::new(RangeAudit::default()),
+                Box::new(SemanticAudit::new(config.orphan_grace)),
+            ],
+            policy: ElementPolicy {
+                deferred: false,
+                incremental: config.incremental,
+                full_rescan_period: config.full_rescan_period,
+            },
             scheduler: Box::new(RoundRobinScheduler::new()),
-            extra: Vec::new(),
             event_tables: BTreeSet::new(),
             catch_log: Vec::new(),
             cycles: 0,
@@ -171,17 +183,32 @@ impl AuditProcess {
     /// [`FindingTarget`](crate::FindingTarget), and an external
     /// recovery engine owns repair, escalation and verification.
     pub fn set_deferred_repair(&mut self, deferred: bool) {
-        self.static_audit.deferred = deferred;
-        self.structural.deferred = deferred;
-        self.range.deferred = deferred;
-        self.semantic.deferred = deferred;
+        self.policy.deferred = deferred;
     }
 
     /// Re-runs one audit element over one table (or the full static
-    /// region when `table` is `None`) without side effects on cycle
-    /// counters or the catch log. The recovery engine uses
-    /// this to *verify* a repair: a repaired target must no longer be
-    /// reported by the element that originally detected it.
+    /// region when `table` is `None`). The recovery engine uses this to
+    /// *verify* a repair: a repaired target must no longer be reported
+    /// by the element that originally detected it.
+    ///
+    /// The cycle count and the catch log are untouched, but a recheck
+    /// is an ordinary element pass, so it also:
+    ///
+    /// * advances the element's full-sweep schedule (it counts as one
+    ///   pass of [`AuditConfig::full_rescan_period`]);
+    /// * records verified-clean state: record generations for the
+    ///   structural and range audits, walk witnesses and clean-pass
+    ///   signatures for the semantic audit;
+    /// * clears the static chunk's dirty bits when it verifies clean;
+    /// * in deferred mode, bumps the table's error counters (through
+    ///   `Database::note_errors_detected`) for every finding that has
+    ///   a table, which the [`PriorityScheduler`](crate::PriorityScheduler)
+    ///   reads;
+    /// * outside deferred mode, repairs what it finds, as a cycle pass
+    ///   would.
+    ///
+    /// A kind with no per-table element here, or a per-table kind
+    /// without a table, checks nothing.
     pub fn recheck(
         &mut self,
         db: &mut Database,
@@ -192,23 +219,20 @@ impl AuditProcess {
     ) -> Vec<Finding> {
         let mut findings = Vec::new();
         let locked = |r: RecordRef| api.locks().holder(r).is_some();
+        let policy = self.policy;
         match (element, table) {
             (AuditElementKind::StaticData, Some(t)) => {
-                self.static_audit.audit_table(db, t, now, &mut findings);
+                self.static_audit.audit_table(db, t, policy, now, &mut findings);
             }
             (AuditElementKind::StaticData, None) => {
-                self.static_audit.audit(db, now, &mut findings);
+                self.static_audit.audit(db, policy, now, &mut findings);
             }
-            (AuditElementKind::Structural, Some(t)) => {
-                self.structural.audit_table(db, t, now, &mut findings);
+            (kind, Some(t)) => {
+                if let Some(e) = self.elements.iter_mut().find(|e| e.kind() == kind) {
+                    e.audit_table(db, t, policy, &locked, now, &mut findings);
+                }
             }
-            (AuditElementKind::Range, Some(t)) => {
-                self.range.audit_table(db, t, &locked, now, &mut findings);
-            }
-            (AuditElementKind::Semantic, Some(t)) => {
-                self.semantic.audit_table(db, t, &locked, now, &mut findings);
-            }
-            _ => {}
+            (_, None) => {}
         }
         findings
     }
@@ -223,9 +247,10 @@ impl AuditProcess {
         self.scheduler = scheduler;
     }
 
-    /// Registers an additional custom element.
+    /// Registers an additional custom element; it runs after the
+    /// built-in ones.
     pub fn register_element(&mut self, element: Box<dyn AuditElement + Send>) {
-        self.extra.push(element);
+        self.elements.push(element);
     }
 
     /// The heartbeat element (the manager queries it).
@@ -364,9 +389,7 @@ impl AuditProcess {
         AuditReport {
             findings,
             records_checked,
-            tables_checked: tables.len() as u64,
             exec: ExecSummary::default(),
-            degraded: !shed.is_empty(),
             tables_audited: tables,
             tables_shed: shed,
         }
@@ -485,13 +508,15 @@ impl AuditProcess {
         tables: &[TableId],
         findings: &mut Vec<Finding>,
     ) -> u64 {
-        // Static audit: whole static region once per full cycle, or the
-        // scoped chunks in one-table mode.
+        // Static audit first (every per-table element relies on the
+        // catalog it guards): whole static region once per full cycle,
+        // or the scoped chunks in one-table mode.
+        let policy = self.policy;
         match self.config.scope {
-            AuditScope::Full => self.static_audit.audit(db, now, findings),
+            AuditScope::Full => self.static_audit.audit(db, policy, now, findings),
             AuditScope::OneTable => {
                 for &t in tables {
-                    self.static_audit.audit_table(db, t, now, findings);
+                    self.static_audit.audit_table(db, t, policy, now, findings);
                 }
             }
         }
@@ -501,11 +526,8 @@ impl AuditProcess {
             // Reset this table's per-cycle error counter now that the
             // scheduler has consumed it.
             db.reset_error_cycle_table(table);
-            records_checked += self.structural.audit_table(db, table, now, findings);
-            records_checked += self.range.audit_table(db, table, &locked, now, findings);
-            records_checked += self.semantic.audit_table(db, table, &locked, now, findings);
-            for element in &mut self.extra {
-                records_checked += element.audit_table(db, table, &locked, now, findings);
+            for element in &mut self.elements {
+                records_checked += element.audit_table(db, table, policy, &locked, now, findings);
             }
         }
         records_checked
@@ -531,7 +553,7 @@ mod tests {
         let (mut db, mut api, mut registry, mut audit) = setup();
         let report = audit.run_cycle(&mut db, &mut api, &mut registry, SimTime::from_secs(10));
         assert!(report.findings.is_empty());
-        assert_eq!(report.tables_checked, 5);
+        assert_eq!(report.tables_audited.len(), 5);
         assert_eq!(audit.cycles(), 1);
     }
 
@@ -604,7 +626,7 @@ mod tests {
         let report = audit.run_cycle(&mut db, &mut api, &mut registry, SimTime::from_secs(5));
         // Scheduler table (round-robin: table 0) + event table
         // (resource) — at least 2.
-        assert!(report.tables_checked >= 2, "{}", report.tables_checked);
+        assert!(report.tables_audited.len() >= 2, "{:?}", report.tables_audited);
     }
 
     #[test]
@@ -638,7 +660,14 @@ mod tests {
 
     #[test]
     fn custom_elements_participate() {
-        struct CountingElement(u64);
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+        use std::sync::Arc;
+
+        /// Counts its calls and records the last policy's `deferred`.
+        struct CountingElement {
+            calls: Arc<AtomicU64>,
+            saw_deferred: Arc<AtomicBool>,
+        }
         impl AuditElement for CountingElement {
             fn kind(&self) -> AuditElementKind {
                 AuditElementKind::Selective
@@ -647,19 +676,30 @@ mod tests {
                 &mut self,
                 _db: &mut Database,
                 _table: TableId,
+                policy: ElementPolicy,
                 _locked: &dyn Fn(RecordRef) -> bool,
                 _at: SimTime,
                 _out: &mut Vec<Finding>,
             ) -> u64 {
-                self.0 += 1;
+                self.calls.fetch_add(1, Ordering::Relaxed);
+                self.saw_deferred.store(policy.deferred, Ordering::Relaxed);
                 0
             }
         }
         let (mut db, mut api, mut registry, mut audit) = setup();
-        audit.register_element(Box::new(CountingElement(0)));
-        audit.run_cycle(&mut db, &mut api, &mut registry, SimTime::from_secs(10));
-        // The element ran once per table; indirect check via no panic —
-        // and the registry accepted it without changes elsewhere.
+        let calls = Arc::new(AtomicU64::new(0));
+        let saw_deferred = Arc::new(AtomicBool::new(false));
+        audit.register_element(Box::new(CountingElement {
+            calls: Arc::clone(&calls),
+            saw_deferred: Arc::clone(&saw_deferred),
+        }));
+        let report = audit.run_cycle(&mut db, &mut api, &mut registry, SimTime::from_secs(10));
+        assert_eq!(calls.load(Ordering::Relaxed), report.tables_audited.len() as u64);
+        assert!(!saw_deferred.load(Ordering::Relaxed));
+
+        audit.set_deferred_repair(true);
+        audit.run_cycle(&mut db, &mut api, &mut registry, SimTime::from_secs(20));
+        assert!(saw_deferred.load(Ordering::Relaxed), "the element sees the process policy");
     }
 
     #[test]

@@ -17,6 +17,7 @@ use wtnc_sim::SimTime;
 
 use crate::finding::{AuditElementKind, Finding, FindingTarget, RecoveryAction};
 use crate::genskip::GenSkip;
+use crate::process::{AuditElement, ElementPolicy};
 
 /// The range-checkable fields of a table: `(field, lo, hi, default)`
 /// for every dynamic field carrying a catalog range rule.
@@ -35,35 +36,27 @@ fn ruled_fields(catalog: &Catalog, table: TableId) -> Vec<(u16, u64, u64, u64)> 
 
 /// The range-check audit element. An out-of-range field is reset to
 /// its catalog default; in a dynamic table the whole record is then
-/// freed preemptively (§4.3.1).
+/// freed preemptively (§4.3.1). In deferred mode out-of-range fields
+/// are flagged (targeted at the field) instead of reset/freed.
 #[derive(Debug, Clone, Default)]
 pub struct RangeAudit {
-    /// Detect-only mode: out-of-range fields are flagged (targeted at
-    /// the field) instead of reset/freed.
-    pub deferred: bool,
-    /// Change-aware mode: skip records whose generation is unchanged
-    /// since they were last verified clean. Off by default.
-    pub incremental: bool,
-    /// Every `n`-th pass over a table ignores generations even in
-    /// incremental mode (0 = never force a full sweep).
-    pub full_rescan_period: u32,
     skip: GenSkip,
 }
 
-impl RangeAudit {
-    /// Creates the element.
-    pub fn new() -> Self {
-        RangeAudit::default()
+impl AuditElement for RangeAudit {
+    fn kind(&self) -> AuditElementKind {
+        AuditElementKind::Range
     }
 
     /// Audits the dynamic ranged fields of every active record of one
     /// table. Returns the number of records checked. Records currently
     /// locked by a client are skipped (an intervening update would
     /// invalidate the result; the paper re-runs such audits later).
-    pub fn audit_table(
+    fn audit_table(
         &mut self,
         db: &mut Database,
         table: TableId,
+        policy: ElementPolicy,
         locked: &dyn Fn(RecordRef) -> bool,
         at: SimTime,
         out: &mut Vec<Finding>,
@@ -79,8 +72,7 @@ impl RangeAudit {
             return 0;
         }
 
-        let due_full = self.skip.begin_pass(table, record_count as usize, self.full_rescan_period);
-        let use_gen = self.incremental && !due_full;
+        let use_gen = self.skip.begin_pass(table, record_count as usize, policy);
         let mut checked = 0u64;
         for index in 0..record_count {
             let rec = RecordRef::new(table, index);
@@ -112,7 +104,7 @@ impl RangeAudit {
                     continue;
                 }
                 clean = false;
-                if self.deferred {
+                if policy.deferred {
                     db.note_errors_detected(table, 1);
                     out.push(Finding {
                         element: AuditElementKind::Range,
@@ -189,6 +181,17 @@ mod tests {
 
     const NOT_LOCKED: fn(RecordRef) -> bool = |_| false;
 
+    /// One inline-repair, full-scan pass over `table`.
+    fn audit(
+        d: &mut Database,
+        table: TableId,
+        locked: &dyn Fn(RecordRef) -> bool,
+        at: SimTime,
+        out: &mut Vec<Finding>,
+    ) -> u64 {
+        RangeAudit::default().audit_table(d, table, ElementPolicy::default(), locked, at, out)
+    }
+
     #[test]
     fn in_range_values_pass() {
         let (mut d, idx) = setup();
@@ -196,13 +199,7 @@ mod tests {
         d.write_field_raw(rec, schema::connection::CALLER_ID, 5_234).unwrap();
         d.write_field_raw(rec, schema::connection::STATE, 2).unwrap();
         let mut out = Vec::new();
-        let checked = RangeAudit::new().audit_table(
-            &mut d,
-            schema::CONNECTION_TABLE,
-            &NOT_LOCKED,
-            SimTime::ZERO,
-            &mut out,
-        );
+        let checked = audit(&mut d, schema::CONNECTION_TABLE, &NOT_LOCKED, SimTime::ZERO, &mut out);
         assert_eq!(checked, 1);
         assert!(out.is_empty());
     }
@@ -217,13 +214,7 @@ mod tests {
         d.taint_mut()
             .insert(off, TaintEntry { id: 1, at: SimTime::ZERO, kind: TaintKind::DynamicRuled });
         let mut out = Vec::new();
-        RangeAudit::new().audit_table(
-            &mut d,
-            schema::CONNECTION_TABLE,
-            &NOT_LOCKED,
-            SimTime::from_secs(2),
-            &mut out,
-        );
+        audit(&mut d, schema::CONNECTION_TABLE, &NOT_LOCKED, SimTime::from_secs(2), &mut out);
         assert_eq!(out.len(), 1);
         assert!(matches!(out[0].action, RecoveryAction::FreedRecord { .. }));
         assert!(!out[0].caught.is_empty());
@@ -248,7 +239,7 @@ mod tests {
         let rec = RecordRef::new(table, 1);
         d.write_field_raw(rec, FieldId(0), 999).unwrap();
         let mut out = Vec::new();
-        RangeAudit::new().audit_table(&mut d, table, &NOT_LOCKED, SimTime::ZERO, &mut out);
+        audit(&mut d, table, &NOT_LOCKED, SimTime::ZERO, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].action, RecoveryAction::ResetField { table, record: 1, field: 0 });
         assert!(d.is_active(rec).unwrap());
@@ -263,13 +254,7 @@ mod tests {
         // BILLING_UNITS has no range rule; garbage passes.
         d.write_field_raw(rec, schema::connection::BILLING_UNITS, u64::MAX).unwrap();
         let mut out = Vec::new();
-        RangeAudit::new().audit_table(
-            &mut d,
-            schema::CONNECTION_TABLE,
-            &NOT_LOCKED,
-            SimTime::ZERO,
-            &mut out,
-        );
+        audit(&mut d, schema::CONNECTION_TABLE, &NOT_LOCKED, SimTime::ZERO, &mut out);
         assert!(out.is_empty(), "no rule, no detection — the paper's escape category");
     }
 
@@ -280,13 +265,7 @@ mod tests {
         d.write_field_raw(rec, schema::connection::STATE, 99).unwrap();
         let locked = move |r: RecordRef| r == rec;
         let mut out = Vec::new();
-        let checked = RangeAudit::new().audit_table(
-            &mut d,
-            schema::CONNECTION_TABLE,
-            &locked,
-            SimTime::ZERO,
-            &mut out,
-        );
+        let checked = audit(&mut d, schema::CONNECTION_TABLE, &locked, SimTime::ZERO, &mut out);
         assert_eq!(checked, 0);
         assert!(out.is_empty());
         assert!(d.is_active(rec).unwrap());
@@ -299,13 +278,7 @@ mod tests {
         d.write_field_raw(rec, schema::connection::STATE, 99).unwrap();
         d.free_record_raw(rec).unwrap();
         let mut out = Vec::new();
-        RangeAudit::new().audit_table(
-            &mut d,
-            schema::CONNECTION_TABLE,
-            &NOT_LOCKED,
-            SimTime::ZERO,
-            &mut out,
-        );
+        audit(&mut d, schema::CONNECTION_TABLE, &NOT_LOCKED, SimTime::ZERO, &mut out);
         assert!(out.is_empty());
     }
 
@@ -313,13 +286,7 @@ mod tests {
     fn config_tables_have_no_dynamic_ruled_fields() {
         let mut d = Database::build(schema::standard_schema()).unwrap();
         let mut out = Vec::new();
-        let checked = RangeAudit::new().audit_table(
-            &mut d,
-            schema::SYSCONFIG_TABLE,
-            &NOT_LOCKED,
-            SimTime::ZERO,
-            &mut out,
-        );
+        let checked = audit(&mut d, schema::SYSCONFIG_TABLE, &NOT_LOCKED, SimTime::ZERO, &mut out);
         assert_eq!(checked, 0);
     }
 }

@@ -142,7 +142,8 @@ impl SelectiveMonitor {
 /// [`SelectiveConfig::repair_unseen`] it additionally *repairs* values
 /// never observed during monitoring, resetting them to the attribute's
 /// modal value — the reconstruction of §4.4.2's deferred "final
-/// decision".
+/// decision". The element's own [`SelectiveConfig`] decides that, so it
+/// ignores the process's [`ElementPolicy`](crate::ElementPolicy).
 impl crate::AuditElement for SelectiveMonitor {
     fn kind(&self) -> AuditElementKind {
         AuditElementKind::Selective
@@ -152,6 +153,7 @@ impl crate::AuditElement for SelectiveMonitor {
         &mut self,
         db: &mut Database,
         table: TableId,
+        _policy: crate::ElementPolicy,
         locked: &dyn Fn(RecordRef) -> bool,
         at: SimTime,
         out: &mut Vec<Finding>,
@@ -316,7 +318,7 @@ mod tests {
 #[cfg(test)]
 mod element_tests {
     use super::*;
-    use crate::AuditElement;
+    use crate::{AuditElement, ElementPolicy};
     use wtnc_db::{schema, TaintEntry, TaintKind};
 
     const NOT_LOCKED: fn(RecordRef) -> bool = |_| false;
@@ -338,7 +340,14 @@ mod element_tests {
         // Several audit visits build a mature histogram.
         let mut out = Vec::new();
         for s in 0..4 {
-            mon.audit_table(&mut d, table, &NOT_LOCKED, SimTime::from_secs(s), &mut out);
+            mon.audit_table(
+                &mut d,
+                table,
+                ElementPolicy::default(),
+                &NOT_LOCKED,
+                SimTime::from_secs(s),
+                &mut out,
+            );
         }
         assert!(out.is_empty(), "steady state must not be flagged: {out:?}");
         assert_eq!(mon.modal_value(table, field), Some(250));
@@ -353,7 +362,14 @@ mod element_tests {
         );
         // The range audit is blind here; the selective element is not.
         let mut out = Vec::new();
-        mon.audit_table(&mut d, table, &NOT_LOCKED, SimTime::from_secs(6), &mut out);
+        mon.audit_table(
+            &mut d,
+            table,
+            ElementPolicy::default(),
+            &NOT_LOCKED,
+            SimTime::from_secs(6),
+            &mut out,
+        );
         assert_eq!(out.len(), 1);
         assert!(matches!(out[0].action, RecoveryAction::ResetField { .. }));
         assert_eq!(out[0].caught.len(), 1);
@@ -376,12 +392,26 @@ mod element_tests {
         }
         let mut out = Vec::new();
         for s in 0..3 {
-            mon.audit_table(&mut d, table, &NOT_LOCKED, SimTime::from_secs(s), &mut out);
+            mon.audit_table(
+                &mut d,
+                table,
+                ElementPolicy::default(),
+                &NOT_LOCKED,
+                SimTime::from_secs(s),
+                &mut out,
+            );
         }
         let victim = RecordRef::new(table, 0);
         d.write_field_raw(victim, field, 777_777).unwrap();
         let mut out = Vec::new();
-        mon.audit_table(&mut d, table, &NOT_LOCKED, SimTime::from_secs(9), &mut out);
+        mon.audit_table(
+            &mut d,
+            table,
+            ElementPolicy::default(),
+            &NOT_LOCKED,
+            SimTime::from_secs(9),
+            &mut out,
+        );
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].action, RecoveryAction::Flagged);
         // Value untouched.

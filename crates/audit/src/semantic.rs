@@ -16,9 +16,11 @@
 
 use wtnc_db::layout::LINK_NONE;
 use wtnc_db::{Catalog, Database, FieldId, FieldKind, RecordRef, TableId, TaintFate};
-use wtnc_sim::{Pid, SimDuration, SimTime};
+use wtnc_sim::{SimDuration, SimTime};
 
 use crate::finding::{AuditElementKind, Finding, FindingTarget, RecoveryAction};
+use crate::genskip::SweepCounter;
+use crate::process::{AuditElement, ElementPolicy};
 
 /// The first dynamic link field of a table, if any.
 fn link_field(catalog: &Catalog, table: TableId) -> Option<(FieldId, TableId)> {
@@ -68,26 +70,20 @@ struct CleanPass {
 /// generation is unchanged the walk would repeat its clean verdict.
 type WalkWitness = Vec<(RecordRef, u64)>;
 
-/// The referential-integrity audit element.
+/// The referential-integrity audit element. In deferred mode broken
+/// walks are flagged (targeted at the anchor record) instead of freed;
+/// owner termination is likewise left to the recovery engine's ladder.
+/// In incremental mode a table's walks are skipped when no record in
+/// its link closure has been mutated since the last clean pass and no
+/// tolerated orphan can have aged out.
 #[derive(Debug, Clone)]
 pub struct SemanticAudit {
     /// Records whose links are still unset (`LINK_NONE`) are tolerated
     /// for this long after their last access (a client may be mid-setup)
     /// before being treated as orphans.
     pub orphan_grace: SimDuration,
-    /// Detect-only mode: broken walks are flagged (targeted at the
-    /// anchor record) instead of freed; owner termination is likewise
-    /// left to the recovery engine's ladder.
-    pub deferred: bool,
-    /// Change-aware mode: skip a table's walks when no record in its
-    /// link closure has been mutated since the last clean pass and no
-    /// tolerated orphan can have aged out. Off by default.
-    pub incremental: bool,
-    /// Every `n`-th pass over a table re-walks everything even in
-    /// incremental mode (0 = never force a full sweep).
-    pub full_rescan_period: u32,
     clean: std::collections::BTreeMap<TableId, CleanPass>,
-    passes: std::collections::BTreeMap<TableId, u32>,
+    sweeps: std::collections::BTreeMap<TableId, SweepCounter>,
     /// Per-anchor witnesses of the last clean walk (incremental mode).
     walks: std::collections::BTreeMap<TableId, Vec<Option<WalkWitness>>>,
 }
@@ -103,35 +99,26 @@ impl SemanticAudit {
     pub fn new(orphan_grace: SimDuration) -> Self {
         SemanticAudit {
             orphan_grace,
-            deferred: false,
-            incremental: false,
-            full_rescan_period: 0,
             clean: std::collections::BTreeMap::new(),
-            passes: std::collections::BTreeMap::new(),
+            sweeps: std::collections::BTreeMap::new(),
             walks: std::collections::BTreeMap::new(),
         }
     }
+}
 
-    /// Advances the per-table pass counter; returns whether this pass
-    /// is a forced full re-walk.
-    fn advance_pass(&mut self, table: TableId) -> bool {
-        let pass = self.passes.entry(table).or_insert(0);
-        if self.full_rescan_period > 0 && *pass + 1 >= self.full_rescan_period {
-            *pass = 0;
-            true
-        } else {
-            *pass += 1;
-            false
-        }
+impl AuditElement for SemanticAudit {
+    fn kind(&self) -> AuditElementKind {
+        AuditElementKind::Semantic
     }
 
     /// Audits the semantic loops anchored at `table`. Locked records
     /// are skipped (in-flight transactions). Returns the number of
     /// records checked.
-    pub fn audit_table(
+    fn audit_table(
         &mut self,
         db: &mut Database,
         table: TableId,
+        policy: ElementPolicy,
         locked: &dyn Fn(RecordRef) -> bool,
         at: SimTime,
         out: &mut Vec<Finding>,
@@ -153,8 +140,8 @@ impl SemanticAudit {
         let closure_sig = link_closure(db.catalog(), table)
             .iter()
             .fold(0u64, |acc, t| acc.wrapping_add(db.table_generation(*t)));
-        let due_full = self.advance_pass(table);
-        let use_witness = self.incremental && !due_full;
+        let use_witness = self.sweeps.entry(table).or_default().may_skip(policy);
+        let deferred = policy.deferred;
         if use_witness {
             if let Some(cp) = self.clean.get(&table) {
                 let orphan_possible = cp
@@ -169,9 +156,7 @@ impl SemanticAudit {
         let mut earliest_unlinked: Option<SimTime> = None;
         let findings_before = out.len();
         let mut checked = 0u64;
-        // Taken out of the map so `self.free_zombies` stays callable
-        // inside the loop; reinserted at the end.
-        let mut walks = self.walks.remove(&table).unwrap_or_default();
+        let walks = self.walks.entry(table).or_default();
         walks.resize(record_count as usize, None);
 
         'records: for index in 0..record_count {
@@ -190,7 +175,7 @@ impl SemanticAudit {
             if !db.is_active(start).unwrap_or(false) {
                 // Free records produce no findings; any reactivation
                 // mutates the header and so bumps the generation.
-                if self.incremental {
+                if policy.incremental {
                     walks[index as usize] = Some(vec![(start, db.record_generation(start))]);
                 }
                 continue;
@@ -207,8 +192,7 @@ impl SemanticAudit {
                 // Not linked yet: tolerate young records, flag orphans.
                 let meta = db.record_meta(start).expect("record exists");
                 if at.saturating_since(meta.last_access) > self.orphan_grace {
-                    let owner = meta.last_writer;
-                    self.free_zombies(db, &[start], owner, at, out, "orphan record never linked");
+                    free_zombies(deferred, db, &[start], at, out, "orphan record never linked");
                 } else {
                     // Tolerated for now — remember when it could age out.
                     earliest_unlinked = Some(match earliest_unlinked {
@@ -229,8 +213,7 @@ impl SemanticAudit {
                     link_field(db.catalog(), cur.table).expect("walk uses link fields");
                 let target_tm = db.catalog().table(target_table).expect("valid link target");
                 if link_val == LINK_NONE as u64 || link_val >= target_tm.def.record_count as u64 {
-                    let owner = db.record_meta(start).expect("record exists").last_writer;
-                    self.free_zombies(db, &visited, owner, at, out, "broken semantic link");
+                    free_zombies(deferred, db, &visited, at, out, "broken semantic link");
                     continue 'records;
                 }
                 let next = RecordRef::new(target_table, link_val as u32);
@@ -241,13 +224,12 @@ impl SemanticAudit {
                     continue 'records;
                 }
                 if !db.is_active(next).unwrap_or(false) {
-                    let owner = db.record_meta(start).expect("record exists").last_writer;
-                    self.free_zombies(db, &visited, owner, at, out, "link to freed record");
+                    free_zombies(deferred, db, &visited, at, out, "link to freed record");
                     continue 'records;
                 }
                 if next == start {
                     // Loop closed consistently.
-                    if self.incremental {
+                    if policy.incremental {
                         walks[index as usize] =
                             Some(visited.iter().map(|&r| (r, db.record_generation(r))).collect());
                     }
@@ -255,20 +237,12 @@ impl SemanticAudit {
                 }
                 if visited.contains(&next) {
                     // A cycle that skips the start: inconsistent closure.
-                    let owner = db.record_meta(start).expect("record exists").last_writer;
-                    self.free_zombies(
-                        db,
-                        &visited,
-                        owner,
-                        at,
-                        out,
-                        "loop does not close at origin",
-                    );
+                    free_zombies(deferred, db, &visited, at, out, "loop does not close at origin");
                     continue 'records;
                 }
                 let Some((next_field, _)) = link_field(db.catalog(), next.table) else {
                     // Chain (not loop) schema: a valid terminal record.
-                    if self.incremental {
+                    if policy.incremental {
                         visited.push(next);
                         walks[index as usize] =
                             Some(visited.iter().map(|&r| (r, db.record_generation(r))).collect());
@@ -280,11 +254,9 @@ impl SemanticAudit {
                 cur_field = next_field;
             }
             // Never returned to start within the hop budget.
-            let owner = db.record_meta(start).expect("record exists").last_writer;
-            self.free_zombies(db, &visited, owner, at, out, "loop exceeds hop budget");
+            free_zombies(deferred, db, &visited, at, out, "loop exceeds hop budget");
         }
 
-        self.walks.insert(table, walks);
         if out.len() == findings_before && !abstained {
             self.clean.insert(
                 table,
@@ -297,71 +269,73 @@ impl SemanticAudit {
         }
         checked
     }
+}
 
-    fn free_zombies(
-        &self,
-        db: &mut Database,
-        records: &[RecordRef],
-        owner: Option<Pid>,
-        at: SimTime,
-        out: &mut Vec<Finding>,
-        detail: &str,
-    ) {
-        let anchor = records[0];
-        if self.deferred {
-            db.note_errors_detected(anchor.table, 1);
-            out.push(Finding {
-                element: AuditElementKind::Semantic,
-                at,
-                table: Some(anchor.table),
-                record: Some(anchor.index),
-                detail: format!(
-                    "{detail}: flagged {} record(s) anchored at table {} record {}",
-                    records.len(),
-                    anchor.table.0,
-                    anchor.index
-                ),
-                action: RecoveryAction::Flagged,
-                target: Some(FindingTarget::Record { table: anchor.table, record: anchor.index }),
-                caught: Vec::new(),
-            });
-            return;
-        }
-        let mut caught = Vec::new();
-        for &rec in records {
-            db.free_record_raw(rec).expect("record exists");
-            let base = db.record_offset(rec).expect("record exists");
-            let size = db.record_size(rec.table).expect("table exists");
-            caught.extend(db.taint_mut().resolve_range(base, size, TaintFate::Caught { at }));
-            db.note_errors_detected(rec.table, 1);
-        }
+/// Frees (or, deferred, flags) the records of one broken walk and
+/// reports the owner of its anchor, `records[0]`, for termination.
+fn free_zombies(
+    deferred: bool,
+    db: &mut Database,
+    records: &[RecordRef],
+    at: SimTime,
+    out: &mut Vec<Finding>,
+    detail: &str,
+) {
+    let anchor = records[0];
+    let owner = db.record_meta(anchor).expect("record exists").last_writer;
+    if deferred {
+        db.note_errors_detected(anchor.table, 1);
         out.push(Finding {
             element: AuditElementKind::Semantic,
             at,
             table: Some(anchor.table),
             record: Some(anchor.index),
             detail: format!(
-                "{detail}: freed {} record(s) anchored at table {} record {}",
+                "{detail}: flagged {} record(s) anchored at table {} record {}",
                 records.len(),
                 anchor.table.0,
                 anchor.index
             ),
-            action: RecoveryAction::FreedRecord { table: anchor.table, record: anchor.index },
+            action: RecoveryAction::Flagged,
             target: Some(FindingTarget::Record { table: anchor.table, record: anchor.index }),
-            caught,
+            caught: Vec::new(),
         });
-        if let Some(pid) = owner {
-            out.push(Finding {
-                element: AuditElementKind::Semantic,
-                at,
-                table: Some(anchor.table),
-                record: Some(anchor.index),
-                detail: format!("terminating client {pid} using zombie records"),
-                action: RecoveryAction::TerminatedClient { pid },
-                target: Some(FindingTarget::Client { pid }),
-                caught: Vec::new(),
-            });
-        }
+        return;
+    }
+    let mut caught = Vec::new();
+    for &rec in records {
+        db.free_record_raw(rec).expect("record exists");
+        let base = db.record_offset(rec).expect("record exists");
+        let size = db.record_size(rec.table).expect("table exists");
+        caught.extend(db.taint_mut().resolve_range(base, size, TaintFate::Caught { at }));
+        db.note_errors_detected(rec.table, 1);
+    }
+    out.push(Finding {
+        element: AuditElementKind::Semantic,
+        at,
+        table: Some(anchor.table),
+        record: Some(anchor.index),
+        detail: format!(
+            "{detail}: freed {} record(s) anchored at table {} record {}",
+            records.len(),
+            anchor.table.0,
+            anchor.index
+        ),
+        action: RecoveryAction::FreedRecord { table: anchor.table, record: anchor.index },
+        target: Some(FindingTarget::Record { table: anchor.table, record: anchor.index }),
+        caught,
+    });
+    if let Some(pid) = owner {
+        out.push(Finding {
+            element: AuditElementKind::Semantic,
+            at,
+            table: Some(anchor.table),
+            record: Some(anchor.index),
+            detail: format!("terminating client {pid} using zombie records"),
+            action: RecoveryAction::TerminatedClient { pid },
+            target: Some(FindingTarget::Client { pid }),
+            caught: Vec::new(),
+        });
     }
 }
 
@@ -369,8 +343,11 @@ impl SemanticAudit {
 mod tests {
     use super::*;
     use wtnc_db::{schema, TaintEntry, TaintKind};
+    use wtnc_sim::Pid;
 
     const NOT_LOCKED: fn(RecordRef) -> bool = |_| false;
+    const INLINE: ElementPolicy =
+        ElementPolicy { deferred: false, incremental: false, full_rescan_period: 0 };
 
     /// Builds a database with one complete, consistent call loop and
     /// returns the three record indices (process, connection,
@@ -407,7 +384,7 @@ mod tests {
         let mut audit = SemanticAudit::default();
         let mut out = Vec::new();
         for t in [schema::PROCESS_TABLE, schema::CONNECTION_TABLE, schema::RESOURCE_TABLE] {
-            audit.audit_table(&mut d, t, &NOT_LOCKED, SimTime::ZERO, &mut out);
+            audit.audit_table(&mut d, t, INLINE, &NOT_LOCKED, SimTime::ZERO, &mut out);
         }
         assert!(out.is_empty(), "{out:?}");
     }
@@ -426,6 +403,7 @@ mod tests {
         audit.audit_table(
             &mut d,
             schema::PROCESS_TABLE,
+            INLINE,
             &NOT_LOCKED,
             SimTime::from_secs(1),
             &mut out,
@@ -446,6 +424,7 @@ mod tests {
         audit.audit_table(
             &mut d,
             schema::RESOURCE_TABLE,
+            INLINE,
             &NOT_LOCKED,
             SimTime::from_secs(1),
             &mut out2,
@@ -465,6 +444,7 @@ mod tests {
         SemanticAudit::default().audit_table(
             &mut d,
             schema::PROCESS_TABLE,
+            INLINE,
             &NOT_LOCKED,
             SimTime::from_secs(1),
             &mut out,
@@ -487,6 +467,7 @@ mod tests {
         SemanticAudit::default().audit_table(
             &mut d,
             schema::PROCESS_TABLE,
+            INLINE,
             &NOT_LOCKED,
             SimTime::ZERO,
             &mut out,
@@ -506,6 +487,7 @@ mod tests {
         audit.audit_table(
             &mut d,
             schema::PROCESS_TABLE,
+            INLINE,
             &NOT_LOCKED,
             SimTime::from_secs(10),
             &mut out,
@@ -517,6 +499,7 @@ mod tests {
         audit.audit_table(
             &mut d,
             schema::PROCESS_TABLE,
+            INLINE,
             &NOT_LOCKED,
             SimTime::from_secs(100),
             &mut out,
@@ -532,9 +515,10 @@ mod tests {
         let young = RecordRef::new(schema::PROCESS_TABLE, index);
         d.note_access(young, Pid(7), SimTime::ZERO, true);
         let mut audit = SemanticAudit::new(SimDuration::from_secs(60));
-        audit.incremental = true;
+        let policy = ElementPolicy { incremental: true, ..INLINE };
         let mut pass = |d: &mut Database, secs: u64, out: &mut Vec<Finding>| {
-            audit.audit_table(d, schema::PROCESS_TABLE, &NOT_LOCKED, SimTime::from_secs(secs), out)
+            let at = SimTime::from_secs(secs);
+            audit.audit_table(d, schema::PROCESS_TABLE, policy, &NOT_LOCKED, at, out)
         };
         let mut out = Vec::new();
         assert_eq!(pass(&mut d, 10, &mut out), 2, "first pass walks the loop and the young record");
@@ -563,6 +547,7 @@ mod tests {
         SemanticAudit::default().audit_table(
             &mut d,
             schema::PROCESS_TABLE,
+            INLINE,
             &locked,
             SimTime::ZERO,
             &mut out,
@@ -578,6 +563,7 @@ mod tests {
         let checked = SemanticAudit::default().audit_table(
             &mut d,
             schema::SYSCONFIG_TABLE,
+            INLINE,
             &NOT_LOCKED,
             SimTime::ZERO,
             &mut out,

@@ -13,9 +13,9 @@
 //!
 //! # Incremental checking
 //!
-//! With [`StaticDataAudit::incremental`] set, the element keeps golden
-//! *and* live CRCs per dirty-tracker block and consults the database's
-//! dirty bitmap each cycle:
+//! Under an [`ElementPolicy::incremental`] policy the element keeps
+//! golden *and* live CRCs per dirty-tracker block and consults the
+//! database's dirty bitmap each cycle:
 //!
 //! * a chunk with **no dirty blocks** is provably unchanged since its
 //!   last verified-clean pass and is skipped outright;
@@ -28,15 +28,23 @@
 //!
 //! Dirty bits are cleared (blocks fully inside the chunk only) solely
 //! after a verified-clean fold, so a cached block CRC is trusted only
-//! while no mutation has touched the block. A configurable
-//! [`StaticDataAudit::full_rescan_period`] forces a periodic re-hash of
-//! every block as a belt-and-braces bound on anything that could slip
-//! past the bitmap.
+//! while no mutation has touched the block. The policy's
+//! [`ElementPolicy::full_rescan_period`] — the rule every element
+//! applies, here per chunk — forces a periodic re-hash of every block
+//! as a belt-and-braces bound on anything that could slip past the
+//! bitmap.
+//!
+//! The element is not a per-table [`AuditElement`](crate::AuditElement):
+//! it runs first in every cycle, over every chunk (or one table's
+//! chunks plus the catalog), so the catalog every later element reads
+//! is verified once per cycle, before them.
 
 use wtnc_db::{crc32, Crc32Shift, Database, TableId, TableNature, TaintFate, DIRTY_BLOCK_SIZE};
 use wtnc_sim::SimTime;
 
 use crate::finding::{AuditElementKind, Finding, FindingTarget, RecoveryAction};
+use crate::genskip::SweepCounter;
+use crate::process::ElementPolicy;
 
 /// Global-grid blocks overlapping `[offset, offset + len)`, yielded as
 /// `(block_index, byte_start, byte_len)` intersected with the range.
@@ -63,8 +71,7 @@ struct Chunk {
     /// `first_block + i` is not dirty (every mutation sets the bit, and
     /// the bit is only cleared after this cache was re-verified).
     block_live: Vec<u32>,
-    /// Checks since the last all-blocks re-hash of this chunk.
-    passes_since_full: u32,
+    sweep: SweepCounter,
 }
 
 /// The static-data audit element.
@@ -74,17 +81,6 @@ pub struct StaticDataAudit {
     /// Fold operators, one per distinct block byte-length seen (at most
     /// a handful: full blocks plus chunk-boundary fragments).
     shifts: Vec<Crc32Shift>,
-    /// Detect-only mode: mismatching chunks are flagged (with their
-    /// extent as the finding target) instead of reloaded, so an
-    /// external recovery engine can schedule and verify the repair.
-    pub deferred: bool,
-    /// Change-aware mode: skip chunks with no dirty blocks and re-hash
-    /// only dirty blocks elsewhere. Off by default (full rescan every
-    /// cycle, the paper's baseline behavior).
-    pub incremental: bool,
-    /// Every `n`-th check of a chunk re-hashes all of its blocks even
-    /// in incremental mode (0 = never force a full sweep).
-    pub full_rescan_period: u32,
 }
 
 impl StaticDataAudit {
@@ -108,16 +104,10 @@ impl StaticDataAudit {
                 block_live: block_spans(offset, len)
                     .map(|(_, s, l)| crc32(&db.region()[s..s + l]))
                     .collect(),
-                passes_since_full: 0,
+                sweep: SweepCounter::default(),
             })
             .collect();
-        StaticDataAudit {
-            chunks,
-            shifts: Vec::new(),
-            deferred: false,
-            incremental: false,
-            full_rescan_period: 0,
-        }
+        StaticDataAudit { chunks, shifts: Vec::new() }
     }
 
     /// The fold operator for a `len`-byte block, built once per
@@ -131,9 +121,11 @@ impl StaticDataAudit {
         s
     }
 
-    /// Repairs (or, deferred, flags) one mismatching chunk.
+    /// Repairs (or, deferred, flags) one mismatching chunk. Deferred,
+    /// the chunk is flagged with its extent as the finding target, so
+    /// an external recovery engine can schedule and verify the repair.
     fn handle_mismatch(
-        &self,
+        deferred: bool,
         db: &mut Database,
         table: Option<TableId>,
         (offset, len): (usize, usize),
@@ -142,7 +134,7 @@ impl StaticDataAudit {
         out: &mut Vec<Finding>,
     ) {
         let target = Some(FindingTarget::Range { offset, len });
-        if self.deferred {
+        if deferred {
             if let Some(t) = table {
                 db.note_errors_detected(t, 1);
             }
@@ -182,6 +174,7 @@ impl StaticDataAudit {
         &mut self,
         db: &mut Database,
         ci: usize,
+        policy: ElementPolicy,
         at: SimTime,
         detail: impl FnOnce(Option<TableId>) -> String,
         out: &mut Vec<Finding>,
@@ -193,14 +186,11 @@ impl StaticDataAudit {
         if len == 0 {
             return;
         }
-        let due_full = self.full_rescan_period > 0
-            && self.chunks[ci].passes_since_full + 1 >= self.full_rescan_period;
-        let use_dirty_bits = self.incremental && !due_full;
+        let use_dirty_bits = self.chunks[ci].sweep.may_skip(policy);
 
         if use_dirty_bits && !db.dirty().any_dirty_in(offset, len) {
             // Nothing mutated any block since the last verified-clean
             // pass: the chunk is provably unchanged.
-            self.chunks[ci].passes_since_full += 1;
             return;
         }
 
@@ -224,8 +214,6 @@ impl StaticDataAudit {
                 self.shift_for(l).combine(folded, c)
             };
         }
-        self.chunks[ci].passes_since_full =
-            if due_full || !self.incremental { 0 } else { self.chunks[ci].passes_since_full + 1 };
 
         if folded == self.chunks[ci].golden {
             // Verified clean: the cached block CRCs are now trusted, so
@@ -237,7 +225,7 @@ impl StaticDataAudit {
         // Mismatch: dirty bits stay set (deferred mode must re-flag
         // next cycle exactly like a full scan; a repair re-marks the
         // range anyway).
-        self.handle_mismatch(db, table, (offset, len), at, detail(table), out);
+        Self::handle_mismatch(policy.deferred, db, table, (offset, len), at, detail(table), out);
     }
 
     /// The finding detail of a full static pass.
@@ -262,9 +250,15 @@ impl StaticDataAudit {
 
     /// Checks every chunk; on mismatch reloads the affected portion
     /// from the golden disk image.
-    pub fn audit(&mut self, db: &mut Database, at: SimTime, out: &mut Vec<Finding>) {
+    pub fn audit(
+        &mut self,
+        db: &mut Database,
+        policy: ElementPolicy,
+        at: SimTime,
+        out: &mut Vec<Finding>,
+    ) {
         for ci in 0..self.chunks.len() {
-            self.check_chunk(db, ci, at, Self::full_detail, out);
+            self.check_chunk(db, ci, policy, at, Self::full_detail, out);
         }
     }
 
@@ -276,13 +270,14 @@ impl StaticDataAudit {
         &mut self,
         db: &mut Database,
         table: TableId,
+        policy: ElementPolicy,
         at: SimTime,
         out: &mut Vec<Finding>,
     ) {
         for ci in 0..self.chunks.len() {
             let t = self.chunks[ci].table;
             if t.is_none() || t == Some(table) {
-                self.check_chunk(db, ci, at, |_| "checksum mismatch".to_owned(), out);
+                self.check_chunk(db, ci, policy, at, |_| "checksum mismatch".to_owned(), out);
             }
         }
     }
@@ -297,13 +292,17 @@ mod tests {
         Database::build(schema::standard_schema()).unwrap()
     }
 
+    const INLINE: ElementPolicy =
+        ElementPolicy { deferred: false, incremental: false, full_rescan_period: 0 };
+    const INCREMENTAL: ElementPolicy = ElementPolicy { incremental: true, ..INLINE };
+
     #[test]
     fn clean_database_has_no_findings() {
         let mut d = db();
         let mut audit = StaticDataAudit::new(&d);
         assert_eq!(audit.chunks.len(), 3); // catalog + 2 config tables
         let mut out = Vec::new();
-        audit.audit(&mut d, SimTime::ZERO, &mut out);
+        audit.audit(&mut d, INLINE, SimTime::ZERO, &mut out);
         assert!(out.is_empty());
     }
 
@@ -316,7 +315,7 @@ mod tests {
         d.taint_mut()
             .insert(4, TaintEntry { id: 1, at: SimTime::ZERO, kind: TaintKind::StaticData });
         let mut out = Vec::new();
-        audit.audit(&mut d, SimTime::from_secs(1), &mut out);
+        audit.audit(&mut d, INLINE, SimTime::from_secs(1), &mut out);
         assert_eq!(out.len(), 1);
         assert!(out[0].table.is_none());
         assert_eq!(out[0].caught.len(), 1);
@@ -332,7 +331,7 @@ mod tests {
         let (off, _) = d.field_extent(rec, schema::channel_config::FREQ_KHZ).unwrap();
         d.flip_bit(off, 7).unwrap();
         let mut out = Vec::new();
-        audit.audit(&mut d, SimTime::from_secs(1), &mut out);
+        audit.audit(&mut d, INLINE, SimTime::from_secs(1), &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].table, Some(schema::CHANNEL_CONFIG_TABLE));
         assert_eq!(d.read_field_raw(rec, schema::channel_config::FREQ_KHZ).unwrap(), 890_000);
@@ -352,7 +351,7 @@ mod tests {
         d.flip_bit(o0, 0).unwrap();
         d.flip_bit(o1, 0).unwrap();
         let mut out = Vec::new();
-        audit.audit_table(&mut d, schema::SYSCONFIG_TABLE, SimTime::ZERO, &mut out);
+        audit.audit_table(&mut d, schema::SYSCONFIG_TABLE, INLINE, SimTime::ZERO, &mut out);
         // Only sysconfig repaired; channel_config still corrupt.
         assert_eq!(out.len(), 1);
         assert_eq!(d.read_field_raw(r0, schema::sysconfig::N_CPUS).unwrap(), 4);
@@ -368,13 +367,13 @@ mod tests {
         let rec = RecordRef::new(schema::SYSCONFIG_TABLE, 0);
         d.write_field_raw(rec, schema::sysconfig::N_CPUS, 8).unwrap();
         let mut out = Vec::new();
-        audit.audit(&mut d, SimTime::ZERO, &mut out);
+        audit.audit(&mut d, INLINE, SimTime::ZERO, &mut out);
         assert_eq!(out.len(), 1, "pre-rebaseline this looks like corruption");
         // The reload undid the change; redo and rebaseline.
         d.write_field_raw(rec, schema::sysconfig::N_CPUS, 8).unwrap();
         audit.rebaseline(&d);
         let mut out = Vec::new();
-        audit.audit(&mut d, SimTime::ZERO, &mut out);
+        audit.audit(&mut d, INLINE, SimTime::ZERO, &mut out);
         // Note: golden *image* still disagrees, but checksums now match
         // so no finding is raised. (Committing the golden image is the
         // API's job.)
@@ -386,21 +385,20 @@ mod tests {
     fn incremental_detects_raw_corruption() {
         let mut d = db();
         let mut audit = StaticDataAudit::new(&d);
-        audit.incremental = true;
         // A clean incremental pass first, so dirty bits from build-time
         // activity (none) are settled.
         let mut out = Vec::new();
-        audit.audit(&mut d, SimTime::ZERO, &mut out);
+        audit.audit(&mut d, INCREMENTAL, SimTime::ZERO, &mut out);
         assert!(out.is_empty());
         // Raw injector flip inside the catalog: the bitmap must catch
         // it even though no API call was involved.
         d.flip_bit(10, 3).unwrap();
-        audit.audit(&mut d, SimTime::from_secs(1), &mut out);
+        audit.audit(&mut d, INCREMENTAL, SimTime::from_secs(1), &mut out);
         assert_eq!(out.len(), 1);
         assert!(out[0].table.is_none());
         // Repaired; a further pass is clean again.
         let mut out2 = Vec::new();
-        audit.audit(&mut d, SimTime::from_secs(2), &mut out2);
+        audit.audit(&mut d, INCREMENTAL, SimTime::from_secs(2), &mut out2);
         assert!(out2.is_empty());
     }
 
@@ -408,14 +406,13 @@ mod tests {
     fn incremental_skips_clean_chunks_and_clears_bits() {
         let mut d = db();
         let mut audit = StaticDataAudit::new(&d);
-        audit.incremental = true;
         // Dirty one catalog block, then verify clean (bytes unchanged
         // when we poke the same value back).
         let byte = d.peek(0, 1).unwrap()[0];
         d.poke(0, &[byte]).unwrap();
         assert!(d.dirty().any_dirty_in(0, 1));
         let mut out = Vec::new();
-        audit.audit(&mut d, SimTime::ZERO, &mut out);
+        audit.audit(&mut d, INCREMENTAL, SimTime::ZERO, &mut out);
         assert!(out.is_empty());
         // The verified-clean pass dropped the catalog's contained bits.
         let cat_len = d.catalog().catalog_len();
@@ -427,12 +424,11 @@ mod tests {
     fn deferred_incremental_reflags_every_cycle() {
         let mut d = db();
         let mut audit = StaticDataAudit::new(&d);
-        audit.incremental = true;
-        audit.deferred = true;
+        let deferred = ElementPolicy { deferred: true, ..INCREMENTAL };
         d.flip_bit(4, 0).unwrap();
         let mut out = Vec::new();
-        audit.audit(&mut d, SimTime::ZERO, &mut out);
-        audit.audit(&mut d, SimTime::from_secs(1), &mut out);
+        audit.audit(&mut d, deferred, SimTime::ZERO, &mut out);
+        audit.audit(&mut d, deferred, SimTime::from_secs(1), &mut out);
         // Flag-only mode leaves the corruption (and the dirty bits) in
         // place, so both cycles report it — same as a full scan.
         assert_eq!(out.len(), 2);
@@ -443,20 +439,19 @@ mod tests {
     fn full_rescan_period_forces_a_sweep() {
         let mut d = db();
         let mut audit = StaticDataAudit::new(&d);
-        audit.incremental = true;
-        audit.full_rescan_period = 3;
+        let every_third = ElementPolicy { full_rescan_period: 3, ..INCREMENTAL };
         let mut out = Vec::new();
         // Every third check of a chunk re-hashes all blocks; on the
         // other passes a clean chunk is skipped via the bitmap. The
         // observable contract: repeated clean audits stay clean and
         // corruption introduced at any point is still caught.
         for i in 0..4 {
-            audit.audit(&mut d, SimTime::from_secs(i), &mut out);
+            audit.audit(&mut d, every_third, SimTime::from_secs(i), &mut out);
         }
         assert!(out.is_empty());
         d.flip_bit(4, 2).unwrap();
         for i in 4..8 {
-            audit.audit(&mut d, SimTime::from_secs(i), &mut out);
+            audit.audit(&mut d, every_third, SimTime::from_secs(i), &mut out);
         }
         assert_eq!(out.len(), 1);
     }
@@ -473,13 +468,16 @@ mod tests {
                 let mut d = db();
                 let mut full = StaticDataAudit::new(&d);
                 let mut incr = StaticDataAudit::new(&d);
-                incr.incremental = true;
-                incr.deferred = true;
-                full.deferred = true;
                 d.flip_bit(offset + probe, 5).unwrap();
                 let (mut of, mut oi) = (Vec::new(), Vec::new());
-                full.audit(&mut d, SimTime::ZERO, &mut of);
-                incr.audit(&mut d, SimTime::ZERO, &mut oi);
+                let deferred = ElementPolicy { deferred: true, ..INLINE };
+                full.audit(&mut d, deferred, SimTime::ZERO, &mut of);
+                incr.audit(
+                    &mut d,
+                    ElementPolicy { incremental: true, ..deferred },
+                    SimTime::ZERO,
+                    &mut oi,
+                );
                 assert_eq!(of, oi, "chunk {ci} probe {probe}");
             }
         }

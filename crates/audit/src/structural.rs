@@ -17,57 +17,36 @@ use wtnc_sim::SimTime;
 
 use crate::finding::{AuditElementKind, Finding, FindingTarget, RecoveryAction};
 use crate::genskip::GenSkip;
+use crate::process::{AuditElement, ElementPolicy};
 
 /// Consecutive damaged headers in one table that escalate to a full
 /// reload.
 const ESCALATION_THRESHOLD: u32 = 3;
 
-/// The structural audit element.
-#[derive(Debug, Clone)]
+/// The structural audit element. In deferred mode damaged headers are
+/// flagged (one finding per record, targeted at the header) instead of
+/// rebuilt, and the consecutive-damage escalation is left to the
+/// recovery engine's ladder.
+#[derive(Debug, Clone, Default)]
 pub struct StructuralAudit {
-    /// Consecutive corrupted headers that trigger the full-database
-    /// reload escalation.
-    escalation_threshold: u32,
-    /// Detect-only mode: damaged headers are flagged (one finding per
-    /// record, targeted at the header) instead of rebuilt, and the
-    /// consecutive-damage escalation is left to the recovery engine's
-    /// ladder.
-    pub deferred: bool,
-    /// Change-aware mode: skip records whose generation is unchanged
-    /// since they were last verified clean. Off by default.
-    pub incremental: bool,
-    /// Every `n`-th pass over a table ignores generations even in
-    /// incremental mode (0 = never force a full sweep).
-    pub full_rescan_period: u32,
     skip: GenSkip,
 }
 
-impl Default for StructuralAudit {
-    fn default() -> Self {
-        Self::new(ESCALATION_THRESHOLD)
-    }
-}
-
-impl StructuralAudit {
-    /// Creates the element. `escalation_threshold` consecutive damaged
-    /// headers in one table escalate to a full reload.
-    pub fn new(escalation_threshold: u32) -> Self {
-        StructuralAudit {
-            escalation_threshold: escalation_threshold.max(2),
-            deferred: false,
-            incremental: false,
-            full_rescan_period: 0,
-            skip: GenSkip::default(),
-        }
+impl AuditElement for StructuralAudit {
+    fn kind(&self) -> AuditElementKind {
+        AuditElementKind::Structural
     }
 
     /// Audits one table's headers; returns the number of records
     /// checked. May escalate to a whole-database reload, reported as a
-    /// single finding.
-    pub fn audit_table(
+    /// single finding. Headers are checked whether or not a client
+    /// holds the record's lock, so `locked` is ignored.
+    fn audit_table(
         &mut self,
         db: &mut Database,
         table: TableId,
+        policy: ElementPolicy,
+        _locked: &dyn Fn(RecordRef) -> bool,
         at: SimTime,
         out: &mut Vec<Finding>,
     ) -> u64 {
@@ -77,8 +56,7 @@ impl StructuralAudit {
         let record_count = tm.def.record_count;
         let record_size = tm.record_size;
         let table_offset = tm.offset;
-        let due_full = self.skip.begin_pass(table, record_count as usize, self.full_rescan_period);
-        let use_gen = self.incremental && !due_full;
+        let use_gen = self.skip.begin_pass(table, record_count as usize, policy);
         let mut consecutive = 0u32;
         let mut damaged: Vec<u32> = Vec::new();
 
@@ -105,7 +83,7 @@ impl StructuralAudit {
             }
             damaged.push(index);
             consecutive += 1;
-            if consecutive >= self.escalation_threshold && !self.deferred {
+            if consecutive >= ESCALATION_THRESHOLD && !policy.deferred {
                 // Misalignment suspected: reload everything.
                 db.reload_all();
                 let region_len = db.region_len();
@@ -130,7 +108,7 @@ impl StructuralAudit {
 
         for index in damaged {
             let rec = RecordRef::new(table, index);
-            if self.deferred {
+            if policy.deferred {
                 db.note_errors_detected(table, 1);
                 out.push(Finding {
                     element: AuditElementKind::Structural,
@@ -195,12 +173,23 @@ mod tests {
         Database::build(schema::standard_schema()).unwrap()
     }
 
+    /// One inline-repair, full-scan pass over `table`.
+    fn audit(d: &mut Database, table: TableId, at: SimTime, out: &mut Vec<Finding>) -> u64 {
+        StructuralAudit::default().audit_table(
+            d,
+            table,
+            ElementPolicy::default(),
+            &|_| false,
+            at,
+            out,
+        )
+    }
+
     #[test]
     fn clean_table_no_findings() {
         let mut d = db();
-        let mut audit = StructuralAudit::default();
         let mut out = Vec::new();
-        let checked = audit.audit_table(&mut d, schema::PROCESS_TABLE, SimTime::ZERO, &mut out);
+        let checked = audit(&mut d, schema::PROCESS_TABLE, SimTime::ZERO, &mut out);
         assert_eq!(checked, schema::STANDARD_DYNAMIC_SLOTS as u64);
         assert!(out.is_empty());
     }
@@ -208,7 +197,6 @@ mod tests {
     #[test]
     fn single_record_id_corruption_is_corrected_in_place() {
         let mut d = db();
-        let mut audit = StructuralAudit::default();
         let rec = RecordRef::new(schema::PROCESS_TABLE, 5);
         let base = d.record_offset(rec).unwrap();
         d.flip_bit(base + HDR_RECORD_ID, 2).unwrap();
@@ -217,7 +205,7 @@ mod tests {
             TaintEntry { id: 9, at: SimTime::ZERO, kind: TaintKind::Structural },
         );
         let mut out = Vec::new();
-        audit.audit_table(&mut d, schema::PROCESS_TABLE, SimTime::from_secs(1), &mut out);
+        audit(&mut d, schema::PROCESS_TABLE, SimTime::from_secs(1), &mut out);
         assert_eq!(out.len(), 1);
         assert!(matches!(out[0].action, RecoveryAction::RebuiltHeader { record: 5, .. }));
         assert_eq!(out[0].caught.len(), 1);
@@ -228,12 +216,11 @@ mod tests {
     #[test]
     fn garbage_status_resolves_to_free() {
         let mut d = db();
-        let mut audit = StructuralAudit::default();
         let rec = RecordRef::new(schema::CONNECTION_TABLE, 2);
         let base = d.record_offset(rec).unwrap();
         d.poke(base + HDR_STATUS, &[0x3C]).unwrap();
         let mut out = Vec::new();
-        audit.audit_table(&mut d, schema::CONNECTION_TABLE, SimTime::ZERO, &mut out);
+        audit(&mut d, schema::CONNECTION_TABLE, SimTime::ZERO, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(d.header(rec).unwrap().status, STATUS_FREE);
     }
@@ -241,13 +228,12 @@ mod tests {
     #[test]
     fn out_of_range_links_cleared() {
         let mut d = db();
-        let mut audit = StructuralAudit::default();
         let rec = RecordRef::new(schema::RESOURCE_TABLE, 0);
         let mut hdr = d.header(rec).unwrap();
         hdr.next = 9_999;
         d.write_header(rec, hdr).unwrap();
         let mut out = Vec::new();
-        audit.audit_table(&mut d, schema::RESOURCE_TABLE, SimTime::ZERO, &mut out);
+        audit(&mut d, schema::RESOURCE_TABLE, SimTime::ZERO, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(d.header(rec).unwrap().next, LINK_NONE);
     }
@@ -255,7 +241,6 @@ mod tests {
     #[test]
     fn consecutive_damage_escalates_to_full_reload() {
         let mut d = db();
-        let mut audit = StructuralAudit::new(3);
         // Smash three consecutive headers (misalignment pattern).
         for i in 0..3 {
             let base = d.record_offset(RecordRef::new(schema::PROCESS_TABLE, i)).unwrap();
@@ -270,7 +255,7 @@ mod tests {
             TaintEntry { id: 1, at: SimTime::ZERO, kind: TaintKind::Structural },
         );
         let mut out = Vec::new();
-        audit.audit_table(&mut d, schema::PROCESS_TABLE, SimTime::ZERO, &mut out);
+        audit(&mut d, schema::PROCESS_TABLE, SimTime::ZERO, &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].action, RecoveryAction::ReloadedDatabase);
         assert_eq!(d.region(), d.golden());
@@ -280,21 +265,14 @@ mod tests {
     #[test]
     fn scattered_damage_repairs_individually() {
         let mut d = db();
-        let mut audit = StructuralAudit::new(3);
         // Damage records 0, 2, 4 (not consecutive).
         for i in [0u32, 2, 4] {
             let base = d.record_offset(RecordRef::new(schema::PROCESS_TABLE, i)).unwrap();
             d.flip_bit(base + HDR_RECORD_ID, 0).unwrap();
         }
         let mut out = Vec::new();
-        audit.audit_table(&mut d, schema::PROCESS_TABLE, SimTime::ZERO, &mut out);
+        audit(&mut d, schema::PROCESS_TABLE, SimTime::ZERO, &mut out);
         assert_eq!(out.len(), 3);
         assert!(out.iter().all(|f| matches!(f.action, RecoveryAction::RebuiltHeader { .. })));
-    }
-
-    #[test]
-    fn threshold_has_a_floor_of_two() {
-        let audit = StructuralAudit::new(0);
-        assert_eq!(audit.escalation_threshold, 2);
     }
 }

@@ -91,8 +91,7 @@ proptest! {
         }
         let (tiny, full) = (&reports[0], &reports[1]);
 
-        prop_assert!(!full.degraded, "a generous budget never degrades");
-        prop_assert!(full.tables_shed.is_empty());
+        prop_assert!(full.tables_shed.is_empty(), "a generous budget never degrades");
         // The starved plan is an exact ordered prefix of the full plan.
         prop_assert!(tiny.tables_audited.len() <= full.tables_audited.len());
         prop_assert_eq!(
@@ -108,10 +107,9 @@ proptest! {
         let mut full_plan = full.tables_audited.clone();
         full_plan.sort();
         prop_assert_eq!(recombined, full_plan, "shed tables are accounted, not dropped");
-        // No fail-silence: shedding ⇔ degraded flag ⇔ exactly one marker.
+        // No fail-silence: shedding ⇔ exactly one marker.
         let markers = tiny.by_element(AuditElementKind::DegradedCycle).count();
-        prop_assert_eq!(tiny.degraded, !tiny.tables_shed.is_empty());
-        prop_assert_eq!(markers, usize::from(tiny.degraded));
+        prop_assert_eq!(markers, usize::from(!tiny.tables_shed.is_empty()));
         // On the audited prefix, findings agree exactly with the full run.
         let audited: Vec<TableId> = tiny.tables_audited.clone();
         let full_on_prefix: Vec<FindingKey> = keys(full)

@@ -13,9 +13,11 @@
 //! two database images must be byte-identical.
 
 use proptest::prelude::*;
-use wtnc_audit::{AuditConfig, AuditProcess};
-use wtnc_db::{schema, set_crc_kernel_override, CrcKernel, Database, DbApi, FieldId, TableId};
-use wtnc_sim::{Pid, ProcessRegistry, SimTime};
+use wtnc_audit::{AuditConfig, AuditElementKind, AuditProcess};
+use wtnc_db::{
+    schema, set_crc_kernel_override, CrcKernel, Database, DbApi, FieldId, RecordRef, TableId,
+};
+use wtnc_sim::{Pid, ProcessRegistry, SimRng, SimTime};
 
 /// One step of the randomized workload. Raw variants bypass the API —
 /// they model injector corruptions and operator repairs.
@@ -155,4 +157,80 @@ proptest! {
             "final database images differ"
         );
     }
+}
+
+/// Pins the full-sweep schedule of a deferred, incremental audit with
+/// `full_rescan_period: 3`, rechecks included (each one is a pass).
+/// Range and semantic count only the records they actually screen, so
+/// `records_checked` moves if either bumps its pass counter at a
+/// different point; the finding counts pin the deferred re-flagging.
+/// The structural and static-data schedules show in no output: by the
+/// parity property above, a forced sweep finds what a skipping pass
+/// finds.
+#[test]
+fn sweep_schedule_is_pinned() {
+    const LOOPS: u32 = 24;
+    let mut db = Database::build(schema::standard_schema()).unwrap();
+    for _ in 0..LOOPS {
+        let p = db.alloc_record_raw(schema::PROCESS_TABLE).unwrap();
+        let c = db.alloc_record_raw(schema::CONNECTION_TABLE).unwrap();
+        let r = db.alloc_record_raw(schema::RESOURCE_TABLE).unwrap();
+        for (table, index, field, to) in [
+            (schema::PROCESS_TABLE, p, schema::process::CONNECTION_ID, c),
+            (schema::CONNECTION_TABLE, c, schema::connection::CHANNEL_ID, r),
+            (schema::RESOURCE_TABLE, r, schema::resource::PROCESS_ID, p),
+        ] {
+            db.write_field_raw(RecordRef::new(table, index), field, u64::from(to)).unwrap();
+        }
+    }
+    let mut api = DbApi::new();
+    let mut registry = ProcessRegistry::new();
+    let config = AuditConfig { incremental: true, full_rescan_period: 3, ..AuditConfig::default() };
+    let mut audit = AuditProcess::new(config, &db);
+    audit.set_deferred_repair(true);
+
+    let dynamic = [schema::PROCESS_TABLE, schema::CONNECTION_TABLE, schema::RESOURCE_TABLE];
+    let kinds = [
+        AuditElementKind::Structural,
+        AuditElementKind::Range,
+        AuditElementKind::Semantic,
+        AuditElementKind::StaticData,
+    ];
+    // Flips land past the catalog: config tables and dynamic tables.
+    let flip_from = db.catalog().table(schema::SYSCONFIG_TABLE).unwrap().offset;
+    let flip_span = db.region_len() - flip_from;
+    let mut rng = SimRng::seed_from(21);
+    let mut seen = Vec::new();
+    for cycle in 0..12u64 {
+        let at = SimTime::from_secs(10 * (cycle + 1));
+        for _ in 0..3 {
+            if rng.chance(0.6) {
+                let rec = RecordRef::new(dynamic[rng.index(3)], rng.index(LOOPS as usize) as u32);
+                let field = FieldId(rng.index(5) as u16);
+                db.write_field_raw(rec, field, rng.range_u64(0, 8)).unwrap();
+            } else {
+                db.flip_bit(flip_from + rng.index(flip_span), rng.index(8) as u8).unwrap();
+            }
+        }
+        let report = audit.run_cycle(&mut db, &mut api, &mut registry, at);
+        let kind = kinds[cycle as usize % kinds.len()];
+        let table = (kind != AuditElementKind::StaticData).then_some(dynamic[cycle as usize % 3]);
+        let rechecked = audit.recheck(&mut db, &api, kind, table, at);
+        seen.push((report.records_checked, report.findings.len(), rechecked.len()));
+    }
+    let expected = vec![
+        (356, 1, 0),
+        (221, 4, 0),
+        (333, 5, 1),
+        (221, 5, 0),
+        (268, 8, 0),
+        (314, 9, 2),
+        (229, 13, 3),
+        (315, 20, 0),
+        (277, 23, 2),
+        (241, 27, 0),
+        (341, 27, 7),
+        (241, 27, 0),
+    ];
+    assert_eq!(seen, expected, "(records checked, findings, recheck findings) per cycle");
 }

@@ -1,12 +1,16 @@
 //! Property-based tests of the audit elements' detection guarantees.
 
 use proptest::prelude::*;
-use wtnc_audit::{RangeAudit, SemanticAudit, StaticDataAudit, StructuralAudit};
+use wtnc_audit::{
+    AuditElement, ElementPolicy, RangeAudit, SemanticAudit, StaticDataAudit, StructuralAudit,
+};
 use wtnc_db::layout::RECORD_HEADER_SIZE;
 use wtnc_db::{schema, Database, RecordRef};
 use wtnc_sim::SimTime;
 
 const NOT_LOCKED: fn(RecordRef) -> bool = |_| false;
+const INLINE: ElementPolicy =
+    ElementPolicy { deferred: false, incremental: false, full_rescan_period: 0 };
 
 fn db() -> Database {
     Database::build(schema::standard_schema()).unwrap()
@@ -28,7 +32,7 @@ proptest! {
         let before = d.region().to_vec();
         d.flip_bit(offset, bit).unwrap();
         let mut out = Vec::new();
-        audit.audit(&mut d, SimTime::from_secs(1), &mut out);
+        audit.audit(&mut d, INLINE, SimTime::from_secs(1), &mut out);
         prop_assert!(!out.is_empty(), "flip at {offset} undetected");
         prop_assert_eq!(d.region(), &before[..], "bytes not fully repaired");
     }
@@ -47,11 +51,11 @@ proptest! {
         let base = d.record_offset(rec).unwrap();
         d.flip_bit(base + byte, bit).unwrap();
         let mut out = Vec::new();
-        audit.audit_table(&mut d, schema::PROCESS_TABLE, SimTime::from_secs(1), &mut out);
+        audit.audit_table(&mut d, schema::PROCESS_TABLE, INLINE, &NOT_LOCKED, SimTime::from_secs(1), &mut out);
         prop_assert!(!out.is_empty(), "header damage at byte {byte} bit {bit} undetected");
         // The rebuilt header passes a second audit.
         let mut out2 = Vec::new();
-        audit.audit_table(&mut d, schema::PROCESS_TABLE, SimTime::from_secs(2), &mut out2);
+        audit.audit_table(&mut d, schema::PROCESS_TABLE, INLINE, &NOT_LOCKED, SimTime::from_secs(2), &mut out2);
         prop_assert!(out2.is_empty(), "repair did not converge: {out2:?}");
         let _ = RECORD_HEADER_SIZE;
     }
@@ -72,9 +76,10 @@ proptest! {
         d.write_field_raw(rec, schema::connection::CODEC, codec).unwrap();
         d.write_field_raw(rec, schema::connection::TIMESLOT, slot).unwrap();
         let mut out = Vec::new();
-        RangeAudit::new().audit_table(
+        RangeAudit::default().audit_table(
             &mut d,
             schema::CONNECTION_TABLE,
+            INLINE,
             &NOT_LOCKED,
             SimTime::ZERO,
             &mut out,
@@ -91,9 +96,10 @@ proptest! {
         let rec = RecordRef::new(schema::CONNECTION_TABLE, idx);
         d.write_field_raw(rec, schema::connection::STATE, 4 + excess).unwrap();
         let mut out = Vec::new();
-        RangeAudit::new().audit_table(
+        RangeAudit::default().audit_table(
             &mut d,
             schema::CONNECTION_TABLE,
+            INLINE,
             &NOT_LOCKED,
             SimTime::ZERO,
             &mut out,
@@ -131,7 +137,7 @@ proptest! {
         let mut out = Vec::new();
         let mut audit = SemanticAudit::default();
         for t in [schema::PROCESS_TABLE, schema::CONNECTION_TABLE, schema::RESOURCE_TABLE] {
-            audit.audit_table(&mut d, t, &NOT_LOCKED, SimTime::from_secs(1), &mut out);
+            audit.audit_table(&mut d, t, INLINE, &NOT_LOCKED, SimTime::from_secs(1), &mut out);
         }
         prop_assert!(!out.is_empty(), "corrupted link {new_link} undetected");
         // The second, healthy loop is untouched.

@@ -6,50 +6,11 @@
 //! cargo run --release -p wtnc-bench --bin fig5
 //! ```
 
-use wtnc::inject::priority_campaign::{run_campaign, PriorityCampaignConfig};
-use wtnc::sim::SimDuration;
-use wtnc_bench::scaled_runs;
-
 fn main() {
-    let runs = scaled_runs(20);
-    println!(
-        "Figure 5 — prioritized vs unprioritized audit, uniform error distribution ({runs} runs/point)\n"
-    );
-    println!(
-        "{:>10} | {:>22} {:>22} {:>10} | {:>12} {:>12}",
-        "MTBF (s)",
-        "unprioritized esc%",
-        "prioritized esc%",
-        "reduction",
-        "latency RR",
-        "latency Pri"
-    );
-    for mtbf in [1u64, 2, 4] {
-        let base = PriorityCampaignConfig {
-            proportional_errors: false,
-            mtbf: SimDuration::from_secs(mtbf),
-            duration: SimDuration::from_secs(300),
-            ..PriorityCampaignConfig::default()
-        };
-        let rr = run_campaign(&PriorityCampaignConfig { prioritized: false, ..base }, runs);
-        let pri = run_campaign(&PriorityCampaignConfig { prioritized: true, ..base }, runs);
-        let reduction = if rr.escaped_pct() > 0.0 {
-            100.0 * (1.0 - pri.escaped_pct() / rr.escaped_pct())
-        } else {
-            0.0
-        };
-        println!(
-            "{:>10} | {:>21.2}% {:>21.2}% {:>9.1}% | {:>10.2} s {:>10.2} s",
-            mtbf,
-            rr.escaped_pct(),
-            pri.escaped_pct(),
-            reduction,
-            rr.detection_latency_s,
-            pri.detection_latency_s,
-        );
-    }
-    println!(
-        "\npaper reference: escapes reduced 14.6-25.5% by prioritization (more at lower error \
-         rates); average latency slightly HIGHER with prioritization under uniform errors"
+    wtnc_bench::print_priority_figure(
+        "Figure 5 — prioritized vs unprioritized audit, uniform error distribution",
+        false,
+        "escapes reduced 14.6-25.5% by prioritization (more at lower error rates); \
+         average latency slightly HIGHER with prioritization under uniform errors",
     );
 }

@@ -9,7 +9,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use wtnc::inject::priority_campaign::{run_campaign, PriorityCampaignConfig};
 use wtnc::inject::{OutcomeCounts, RunOutcome};
+use wtnc::sim::SimDuration;
 
 /// Scales a paper-default run count by `WTNC_RUNS_SCALE` (clamped to
 /// at least one run).
@@ -162,6 +164,49 @@ pub fn print_outcome_matrix(title: &str, columns: &[(String, OutcomeCounts)]) {
         print!(" | {:<28}", format!("{:.0}%", c.coverage()));
     }
     println!("\n");
+}
+
+/// Prints a Figure 5/6-style comparison of prioritized and
+/// round-robin audits: escaped-error proportion and detection latency
+/// at three error rates, errors arriving uniformly or (with
+/// `proportional_errors`) in proportion to table access frequency.
+pub fn print_priority_figure(title: &str, proportional_errors: bool, paper_reference: &str) {
+    let runs = scaled_runs(20);
+    println!("{title} ({runs} runs/point)\n");
+    println!(
+        "{:>10} | {:>22} {:>22} {:>10} | {:>12} {:>12}",
+        "MTBF (s)",
+        "unprioritized esc%",
+        "prioritized esc%",
+        "reduction",
+        "latency RR",
+        "latency Pri"
+    );
+    for mtbf in [1u64, 2, 4] {
+        let base = PriorityCampaignConfig {
+            proportional_errors,
+            mtbf: SimDuration::from_secs(mtbf),
+            duration: SimDuration::from_secs(300),
+            ..PriorityCampaignConfig::default()
+        };
+        let rr = run_campaign(&PriorityCampaignConfig { prioritized: false, ..base }, runs);
+        let pri = run_campaign(&PriorityCampaignConfig { prioritized: true, ..base }, runs);
+        let reduction = if rr.escaped_pct() > 0.0 {
+            100.0 * (1.0 - pri.escaped_pct() / rr.escaped_pct())
+        } else {
+            0.0
+        };
+        println!(
+            "{:>10} | {:>21.2}% {:>21.2}% {:>9.1}% | {:>10.2} s {:>10.2} s",
+            mtbf,
+            rr.escaped_pct(),
+            pri.escaped_pct(),
+            reduction,
+            rr.detection_latency_s,
+            pri.detection_latency_s,
+        );
+    }
+    println!("\npaper reference: {paper_reference}");
 }
 
 #[cfg(test)]

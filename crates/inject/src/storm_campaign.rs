@@ -407,7 +407,7 @@ pub fn run_once(config: &StormCampaignConfig, seed: u64) -> StormRunResult {
                 let started = inflight.take().expect("cycle in flight");
                 r.cycles_completed += 1;
                 cycle_time.push(now.saturating_since(started).as_secs_f64());
-                if report.degraded {
+                if !report.tables_shed.is_empty() {
                     let audit_pid = c.audit_pid().expect("audit attached");
                     c.supervisor_mut().expect("supervision attached").note_starved(audit_pid, now);
                 }

@@ -6,7 +6,7 @@
 //! cargo run --example selective_monitoring
 //! ```
 
-use wtnc::audit::{AuditElement, SelectiveConfig, SelectiveMonitor};
+use wtnc::audit::{AuditElement, ElementPolicy, SelectiveConfig, SelectiveMonitor};
 use wtnc::db::{schema, Database, RecordRef};
 use wtnc::sim::SimTime;
 
@@ -28,11 +28,20 @@ fn main() {
         vec![(table, field)],
     );
 
-    // A few audit visits let the element learn the distribution.
+    // A few audit visits let the element learn the distribution. The
+    // monitor's own config decides repair, so the default policy does.
+    let policy = ElementPolicy::default();
     let not_locked = |_: RecordRef| false;
     let mut findings = Vec::new();
     for s in 0..3 {
-        monitor.audit_table(&mut db, table, &not_locked, SimTime::from_secs(s), &mut findings);
+        monitor.audit_table(
+            &mut db,
+            table,
+            policy,
+            &not_locked,
+            SimTime::from_secs(s),
+            &mut findings,
+        );
     }
     println!(
         "after 3 audit visits: histogram has {} observations over {} distinct values; \
@@ -54,7 +63,7 @@ fn main() {
     );
 
     let mut findings = Vec::new();
-    monitor.audit_table(&mut db, table, &not_locked, SimTime::from_secs(10), &mut findings);
+    monitor.audit_table(&mut db, table, policy, &not_locked, SimTime::from_secs(10), &mut findings);
     for f in &findings {
         println!("  [{:?}] {} -> {:?}", f.element, f.detail, f.action);
     }
