@@ -1,6 +1,6 @@
 //! Findings, recovery actions and audit reports.
 
-use wtnc_db::{TableId, TaintEntry};
+use wtnc_db::{Catalog, TableId, TaintEntry};
 use wtnc_sim::{Pid, SimTime};
 
 /// Which element produced a finding.
@@ -71,6 +71,39 @@ pub enum FindingTarget {
         /// The client.
         pid: Pid,
     },
+}
+
+impl FindingTarget {
+    /// Whether two targets name the same damage: ranges compare by
+    /// overlap, everything else exactly.
+    pub fn overlaps(&self, other: &FindingTarget) -> bool {
+        match (self, other) {
+            (
+                FindingTarget::Range { offset: ao, len: al },
+                FindingTarget::Range { offset: bo, len: bl },
+            ) => ao < &(bo + bl) && bo < &(ao + al),
+            _ => self == other,
+        }
+    }
+
+    /// The tables the target touches: the table of a header, field or
+    /// record, every table whose extent a range overlaps, and none for
+    /// a client.
+    pub(crate) fn tables(&self, catalog: &Catalog) -> Vec<TableId> {
+        match *self {
+            FindingTarget::Header { table, .. }
+            | FindingTarget::Field { table, .. }
+            | FindingTarget::Record { table, .. } => vec![table],
+            FindingTarget::Range { .. } => catalog
+                .tables()
+                .filter(|tm| {
+                    self.overlaps(&FindingTarget::Range { offset: tm.offset, len: tm.data_len() })
+                })
+                .map(|tm| tm.id)
+                .collect(),
+            FindingTarget::Client { .. } => Vec::new(),
+        }
+    }
 }
 
 /// The recovery action attached to a finding.

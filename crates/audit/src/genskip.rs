@@ -19,7 +19,9 @@ use crate::process::ElementPolicy;
 
 /// The every-`n`-th-pass full-sweep rule, one counter per audited unit
 /// (a table, or a static chunk), bumped once per pass, rechecks
-/// included. The count also runs while `incremental` is off, where it
+/// included. A recheck counts but never takes the forced sweep: at the
+/// boundary it leaves the counter saturated, so the next cycle pass
+/// sweeps. The count also runs while `incremental` is off, where it
 /// could as well reset every pass: no pass then skips anything, and no
 /// caller turns `incremental` on for an element that has already run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -34,6 +36,15 @@ impl SweepCounter {
         let full_sweep = period > 0 && self.0 + 1 >= period;
         self.0 = if full_sweep { 0 } else { self.0 + 1 };
         policy.incremental && !full_sweep
+    }
+
+    /// Counts a scoped recheck as a pass without taking the forced full
+    /// sweep: a counter that reaches the boundary stays there, so the
+    /// next [`SweepCounter::may_skip`] sweeps.
+    pub fn note_recheck(&mut self, policy: ElementPolicy) {
+        if let Some(last) = policy.full_rescan_period.checked_sub(1) {
+            self.0 = (self.0 + 1).min(last);
+        }
     }
 }
 
@@ -61,6 +72,14 @@ impl GenSkip {
         let st = self.tables.entry(table).or_default();
         st.last_clean.resize(records, NEVER_VERIFIED);
         st.sweep.may_skip(policy)
+    }
+
+    /// Counts a scoped recheck of one record of `table` as a pass
+    /// ([`SweepCounter::note_recheck`]) and sizes the state.
+    pub fn note_recheck(&mut self, table: TableId, records: usize, policy: ElementPolicy) {
+        let st = self.tables.entry(table).or_default();
+        st.last_clean.resize(records, NEVER_VERIFIED);
+        st.sweep.note_recheck(policy);
     }
 
     /// True when the record was verified clean at exactly generation
@@ -105,6 +124,21 @@ mod tests {
         let mut c = SweepCounter::default();
         let skips: Vec<bool> = (0..6).map(|_| c.may_skip(incremental(3))).collect();
         assert_eq!(skips, vec![true, true, false, true, true, false]);
+    }
+
+    #[test]
+    fn rechecks_count_but_leave_the_sweep_to_the_next_pass() {
+        let mut c = SweepCounter::default();
+        let policy = incremental(3);
+        assert!(c.may_skip(policy));
+        c.note_recheck(policy);
+        c.note_recheck(policy);
+        c.note_recheck(policy);
+        assert!(!c.may_skip(policy), "saturated at the boundary: this pass sweeps");
+        assert!(c.may_skip(policy));
+        let mut one = SweepCounter::default();
+        one.note_recheck(incremental(1));
+        assert!(!one.may_skip(incremental(1)), "period 1: every cycle pass sweeps");
     }
 
     #[test]

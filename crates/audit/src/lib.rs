@@ -98,7 +98,7 @@ pub use finding::{
     RecoveryAction,
 };
 pub use heartbeat::{HeartbeatElement, HEARTBEAT_INTERVAL};
-pub use process::{AuditConfig, AuditElement, AuditProcess, AuditScope, ElementPolicy};
+pub use process::{AuditConfig, AuditElement, AuditProcess, AuditScope, ElementPolicy, Recheck};
 pub use progress::ProgressIndicator;
 pub use ranged::RangeAudit;
 pub use scheduler::{AuditScheduler, PriorityScheduler, PriorityWeights, RoundRobinScheduler};

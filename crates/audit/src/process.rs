@@ -13,7 +13,9 @@ use wtnc_db::{Database, DbApi, RecordRef, TableId, TaintEntry};
 use wtnc_sim::{ProcessRegistry, SimDuration, SimTime};
 
 use crate::budget::{BudgetConfig, TokenBucket};
-use crate::finding::{AuditElementKind, AuditReport, ExecSummary, Finding, RecoveryAction};
+use crate::finding::{
+    AuditElementKind, AuditReport, ExecSummary, Finding, FindingTarget, RecoveryAction,
+};
 use crate::heartbeat::HeartbeatElement;
 use crate::progress::ProgressIndicator;
 use crate::ranged::RangeAudit;
@@ -68,6 +70,45 @@ pub trait AuditElement {
         at: SimTime,
         out: &mut Vec<Finding>,
     ) -> u64;
+
+    /// Re-checks one finding target under `policy` and reports the
+    /// findings on it, so a repair can be verified where it was made.
+    /// [`AuditProcess::recheck`] always passes a deferred policy, so a
+    /// recheck reports and never repairs. Returns the number of
+    /// records examined.
+    ///
+    /// The default runs [`AuditElement::audit_table`] over every table
+    /// the target touches and keeps the findings that overlap the
+    /// target ([`FindingTarget::overlaps`]). That is exact for any
+    /// element, at the cost of a whole-table pass with all of its side
+    /// effects; the built-in elements override it with a check of the
+    /// target alone.
+    fn recheck(
+        &mut self,
+        db: &mut Database,
+        target: FindingTarget,
+        policy: ElementPolicy,
+        locked: &dyn Fn(RecordRef) -> bool,
+        at: SimTime,
+        out: &mut Vec<Finding>,
+    ) -> u64 {
+        let mut found = Vec::new();
+        let mut examined = 0;
+        for table in target.tables(db.catalog()) {
+            examined += self.audit_table(db, table, policy, locked, at, &mut found);
+        }
+        out.extend(found.into_iter().filter(|f| f.target.is_some_and(|t| t.overlaps(&target))));
+        examined
+    }
+}
+
+/// What one [`AuditProcess::recheck`] found, and how much it examined.
+#[derive(Debug, Clone)]
+pub struct Recheck {
+    /// The findings on the target; empty when it verifies clean.
+    pub findings: Vec<Finding>,
+    /// Records examined (static data: chunks checked).
+    pub examined: u64,
 }
 
 /// Audit-process configuration.
@@ -186,55 +227,54 @@ impl AuditProcess {
         self.policy.deferred = deferred;
     }
 
-    /// Re-runs one audit element over one table (or the full static
-    /// region when `table` is `None`). The recovery engine uses this to
-    /// *verify* a repair: a repaired target must no longer be reported
-    /// by the element that originally detected it.
+    /// Re-checks one finding target with the element that reported
+    /// it. The recovery engine uses this to *verify* a repair: a
+    /// repaired target must no longer be reported by the element that
+    /// originally detected it. The structural audit re-checks the
+    /// target header, the range audit the target record's ruled
+    /// fields, the semantic audit the walk from the target anchor, and
+    /// the static-data audit the chunks the target range overlaps; a
+    /// registered element runs its whole-table default
+    /// ([`AuditElement::recheck`]). A kind with no element here checks
+    /// nothing.
     ///
-    /// The cycle count and the catch log are untouched, but a recheck
-    /// is an ordinary element pass, so it also:
+    /// A recheck is detect-only whatever the process's policy: it
+    /// reports and never repairs. The cycle count and the catch log are
+    /// untouched. For what it checked, and only that (a registered
+    /// element's default checks whole tables), it also:
     ///
-    /// * advances the element's full-sweep schedule (it counts as one
-    ///   pass of [`AuditConfig::full_rescan_period`]);
-    /// * records verified-clean state: record generations for the
-    ///   structural and range audits, walk witnesses and clean-pass
-    ///   signatures for the semantic audit;
-    /// * clears the static chunk's dirty bits when it verifies clean;
-    /// * in deferred mode, bumps the table's error counters (through
-    ///   `Database::note_errors_detected`) for every finding that has
-    ///   a table, which the [`PriorityScheduler`](crate::PriorityScheduler)
-    ///   reads;
-    /// * outside deferred mode, repairs what it finds, as a cycle pass
-    ///   would.
-    ///
-    /// A kind with no per-table element here, or a per-table kind
-    /// without a table, checks nothing.
+    /// * counts as one pass of the unit's full-sweep schedule
+    ///   ([`AuditConfig::full_rescan_period`]), but never takes the
+    ///   forced sweep: at the boundary it leaves the count there, so
+    ///   the next cycle pass sweeps;
+    /// * records verified-clean state: the record generation for the
+    ///   structural and range audits, the anchor's walk witness for
+    ///   the semantic audit, and the chunk's dirty bits for the static
+    ///   audit;
+    /// * bumps the table's error counters (through
+    ///   `Database::note_errors_detected`) once per finding on the
+    ///   target, which the [`PriorityScheduler`](crate::PriorityScheduler)
+    ///   reads.
     pub fn recheck(
         &mut self,
         db: &mut Database,
         api: &DbApi,
         element: AuditElementKind,
-        table: Option<TableId>,
+        target: FindingTarget,
         now: SimTime,
-    ) -> Vec<Finding> {
+    ) -> Recheck {
         let mut findings = Vec::new();
         let locked = |r: RecordRef| api.locks().holder(r).is_some();
-        let policy = self.policy;
-        match (element, table) {
-            (AuditElementKind::StaticData, Some(t)) => {
-                self.static_audit.audit_table(db, t, policy, now, &mut findings);
-            }
-            (AuditElementKind::StaticData, None) => {
-                self.static_audit.audit(db, policy, now, &mut findings);
-            }
-            (kind, Some(t)) => {
-                if let Some(e) = self.elements.iter_mut().find(|e| e.kind() == kind) {
-                    e.audit_table(db, t, policy, &locked, now, &mut findings);
-                }
-            }
-            (_, None) => {}
-        }
-        findings
+        let policy = ElementPolicy { deferred: true, ..self.policy };
+        let examined = if element == AuditElementKind::StaticData {
+            self.static_audit.recheck(db, target, policy, now, &mut findings)
+        } else {
+            self.elements
+                .iter_mut()
+                .find(|e| e.kind() == element)
+                .map_or(0, |e| e.recheck(db, target, policy, &locked, now, &mut findings))
+        };
+        Recheck { findings, examined }
     }
 
     /// The configuration in force.

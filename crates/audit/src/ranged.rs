@@ -73,6 +73,7 @@ impl AuditElement for RangeAudit {
         }
 
         let use_gen = self.skip.begin_pass(table, record_count as usize, policy);
+        let screen = Screen { ruled: &ruled, is_dynamic_table, policy, at, only: None };
         let mut checked = 0u64;
         for index in 0..record_count {
             let rec = RecordRef::new(table, index);
@@ -80,91 +81,152 @@ impl AuditElement for RangeAudit {
             if use_gen && self.skip.is_clean(table, index, gen) {
                 continue;
             }
-            if !db.is_active(rec).unwrap_or(false) {
-                // A free record produces no range findings, and any
-                // reactivation mutates the header: safe to skip until
-                // the generation moves.
-                self.skip.set_clean(table, index, gen);
+            checked += u64::from(self.screen(db, rec, gen, &screen, locked, out));
+        }
+        checked
+    }
+
+    /// Re-checks the ruled fields of the record a
+    /// [`FindingTarget::Field`] names, whatever its generation says,
+    /// and reports only the target field; any other target checks
+    /// nothing. Returns the number of records examined.
+    fn recheck(
+        &mut self,
+        db: &mut Database,
+        target: FindingTarget,
+        policy: ElementPolicy,
+        locked: &dyn Fn(RecordRef) -> bool,
+        at: SimTime,
+        out: &mut Vec<Finding>,
+    ) -> u64 {
+        let FindingTarget::Field { table, record, field } = target else {
+            return 0;
+        };
+        let Ok(tm) = db.catalog().table(table) else {
+            return 0;
+        };
+        let record_count = tm.def.record_count;
+        let is_dynamic_table = tm.def.nature == TableNature::Dynamic;
+        let ruled = ruled_fields(db.catalog(), table);
+        if ruled.is_empty() || record >= record_count {
+            return 0;
+        }
+        self.skip.note_recheck(table, record_count as usize, policy);
+        let rec = RecordRef::new(table, record);
+        let gen = db.record_generation(rec);
+        let screen = Screen { ruled: &ruled, is_dynamic_table, policy, at, only: Some(field) };
+        self.screen(db, rec, gen, &screen, locked, out);
+        1
+    }
+}
+
+/// What one pass or recheck screens records against.
+struct Screen<'a> {
+    ruled: &'a [(u16, u64, u64, u64)],
+    is_dynamic_table: bool,
+    policy: ElementPolicy,
+    at: SimTime,
+    /// Report only this field (a recheck); `None` reports every field.
+    only: Option<u16>,
+}
+
+impl RangeAudit {
+    /// The per-record check the pass and the recheck share. A free
+    /// record is recorded clean; a locked one is left unverified (an
+    /// intervening update would invalidate the result; the paper
+    /// re-runs such audits later). Otherwise every ruled field is
+    /// checked, and the record is recorded clean at `gen` when all are
+    /// in range. Returns whether the fields were checked.
+    fn screen(
+        &mut self,
+        db: &mut Database,
+        rec: RecordRef,
+        gen: u64,
+        s: &Screen<'_>,
+        locked: &dyn Fn(RecordRef) -> bool,
+        out: &mut Vec<Finding>,
+    ) -> bool {
+        let (table, index, at) = (rec.table, rec.index, s.at);
+        if !db.is_active(rec).unwrap_or(false) {
+            // A free record produces no range findings, and any
+            // reactivation mutates the header: safe to skip until the
+            // generation moves.
+            self.skip.set_clean(table, index, gen);
+            return false;
+        }
+        if locked(rec) {
+            // Not verified — stays checkable next cycle.
+            return false;
+        }
+        let mut clean = true;
+        let mut freed = false;
+        for &(field, lo, hi, default) in s.ruled {
+            if freed {
+                break;
+            }
+            let fid = FieldId(field);
+            let value = db.read_field_raw(rec, fid).expect("field exists");
+            if value >= lo && value <= hi {
                 continue;
             }
-            if locked(rec) {
-                // Not verified — stays checkable next cycle.
+            clean = false;
+            if s.only.is_some_and(|only| only != field) {
                 continue;
             }
-            checked += 1;
-            let mut clean = true;
-            let mut freed = false;
-            for &(field, lo, hi, default) in &ruled {
-                if freed {
-                    break;
-                }
-                let fid = FieldId(field);
-                let value = db.read_field_raw(rec, fid).expect("field exists");
-                if value >= lo && value <= hi {
-                    continue;
-                }
-                clean = false;
-                if policy.deferred {
-                    db.note_errors_detected(table, 1);
-                    out.push(Finding {
-                        element: AuditElementKind::Range,
-                        at,
-                        table: Some(table),
-                        record: Some(index),
-                        detail: format!(
-                            "field {field} of record {index} in table {} out of range: {value} not in [{lo}, {hi}]",
-                            table.0
-                        ),
-                        action: RecoveryAction::Flagged,
-                        target: Some(FindingTarget::Field { table, record: index, field }),
-                        caught: Vec::new(),
-                    });
-                    continue;
-                }
-                // Reset to default…
-                db.write_field_raw(rec, fid, default).expect("field exists");
-                let (off, len) = db.field_extent(rec, fid).expect("field exists");
-                let mut caught = db.taint_mut().resolve_range(off, len, TaintFate::Caught { at });
-                let action = if is_dynamic_table {
-                    // …and free the record preemptively.
-                    db.free_record_raw(rec).expect("record exists");
-                    let base = db.record_offset(rec).expect("record exists");
-                    let size = db.record_size(table).expect("table exists");
-                    caught.extend(db.taint_mut().resolve_range(
-                        base,
-                        size,
-                        TaintFate::Caught { at },
-                    ));
-                    freed = true;
-                    RecoveryAction::FreedRecord { table, record: index }
-                } else {
-                    RecoveryAction::ResetField { table, record: index, field }
-                };
-                db.note_errors_detected(table, caught.len().max(1) as u64);
-                let target = if freed {
-                    FindingTarget::Record { table, record: index }
-                } else {
-                    FindingTarget::Field { table, record: index, field }
-                };
+            let detail = format!(
+                "field {field} of record {index} in table {} out of range: {value} not in [{lo}, {hi}]",
+                table.0
+            );
+            if s.policy.deferred {
+                db.note_errors_detected(table, 1);
                 out.push(Finding {
                     element: AuditElementKind::Range,
                     at,
                     table: Some(table),
                     record: Some(index),
-                    detail: format!(
-                        "field {field} of record {index} in table {} out of range: {value} not in [{lo}, {hi}]",
-                        table.0
-                    ),
-                    action,
-                    target: Some(target),
-                    caught,
+                    detail,
+                    action: RecoveryAction::Flagged,
+                    target: Some(FindingTarget::Field { table, record: index, field }),
+                    caught: Vec::new(),
                 });
+                continue;
             }
-            if clean {
-                self.skip.set_clean(table, index, gen);
-            }
+            // Reset to default…
+            db.write_field_raw(rec, fid, default).expect("field exists");
+            let (off, len) = db.field_extent(rec, fid).expect("field exists");
+            let mut caught = db.taint_mut().resolve_range(off, len, TaintFate::Caught { at });
+            let action = if s.is_dynamic_table {
+                // …and free the record preemptively.
+                db.free_record_raw(rec).expect("record exists");
+                let base = db.record_offset(rec).expect("record exists");
+                let size = db.record_size(table).expect("table exists");
+                caught.extend(db.taint_mut().resolve_range(base, size, TaintFate::Caught { at }));
+                freed = true;
+                RecoveryAction::FreedRecord { table, record: index }
+            } else {
+                RecoveryAction::ResetField { table, record: index, field }
+            };
+            db.note_errors_detected(table, caught.len().max(1) as u64);
+            let target = if freed {
+                FindingTarget::Record { table, record: index }
+            } else {
+                FindingTarget::Field { table, record: index, field }
+            };
+            out.push(Finding {
+                element: AuditElementKind::Range,
+                at,
+                table: Some(table),
+                record: Some(index),
+                detail,
+                action,
+                target: Some(target),
+                caught,
+            });
         }
-        checked
+        if clean {
+            self.skip.set_clean(table, index, gen);
+        }
+        true
     }
 }
 

@@ -130,7 +130,6 @@ impl AuditElement for SemanticAudit {
             return 0;
         };
         let record_count = tm.def.record_count;
-        let max_hops = db.catalog().table_count();
 
         // Incremental skip: a walk's outcome depends only on records in
         // the anchor table's link closure (plus orphan aging). If no
@@ -159,7 +158,7 @@ impl AuditElement for SemanticAudit {
         let walks = self.walks.entry(table).or_default();
         walks.resize(record_count as usize, None);
 
-        'records: for index in 0..record_count {
+        for index in 0..record_count {
             let start = RecordRef::new(table, index);
             // Per-anchor witness skip: the last walk from this anchor
             // was clean, and none of the records it visited has been
@@ -171,90 +170,27 @@ impl AuditElement for SemanticAudit {
                     }
                 }
             }
-            walks[index as usize] = None;
-            if !db.is_active(start).unwrap_or(false) {
-                // Free records produce no findings; any reactivation
-                // mutates the header and so bumps the generation.
-                if policy.incremental {
-                    walks[index as usize] = Some(vec![(start, db.record_generation(start))]);
-                }
-                continue;
-            }
-            if locked(start) {
-                // Unverified walk: the table cannot be recorded clean.
-                abstained = true;
-                continue;
-            }
-            checked += 1;
-
-            let start_link = db.read_field_raw(start, start_field).expect("field exists");
-            if start_link == LINK_NONE as u64 {
-                // Not linked yet: tolerate young records, flag orphans.
-                let meta = db.record_meta(start).expect("record exists");
-                if at.saturating_since(meta.last_access) > self.orphan_grace {
-                    free_zombies(deferred, db, &[start], at, out, "orphan record never linked");
-                } else {
-                    // Tolerated for now — remember when it could age out.
-                    earliest_unlinked = Some(match earliest_unlinked {
-                        Some(t0) => t0.min(meta.last_access),
-                        None => meta.last_access,
-                    });
-                }
-                continue;
-            }
-
-            // Walk the loop.
-            let mut visited: Vec<RecordRef> = vec![start];
-            let mut cur = start;
-            let mut cur_field = start_field;
-            for _ in 0..max_hops {
-                let link_val = db.read_field_raw(cur, cur_field).expect("field exists");
-                let (_, target_table) =
-                    link_field(db.catalog(), cur.table).expect("walk uses link fields");
-                let target_tm = db.catalog().table(target_table).expect("valid link target");
-                if link_val == LINK_NONE as u64 || link_val >= target_tm.def.record_count as u64 {
-                    free_zombies(deferred, db, &visited, at, out, "broken semantic link");
-                    continue 'records;
-                }
-                let next = RecordRef::new(target_table, link_val as u32);
-                if locked(next) {
-                    // Intervening transaction: invalidate this walk, try
-                    // again next cycle.
+            let walk = walk(db, start, start_field, locked, at, self.orphan_grace);
+            walks[index as usize] = witness(db, start, &walk, policy.incremental);
+            match walk {
+                Walk::Free => {}
+                Walk::Abstained { at_anchor } => {
+                    // Unverified walk: the table cannot be recorded clean.
                     abstained = true;
-                    continue 'records;
+                    checked += u64::from(!at_anchor);
                 }
-                if !db.is_active(next).unwrap_or(false) {
-                    free_zombies(deferred, db, &visited, at, out, "link to freed record");
-                    continue 'records;
+                Walk::Unlinked(last_access) => {
+                    // Tolerated for now — remember when it could age out.
+                    checked += 1;
+                    earliest_unlinked =
+                        Some(earliest_unlinked.map_or(last_access, |t0| t0.min(last_access)));
                 }
-                if next == start {
-                    // Loop closed consistently.
-                    if policy.incremental {
-                        walks[index as usize] =
-                            Some(visited.iter().map(|&r| (r, db.record_generation(r))).collect());
-                    }
-                    continue 'records;
+                Walk::Clean(_) => checked += 1,
+                Walk::Broken(visited, detail) => {
+                    checked += 1;
+                    free_zombies(deferred, db, &visited, at, out, detail);
                 }
-                if visited.contains(&next) {
-                    // A cycle that skips the start: inconsistent closure.
-                    free_zombies(deferred, db, &visited, at, out, "loop does not close at origin");
-                    continue 'records;
-                }
-                let Some((next_field, _)) = link_field(db.catalog(), next.table) else {
-                    // Chain (not loop) schema: a valid terminal record.
-                    if policy.incremental {
-                        visited.push(next);
-                        walks[index as usize] =
-                            Some(visited.iter().map(|&r| (r, db.record_generation(r))).collect());
-                    }
-                    continue 'records;
-                };
-                visited.push(next);
-                cur = next;
-                cur_field = next_field;
             }
-            // Never returned to start within the hop budget.
-            free_zombies(deferred, db, &visited, at, out, "loop exceeds hop budget");
         }
 
         if out.len() == findings_before && !abstained {
@@ -269,6 +205,141 @@ impl AuditElement for SemanticAudit {
         }
         checked
     }
+
+    /// Re-walks the loop from the anchor a [`FindingTarget::Record`]
+    /// names, whatever its witness says; any other target checks
+    /// nothing. A locked record on the walk abstains (no finding), as
+    /// in a pass. Returns the number of records the walk visited.
+    fn recheck(
+        &mut self,
+        db: &mut Database,
+        target: FindingTarget,
+        policy: ElementPolicy,
+        locked: &dyn Fn(RecordRef) -> bool,
+        at: SimTime,
+        out: &mut Vec<Finding>,
+    ) -> u64 {
+        let FindingTarget::Record { table, record } = target else {
+            return 0;
+        };
+        let Some((start_field, _)) = link_field(db.catalog(), table) else {
+            return 0;
+        };
+        let record_count = db.catalog().table(table).map_or(0, |tm| tm.def.record_count);
+        if record >= record_count {
+            return 0;
+        }
+        self.sweeps.entry(table).or_default().note_recheck(policy);
+        let start = RecordRef::new(table, record);
+        let walk = walk(db, start, start_field, locked, at, self.orphan_grace);
+        let walks = self.walks.entry(table).or_default();
+        walks.resize(record_count as usize, None);
+        walks[record as usize] = witness(db, start, &walk, policy.incremental);
+        match walk {
+            Walk::Clean(visited) => visited.len() as u64,
+            Walk::Broken(visited, detail) => {
+                free_zombies(policy.deferred, db, &visited, at, out, detail);
+                visited.len() as u64
+            }
+            Walk::Free | Walk::Abstained { .. } | Walk::Unlinked(_) => 1,
+        }
+    }
+}
+
+/// How one walk from an anchor ended.
+enum Walk {
+    /// The anchor is free: no finding.
+    Free,
+    /// A record on the walk is locked by an in-flight transaction: the
+    /// walk is unverified and reports nothing. `at_anchor` when the
+    /// anchor itself is locked (the walk never started).
+    Abstained { at_anchor: bool },
+    /// The anchor is not linked yet but is inside the orphan grace
+    /// period; its last access time.
+    Unlinked(SimTime),
+    /// The loop closed at the anchor (or a chain reached its terminal
+    /// record) over these records.
+    Clean(Vec<RecordRef>),
+    /// The walk broke: the records it walked, and why.
+    Broken(Vec<RecordRef>, &'static str),
+}
+
+/// The walk from one anchor, shared by the pass and the recheck:
+/// follow the link fields until the walk returns to the anchor
+/// (consistent) or breaks (violation), within one hop per table.
+fn walk(
+    db: &Database,
+    start: RecordRef,
+    start_field: FieldId,
+    locked: &dyn Fn(RecordRef) -> bool,
+    at: SimTime,
+    orphan_grace: SimDuration,
+) -> Walk {
+    if !db.is_active(start).unwrap_or(false) {
+        return Walk::Free;
+    }
+    if locked(start) {
+        return Walk::Abstained { at_anchor: true };
+    }
+    let start_link = db.read_field_raw(start, start_field).expect("field exists");
+    if start_link == LINK_NONE as u64 {
+        // Not linked yet: tolerate young records, flag orphans.
+        let meta = db.record_meta(start).expect("record exists");
+        return if at.saturating_since(meta.last_access) > orphan_grace {
+            Walk::Broken(vec![start], "orphan record never linked")
+        } else {
+            Walk::Unlinked(meta.last_access)
+        };
+    }
+    let mut visited: Vec<RecordRef> = vec![start];
+    let mut cur = start;
+    let mut cur_field = start_field;
+    for _ in 0..db.catalog().table_count() {
+        let link_val = db.read_field_raw(cur, cur_field).expect("field exists");
+        let (_, target_table) = link_field(db.catalog(), cur.table).expect("walk uses link fields");
+        let target_tm = db.catalog().table(target_table).expect("valid link target");
+        if link_val == LINK_NONE as u64 || link_val >= target_tm.def.record_count as u64 {
+            return Walk::Broken(visited, "broken semantic link");
+        }
+        let next = RecordRef::new(target_table, link_val as u32);
+        if locked(next) {
+            // Intervening transaction: invalidate this walk, try again
+            // next cycle.
+            return Walk::Abstained { at_anchor: false };
+        }
+        if !db.is_active(next).unwrap_or(false) {
+            return Walk::Broken(visited, "link to freed record");
+        }
+        if next == start {
+            return Walk::Clean(visited);
+        }
+        if visited.contains(&next) {
+            // A cycle that skips the start: inconsistent closure.
+            return Walk::Broken(visited, "loop does not close at origin");
+        }
+        visited.push(next);
+        let Some((next_field, _)) = link_field(db.catalog(), next.table) else {
+            // Chain (not loop) schema: a valid terminal record.
+            return Walk::Clean(visited);
+        };
+        cur = next;
+        cur_field = next_field;
+    }
+    // Never returned to start within the hop budget.
+    Walk::Broken(visited, "loop exceeds hop budget")
+}
+
+/// The witness a walk leaves in incremental mode: the free anchor (any
+/// reactivation mutates its header and so bumps its generation), or
+/// every record of a clean walk, each at its current generation. Any
+/// other outcome leaves none, so the anchor is walked again.
+fn witness(db: &Database, start: RecordRef, walk: &Walk, incremental: bool) -> Option<WalkWitness> {
+    let records = match walk {
+        Walk::Free => std::slice::from_ref(&start),
+        Walk::Clean(visited) => visited.as_slice(),
+        _ => return None,
+    };
+    incremental.then(|| records.iter().map(|&r| (r, db.record_generation(r))).collect())
 }
 
 /// Frees (or, deferred, flags) the records of one broken walk and

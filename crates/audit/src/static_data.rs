@@ -167,9 +167,10 @@ impl StaticDataAudit {
         });
     }
 
-    /// Checks chunk `ci`, incrementally when allowed. On mismatch the
-    /// finding (and recovery) is identical to a full scan's, because
-    /// the folded per-block CRC equals the whole-chunk CRC exactly.
+    /// Checks chunk `ci` as one pass of its full-sweep schedule,
+    /// incrementally when allowed. On mismatch the finding (and
+    /// recovery) is identical to a full scan's, because the folded
+    /// per-block CRC equals the whole-chunk CRC exactly.
     fn check_chunk(
         &mut self,
         db: &mut Database,
@@ -179,14 +180,31 @@ impl StaticDataAudit {
         detail: impl FnOnce(Option<TableId>) -> String,
         out: &mut Vec<Finding>,
     ) {
+        if self.chunks[ci].len == 0 {
+            return;
+        }
+        let use_dirty_bits = self.chunks[ci].sweep.may_skip(policy);
+        self.verify_chunk(db, ci, use_dirty_bits, policy.deferred, at, detail, out);
+    }
+
+    /// Verifies chunk `ci` against its golden CRC, trusting the dirty
+    /// bits when `use_dirty_bits`; clears them when it verifies clean,
+    /// and repairs (or, `deferred`, flags) a mismatch.
+    #[allow(clippy::too_many_arguments)]
+    fn verify_chunk(
+        &mut self,
+        db: &mut Database,
+        ci: usize,
+        use_dirty_bits: bool,
+        deferred: bool,
+        at: SimTime,
+        detail: impl FnOnce(Option<TableId>) -> String,
+        out: &mut Vec<Finding>,
+    ) {
         let (table, offset, len) = {
             let c = &self.chunks[ci];
             (c.table, c.offset, c.len)
         };
-        if len == 0 {
-            return;
-        }
-        let use_dirty_bits = self.chunks[ci].sweep.may_skip(policy);
 
         if use_dirty_bits && !db.dirty().any_dirty_in(offset, len) {
             // Nothing mutated any block since the last verified-clean
@@ -225,7 +243,7 @@ impl StaticDataAudit {
         // Mismatch: dirty bits stay set (deferred mode must re-flag
         // next cycle exactly like a full scan; a repair re-marks the
         // range anyway).
-        Self::handle_mismatch(policy.deferred, db, table, (offset, len), at, detail(table), out);
+        Self::handle_mismatch(deferred, db, table, (offset, len), at, detail(table), out);
     }
 
     /// The finding detail of a full static pass.
@@ -260,6 +278,42 @@ impl StaticDataAudit {
         for ci in 0..self.chunks.len() {
             self.check_chunk(db, ci, policy, at, Self::full_detail, out);
         }
+    }
+
+    /// Re-checks the chunks a [`FindingTarget::Range`] overlaps under
+    /// `policy`; any other target checks nothing. Each
+    /// counts as a pass of its chunk's schedule but never takes the
+    /// forced full sweep (`SweepCounter::note_recheck`). Returns the
+    /// number of chunks checked.
+    pub fn recheck(
+        &mut self,
+        db: &mut Database,
+        target: FindingTarget,
+        policy: ElementPolicy,
+        at: SimTime,
+        out: &mut Vec<Finding>,
+    ) -> u64 {
+        let mut checked = 0;
+        for ci in 0..self.chunks.len() {
+            let c = &mut self.chunks[ci];
+            if c.len == 0
+                || !target.overlaps(&FindingTarget::Range { offset: c.offset, len: c.len })
+            {
+                continue;
+            }
+            c.sweep.note_recheck(policy);
+            self.verify_chunk(
+                db,
+                ci,
+                policy.incremental,
+                policy.deferred,
+                at,
+                Self::full_detail,
+                out,
+            );
+            checked += 1;
+        }
+        checked
     }
 
     /// Checks only the chunk(s) belonging to `table` (prioritized

@@ -69,14 +69,7 @@ impl AuditElement for StructuralAudit {
                 consecutive = 0;
                 continue;
             }
-            let hdr = db.header(rec).expect("index within table");
-            let expected_id = encode_record_id(table.0, index);
-            let id_ok = hdr.record_id == expected_id;
-            let status_ok = hdr.status == STATUS_ACTIVE || hdr.status == STATUS_FREE;
-            let link_ok = |l: u16| l == LINK_NONE || (l as u32) < record_count;
-            let links_ok = link_ok(hdr.next) && link_ok(hdr.prev);
-
-            if id_ok && status_ok && links_ok {
+            if header_ok(db, rec, record_count) {
                 consecutive = 0;
                 self.skip.set_clean(table, index, gen);
                 continue;
@@ -109,20 +102,7 @@ impl AuditElement for StructuralAudit {
         for index in damaged {
             let rec = RecordRef::new(table, index);
             if policy.deferred {
-                db.note_errors_detected(table, 1);
-                out.push(Finding {
-                    element: AuditElementKind::Structural,
-                    at,
-                    table: Some(table),
-                    record: Some(index),
-                    detail: format!(
-                        "damaged header flagged for record {index} of table {}",
-                        table.0
-                    ),
-                    action: RecoveryAction::Flagged,
-                    target: Some(FindingTarget::Header { table, record: index }),
-                    caught: Vec::new(),
-                });
+                flag(db, table, index, at, out);
                 continue;
             }
             let mut hdr = db.header(rec).expect("index within table");
@@ -161,6 +141,65 @@ impl AuditElement for StructuralAudit {
         }
         record_count as u64
     }
+
+    /// Re-checks the one header a [`FindingTarget::Header`] names,
+    /// whatever its generation says; any other target checks nothing.
+    /// Returns the number of records examined.
+    fn recheck(
+        &mut self,
+        db: &mut Database,
+        target: FindingTarget,
+        policy: ElementPolicy,
+        _locked: &dyn Fn(RecordRef) -> bool,
+        at: SimTime,
+        out: &mut Vec<Finding>,
+    ) -> u64 {
+        let FindingTarget::Header { table, record } = target else {
+            return 0;
+        };
+        let Ok(tm) = db.catalog().table(table) else {
+            return 0;
+        };
+        let record_count = tm.def.record_count;
+        if record >= record_count {
+            return 0;
+        }
+        self.skip.note_recheck(table, record_count as usize, policy);
+        let rec = RecordRef::new(table, record);
+        if header_ok(db, rec, record_count) {
+            self.skip.set_clean(table, record, db.record_generation(rec));
+        } else {
+            flag(db, table, record, at, out);
+        }
+        1
+    }
+}
+
+/// The per-header test the pass and the recheck share: the record id
+/// is the one its offset implies, the status is one of the two legal
+/// values, and both links are unset or inside the table.
+fn header_ok(db: &Database, rec: RecordRef, record_count: u32) -> bool {
+    let hdr = db.header(rec).expect("index within table");
+    let link_ok = |l: u16| l == LINK_NONE || u32::from(l) < record_count;
+    hdr.record_id == encode_record_id(rec.table.0, rec.index)
+        && (hdr.status == STATUS_ACTIVE || hdr.status == STATUS_FREE)
+        && link_ok(hdr.next)
+        && link_ok(hdr.prev)
+}
+
+/// Flags one damaged header (detect-only mode) and counts the error.
+fn flag(db: &mut Database, table: TableId, index: u32, at: SimTime, out: &mut Vec<Finding>) {
+    db.note_errors_detected(table, 1);
+    out.push(Finding {
+        element: AuditElementKind::Structural,
+        at,
+        table: Some(table),
+        record: Some(index),
+        detail: format!("damaged header flagged for record {index} of table {}", table.0),
+        action: RecoveryAction::Flagged,
+        target: Some(FindingTarget::Header { table, record: index }),
+        caught: Vec::new(),
+    });
 }
 
 #[cfg(test)]

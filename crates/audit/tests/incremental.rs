@@ -13,7 +13,7 @@
 //! two database images must be byte-identical.
 
 use proptest::prelude::*;
-use wtnc_audit::{AuditConfig, AuditElementKind, AuditProcess};
+use wtnc_audit::{AuditConfig, AuditElementKind, AuditProcess, FindingTarget};
 use wtnc_db::{
     schema, set_crc_kernel_override, CrcKernel, Database, DbApi, FieldId, RecordRef, TableId,
 };
@@ -160,10 +160,13 @@ proptest! {
 }
 
 /// Pins the full-sweep schedule of a deferred, incremental audit with
-/// `full_rescan_period: 3`, rechecks included (each one is a pass).
+/// `full_rescan_period: 3`, rechecks included: each one counts as a
+/// pass of its table or chunk, but leaves the forced sweep to the next
+/// cycle pass.
 /// Range and semantic count only the records they actually screen, so
 /// `records_checked` moves if either bumps its pass counter at a
-/// different point; the finding counts pin the deferred re-flagging.
+/// different point; the finding counts pin the deferred re-flagging,
+/// and a recheck reports only the findings on its target.
 /// The structural and static-data schedules show in no output: by the
 /// parity property above, a forced sweep finds what a skipping pass
 /// finds.
@@ -213,24 +216,40 @@ fn sweep_schedule_is_pinned() {
             }
         }
         let report = audit.run_cycle(&mut db, &mut api, &mut registry, at);
+        // Recheck a target the cycle flagged for the chosen element in
+        // the chosen table, or else one of the table's loop records.
         let kind = kinds[cycle as usize % kinds.len()];
-        let table = (kind != AuditElementKind::StaticData).then_some(dynamic[cycle as usize % 3]);
-        let rechecked = audit.recheck(&mut db, &api, kind, table, at);
-        seen.push((report.records_checked, report.findings.len(), rechecked.len()));
+        let (table, record) = (dynamic[cycle as usize % 3], cycle as u32 % LOOPS);
+        let (table, fallback) = match kind {
+            AuditElementKind::Structural => (Some(table), FindingTarget::Header { table, record }),
+            AuditElementKind::Range => {
+                (Some(table), FindingTarget::Field { table, record, field: 0 })
+            }
+            AuditElementKind::Semantic => (Some(table), FindingTarget::Record { table, record }),
+            _ => (None, FindingTarget::Range { offset: flip_from, len: flip_span }),
+        };
+        let target = report
+            .findings
+            .iter()
+            .find(|f| f.element == kind && f.table == table)
+            .and_then(|f| f.target)
+            .unwrap_or(fallback);
+        let rechecked = audit.recheck(&mut db, &api, kind, target, at);
+        seen.push((report.records_checked, report.findings.len(), rechecked.findings.len()));
     }
     let expected = vec![
         (356, 1, 0),
         (221, 4, 0),
-        (333, 5, 1),
+        (356, 5, 1),
         (221, 5, 0),
-        (268, 8, 0),
-        (314, 9, 2),
-        (229, 13, 3),
-        (315, 20, 0),
-        (277, 23, 2),
+        (247, 8, 0),
+        (337, 9, 1),
+        (229, 13, 1),
+        (292, 20, 0),
+        (300, 23, 1),
         (241, 27, 0),
-        (341, 27, 7),
-        (241, 27, 0),
+        (320, 27, 1),
+        (279, 27, 0),
     ];
     assert_eq!(seen, expected, "(records checked, findings, recheck findings) per cycle");
 }

@@ -1,0 +1,117 @@
+//! Allocation gate for the call path: a counting global allocator
+//! (this test binary's own) counts the heap allocations made inside
+//! `DesClient::start_call` and `DesClient::end_call` over a fixed,
+//! seeded loop of call set-ups and tear-downs with journal capture on,
+//! as a node with a durable store runs them. The count is exact and
+//! host-independent, so the gate fires on any machine.
+//!
+//! The ceilings are the counts of the current call path. When a change
+//! removes allocations, lower them to the new counts; never raise them.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::VecDeque;
+
+use wtnc_callproc::{DesClient, WorkloadConfig};
+use wtnc_db::{schema, Database, DbApi};
+use wtnc_sim::{ProcessRegistry, SimDuration, SimTime};
+
+/// Counts allocations (and reallocations) per thread, so the test
+/// harness's own threads never touch the count.
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // `try_with` tolerates allocation during thread teardown.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` unchanged; the counter is a
+// const-initialized thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: same contract as the caller's.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: same contract as the caller's.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        // SAFETY: same contract as the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: same contract as the caller's.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations made while `f` runs on this thread.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// Set-ups in the loop; all but the last `CONCURRENT` are torn down.
+const CALLS: u64 = 2_000;
+/// Calls kept up at once.
+const CONCURRENT: usize = 48;
+/// Ceiling on allocations per `start_call`, in hundredths.
+const START_CALL_ALLOCS_X100: u64 = 6_748;
+/// Ceiling on allocations per `end_call`, in hundredths.
+const END_CALL_ALLOCS_X100: u64 = 600;
+
+#[test]
+fn call_path_allocations_stay_under_the_committed_ceilings() {
+    let mut db = Database::build(schema::standard_schema_with_slots(4096)).unwrap();
+    db.set_capture(true);
+    let mut api = DbApi::new();
+    let mut registry = ProcessRegistry::new();
+    let workload = WorkloadConfig { threads: CONCURRENT + 1, ..WorkloadConfig::default() };
+    let mut client = DesClient::new(workload, 7, true);
+
+    let mut live = VecDeque::new();
+    let (mut start_allocs, mut end_allocs) = (0u64, 0u64);
+    let mut now = SimTime::from_secs(1);
+    for _ in 0..CALLS {
+        now += SimDuration::from_millis(10);
+        let (started, n) = counted(|| client.start_call(&mut db, &mut api, &mut registry, now));
+        start_allocs += n;
+        let (handle, _) = started.expect("the loop never runs out of threads or records");
+        live.push_back(handle);
+        if live.len() > CONCURRENT {
+            let oldest = live.pop_front().expect("non-empty");
+            let (_, n) = counted(|| client.end_call(&mut db, &mut api, &mut registry, oldest, now));
+            end_allocs += n;
+        }
+        // What a store sync would drain, outside the counted calls.
+        drop(db.take_captured());
+        api.events_mut().drain().for_each(drop);
+    }
+    let ends = CALLS - CONCURRENT as u64;
+    let per_start_x100 = start_allocs * 100 / CALLS;
+    let per_end_x100 = end_allocs * 100 / ends;
+    println!("allocations x100: start_call {per_start_x100}, end_call {per_end_x100}");
+    assert!(
+        per_start_x100 <= START_CALL_ALLOCS_X100,
+        "start_call allocates {per_start_x100}/100 per call, ceiling {START_CALL_ALLOCS_X100}"
+    );
+    assert!(
+        per_end_x100 <= END_CALL_ALLOCS_X100,
+        "end_call allocates {per_end_x100}/100 per call, ceiling {END_CALL_ALLOCS_X100}"
+    );
+}

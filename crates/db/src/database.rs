@@ -818,16 +818,21 @@ impl Database {
     /// Returns [`DbError::TableFull`] when no slot is free, or
     /// [`DbError::UnknownTable`].
     pub fn alloc_record_raw(&mut self, table: TableId) -> Result<u32, DbError> {
-        let tm = self.catalog.table(table)?.clone();
+        // Copy out what the scan needs instead of cloning the table's
+        // metadata (its name and field list) on every allocation.
+        let (record_count, field_count) = {
+            let tm = self.catalog.table(table)?;
+            (tm.def.record_count, tm.def.fields.len())
+        };
         // Every slot below the hint is known-active (the hint is a
         // lower bound on the first free index, maintained by
         // `free_record_raw`), so allocation keeps first-free semantics
         // at O(1) amortized cost.
-        let hint = self.alloc_hints[table.0 as usize].min(tm.def.record_count - 1);
+        let hint = self.alloc_hints[table.0 as usize].min(record_count - 1);
         // Scan from the hint first; if reload-style repairs freed a
         // slot below the hint behind our back, the wrap-around pass
         // still finds it.
-        let order = (hint..tm.def.record_count).chain(0..hint);
+        let order = (hint..record_count).chain(0..hint);
         for index in order {
             let rec = RecordRef::new(table, index);
             if self.header(rec)?.status == STATUS_FREE {
@@ -842,8 +847,9 @@ impl Database {
                         prev: LINK_NONE,
                     },
                 )?;
-                for (fi, f) in tm.def.fields.iter().enumerate() {
-                    self.write_field_raw(rec, FieldId(fi as u16), f.default)?;
+                for fi in 0..field_count {
+                    let default = self.catalog.table(table)?.def.fields[fi].default;
+                    self.write_field_raw(rec, FieldId(fi as u16), default)?;
                 }
                 return Ok(index);
             }

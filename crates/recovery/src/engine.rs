@@ -473,7 +473,7 @@ impl RecoveryEngine {
         caught
     }
 
-    /// Re-runs the originating element against the repaired target;
+    /// Re-checks the repaired target with the originating element;
     /// `true` when the target is no longer reported.
     fn verify_repair(
         &self,
@@ -483,31 +483,13 @@ impl RecoveryEngine {
         ticket: &Ticket,
         now: SimTime,
     ) -> bool {
-        let scope = match ticket.element {
-            // The static audit scopes by chunk; catalog chunks carry no
-            // table.
-            AuditElementKind::StaticData => ticket.table,
-            _ => match ticket.table {
-                Some(t) => Some(t),
-                // Element rechecks need a table; without one the only
-                // honest answer is "not verified".
-                None => return false,
-            },
-        };
-        let findings = audit.recheck(db, api, ticket.element, scope, now);
-        !findings.iter().any(|f| f.target.is_some_and(|t| targets_overlap(&t, &ticket.target)))
-    }
-}
-
-/// Whether a re-detected target refers to the same damage as the
-/// repaired one (ranges compare by overlap; everything else exactly).
-fn targets_overlap(a: &FindingTarget, b: &FindingTarget) -> bool {
-    match (a, b) {
-        (
-            FindingTarget::Range { offset: ao, len: al },
-            FindingTarget::Range { offset: bo, len: bl },
-        ) => ao < &(bo + bl) && bo < &(ao + al),
-        _ => a == b,
+        // Per-table elements find damage in tables; a ticket without
+        // one cannot be re-checked, and the only honest answer is "not
+        // verified". (Static chunks of the catalog carry no table.)
+        if ticket.table.is_none() && ticket.element != AuditElementKind::StaticData {
+            return false;
+        }
+        audit.recheck(db, api, ticket.element, ticket.target, now).findings.is_empty()
     }
 }
 

@@ -18,10 +18,11 @@
 //!   `reset_field_to_default`, `rebuild_header`, `restore_record`,
 //!   golden-image block diff) under a per-cycle **token budget** on the
 //!   virtual clock;
-//! * every repair is **verified** by re-running the originating audit
-//!   element against the repaired target
-//!   ([`wtnc_audit::AuditProcess::recheck`]); only a clean re-run
-//!   closes the finding;
+//! * every repair is **verified** by re-checking the repaired target
+//!   with the originating audit element
+//!   ([`wtnc_audit::AuditProcess::recheck`]), which examines the target
+//!   alone, not its whole table; only a clean recheck closes the
+//!   finding;
 //! * recurring or verification-failing targets **escalate** along the
 //!   ladder [`Rung::FieldRepair`] → [`Rung::RecordReinit`] →
 //!   [`Rung::TableRebuild`] → [`Rung::ClientRestart`] →

@@ -382,10 +382,14 @@ pub fn decode_checkpoint(bytes: &[u8], key: &[u8; 16]) -> Result<Checkpoint, Che
         return Err(torn("leaf count does not cover the content"));
     }
     let node_count = total_nodes(leaf_count);
-    let expected_len = header_len + content_len + node_count * 8 + 8;
-    if bytes.len() != expected_len {
+    let expected_len = node_count
+        .checked_mul(8)
+        .and_then(|n| n.checked_add(header_len + 8))
+        .and_then(|n| n.checked_add(content_len));
+    if expected_len != Some(bytes.len()) {
         return Err(torn("file length does not match the header"));
     }
+    let expected_len = bytes.len();
 
     let node_bytes = &bytes[header_len + content_len..expected_len - 8];
     let stored_digest = u64::from_le_bytes(bytes[expected_len - 8..].try_into().expect("8 bytes"));
@@ -541,7 +545,9 @@ pub fn decode_delta_checkpoint(
 
     // Walk the block section; per-block lengths depend on the indices.
     let mut at = 12 + DELTA_META_LEN;
-    let mut blocks: Vec<(u32, Vec<u8>)> = Vec::with_capacity(n_blocks);
+    // Every block takes at least its 4-byte index: never reserve more
+    // entries than the bytes left can hold.
+    let mut blocks: Vec<(u32, Vec<u8>)> = Vec::with_capacity(n_blocks.min((bytes.len() - at) / 4));
     let mut prev_index: Option<u32> = None;
     for _ in 0..n_blocks {
         if bytes.len() < at + 4 {
@@ -557,17 +563,18 @@ pub fn decode_delta_checkpoint(
         }
         prev_index = Some(index);
         let len = block_len(content_len, block_size, index as usize);
-        if bytes.len() < at + len {
+        if bytes.len() - at < len {
             return Err(torn("block section truncated"));
         }
         blocks.push((index, bytes[at..at + len].to_vec()));
         at += len;
     }
 
-    let nodes_end = at + n_nodes * 16;
-    if bytes.len() != nodes_end + 8 {
+    let nodes_len = n_nodes.checked_mul(16);
+    if nodes_len.is_none() || (bytes.len() - at).checked_sub(8) != nodes_len {
         return Err(torn("file length does not match the header"));
     }
+    let nodes_end = bytes.len() - 8;
     let mut nodes = Vec::with_capacity(n_nodes);
     for c in bytes[at..nodes_end].chunks_exact(16) {
         nodes.push(NodeUpdate {
