@@ -13,51 +13,30 @@
 //!
 //! # Incremental checking
 //!
-//! Under an [`ElementPolicy::incremental`] policy the element keeps
-//! golden *and* live CRCs per dirty-tracker block and consults the
-//! database's dirty bitmap each cycle:
-//!
-//! * a chunk with **no dirty blocks** is provably unchanged since its
-//!   last verified-clean pass and is skipped outright;
-//! * otherwise only the **dirty blocks** are re-hashed; the per-block
-//!   CRCs are folded with a precomputed [`Crc32Shift`] operator into
-//!   the CRC of the whole chunk, which is compared against the same
-//!   whole-chunk golden a full scan would use — the folded value *is*
-//!   `crc32(chunk)` exactly, so incremental and full scans agree on
-//!   every mismatch.
+//! Under an [`ElementPolicy::incremental`] policy the element consults
+//! the database's dirty bitmap each cycle: a chunk with **no dirty
+//! block** is provably unchanged since its last verified-clean pass
+//! and is skipped outright. Any other chunk is re-hashed whole and
+//! compared against its golden, exactly as a full scan does, so
+//! incremental and full scans agree on every mismatch.
 //!
 //! Dirty bits are cleared (blocks fully inside the chunk only) solely
-//! after a verified-clean fold, so a cached block CRC is trusted only
-//! while no mutation has touched the block. The policy's
+//! after a verified-clean compare. The policy's
 //! [`ElementPolicy::full_rescan_period`] — the rule every element
-//! applies, here per chunk — forces a periodic re-hash of every block
-//! as a belt-and-braces bound on anything that could slip past the
-//! bitmap.
+//! applies, here per chunk — forces a periodic re-hash as a
+//! belt-and-braces bound on anything that could slip past the bitmap.
 //!
 //! The element is not a per-table [`AuditElement`](crate::AuditElement):
 //! it runs first in every cycle, over every chunk (or one table's
 //! chunks plus the catalog), so the catalog every later element reads
 //! is verified once per cycle, before them.
 
-use wtnc_db::{crc32, Crc32Shift, Database, TableId, TableNature, TaintFate, DIRTY_BLOCK_SIZE};
+use wtnc_db::{crc32, Database, TableId, TableNature, TaintFate};
 use wtnc_sim::SimTime;
 
 use crate::finding::{AuditElementKind, Finding, FindingTarget, RecoveryAction};
 use crate::genskip::SweepCounter;
 use crate::process::ElementPolicy;
-
-/// Global-grid blocks overlapping `[offset, offset + len)`, yielded as
-/// `(block_index, byte_start, byte_len)` intersected with the range.
-fn block_spans(offset: usize, len: usize) -> impl Iterator<Item = (usize, usize, usize)> {
-    let end = offset + len;
-    let first = offset / DIRTY_BLOCK_SIZE;
-    let last = end.div_ceil(DIRTY_BLOCK_SIZE);
-    (first..last).map(move |b| {
-        let s = (b * DIRTY_BLOCK_SIZE).max(offset);
-        let e = ((b + 1) * DIRTY_BLOCK_SIZE).min(end);
-        (b, s, e - s)
-    })
-}
 
 #[derive(Debug, Clone)]
 struct Chunk {
@@ -65,12 +44,8 @@ struct Chunk {
     table: Option<TableId>,
     offset: usize,
     len: usize,
-    /// Whole-chunk golden CRC — what a full scan compares against.
+    /// Whole-chunk golden CRC.
     golden: u32,
-    /// Live per-block CRCs. Entry `i` is trusted iff global block
-    /// `first_block + i` is not dirty (every mutation sets the bit, and
-    /// the bit is only cleared after this cache was re-verified).
-    block_live: Vec<u32>,
     sweep: SweepCounter,
 }
 
@@ -78,9 +53,6 @@ struct Chunk {
 #[derive(Debug, Clone)]
 pub struct StaticDataAudit {
     chunks: Vec<Chunk>,
-    /// Fold operators, one per distinct block byte-length seen (at most
-    /// a handful: full blocks plus chunk-boundary fragments).
-    shifts: Vec<Crc32Shift>,
 }
 
 impl StaticDataAudit {
@@ -101,24 +73,10 @@ impl StaticDataAudit {
                 offset,
                 len,
                 golden: crc32(&db.region()[offset..offset + len]),
-                block_live: block_spans(offset, len)
-                    .map(|(_, s, l)| crc32(&db.region()[s..s + l]))
-                    .collect(),
                 sweep: SweepCounter::default(),
             })
             .collect();
-        StaticDataAudit { chunks, shifts: Vec::new() }
-    }
-
-    /// The fold operator for a `len`-byte block, built once per
-    /// distinct length.
-    fn shift_for(&mut self, len: usize) -> Crc32Shift {
-        if let Some(s) = self.shifts.iter().find(|s| s.len() == len) {
-            return *s;
-        }
-        let s = Crc32Shift::new(len);
-        self.shifts.push(s);
-        s
+        StaticDataAudit { chunks }
     }
 
     /// Repairs (or, deferred, flags) one mismatching chunk. Deferred,
@@ -169,8 +127,8 @@ impl StaticDataAudit {
 
     /// Checks chunk `ci` as one pass of its full-sweep schedule,
     /// incrementally when allowed. On mismatch the finding (and
-    /// recovery) is identical to a full scan's, because the folded
-    /// per-block CRC equals the whole-chunk CRC exactly.
+    /// recovery) is identical to a full scan's, because both hash the
+    /// whole chunk.
     fn check_chunk(
         &mut self,
         db: &mut Database,
@@ -192,7 +150,7 @@ impl StaticDataAudit {
     /// and repairs (or, `deferred`, flags) a mismatch.
     #[allow(clippy::too_many_arguments)]
     fn verify_chunk(
-        &mut self,
+        &self,
         db: &mut Database,
         ci: usize,
         use_dirty_bits: bool,
@@ -201,10 +159,7 @@ impl StaticDataAudit {
         detail: impl FnOnce(Option<TableId>) -> String,
         out: &mut Vec<Finding>,
     ) {
-        let (table, offset, len) = {
-            let c = &self.chunks[ci];
-            (c.table, c.offset, c.len)
-        };
+        let Chunk { table, offset, len, golden, .. } = self.chunks[ci];
 
         if use_dirty_bits && !db.dirty().any_dirty_in(offset, len) {
             // Nothing mutated any block since the last verified-clean
@@ -212,31 +167,9 @@ impl StaticDataAudit {
             return;
         }
 
-        // Fold per-block CRCs, re-hashing only what may have changed.
-        let first_block = offset / DIRTY_BLOCK_SIZE;
-        let mut folded = 0u32;
-        let mut first = true;
-        for (b, s, l) in block_spans(offset, len) {
-            let recompute = !use_dirty_bits || db.dirty().is_dirty(b);
-            let c = if recompute {
-                let v = crc32(&db.region()[s..s + l]);
-                self.chunks[ci].block_live[b - first_block] = v;
-                v
-            } else {
-                self.chunks[ci].block_live[b - first_block]
-            };
-            folded = if first {
-                first = false;
-                c
-            } else {
-                self.shift_for(l).combine(folded, c)
-            };
-        }
-
-        if folded == self.chunks[ci].golden {
-            // Verified clean: the cached block CRCs are now trusted, so
-            // the bits may drop. Boundary blocks shared with neighbors
-            // stay dirty (only partially verified here).
+        if crc32(&db.region()[offset..offset + len]) == golden {
+            // Verified clean: the bits may drop. Boundary blocks shared
+            // with neighbors stay dirty (only partially verified here).
             db.dirty_mut().clear_contained(offset, len);
             return;
         }
@@ -254,15 +187,11 @@ impl StaticDataAudit {
         }
     }
 
-    /// Re-derives the golden checksums (whole-chunk and per-block) from
-    /// the *current* image. Call after a legitimate configuration
-    /// change.
+    /// Re-derives the golden checksums from the *current* image. Call
+    /// after a legitimate configuration change.
     pub fn rebaseline(&mut self, db: &Database) {
         for chunk in &mut self.chunks {
             chunk.golden = crc32(&db.region()[chunk.offset..chunk.offset + chunk.len]);
-            for (i, (_, s, l)) in block_spans(chunk.offset, chunk.len).enumerate() {
-                chunk.block_live[i] = crc32(&db.region()[s..s + l]);
-            }
         }
     }
 
@@ -495,7 +424,7 @@ mod tests {
         let mut audit = StaticDataAudit::new(&d);
         let every_third = ElementPolicy { full_rescan_period: 3, ..INCREMENTAL };
         let mut out = Vec::new();
-        // Every third check of a chunk re-hashes all blocks; on the
+        // Every third check of a chunk re-hashes it; on the
         // other passes a clean chunk is skipped via the bitmap. The
         // observable contract: repeated clean audits stay clean and
         // corruption introduced at any point is still caught.
@@ -512,7 +441,7 @@ mod tests {
 
     #[test]
     fn incremental_and_full_agree_on_every_single_byte_corruption() {
-        // Corrupt each chunk at a few offsets; the incremental fold
+        // Corrupt each chunk at a few offsets; the incremental check
         // must flag exactly when the full scan does.
         let d0 = db();
         let reference = StaticDataAudit::new(&d0);

@@ -1,7 +1,8 @@
 //! Parity property: the incremental audit engine (dirty-block bitmap,
-//! generation skipping, per-block CRC folding) must report *exactly*
-//! the same findings as a full scan, under arbitrary interleavings of
-//! API traffic, raw corruptions and repairs.
+//! generation skipping, static chunks skipped while clean) must report
+//! *exactly* the same findings as a full scan, under arbitrary
+//! interleavings of API traffic, raw corruptions, repairs and
+//! legitimate reconfigurations.
 //!
 //! Two identical worlds run the same operation stream; one audits
 //! incrementally (with an aggressive full-rescan period to exercise
@@ -33,6 +34,9 @@ enum Op {
     Flip { frac: f64, bit: u8 },
     /// Reload a span from the golden image (external repair).
     Repair { frac: f64, len: usize },
+    /// Operator reconfiguration of a config-table field, followed by
+    /// the static-data rebaseline it requires.
+    Reconfigure { table: u8, index: u32, field: u8, value: u64 },
 }
 
 fn dynamic_table(choice: u8) -> TableId {
@@ -41,7 +45,14 @@ fn dynamic_table(choice: u8) -> TableId {
 
 /// Applies one op to one world. Results are ignored: a failing API
 /// call fails identically in both worlds, which is all parity needs.
-fn apply(op: &Op, db: &mut Database, api: &mut DbApi, pid: Pid, at: SimTime) {
+fn apply(
+    op: &Op,
+    db: &mut Database,
+    api: &mut DbApi,
+    audit: &mut AuditProcess,
+    pid: Pid,
+    at: SimTime,
+) {
     match *op {
         Op::Alloc { table } => {
             let _ = api.alloc_record(db, pid, dynamic_table(table), at);
@@ -66,6 +77,15 @@ fn apply(op: &Op, db: &mut Database, api: &mut DbApi, pid: Pid, at: SimTime) {
             let len = len.min(db.region_len() - offset);
             let _ = db.reload_range(offset, len);
         }
+        Op::Reconfigure { table, index, field, value } => {
+            let t = [schema::SYSCONFIG_TABLE, schema::CHANNEL_CONFIG_TABLE][table as usize % 2];
+            let tm = db.catalog().table(t).unwrap();
+            let fid = FieldId((field as usize % tm.def.fields.len()) as u16);
+            let idx = index % tm.def.record_count;
+            if api.reconfigure(db, pid, t, idx, fid, value, at).is_ok() {
+                audit.rebaseline_static(db);
+            }
+        }
     }
 }
 
@@ -78,6 +98,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             .prop_map(|(table, index)| Op::Free { table, index }),
         (0.0f64..1.0, 0u8..8).prop_map(|(frac, bit)| Op::Flip { frac, bit }),
         (0.0f64..1.0, 1usize..128).prop_map(|(frac, len)| Op::Repair { frac, len }),
+        (0u8..2, 0u32..16, 0u8..4, 0u64..1_000_000).prop_map(|(table, index, field, value)| {
+            Op::Reconfigure { table, index, field, value }
+        }),
     ]
 }
 
@@ -120,7 +143,7 @@ proptest! {
             for (kernel, db, api, registry, audit) in &mut worlds {
                 set_crc_kernel_override(Some(*kernel));
                 for op in batch {
-                    apply(op, db, api, Pid(1), at);
+                    apply(op, db, api, audit, Pid(1), at);
                 }
                 reports.push(audit.run_cycle(db, api, registry, at));
             }

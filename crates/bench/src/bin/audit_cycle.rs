@@ -5,8 +5,9 @@
 //! database's 256-byte blocks with *valid* writes (the workload the
 //! incremental engine targets: mutated but correct data), then times
 //! `AuditProcess::run_cycle` in both worlds. The incremental world
-//! re-checksums only the dirty blocks and generation-skips unchanged
-//! records; the full world scans everything every time.
+//! re-checksums only static chunks with a dirty block and
+//! generation-skips unchanged records; the full world scans everything
+//! every time.
 //!
 //! Emits `results/BENCH_audit_cycle.json`. `WTNC_BENCH_SMOKE=1` (or
 //! `--smoke`) runs a one-iteration CI smoke pass.

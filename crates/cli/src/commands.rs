@@ -85,36 +85,38 @@ Campaigns spread their independent runs over the available cores;
 every audit cycle runs serially. WTNC_NO_HWCRC=1 forces the portable
 CRC kernel.";
 
-/// Parses `--flag value` pairs and positional arguments, rejecting any
-/// flag not in `known` (the subcommand's flags, without the `--`).
+/// Parses `--flag value` pairs, `--switch`es and positional arguments,
+/// rejecting any flag the subcommand does not know. `values` names the
+/// flags that take a value (without the `--`), `switches` the boolean
+/// ones: a switch never consumes the next argument, and a value flag
+/// with no value after it is an error.
 fn parse<'a>(
     args: &'a [String],
-    known: &[&str],
+    values: &[&str],
+    switches: &[&str],
 ) -> Result<(Vec<&'a str>, HashMap<&'a str, &'a str>), String> {
     let mut positional = Vec::new();
     let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = args[i].as_str();
-        if let Some(name) = a.strip_prefix("--") {
-            if !known.contains(&name) {
-                return Err(if known.is_empty() {
-                    format!("unknown flag --{name}; this command takes no flags")
-                } else {
-                    format!("unknown flag --{name}; expected one of --{}", known.join(", --"))
-                });
-            }
-            // Boolean flags are followed by another flag or nothing.
-            if i + 1 < args.len() && !args[i + 1].starts_with("--") {
-                flags.insert(name, args[i + 1].as_str());
-                i += 2;
-            } else {
-                flags.insert(name, "true");
-                i += 1;
-            }
-        } else {
+    let mut rest = args.iter().map(String::as_str).peekable();
+    while let Some(a) = rest.next() {
+        let Some(name) = a.strip_prefix("--") else {
             positional.push(a);
-            i += 1;
+            continue;
+        };
+        if switches.contains(&name) {
+            flags.insert(name, "true");
+        } else if values.contains(&name) {
+            match rest.next_if(|v| !v.starts_with("--")) {
+                Some(v) => flags.insert(name, v),
+                None => return Err(format!("--{name} expects a value")),
+            };
+        } else {
+            let known: Vec<&str> = values.iter().chain(switches).copied().collect();
+            return Err(if known.is_empty() {
+                format!("unknown flag --{name}; this command takes no flags")
+            } else {
+                format!("unknown flag --{name}; expected one of --{}", known.join(", --"))
+            });
         }
     }
     Ok((positional, flags))
@@ -138,7 +140,7 @@ fn load_assembly(path: &str) -> Result<Assembly, String> {
 
 /// `wtnc asm <file.s>`
 pub fn asm(args: &[String]) -> Result<(), String> {
-    let (positional, _) = parse(args, &[])?;
+    let (positional, _) = parse(args, &[], &[])?;
     let [path] = positional.as_slice() else {
         return Err("usage: wtnc asm <file.s>".into());
     };
@@ -156,7 +158,7 @@ pub fn asm(args: &[String]) -> Result<(), String> {
 
 /// `wtnc run <file.s> [--threads N] [--steps N]`
 pub fn run(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse(args, &["threads", "steps"])?;
+    let (positional, flags) = parse(args, &["threads", "steps"], &[])?;
     let [path] = positional.as_slice() else {
         return Err("usage: wtnc run <file.s> [--threads N] [--steps N]".into());
     };
@@ -183,7 +185,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
 
 /// `wtnc trace <file.s> [--steps N]`
 pub fn trace(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse(args, &["steps"])?;
+    let (positional, flags) = parse(args, &["steps"], &[])?;
     let [path] = positional.as_slice() else {
         return Err("usage: wtnc trace <file.s> [--steps N]".into());
     };
@@ -215,7 +217,7 @@ pub fn trace(args: &[String]) -> Result<(), String> {
 
 /// `wtnc pecos <file.s> [--corrupt-cfi N] [--engine E]`
 pub fn pecos(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse(args, &["corrupt-cfi", "engine"])?;
+    let (positional, flags) = parse(args, &["corrupt-cfi", "engine"], &[])?;
     let [path] = positional.as_slice() else {
         return Err(
             "usage: wtnc pecos <file.s> [--corrupt-cfi N] [--engine slow|superblock]".into()
@@ -323,7 +325,7 @@ fn print_superblock_report(machine: &Machine) {
 
 /// `wtnc audit-demo`
 pub fn audit_demo(args: &[String]) -> Result<(), String> {
-    parse(args, &[])?;
+    parse(args, &[], &[])?;
     let mut controller = Controller::standard().with_audit(AuditConfig::default());
     println!(
         "controller: {} tables, {} byte image, audit process alive",
@@ -352,7 +354,7 @@ pub fn audit_demo(args: &[String]) -> Result<(), String> {
 /// records checked and wall time. `WTNC_NO_HWCRC=1` pins the portable
 /// CRC kernel.
 pub fn audit(args: &[String]) -> Result<(), String> {
-    let (_, flags) = parse(args, &["cycles", "dirty-pct", "storm", "load", "model"])?;
+    let (_, flags) = parse(args, &["cycles", "dirty-pct", "load", "model"], &["storm"])?;
     if flags.contains_key("storm") {
         return audit_storm_demo(&flags);
     }
@@ -449,7 +451,7 @@ fn parse_storm_model(name: &str) -> Result<StormModel, String> {
 /// `wtnc recover [--budget N]`: a walkthrough of the staged
 /// detect→diagnose→repair→verify loop.
 pub fn recover(args: &[String]) -> Result<(), String> {
-    let (_, flags) = parse(args, &["budget"])?;
+    let (_, flags) = parse(args, &["budget"], &[])?;
     let budget: u32 = flag_num(&flags, "budget", RecoveryConfig::default().cycle_budget)?;
     let mut controller = Controller::standard()
         .with_audit(AuditConfig::default())
@@ -523,7 +525,7 @@ pub fn recover(args: &[String]) -> Result<(), String> {
 pub fn supervise(args: &[String]) -> Result<(), String> {
     use wtnc::sim::Responsiveness;
 
-    parse(args, &[])?;
+    parse(args, &[], &[])?;
     let mut controller = Controller::standard()
         .with_audit(AuditConfig::default())
         .with_supervision(SupervisorConfig::default());
@@ -622,11 +624,11 @@ fn print_store_findings(findings: &[wtnc::store::StoreFinding]) {
 /// `wtnc store <checkpoint|replay|verify|compact> [--dir D] [--seed N]
 /// [--mutations N] [--delta] [--full-every N]`
 pub fn store(args: &[String]) -> Result<(), String> {
-    let (positional, flags) = parse(args, &["dir", "seed", "mutations", "delta", "full-every"])?;
+    let (positional, flags) = parse(args, &["dir", "seed", "mutations", "full-every"], &["delta"])?;
     // On an existing directory only `checkpoint` journals a workload and
     // cuts a checkpoint; the other actions would ignore the rest.
     if flags.contains_key("dir") && matches!(positional[..], ["replay" | "verify" | "compact"]) {
-        parse(args, &["dir"])?;
+        parse(args, &["dir"], &[])?;
     }
     let seed: u64 = flag_num(&flags, "seed", 0x00C0_FFEE)?;
     let mutations: usize = flag_num(&flags, "mutations", 64)?;
@@ -778,16 +780,16 @@ fn parse_fault_model(name: &str) -> Result<ProcessFaultModel, String> {
 /// `wtnc campaign <db|text|priority|recovery|process|powerfail|storm>
 /// [...]`; the campaign name comes first and picks the known flags.
 pub fn campaign(args: &[String]) -> Result<(), String> {
-    let known: &[&str] = match args.first().map(String::as_str) {
-        Some("db") => &["runs", "no-audit", "no-incremental"],
-        Some("text") => &["runs", "directed"],
-        Some("priority") => &["runs", "proportional"],
-        Some("recovery") => &["runs", "budget"],
-        Some("process" | "powerfail") => &["runs", "model"],
-        Some("storm") => &["runs", "model", "load", "no-isolation"],
-        _ => &[],
+    let (values, switches): (&[&str], &[&str]) = match args.first().map(String::as_str) {
+        Some("db") => (&["runs"], &["no-audit", "no-incremental"]),
+        Some("text") => (&["runs"], &["directed"]),
+        Some("priority") => (&["runs"], &["proportional"]),
+        Some("recovery") => (&["runs", "budget"], &[]),
+        Some("process" | "powerfail") => (&["runs", "model"], &[]),
+        Some("storm") => (&["runs", "model", "load"], &["no-isolation"]),
+        _ => (&[], &[]),
     };
-    let (positional, flags) = parse(args, known)?;
+    let (positional, flags) = parse(args, values, switches)?;
     match positional.as_slice() {
         ["db"] => {
             let runs: usize = flag_num(&flags, "runs", 5)?;
@@ -979,7 +981,8 @@ pub fn campaign(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         _ => Err("usage: wtnc campaign <db|text|priority|recovery|process|powerfail|storm> \
-             [--runs N] [--no-audit|--directed|--proportional|--budget N|--model NAME|--load X]"
+             [--runs N] [--no-audit|--no-incremental|--directed|--proportional|--budget N|\
+             --model NAME|--load X|--no-isolation]"
             .into()),
     }
 }
@@ -995,14 +998,28 @@ mod tests {
     #[test]
     fn parser_handles_flags_and_positionals() {
         let args = strings(&["file.s", "--threads", "4", "--directed", "--steps", "100"]);
-        let (pos, flags) = parse(&args, &["threads", "directed", "steps"]).unwrap();
+        let (pos, flags) = parse(&args, &["threads", "steps"], &["directed"]).unwrap();
         assert_eq!(pos, vec!["file.s"]);
         assert_eq!(flags.get("threads"), Some(&"4"));
         assert_eq!(flags.get("directed"), Some(&"true"));
         assert_eq!(flag_num(&flags, "steps", 0u64).unwrap(), 100);
         assert_eq!(flag_num(&flags, "missing", 7u64).unwrap(), 7);
         assert!(flag_num::<u64>(&flags, "directed", 0).is_err());
-        assert!(parse(&args, &["threads", "steps"]).is_err(), "--directed is not known");
+        assert!(parse(&args, &["threads", "steps"], &[]).is_err(), "--directed is not known");
+
+        // A switch never swallows the positional after it.
+        let args = strings(&["--delta", "checkpoint", "--mutations", "50"]);
+        let (pos, flags) = parse(&args, &["mutations"], &["delta"]).unwrap();
+        assert_eq!(pos, vec!["checkpoint"]);
+        assert_eq!(flags.get("delta"), Some(&"true"));
+        assert_eq!(flags.get("mutations"), Some(&"50"));
+
+        // A value flag with no value is an error naming the flag, not
+        // the value "true".
+        for args in [&["checkpoint", "--dir", "--delta"][..], &["checkpoint", "--dir"]] {
+            let err = parse(&strings(args), &["dir"], &["delta"]).unwrap_err();
+            assert_eq!(err, "--dir expects a value");
+        }
     }
 
     #[test]

@@ -7,25 +7,19 @@
 //! Cyclic Redundancy Code)" (§4.3.1). This is the classic reflected
 //! polynomial 0xEDB88320.
 //!
-//! Three things make the checksum hot loop fast:
+//! [`crc32`] dispatches to the best **kernel** the host supports,
+//! selected once at runtime: a PCLMULQDQ carry-less-multiply folding
+//! kernel on x86-64 (the SSE4.2-era `crc32` *instruction* computes the
+//! Castagnoli polynomial, not IEEE, so folding is the correct hardware
+//! path for this CRC), falling back to the portable **slice-by-8**
+//! kernel ([`crc32_slice8`]) everywhere else or when `WTNC_NO_HWCRC=1`
+//! is set. Both kernels are bit-identical by construction and by
+//! property test, so on-disk frames written on one host verify on any
+//! other. The classic bytewise loop is kept as [`crc32_bytewise`] for
+//! reference and the `crc_kernel` microbench.
 //!
-//! * [`crc32`] dispatches to the best **kernel** the host supports,
-//!   selected once at runtime: a PCLMULQDQ carry-less-multiply folding
-//!   kernel on x86-64 (the SSE4.2-era `crc32` *instruction* computes
-//!   the Castagnoli polynomial, not IEEE, so folding is the correct
-//!   hardware path for this CRC), falling back to the portable
-//!   **slice-by-8** kernel ([`crc32_slice8`]) everywhere else or when
-//!   `WTNC_NO_HWCRC=1` is set. Both kernels are bit-identical by
-//!   construction and by property test, so on-disk frames written on
-//!   one host verify on any other. The classic bytewise loop is kept
-//!   as [`crc32_bytewise`] for reference and the `crc_kernel`
-//!   microbench.
-//! * [`crc32_combine`] (and its amortized form [`Crc32Shift`]) folds
-//!   per-block CRCs into the CRC of the concatenation without touching
-//!   the bytes again, so the incremental static-data audit can verify
-//!   a whole-chunk golden checksum while re-reading only dirty blocks.
-//!   The fold operates on the CRC *values*, so it composes with either
-//!   kernel.
+//! Every caller hashes whole buffers; the largest static-data chunk on
+//! the shipped schemas (the catalog) is under 1 KB.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -331,122 +325,6 @@ mod pclmul {
     }
 }
 
-// ---------------------------------------------------------------------------
-// CRC combination (zlib's gf2-matrix technique).
-//
-// A CRC is linear over GF(2): appending `len2` bytes of zeroes to a
-// message transforms its CRC by a fixed 32×32 bit-matrix that depends
-// only on `len2`. crc(A ‖ B) is then shift(crc(A), |B|) ^ crc(B).
-// ---------------------------------------------------------------------------
-
-/// A 32×32 GF(2) matrix: column `i` is the image of bit `i`.
-type Gf2Matrix = [u32; 32];
-
-fn gf2_matrix_times(mat: &Gf2Matrix, mut vec: u32) -> u32 {
-    let mut sum = 0u32;
-    let mut i = 0;
-    while vec != 0 {
-        if vec & 1 != 0 {
-            sum ^= mat[i];
-        }
-        vec >>= 1;
-        i += 1;
-    }
-    sum
-}
-
-fn gf2_matrix_square(square: &mut Gf2Matrix, mat: &Gf2Matrix) {
-    for i in 0..32 {
-        square[i] = gf2_matrix_times(mat, mat[i]);
-    }
-}
-
-/// The linear operator advancing a CRC across `len` zero bytes.
-///
-/// Building one costs a handful of 32×32 matrix squarings; applying it
-/// is 32 XORs. The incremental static-data audit builds the operator
-/// for its block size once and reuses it for every fold step, which is
-/// what makes per-block CRC folding cheaper than re-hashing the bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Crc32Shift {
-    mat: Gf2Matrix,
-    len: usize,
-}
-
-impl Crc32Shift {
-    /// Builds the shift operator for `len` bytes.
-    pub fn new(len: usize) -> Self {
-        // The operator for one zero *bit* (the register shifts right;
-        // a popped 1-bit folds the polynomial back in).
-        let mut span: Gf2Matrix = [0; 32];
-        span[0] = POLY;
-        let mut row = 1u32;
-        for entry in span.iter_mut().skip(1) {
-            *entry = row;
-            row <<= 1;
-        }
-        // Identity operator (len == 0 must be a no-op).
-        let mut acc: Gf2Matrix = [0; 32];
-        for (i, entry) in acc.iter_mut().enumerate() {
-            *entry = 1u32 << i;
-        }
-        // Square-and-multiply over the bit length.
-        let mut bits = (len as u64) * 8;
-        while bits != 0 {
-            if bits & 1 != 0 {
-                let mut next: Gf2Matrix = [0; 32];
-                for (i, entry) in next.iter_mut().enumerate() {
-                    *entry = gf2_matrix_times(&span, acc[i]);
-                }
-                acc = next;
-            }
-            bits >>= 1;
-            if bits != 0 {
-                let mut sq: Gf2Matrix = [0; 32];
-                gf2_matrix_square(&mut sq, &span);
-                span = sq;
-            }
-        }
-        Crc32Shift { mat: acc, len }
-    }
-
-    /// The byte length this operator advances across.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when this is the zero-length (identity) operator.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// `crc32(A ‖ B)` from `crc1 = crc32(A)` and `crc2 = crc32(B)`,
-    /// where `B` is exactly [`Crc32Shift::len`] bytes long.
-    pub fn combine(&self, crc1: u32, crc2: u32) -> u32 {
-        if self.len == 0 {
-            return crc1;
-        }
-        // Undo / redo the final complement so the pure linear shift
-        // applies to the raw register value.
-        gf2_matrix_times(&self.mat, crc1) ^ crc2
-    }
-}
-
-/// Combines `crc1 = crc32(A)` and `crc2 = crc32(B)` into
-/// `crc32(A ‖ B)`, where `len2` is the byte length of `B`.
-///
-/// # Example
-///
-/// ```
-/// use wtnc_db::{crc32, crc32_combine};
-///
-/// let (a, b) = (b"1234".as_slice(), b"56789".as_slice());
-/// assert_eq!(crc32_combine(crc32(a), crc32(b), b.len()), crc32(b"123456789"));
-/// ```
-pub fn crc32_combine(crc1: u32, crc2: u32, len2: usize) -> u32 {
-    Crc32Shift::new(len2).combine(crc1, crc2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -553,40 +431,5 @@ mod tests {
     #[test]
     fn order_sensitive() {
         assert_ne!(crc32(b"ab"), crc32(b"ba"));
-    }
-
-    #[test]
-    fn combine_equals_whole_buffer_crc() {
-        let data: Vec<u8> = (0..1500u32).map(|i| (i.wrapping_mul(37) >> 3) as u8).collect();
-        for split in [0usize, 1, 8, 255, 256, 257, 749, 1499, 1500] {
-            let (a, b) = data.split_at(split);
-            assert_eq!(crc32_combine(crc32(a), crc32(b), b.len()), crc32(&data), "split {split}");
-        }
-    }
-
-    #[test]
-    fn shift_operator_folds_many_blocks() {
-        let data: Vec<u8> = (0..4096u32).map(|i| (i ^ (i >> 5)) as u8).collect();
-        let block = 256usize;
-        let shift = Crc32Shift::new(block);
-        assert_eq!(shift.len(), block);
-        let mut folded = 0u32;
-        let mut first = true;
-        for chunk in data.chunks(block) {
-            let c = crc32(chunk);
-            folded = if first {
-                first = false;
-                c
-            } else {
-                shift.combine(folded, c)
-            };
-        }
-        assert_eq!(folded, crc32(&data));
-    }
-
-    #[test]
-    fn combine_with_empty_suffix_is_identity() {
-        let c = crc32(b"hello");
-        assert_eq!(crc32_combine(c, crc32(b""), 0), c);
     }
 }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use wtnc_sim::{Pid, SimTime};
 
 use crate::catalog::{Catalog, FieldId, TableDef, TableId, TableNature};
-use crate::dirty::{DirtyTracker, DIRTY_BLOCK_SIZE};
+use crate::dirty::DirtyTracker;
 use crate::error::DbError;
 use crate::layout::{
     encode_record_id, read_le, write_le, HDR_GROUP, HDR_NEXT, HDR_PREV, HDR_RECORD_ID, HDR_STATUS,
@@ -177,10 +177,10 @@ impl Database {
 
         let golden = region.clone();
         let alloc_hints = vec![0; catalog.table_count()];
-        let dirty = DirtyTracker::new(region.len(), DIRTY_BLOCK_SIZE);
+        let dirty = DirtyTracker::new(region.len());
         // A freshly built image has never been checkpointed: everything
         // is checkpoint-dirty until the first (full) checkpoint seals it.
-        let mut ckpt_dirty = DirtyTracker::new(region.len() * 2, DIRTY_BLOCK_SIZE);
+        let mut ckpt_dirty = DirtyTracker::new(region.len() * 2);
         ckpt_dirty.mark_all();
         let table_gen = vec![0u64; catalog.table_count()];
         let record_gen =

@@ -1,19 +1,20 @@
 //! Dirty-block tracking for incremental audits.
 //!
-//! The region is partitioned into fixed-size blocks; every mutation
-//! path through [`Database`](crate::Database) marks the blocks it
-//! touches. Audit elements re-checksum only dirty blocks and clear the
-//! bits once a block has been *verified* clean (or repaired), so the
-//! bitmap is a conservative over-approximation of "bytes that may
-//! differ from the last verified state": a clean bit is a proof, a
-//! dirty bit is merely a hint to look.
+//! The region is partitioned into [`DIRTY_BLOCK_SIZE`]-byte blocks;
+//! every mutation path through [`Database`](crate::Database) marks the
+//! blocks it touches. The audit consults it (the static-data element
+//! skips a chunk none of whose blocks is dirty) and clears the bits
+//! once a range has been *verified* clean (or repaired), so the bitmap
+//! is a conservative over-approximation of "bytes that may differ from
+//! the last verified state": a clean bit is a proof, a dirty bit is
+//! merely a hint to look.
 //!
 //! Clearing is deliberately restricted to blocks **fully contained** in
 //! the verified range ([`DirtyTracker::clear_contained`]): a boundary
 //! block shared with an unverified neighbor stays dirty, trading a
 //! little recompute for a simple correctness argument.
 
-/// Default dirty-block granularity in bytes.
+/// Dirty-block granularity in bytes.
 ///
 /// 256 B keeps the bitmap tiny (one bit per block) while making a
 /// single-field write dirty at most two blocks.
@@ -22,28 +23,17 @@ pub const DIRTY_BLOCK_SIZE: usize = 256;
 /// A per-block dirty bitmap over a byte region.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DirtyTracker {
-    block_size: usize,
     n_blocks: usize,
     words: Vec<u64>,
 }
 
 impl DirtyTracker {
     /// Creates a tracker for a region of `region_len` bytes cut into
-    /// `block_size`-byte blocks (the last block may be short). All
-    /// blocks start clean.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block_size` is zero.
-    pub fn new(region_len: usize, block_size: usize) -> Self {
-        assert!(block_size > 0, "block size must be positive");
-        let n_blocks = region_len.div_ceil(block_size);
-        DirtyTracker { block_size, n_blocks, words: vec![0u64; n_blocks.div_ceil(64)] }
-    }
-
-    /// The block granularity in bytes.
-    pub fn block_size(&self) -> usize {
-        self.block_size
+    /// [`DIRTY_BLOCK_SIZE`]-byte blocks (the last block may be short).
+    /// All blocks start clean.
+    pub fn new(region_len: usize) -> Self {
+        let n_blocks = region_len.div_ceil(DIRTY_BLOCK_SIZE);
+        DirtyTracker { n_blocks, words: vec![0u64; n_blocks.div_ceil(64)] }
     }
 
     /// Total number of blocks in the region.
@@ -57,8 +47,8 @@ impl DirtyTracker {
         if len == 0 {
             return (0, 0);
         }
-        let first = (offset / self.block_size).min(self.n_blocks);
-        let last = (offset.saturating_add(len)).div_ceil(self.block_size).min(self.n_blocks);
+        let first = (offset / DIRTY_BLOCK_SIZE).min(self.n_blocks);
+        let last = (offset.saturating_add(len)).div_ceil(DIRTY_BLOCK_SIZE).min(self.n_blocks);
         (first, last)
     }
 
@@ -78,30 +68,30 @@ impl DirtyTracker {
             return;
         }
         let end = offset.saturating_add(len);
-        let first = offset.div_ceil(self.block_size);
+        let first = offset.div_ceil(DIRTY_BLOCK_SIZE);
         // Blocks are treated as nominally full-size: to clear a short
-        // final block, pass a range reaching `n_blocks * block_size`.
-        let last = (end / self.block_size).min(self.n_blocks);
+        // final block, pass a range reaching `n_blocks * DIRTY_BLOCK_SIZE`.
+        let last = (end / DIRTY_BLOCK_SIZE).min(self.n_blocks);
         for b in first..last {
             self.words[b / 64] &= !(1u64 << (b % 64));
         }
     }
 
-    /// True if block `b` is dirty.
-    pub fn is_dirty(&self, b: usize) -> bool {
-        b < self.n_blocks && self.words[b / 64] & (1u64 << (b % 64)) != 0
+    /// True if block `b` (below `n_blocks`) is dirty.
+    fn dirty_bit(&self, b: usize) -> bool {
+        self.words[b / 64] & (1u64 << (b % 64)) != 0
     }
 
     /// True if any block overlapping `[offset, offset + len)` is dirty.
     pub fn any_dirty_in(&self, offset: usize, len: usize) -> bool {
         let (first, last) = self.overlapping(offset, len);
-        (first..last).any(|b| self.is_dirty(b))
+        (first..last).any(|b| self.dirty_bit(b))
     }
 
     /// Number of dirty blocks overlapping `[offset, offset + len)`.
     pub fn count_dirty_in(&self, offset: usize, len: usize) -> usize {
         let (first, last) = self.overlapping(offset, len);
-        (first..last).filter(|&b| self.is_dirty(b)).count()
+        (first..last).filter(|&b| self.dirty_bit(b)).count()
     }
 
     /// Number of blocks overlapping `[offset, offset + len)`.
@@ -117,7 +107,7 @@ impl DirtyTracker {
 
     /// Marks every block dirty.
     pub fn mark_all(&mut self) {
-        self.mark_range(0, self.n_blocks * self.block_size);
+        self.mark_range(0, self.n_blocks * DIRTY_BLOCK_SIZE);
     }
 
     /// Clears every block.
@@ -132,12 +122,12 @@ mod tests {
 
     #[test]
     fn mark_and_query() {
-        let mut t = DirtyTracker::new(1024, 256);
+        let mut t = DirtyTracker::new(1024);
         assert_eq!(t.n_blocks(), 4);
         assert_eq!(t.dirty_count(), 0);
         t.mark_range(300, 10); // inside block 1
-        assert!(t.is_dirty(1));
-        assert!(!t.is_dirty(0));
+        assert!(t.dirty_bit(1));
+        assert!(!t.dirty_bit(0));
         assert!(t.any_dirty_in(0, 1024));
         assert!(!t.any_dirty_in(512, 512));
         assert_eq!(t.dirty_count(), 1);
@@ -145,35 +135,35 @@ mod tests {
 
     #[test]
     fn straddling_write_marks_both_blocks() {
-        let mut t = DirtyTracker::new(1024, 256);
+        let mut t = DirtyTracker::new(1024);
         t.mark_range(254, 4);
-        assert!(t.is_dirty(0));
-        assert!(t.is_dirty(1));
+        assert!(t.dirty_bit(0));
+        assert!(t.dirty_bit(1));
         assert_eq!(t.dirty_count(), 2);
     }
 
     #[test]
     fn clear_contained_spares_boundary_blocks() {
-        let mut t = DirtyTracker::new(1024, 256);
+        let mut t = DirtyTracker::new(1024);
         t.mark_all();
         // Verified [100, 768): blocks 1 and 2 are fully contained,
         // block 0 only partially, block 3 not at all.
         t.clear_contained(100, 668);
-        assert!(t.is_dirty(0));
-        assert!(!t.is_dirty(1));
-        assert!(!t.is_dirty(2));
-        assert!(t.is_dirty(3));
+        assert!(t.dirty_bit(0));
+        assert!(!t.dirty_bit(1));
+        assert!(!t.dirty_bit(2));
+        assert!(t.dirty_bit(3));
     }
 
     #[test]
     fn clear_contained_aligned_range_clears_exactly() {
-        let mut t = DirtyTracker::new(1024, 256);
+        let mut t = DirtyTracker::new(1024);
         t.mark_all();
         t.clear_contained(256, 512);
-        assert!(t.is_dirty(0));
-        assert!(!t.is_dirty(1));
-        assert!(!t.is_dirty(2));
-        assert!(t.is_dirty(3));
+        assert!(t.dirty_bit(0));
+        assert!(!t.dirty_bit(1));
+        assert!(!t.dirty_bit(2));
+        assert!(t.dirty_bit(3));
         t.clear_contained(0, 1024);
         assert_eq!(t.dirty_count(), 0);
     }
@@ -181,7 +171,7 @@ mod tests {
     #[test]
     fn short_final_block_is_clearable() {
         // 1000-byte region: block 3 covers [768, 1000).
-        let mut t = DirtyTracker::new(1000, 256);
+        let mut t = DirtyTracker::new(1000);
         assert_eq!(t.n_blocks(), 4);
         t.mark_all();
         t.clear_contained(0, 1000);
@@ -192,7 +182,7 @@ mod tests {
 
     #[test]
     fn zero_len_is_noop() {
-        let mut t = DirtyTracker::new(1024, 256);
+        let mut t = DirtyTracker::new(1024);
         t.mark_range(100, 0);
         assert_eq!(t.dirty_count(), 0);
         t.mark_all();
@@ -202,17 +192,17 @@ mod tests {
 
     #[test]
     fn out_of_range_marks_clamp() {
-        let mut t = DirtyTracker::new(1024, 256);
+        let mut t = DirtyTracker::new(1024);
         t.mark_range(2000, 50);
         assert_eq!(t.dirty_count(), 0);
         t.mark_range(1000, 5000);
         assert_eq!(t.dirty_count(), 1);
-        assert!(t.is_dirty(3));
+        assert!(t.dirty_bit(3));
     }
 
     #[test]
     fn count_helpers() {
-        let mut t = DirtyTracker::new(1024, 256);
+        let mut t = DirtyTracker::new(1024);
         t.mark_range(0, 300);
         assert_eq!(t.count_dirty_in(0, 1024), 2);
         assert_eq!(t.count_blocks_in(0, 1024), 4);

@@ -74,8 +74,7 @@ pub use catalog::{
     Catalog, FieldDef, FieldId, FieldKind, FieldWidth, TableDef, TableId, TableNature,
 };
 pub use crc::{
-    crc32, crc32_bytewise, crc32_combine, crc32_slice8, crc32_with, crc_kernel,
-    set_crc_kernel_override, Crc32Shift, CrcKernel,
+    crc32, crc32_bytewise, crc32_slice8, crc32_with, crc_kernel, set_crc_kernel_override, CrcKernel,
 };
 pub use database::{CapturedMutation, Database, RecordMeta, RecordRef, TableStats};
 pub use dirty::{DirtyTracker, DIRTY_BLOCK_SIZE};

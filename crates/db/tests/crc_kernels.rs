@@ -1,17 +1,17 @@
 //! Equivalence properties for the CRC-32 kernels.
 //!
-//! The audit's golden checksums, the store's journal/checkpoint frame
-//! CRCs and the incremental `crc32_combine` folds all assume that every
-//! kernel — the reference bytewise loop, the portable slice-by-8 and
-//! the PCLMULQDQ hardware path — computes the *same* CRC-32 (IEEE
-//! 802.3) for the same bytes. A divergence would make images written on
-//! one host unreadable on another, so the equivalence is held as a
-//! property over arbitrary buffers, arbitrary split points (exercising
-//! the folding kernel's 64-byte stride, 16-byte loop and scalar tail in
-//! every combination) and arbitrary alignments.
+//! The audit's golden checksums and the store's journal/checkpoint
+//! frame CRCs both assume that every kernel — the reference bytewise
+//! loop, the portable slice-by-8 and the PCLMULQDQ hardware path —
+//! computes the *same* CRC-32 (IEEE 802.3) for the same bytes. A
+//! divergence would make images written on one host unreadable on
+//! another, so the equivalence is held as a property over arbitrary
+//! buffers (whose lengths exercise the folding kernel's 64-byte stride,
+//! 16-byte loop and scalar tail in every combination) and arbitrary
+//! alignments.
 
 use proptest::prelude::*;
-use wtnc_db::{crc32, crc32_bytewise, crc32_combine, crc32_slice8, crc32_with, CrcKernel};
+use wtnc_db::{crc32, crc32_bytewise, crc32_slice8, crc32_with, CrcKernel};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -41,19 +41,5 @@ proptest! {
             crc32_with(CrcKernel::Hardware, &shifted[lead..]),
             crc32_bytewise(&data)
         );
-    }
-
-    /// The GF(2) combine path stays exact over hardware-computed parts:
-    /// crc(a ‖ b) == combine(crc(a), crc(b), len(b)) for any split.
-    #[test]
-    fn combine_is_exact_over_hardware_parts(
-        data in proptest::collection::vec(any::<u8>(), 1..2048),
-        split_frac in 0.0f64..1.0,
-    ) {
-        let split = ((data.len() as f64) * split_frac) as usize;
-        let (a, b) = data.split_at(split.min(data.len()));
-        let ca = crc32_with(CrcKernel::Hardware, a);
-        let cb = crc32_with(CrcKernel::Hardware, b);
-        prop_assert_eq!(crc32_combine(ca, cb, b.len()), crc32_bytewise(&data));
     }
 }

@@ -282,7 +282,11 @@ fn parse_int(tok: &str) -> Option<i64> {
     } else {
         body.parse::<i64>().ok()?
     };
-    Some(if neg { -v } else { v })
+    if neg {
+        v.checked_neg()
+    } else {
+        Some(v)
+    }
 }
 
 fn parse_reg(tok: &str, line: usize) -> Result<u8, AsmError> {
@@ -342,10 +346,11 @@ fn parse_mem(tok: &str, line: usize) -> Result<(u8, i16), AsmError> {
             parse_int(&inner[i + 1..])
                 .ok_or_else(|| AsmError { line, message: format!("invalid offset in {tok:?}") })?,
         )
-    } else if let Some(i) = inner[1..].find('-').map(|i| i + 1) {
+    } else if let Some(i) = inner.get(1..).and_then(|s| s.find('-')).map(|i| i + 1) {
         (
             &inner[..i],
-            -parse_int(&inner[i + 1..])
+            parse_int(&inner[i + 1..])
+                .and_then(i64::checked_neg)
                 .ok_or_else(|| AsmError { line, message: format!("invalid offset in {tok:?}") })?,
         )
     } else {
@@ -621,5 +626,22 @@ mod tests {
         assert!(patch_imm16(Inst::Nop, 5).is_err());
         assert!(patch_imm16(Inst::Ret, 5).is_err());
         assert_eq!(patch_imm16(Inst::Jmp { addr: 0 }, 5), Ok(Inst::Jmp { addr: 5 }));
+    }
+
+    #[test]
+    fn hostile_operands_are_errors_not_panics() {
+        // Each of these once panicked: an empty or non-ASCII memory
+        // operand sliced past a character boundary, and negating
+        // i64::MIN overflowed.
+        for src in [
+            "st [], r0",
+            "st [é-1], r0",
+            "ld r1, [r1-0x-8000000000000000]",
+            "sys --9223372036854775808",
+            "movi r1, -0x-8000000000000000",
+        ] {
+            let e = assemble_source(src).unwrap_err();
+            assert_eq!(e.line, 1, "{src}: {e}");
+        }
     }
 }

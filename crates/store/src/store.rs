@@ -573,7 +573,7 @@ impl Store {
         let write_delta = self.config.full_every > 1
             && replaced_kinds.is_empty()
             && self.since_full + 1 < self.config.full_every
-            && tracker.n_blocks() == content_len.div_ceil(tracker.block_size())
+            && tracker.n_blocks() == content_len.div_ceil(DIRTY_BLOCK_SIZE)
             && self.tree.as_ref().is_some_and(|t| {
                 t.block_size() == LEAF_BLOCK_SIZE
                     && t.leaf_count() == content_len.div_ceil(LEAF_BLOCK_SIZE)
