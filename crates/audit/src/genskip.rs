@@ -21,21 +21,19 @@ use crate::process::ElementPolicy;
 /// (a table, or a static chunk), bumped once per pass, rechecks
 /// included. A recheck counts but never takes the forced sweep: at the
 /// boundary it leaves the counter saturated, so the next cycle pass
-/// sweeps. The count also runs while `incremental` is off, where it
-/// could as well reset every pass: no pass then skips anything, and no
-/// caller turns `incremental` on for an element that has already run.
+/// sweeps. Period 1 sweeps every pass (a full scan); period 0 never
+/// forces a sweep.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct SweepCounter(u32);
 
 impl SweepCounter {
     /// Starts a pass; returns whether it may skip state that the change
-    /// tracking proves unchanged (incremental mode, and not a forced
-    /// full sweep).
+    /// tracking proves unchanged (not a forced full sweep).
     pub fn may_skip(&mut self, policy: ElementPolicy) -> bool {
         let period = policy.full_rescan_period;
         let full_sweep = period > 0 && self.0 + 1 >= period;
         self.0 = if full_sweep { 0 } else { self.0 + 1 };
-        policy.incremental && !full_sweep
+        !full_sweep
     }
 
     /// Counts a scoped recheck as a pass without taking the forced full
@@ -105,14 +103,14 @@ impl GenSkip {
 mod tests {
     use super::*;
 
-    fn incremental(full_rescan_period: u32) -> ElementPolicy {
-        ElementPolicy { incremental: true, full_rescan_period, ..ElementPolicy::default() }
+    fn period(full_rescan_period: u32) -> ElementPolicy {
+        ElementPolicy { full_rescan_period, ..ElementPolicy::default() }
     }
 
     #[test]
     fn unverified_records_are_never_skippable() {
         let mut s = GenSkip::default();
-        assert!(s.begin_pass(TableId(0), 4, incremental(0)));
+        assert!(s.begin_pass(TableId(0), 4, period(0)));
         assert!(!s.is_clean(TableId(0), 0, 0));
         s.set_clean(TableId(0), 0, 0);
         assert!(s.is_clean(TableId(0), 0, 0));
@@ -122,14 +120,14 @@ mod tests {
     #[test]
     fn full_sweep_every_nth_pass() {
         let mut c = SweepCounter::default();
-        let skips: Vec<bool> = (0..6).map(|_| c.may_skip(incremental(3))).collect();
+        let skips: Vec<bool> = (0..6).map(|_| c.may_skip(period(3))).collect();
         assert_eq!(skips, vec![true, true, false, true, true, false]);
     }
 
     #[test]
     fn rechecks_count_but_leave_the_sweep_to_the_next_pass() {
         let mut c = SweepCounter::default();
-        let policy = incremental(3);
+        let policy = period(3);
         assert!(c.may_skip(policy));
         c.note_recheck(policy);
         c.note_recheck(policy);
@@ -137,19 +135,19 @@ mod tests {
         assert!(!c.may_skip(policy), "saturated at the boundary: this pass sweeps");
         assert!(c.may_skip(policy));
         let mut one = SweepCounter::default();
-        one.note_recheck(incremental(1));
-        assert!(!one.may_skip(incremental(1)), "period 1: every cycle pass sweeps");
+        one.note_recheck(period(1));
+        assert!(!one.may_skip(period(1)), "period 1: every cycle pass sweeps");
     }
 
     #[test]
     fn period_zero_never_sweeps() {
         let mut c = SweepCounter::default();
-        assert!((0..10).all(|_| c.may_skip(incremental(0))));
+        assert!((0..10).all(|_| c.may_skip(period(0))));
     }
 
     #[test]
     fn full_scans_never_skip() {
         let mut c = SweepCounter::default();
-        assert!((0..10).all(|_| !c.may_skip(ElementPolicy::default())));
+        assert!((0..10).all(|_| !c.may_skip(period(1))));
     }
 }

@@ -37,17 +37,22 @@ pub enum AuditScope {
 
 /// The settings every audit element applies, held once by the
 /// [`AuditProcess`] (from its [`AuditConfig`] and
-/// [`AuditProcess::set_deferred_repair`]) and passed to each call.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// [`AuditProcess::set_deferred_repair`]) and passed to each call. The
+/// default repairs inline and scans fully every pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ElementPolicy {
     /// Detect-only mode: flag damage with a precise target instead of
     /// repairing it; an external recovery engine repairs and escalates.
     pub deferred: bool,
-    /// Change-aware mode ([`AuditConfig::incremental`]).
-    pub incremental: bool,
-    /// Forced full sweep every `n`-th pass, per table or static chunk
+    /// The full-sweep schedule, per table or static chunk
     /// ([`AuditConfig::full_rescan_period`]).
     pub full_rescan_period: u32,
+}
+
+impl Default for ElementPolicy {
+    fn default() -> Self {
+        ElementPolicy { deferred: false, full_rescan_period: 1 }
+    }
 }
 
 /// The per-table audit element — the framework's unit of extension:
@@ -124,13 +129,14 @@ pub struct AuditConfig {
     /// When true, write-class API events queue their table for an
     /// immediate event-triggered audit on the next cycle.
     pub event_triggered: bool,
-    /// Change-aware audits: elements consult the dirty-block bitmap and
-    /// mutation generations to skip provably unchanged state. On by
-    /// default — the parity property guarantees identical findings.
-    pub incremental: bool,
-    /// Every `n`-th element pass re-checks everything even in
-    /// incremental mode, bounding the window for anything that could
-    /// slip past the tracking (0 = never force a full sweep).
+    /// The audit schedule. Between forced full sweeps, elements consult
+    /// the dirty-block bitmap and mutation generations to skip provably
+    /// unchanged state; every `n`-th pass per table or static chunk
+    /// re-checks everything, bounding the window for anything that
+    /// could slip past the tracking. 0 never forces a sweep; 1 sweeps
+    /// every pass, which is a full scan. The parity property
+    /// (`crates/audit/tests/incremental.rs`) guarantees that every
+    /// period reports the same findings.
     pub full_rescan_period: u32,
     /// CPU isolation: a token-bucket budget on virtual time (one token
     /// per record screened). When set, a cycle whose planned tables
@@ -149,7 +155,6 @@ impl Default for AuditConfig {
             orphan_grace: SimDuration::from_secs(60),
             scope: AuditScope::Full,
             event_triggered: false,
-            incremental: true,
             full_rescan_period: 8,
             budget: None,
         }
@@ -204,7 +209,6 @@ impl AuditProcess {
             ],
             policy: ElementPolicy {
                 deferred: false,
-                incremental: config.incremental,
                 full_rescan_period: config.full_rescan_period,
             },
             scheduler: Box::new(RoundRobinScheduler::new()),
@@ -374,17 +378,15 @@ impl AuditProcess {
         // dropped, so the scheduler's dirty-density term tracks *new*
         // mutations. (Static chunks clear their own bits only after
         // CRC verification; their extents are untouched here.)
-        if self.config.incremental {
-            for &table in &tables {
-                if findings.iter().any(|f| f.table == Some(table)) {
-                    continue;
-                }
-                let extent = db.catalog().table(table).ok().map(|tm| {
-                    (tm.def.nature == wtnc_db::TableNature::Dynamic, tm.offset, tm.data_len())
-                });
-                if let Some((true, offset, len)) = extent {
-                    db.dirty_mut().clear_contained(offset, len);
-                }
+        for &table in &tables {
+            if findings.iter().any(|f| f.table == Some(table)) {
+                continue;
+            }
+            let extent = db.catalog().table(table).ok().map(|tm| {
+                (tm.def.nature == wtnc_db::TableNature::Dynamic, tm.offset, tm.data_len())
+            });
+            if let Some((true, offset, len)) = extent {
+                db.dirty_mut().clear_contained(offset, len);
             }
         }
 

@@ -49,7 +49,7 @@ fn link_closure(catalog: &Catalog, table: TableId) -> Vec<TableId> {
     closure
 }
 
-/// Verified-clean state of one anchor table, for incremental skipping.
+/// Verified-clean state of one anchor table, for change-aware skipping.
 #[derive(Debug, Clone, Copy)]
 struct CleanPass {
     /// Sum of the generations of every table in the anchor's link
@@ -73,9 +73,9 @@ type WalkWitness = Vec<(RecordRef, u64)>;
 /// The referential-integrity audit element. In deferred mode broken
 /// walks are flagged (targeted at the anchor record) instead of freed;
 /// owner termination is likewise left to the recovery engine's ladder.
-/// In incremental mode a table's walks are skipped when no record in
-/// its link closure has been mutated since the last clean pass and no
-/// tolerated orphan can have aged out.
+/// Between forced full sweeps a table's walks are skipped when no
+/// record in its link closure has been mutated since the last clean
+/// pass and no tolerated orphan can have aged out.
 #[derive(Debug, Clone)]
 pub struct SemanticAudit {
     /// Records whose links are still unset (`LINK_NONE`) are tolerated
@@ -84,7 +84,8 @@ pub struct SemanticAudit {
     pub orphan_grace: SimDuration,
     clean: std::collections::BTreeMap<TableId, CleanPass>,
     sweeps: std::collections::BTreeMap<TableId, SweepCounter>,
-    /// Per-anchor witnesses of the last clean walk (incremental mode).
+    /// Per-anchor witnesses of the last clean walk (none under a
+    /// full-scan schedule).
     walks: std::collections::BTreeMap<TableId, Vec<Option<WalkWitness>>>,
 }
 
@@ -171,7 +172,7 @@ impl AuditElement for SemanticAudit {
                 }
             }
             let walk = walk(db, start, start_field, locked, at, self.orphan_grace);
-            walks[index as usize] = witness(db, start, &walk, policy.incremental);
+            walks[index as usize] = witness(db, start, &walk, policy);
             match walk {
                 Walk::Free => {}
                 Walk::Abstained { at_anchor } => {
@@ -234,7 +235,7 @@ impl AuditElement for SemanticAudit {
         let walk = walk(db, start, start_field, locked, at, self.orphan_grace);
         let walks = self.walks.entry(table).or_default();
         walks.resize(record_count as usize, None);
-        walks[record as usize] = witness(db, start, &walk, policy.incremental);
+        walks[record as usize] = witness(db, start, &walk, policy);
         match walk {
             Walk::Clean(visited) => visited.len() as u64,
             Walk::Broken(visited, detail) => {
@@ -329,17 +330,25 @@ fn walk(
     Walk::Broken(visited, "loop exceeds hop budget")
 }
 
-/// The witness a walk leaves in incremental mode: the free anchor (any
-/// reactivation mutates its header and so bumps its generation), or
-/// every record of a clean walk, each at its current generation. Any
-/// other outcome leaves none, so the anchor is walked again.
-fn witness(db: &Database, start: RecordRef, walk: &Walk, incremental: bool) -> Option<WalkWitness> {
+/// The witness a walk leaves: the free anchor (any reactivation
+/// mutates its header and so bumps its generation), or every record of
+/// a clean walk, each at its current generation. Any other outcome
+/// leaves none, so the anchor is walked again. A schedule that sweeps
+/// every pass (`full_rescan_period` 1) never reads a witness, so it
+/// records none.
+fn witness(
+    db: &Database,
+    start: RecordRef,
+    walk: &Walk,
+    policy: ElementPolicy,
+) -> Option<WalkWitness> {
     let records = match walk {
         Walk::Free => std::slice::from_ref(&start),
         Walk::Clean(visited) => visited.as_slice(),
         _ => return None,
     };
-    incremental.then(|| records.iter().map(|&r| (r, db.record_generation(r))).collect())
+    (policy.full_rescan_period != 1)
+        .then(|| records.iter().map(|&r| (r, db.record_generation(r))).collect())
 }
 
 /// Frees (or, deferred, flags) the records of one broken walk and
@@ -417,8 +426,7 @@ mod tests {
     use wtnc_sim::Pid;
 
     const NOT_LOCKED: fn(RecordRef) -> bool = |_| false;
-    const INLINE: ElementPolicy =
-        ElementPolicy { deferred: false, incremental: false, full_rescan_period: 0 };
+    const INLINE: ElementPolicy = ElementPolicy { deferred: false, full_rescan_period: 1 };
 
     /// Builds a database with one complete, consistent call loop and
     /// returns the three record indices (process, connection,
@@ -586,7 +594,7 @@ mod tests {
         let young = RecordRef::new(schema::PROCESS_TABLE, index);
         d.note_access(young, Pid(7), SimTime::ZERO, true);
         let mut audit = SemanticAudit::new(SimDuration::from_secs(60));
-        let policy = ElementPolicy { incremental: true, ..INLINE };
+        let policy = ElementPolicy { full_rescan_period: 0, ..INLINE };
         let mut pass = |d: &mut Database, secs: u64, out: &mut Vec<Finding>| {
             let at = SimTime::from_secs(secs);
             audit.audit_table(d, schema::PROCESS_TABLE, policy, &NOT_LOCKED, at, out)

@@ -11,20 +11,22 @@
 //! every table whose nature is `Config`. Each region is checksummed as
 //! its own chunk so recovery can reload only the affected portion.
 //!
-//! # Incremental checking
+//! # Change-aware checking
 //!
-//! Under an [`ElementPolicy::incremental`] policy the element consults
-//! the database's dirty bitmap each cycle: a chunk with **no dirty
-//! block** is provably unchanged since its last verified-clean pass
-//! and is skipped outright. Any other chunk is re-hashed whole and
-//! compared against its golden, exactly as a full scan does, so
-//! incremental and full scans agree on every mismatch.
+//! Between forced full sweeps the element consults the database's
+//! dirty bitmap: a chunk with **no dirty block** is provably unchanged
+//! since its last verified-clean pass and is skipped outright. Any
+//! other chunk is re-hashed whole and compared against its golden,
+//! exactly as a full scan does, so every schedule agrees on every
+//! mismatch.
 //!
 //! Dirty bits are cleared (blocks fully inside the chunk only) solely
 //! after a verified-clean compare. The policy's
 //! [`ElementPolicy::full_rescan_period`] — the rule every element
 //! applies, here per chunk — forces a periodic re-hash as a
-//! belt-and-braces bound on anything that could slip past the bitmap.
+//! belt-and-braces bound on anything that could slip past the bitmap;
+//! period 1 re-hashes every chunk every pass. A recheck always
+//! re-hashes the chunks it overlaps.
 //!
 //! The element is not a per-table [`AuditElement`](crate::AuditElement):
 //! it runs first in every cycle, over every chunk (or one table's
@@ -126,9 +128,9 @@ impl StaticDataAudit {
     }
 
     /// Checks chunk `ci` as one pass of its full-sweep schedule,
-    /// incrementally when allowed. On mismatch the finding (and
-    /// recovery) is identical to a full scan's, because both hash the
-    /// whole chunk.
+    /// skipping it when the schedule allows and no block of it is
+    /// dirty. On mismatch the finding (and recovery) is identical to a
+    /// full scan's, because both hash the whole chunk.
     fn check_chunk(
         &mut self,
         db: &mut Database,
@@ -138,35 +140,31 @@ impl StaticDataAudit {
         detail: impl FnOnce(Option<TableId>) -> String,
         out: &mut Vec<Finding>,
     ) {
-        if self.chunks[ci].len == 0 {
+        let Chunk { offset, len, .. } = self.chunks[ci];
+        if len == 0 {
             return;
         }
-        let use_dirty_bits = self.chunks[ci].sweep.may_skip(policy);
-        self.verify_chunk(db, ci, use_dirty_bits, policy.deferred, at, detail, out);
+        if self.chunks[ci].sweep.may_skip(policy) && !db.dirty().any_dirty_in(offset, len) {
+            // Nothing mutated any block since the last verified-clean
+            // pass: the chunk is provably unchanged.
+            return;
+        }
+        self.verify_chunk(db, ci, policy.deferred, at, detail, out);
     }
 
-    /// Verifies chunk `ci` against its golden CRC, trusting the dirty
-    /// bits when `use_dirty_bits`; clears them when it verifies clean,
-    /// and repairs (or, `deferred`, flags) a mismatch.
-    #[allow(clippy::too_many_arguments)]
+    /// Hashes chunk `ci` and compares it with its golden CRC; clears
+    /// its dirty bits when it verifies clean, and repairs (or,
+    /// `deferred`, flags) a mismatch.
     fn verify_chunk(
         &self,
         db: &mut Database,
         ci: usize,
-        use_dirty_bits: bool,
         deferred: bool,
         at: SimTime,
         detail: impl FnOnce(Option<TableId>) -> String,
         out: &mut Vec<Finding>,
     ) {
         let Chunk { table, offset, len, golden, .. } = self.chunks[ci];
-
-        if use_dirty_bits && !db.dirty().any_dirty_in(offset, len) {
-            // Nothing mutated any block since the last verified-clean
-            // pass: the chunk is provably unchanged.
-            return;
-        }
-
         if crc32(&db.region()[offset..offset + len]) == golden {
             // Verified clean: the bits may drop. Boundary blocks shared
             // with neighbors stay dirty (only partially verified here).
@@ -209,11 +207,11 @@ impl StaticDataAudit {
         }
     }
 
-    /// Re-checks the chunks a [`FindingTarget::Range`] overlaps under
-    /// `policy`; any other target checks nothing. Each
-    /// counts as a pass of its chunk's schedule but never takes the
-    /// forced full sweep (`SweepCounter::note_recheck`). Returns the
-    /// number of chunks checked.
+    /// Re-hashes the chunks a [`FindingTarget::Range`] overlaps under
+    /// `policy`, whatever their dirty bits say; any other target checks
+    /// nothing. Each counts as a pass of its chunk's schedule but never
+    /// takes the forced full sweep (`SweepCounter::note_recheck`).
+    /// Returns the number of chunks checked.
     pub fn recheck(
         &mut self,
         db: &mut Database,
@@ -231,15 +229,7 @@ impl StaticDataAudit {
                 continue;
             }
             c.sweep.note_recheck(policy);
-            self.verify_chunk(
-                db,
-                ci,
-                policy.incremental,
-                policy.deferred,
-                at,
-                Self::full_detail,
-                out,
-            );
+            self.verify_chunk(db, ci, policy.deferred, at, Self::full_detail, out);
             checked += 1;
         }
         checked
@@ -275,9 +265,8 @@ mod tests {
         Database::build(schema::standard_schema()).unwrap()
     }
 
-    const INLINE: ElementPolicy =
-        ElementPolicy { deferred: false, incremental: false, full_rescan_period: 0 };
-    const INCREMENTAL: ElementPolicy = ElementPolicy { incremental: true, ..INLINE };
+    const INLINE: ElementPolicy = ElementPolicy { deferred: false, full_rescan_period: 1 };
+    const INCREMENTAL: ElementPolicy = ElementPolicy { full_rescan_period: 0, ..INLINE };
 
     #[test]
     fn clean_database_has_no_findings() {
@@ -457,7 +446,7 @@ mod tests {
                 full.audit(&mut d, deferred, SimTime::ZERO, &mut of);
                 incr.audit(
                     &mut d,
-                    ElementPolicy { incremental: true, ..deferred },
+                    ElementPolicy { full_rescan_period: 0, ..deferred },
                     SimTime::ZERO,
                     &mut oi,
                 );

@@ -11,10 +11,9 @@ use wtnc_sim::{ProcessRegistry, SimDuration, SimTime};
 
 fn budgeted_config(budget: BudgetConfig) -> AuditConfig {
     AuditConfig {
-        // Full scope every cycle: the shed/kept split is decided by the
-        // budget alone, not by the incremental-tracking window.
-        incremental: false,
-        full_rescan_period: 0,
+        // A full scan every cycle: the shed/kept split is decided by
+        // the budget alone, not by the change-tracking window.
+        full_rescan_period: 1,
         // Raw-allocated test records have no owning process; keep the
         // orphan sweep out of the picture.
         orphan_grace: SimDuration::from_secs(1_000_000),

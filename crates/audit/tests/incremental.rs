@@ -6,12 +6,13 @@
 //!
 //! Two identical worlds run the same operation stream; one audits
 //! incrementally (with an aggressive full-rescan period to exercise
-//! both code paths), the other always scans everything. The worlds
-//! also hash on different CRC kernels: the full scan on the portable
-//! slice-by-8 kernel, the incremental audit on the hardware kernel
-//! (which falls back to slice-by-8 on hosts without it). After every
-//! cycle the findings must match field-for-field, and at the end the
-//! two database images must be byte-identical.
+//! both code paths), the other scans everything every pass
+//! (`full_rescan_period: 1`). The worlds also hash on different CRC
+//! kernels: the full scan on the portable slice-by-8 kernel, the
+//! incremental audit on the hardware kernel (which falls back to
+//! slice-by-8 on hosts without it). After every cycle the findings must
+//! match field-for-field, and at the end the two database images must
+//! be byte-identical.
 
 use proptest::prelude::*;
 use wtnc_audit::{AuditConfig, AuditElementKind, AuditProcess, FindingTarget};
@@ -117,20 +118,14 @@ proptest! {
     ) {
         let db = Database::build(schema::standard_schema()).unwrap();
         let mut worlds = Vec::new();
-        for (incremental, kernel) in [(true, CrcKernel::Hardware), (false, CrcKernel::Slice8)] {
+        // Period 3 is small, so forced full sweeps interleave with
+        // generation-skipping passes; period 1 sweeps every pass.
+        for (full_rescan_period, kernel) in [(3, CrcKernel::Hardware), (1, CrcKernel::Slice8)] {
             let db = db.clone();
             let mut api = DbApi::new();
             let registry = ProcessRegistry::new();
-            let audit = AuditProcess::new(
-                AuditConfig {
-                    incremental,
-                    // Small period so forced full sweeps interleave
-                    // with generation-skipping passes.
-                    full_rescan_period: 3,
-                    ..AuditConfig::default()
-                },
-                &db,
-            );
+            let audit =
+                AuditProcess::new(AuditConfig { full_rescan_period, ..AuditConfig::default() }, &db);
             api.init(Pid(1));
             worlds.push((kernel, db, api, registry, audit));
         }
@@ -211,7 +206,7 @@ fn sweep_schedule_is_pinned() {
     }
     let mut api = DbApi::new();
     let mut registry = ProcessRegistry::new();
-    let config = AuditConfig { incremental: true, full_rescan_period: 3, ..AuditConfig::default() };
+    let config = AuditConfig { full_rescan_period: 3, ..AuditConfig::default() };
     let mut audit = AuditProcess::new(config, &db);
     audit.set_deferred_repair(true);
 

@@ -9,8 +9,7 @@ use wtnc_db::{schema, Database, RecordRef};
 use wtnc_sim::SimTime;
 
 const NOT_LOCKED: fn(RecordRef) -> bool = |_| false;
-const INLINE: ElementPolicy =
-    ElementPolicy { deferred: false, incremental: false, full_rescan_period: 0 };
+const INLINE: ElementPolicy = ElementPolicy { deferred: false, full_rescan_period: 1 };
 
 fn db() -> Database {
     Database::build(schema::standard_schema()).unwrap()

@@ -5,9 +5,9 @@
 //! database's 256-byte blocks with *valid* writes (the workload the
 //! incremental engine targets: mutated but correct data), then times
 //! `AuditProcess::run_cycle` in both worlds. The incremental world
-//! re-checksums only static chunks with a dirty block and
-//! generation-skips unchanged records; the full world scans everything
-//! every time.
+//! (`full_rescan_period: 0`) re-checksums only static chunks with a
+//! dirty block and generation-skips unchanged records; the full world
+//! (`full_rescan_period: 1`) scans everything every time.
 //!
 //! Emits `results/BENCH_audit_cycle.json`. `WTNC_BENCH_SMOKE=1` (or
 //! `--smoke`) runs a one-iteration CI smoke pass.
@@ -79,18 +79,13 @@ struct World {
 }
 
 impl World {
-    fn new(base: &Database, incremental: bool) -> Self {
+    /// A world on `full_rescan_period`: 1 is the full scan; 0 never
+    /// forces a sweep, the steady-state incremental cost (periodic
+    /// forced sweeps are benchmarked by the full-scan world).
+    fn new(base: &Database, full_rescan_period: u32) -> Self {
         let db = base.clone();
-        let audit = AuditProcess::new(
-            AuditConfig {
-                incremental,
-                // Steady-state incremental cost: periodic forced
-                // sweeps are benchmarked by the full-scan world.
-                full_rescan_period: 0,
-                ..AuditConfig::default()
-            },
-            &db,
-        );
+        let audit =
+            AuditProcess::new(AuditConfig { full_rescan_period, ..AuditConfig::default() }, &db);
         World { db, api: DbApi::new(), registry: ProcessRegistry::new(), audit, tick: 0 }
     }
 
@@ -123,8 +118,8 @@ fn main() {
 
     let mut points = String::new();
     for &frac in &[0.01f64, 0.05, 0.10, 0.25, 0.50] {
-        let mut full = World::new(&base, false);
-        let mut incr = World::new(&base, true);
+        let mut full = World::new(&base, 1);
+        let mut incr = World::new(&base, 0);
         // Warm-up cycle: establishes the verified-clean baseline both
         // engines skip from (and faults in the CRC tables).
         full.cycle();

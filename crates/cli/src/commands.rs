@@ -67,7 +67,7 @@ USAGE:
     wtnc store compact [--dir D]           rotate the journal, dropping
                                            records the newest checkpoint
                                            already covers
-    wtnc campaign db [--runs N] [--no-audit] [--no-incremental]
+    wtnc campaign db [--runs N] [--no-audit]
     wtnc campaign text [--runs N] [--directed]
     wtnc campaign priority [--runs N] [--proportional]
     wtnc campaign recovery [--runs N] [--budget N]
@@ -130,6 +130,17 @@ fn flag_num<T: std::str::FromStr>(
     match flags.get(name) {
         Some(v) => v.parse().map_err(|_| format!("--{name} expects a number, got {v:?}")),
         None => Ok(default),
+    }
+}
+
+/// `--load X` (default 2): the storm's offered load, a finite,
+/// non-negative multiple of the auditor's saturation rate.
+fn flag_load(flags: &HashMap<&str, &str>) -> Result<f64, String> {
+    let load: f64 = flag_num(flags, "load", 2.0)?;
+    if load.is_finite() && load.is_sign_positive() {
+        Ok(load)
+    } else {
+        Err(format!("--load expects a finite, non-negative number, got {load}"))
     }
 }
 
@@ -398,7 +409,7 @@ pub fn audit(args: &[String]) -> Result<(), String> {
 /// run with and without the resource-isolation layer, side by side —
 /// the overload walkthrough behind `wtnc campaign storm`.
 fn audit_storm_demo(flags: &HashMap<&str, &str>) -> Result<(), String> {
-    let load: f64 = flag_num(flags, "load", 2.0)?;
+    let load = flag_load(flags)?;
     let model = match flags.get("model") {
         Some(name) => parse_storm_model(name)?,
         None => StormModel::SuperProducer,
@@ -781,7 +792,7 @@ fn parse_fault_model(name: &str) -> Result<ProcessFaultModel, String> {
 /// [...]`; the campaign name comes first and picks the known flags.
 pub fn campaign(args: &[String]) -> Result<(), String> {
     let (values, switches): (&[&str], &[&str]) = match args.first().map(String::as_str) {
-        Some("db") => (&["runs"], &["no-audit", "no-incremental"]),
+        Some("db") => (&["runs"], &["no-audit"]),
         Some("text") => (&["runs"], &["directed"]),
         Some("priority") => (&["runs"], &["proportional"]),
         Some("recovery") => (&["runs", "budget"], &[]),
@@ -794,10 +805,8 @@ pub fn campaign(args: &[String]) -> Result<(), String> {
         ["db"] => {
             let runs: usize = flag_num(&flags, "runs", 5)?;
             let audits = !flags.contains_key("no-audit");
-            let incremental = !flags.contains_key("no-incremental");
             let config = DbCampaignConfig {
                 audits,
-                incremental,
                 duration: SimDuration::from_secs(500),
                 ..DbCampaignConfig::default()
             };
@@ -805,15 +814,7 @@ pub fn campaign(args: &[String]) -> Result<(), String> {
             println!(
                 "db campaign ({runs} runs, audits {}): injected {}, escaped {} ({:.1}%), \
                  caught {} ({:.1}%), no effect {} ({:.1}%), setup {:.0} ms",
-                if audits {
-                    if incremental {
-                        "on"
-                    } else {
-                        "on, full-scan"
-                    }
-                } else {
-                    "off"
-                },
+                if audits { "on" } else { "off" },
                 r.injected,
                 r.escaped,
                 r.escaped_pct(),
@@ -948,7 +949,7 @@ pub fn campaign(args: &[String]) -> Result<(), String> {
         }
         ["storm"] => {
             let runs: usize = flag_num(&flags, "runs", 3)?;
-            let load: f64 = flag_num(&flags, "load", 2.0)?;
+            let load = flag_load(&flags)?;
             let models: Vec<StormModel> = match flags.get("model") {
                 Some(name) => vec![parse_storm_model(name)?],
                 None => StormModel::ALL.to_vec(),
@@ -981,8 +982,8 @@ pub fn campaign(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         _ => Err("usage: wtnc campaign <db|text|priority|recovery|process|powerfail|storm> \
-             [--runs N] [--no-audit|--no-incremental|--directed|--proportional|--budget N|\
-             --model NAME|--load X|--no-isolation]"
+             [--runs N] [--no-audit|--directed|--proportional|--budget N|--model NAME|\
+             --load X|--no-isolation]"
             .into()),
     }
 }
@@ -1022,6 +1023,115 @@ mod tests {
         }
     }
 
+    /// Every subcommand's value flags and switches, as it hands them to
+    /// `parse` (`campaign` per campaign name).
+    const FLAG_SETS: &[(&[&str], &[&str])] = &[
+        (&[], &[]),
+        (&["threads", "steps"], &[]),
+        (&["steps"], &[]),
+        (&["corrupt-cfi", "engine"], &[]),
+        (&["cycles", "dirty-pct", "load", "model"], &["storm"]),
+        (&["budget"], &[]),
+        (&["dir", "seed", "mutations", "full-every"], &["delta"]),
+        (&["dir"], &[]),
+        (&["runs"], &["no-audit"]),
+        (&["runs"], &["directed"]),
+        (&["runs"], &["proportional"]),
+        (&["runs", "budget"], &[]),
+        (&["runs", "model"], &[]),
+        (&["runs", "model", "load"], &["no-isolation"]),
+    ];
+
+    /// Fuzzes `parse`, `flag_num` and `flag_load` with argument lists
+    /// drawn from every subcommand's flags and hostile values. Nothing
+    /// panics; an `Ok` holds only known flags, and every `Err` names a
+    /// flag.
+    #[test]
+    fn parser_fuzz_never_panics_and_names_the_flag() {
+        let dashed = |flags: &[&str]| flags.iter().map(|f| format!("--{f}")).collect::<Vec<_>>();
+        let every_flag: Vec<String> = FLAG_SETS
+            .iter()
+            .flat_map(|(values, switches)| dashed(values).into_iter().chain(dashed(switches)))
+            .collect();
+        // Stray, empty and non-ASCII strings, and numbers at and past
+        // the edges of u32, u64 and f64.
+        let mut hostile: Vec<String> = "-- - --- --é é 日本 \u{0} nan NaN inf -inf 1e999 -1 -0 0 \
+            1 7 2.5 4294967296 18446744073709551615 18446744073709551616 --runs=3 db storm"
+            .split_whitespace()
+            .map(String::from)
+            .collect();
+        hostile.push(String::new());
+        let mut rng = SimRng::seed_from(0xC11F);
+        for case in 0..16_384 {
+            let (values, switches) = FLAG_SETS[rng.index(FLAG_SETS.len())];
+            let own = [dashed(values), dashed(switches)].concat();
+            // Mostly the subcommand's own flags and hostile values, so
+            // that many lists parse and reach `flag_num`.
+            let args: Vec<String> = (0..rng.index(9))
+                .map(|_| {
+                    let pool = match rng.index(5) {
+                        0 | 1 if !own.is_empty() => &own,
+                        0 | 4 => &every_flag,
+                        _ => &hostile,
+                    };
+                    let mut arg = pool[rng.index(pool.len())].clone();
+                    if rng.chance(0.1) {
+                        // Splice a random character into it.
+                        let c = char::from_u32(rng.range_u64(1, 0x3000) as u32).unwrap_or('?');
+                        let at = arg.char_indices().map(|(i, _)| i).chain([arg.len()]);
+                        let at = at.clone().nth(rng.index(at.count())).unwrap_or(0);
+                        arg.insert(at, c);
+                    }
+                    arg
+                })
+                .collect();
+            let names_an_arg =
+                |err: &str| args.iter().any(|a| a.starts_with("--") && err.contains(a.as_str()));
+            match parse(&args, values, switches) {
+                Ok((positional, flags)) => {
+                    assert!(positional.iter().all(|p| !p.starts_with("--")), "case {case}");
+                    for (name, value) in &flags {
+                        if switches.contains(name) {
+                            assert_eq!(*value, "true", "case {case}: {args:?}");
+                        } else {
+                            assert!(values.contains(name), "case {case}: unknown --{name}");
+                            assert!(!value.starts_with("--"), "case {case}: {args:?}");
+                        }
+                    }
+                    for name in values.iter().chain(switches) {
+                        let named = |err: String| assert!(err.contains(&format!("--{name}")));
+                        let _ = flag_num::<u64>(&flags, name, 0).map_err(named);
+                        let _ = flag_num::<u32>(&flags, name, 0).map_err(named);
+                        let _ = flag_num::<usize>(&flags, name, 0).map_err(named);
+                        let _ = flag_num::<f64>(&flags, name, 0.0).map_err(named);
+                    }
+                    match flag_load(&flags) {
+                        Ok(load) => assert!(load.is_finite() && load >= 0.0, "case {case}"),
+                        Err(err) => assert!(err.contains("--load"), "case {case}: {err}"),
+                    }
+                }
+                Err(err) => assert!(names_an_arg(&err), "case {case}: {err:?} for {args:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn load_must_be_finite_and_non_negative() {
+        let load = |v: &'static str| flag_load(&HashMap::from([("load", v)]));
+        assert_eq!(load("0.5"), Ok(0.5));
+        assert_eq!(load("0"), Ok(0.0));
+        assert_eq!(flag_load(&HashMap::new()), Ok(2.0));
+        for bad in ["nan", "NaN", "inf", "-inf", "1e999", "-1", "-0", "-0.5", "x"] {
+            let err = load(bad).unwrap_err();
+            assert!(err.starts_with("--load expects a"), "{bad}: {err}");
+        }
+        // Both commands that take --load check it before running.
+        for args in [&["storm", "--load", "nan"][..], &["storm", "--runs", "1", "--load", "-1"]] {
+            assert!(campaign(&strings(args)).unwrap_err().starts_with("--load"));
+        }
+        assert!(audit(&strings(&["--storm", "--load", "inf"])).unwrap_err().starts_with("--load"));
+    }
+
     #[test]
     fn audit_demo_runs_clean() {
         audit_demo(&[]).unwrap();
@@ -1044,8 +1154,8 @@ mod tests {
     #[test]
     fn campaign_db_runs() {
         campaign(&strings(&["db", "--runs", "1"])).unwrap();
-        campaign(&strings(&["db", "--runs", "1", "--no-incremental"])).unwrap();
-        assert!(campaign(&strings(&["db", "--runs", "1", "--no-incremetal"])).is_err());
+        let err = campaign(&strings(&["db", "--runs", "1", "--no-incremental"])).unwrap_err();
+        assert!(err.starts_with("unknown flag --no-incremental"), "{err}");
     }
 
     #[test]

@@ -38,10 +38,6 @@ pub struct DbCampaignConfig {
     /// the extension experiment closing part of the "lack of rule"
     /// escape category.
     pub selective_monitoring: bool,
-    /// Change-aware auditing: elements consult the dirty-block bitmap
-    /// and mutation generations to skip provably unchanged state. The
-    /// parity property guarantees identical findings either way.
-    pub incremental: bool,
     /// Base RNG seed.
     pub seed: u64,
 }
@@ -64,7 +60,6 @@ impl Default for DbCampaignConfig {
             workload,
             slots: 14,
             selective_monitoring: false,
-            incremental: true,
             seed: 0xDB01,
         }
     }
@@ -198,7 +193,6 @@ pub fn run_once(config: &DbCampaignConfig, seed: u64) -> DbCampaignResult {
     if config.audits {
         c = c.with_audit(AuditConfig {
             periodic_interval: config.audit_period,
-            incremental: config.incremental,
             ..AuditConfig::default()
         });
         if config.selective_monitoring {

@@ -77,7 +77,9 @@ pub struct RecoveryRunResult {
     pub escalations: u64,
     /// Budget tokens spent.
     pub tokens_spent: u64,
-    /// Controller restarts executed by the top rung.
+    /// Controller restarts requested by the top rung: it reloads the
+    /// image and sets `CycleOutcome::restart_requested`, which no caller
+    /// acts on yet.
     pub controller_restarts: u64,
     /// Mean repair latency (detection to closed finding), virtual
     /// seconds.
@@ -110,7 +112,7 @@ pub struct RecoveryCampaignResult {
     pub escalations: u64,
     /// Tokens spent across all runs.
     pub tokens_spent: u64,
-    /// Controller restarts across all runs.
+    /// Controller restarts requested across all runs.
     pub controller_restarts: u64,
     /// Mean of per-run mean repair latencies, virtual seconds.
     pub repair_latency_s: f64,

@@ -264,11 +264,9 @@ pub fn run_once(config: &StormCampaignConfig, seed: u64) -> StormRunResult {
     let mut rng = SimRng::seed_from(seed);
     let audit_config = AuditConfig {
         periodic_interval: config.audit_period,
-        // Hardware-style corruption does not mark the dirty bitmap:
-        // scan everything every cycle so detection is decided by the
-        // overload dynamics, not the incremental-tracking window.
-        incremental: false,
-        full_rescan_period: 0,
+        // A full scan every cycle, so detection is decided by the
+        // overload dynamics, not by the change-tracking window.
+        full_rescan_period: 1,
         // The long-lived victim record must not be swept as an orphan.
         orphan_grace: SimDuration::from_secs(1_000_000),
         budget: config.isolation.then(isolated_budget),

@@ -56,7 +56,9 @@ pub struct RecoveryStats {
     pub per_rung: [u64; 5],
     /// Budget tokens spent.
     pub tokens_spent: u64,
-    /// Controller restarts executed by the top rung.
+    /// Controller restarts requested by the top rung: it reloads the
+    /// image and sets `CycleOutcome::restart_requested`, which no caller
+    /// acts on yet.
     pub controller_restarts: u64,
     /// Repair latency (detection to closed finding), in virtual
     /// seconds.

@@ -53,7 +53,7 @@ fn oracle(
     at: SimTime,
 ) -> Vec<Finding> {
     let mut db = db.clone();
-    let policy = ElementPolicy { deferred: true, incremental: false, full_rescan_period: 0 };
+    let policy = ElementPolicy { deferred: true, full_rescan_period: 1 };
     let locked = |r: RecordRef| api.locks().holder(r).is_some();
     let mut out = Vec::new();
     let fresh: Box<dyn AuditElement> = match element {
