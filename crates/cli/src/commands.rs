@@ -15,7 +15,8 @@ use wtnc::inject::recovery_campaign::{
     run_campaign as run_recovery_campaign, RecoveryCampaignConfig,
 };
 use wtnc::inject::storm_campaign::{
-    run_campaign as run_storm_campaign, run_once as run_storm_once, StormCampaignConfig, StormModel,
+    run_campaign as run_storm_campaign, run_once as run_storm_once, StormCampaignConfig,
+    StormModel, MAX_LOAD,
 };
 use wtnc::inject::text_campaign::{four_column_table, InjectionTarget};
 use wtnc::inject::RunOutcome;
@@ -137,10 +138,14 @@ fn flag_num<T: std::str::FromStr>(
 /// non-negative multiple of the auditor's saturation rate.
 fn flag_load(flags: &HashMap<&str, &str>) -> Result<f64, String> {
     let load: f64 = flag_num(flags, "load", 2.0)?;
-    if load.is_finite() && load.is_sign_positive() {
-        Ok(load)
-    } else {
+    if !(load.is_finite() && load.is_sign_positive()) {
         Err(format!("--load expects a finite, non-negative number, got {load}"))
+    } else if load > MAX_LOAD {
+        // Echo the flag as written: `{load}` would spell 1e300 out.
+        let raw = flags.get("load").copied().unwrap_or_default();
+        Err(format!("--load expects at most {MAX_LOAD} (times the saturation rate), got {raw}"))
+    } else {
+        Ok(load)
     }
 }
 
@@ -1121,7 +1126,9 @@ mod tests {
         assert_eq!(load("0.5"), Ok(0.5));
         assert_eq!(load("0"), Ok(0.0));
         assert_eq!(flag_load(&HashMap::new()), Ok(2.0));
-        for bad in ["nan", "NaN", "inf", "-inf", "1e999", "-1", "-0", "-0.5", "x"] {
+        assert_eq!(load("100"), Ok(MAX_LOAD));
+        for bad in ["nan", "NaN", "inf", "-inf", "1e999", "-1", "-0", "-0.5", "x", "100.5", "1e300"]
+        {
             let err = load(bad).unwrap_err();
             assert!(err.starts_with("--load expects a"), "{bad}: {err}");
         }
@@ -1130,6 +1137,9 @@ mod tests {
             assert!(campaign(&strings(args)).unwrap_err().starts_with("--load"));
         }
         assert!(audit(&strings(&["--storm", "--load", "inf"])).unwrap_err().starts_with("--load"));
+        assert!(audit(&strings(&["--storm", "--load", "1e300"]))
+            .unwrap_err()
+            .starts_with("--load"));
     }
 
     #[test]

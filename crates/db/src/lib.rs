@@ -65,6 +65,7 @@ mod database;
 mod dirty;
 mod error;
 mod events;
+mod golden;
 pub mod layout;
 pub mod schema;
 mod taint;
@@ -80,4 +81,5 @@ pub use database::{CapturedMutation, Database, RecordMeta, RecordRef, TableStats
 pub use dirty::{DirtyTracker, DIRTY_BLOCK_SIZE};
 pub use error::DbError;
 pub use events::{DbEvent, DbOp};
+pub use golden::GoldenBlocks;
 pub use taint::{TaintEntry, TaintFate, TaintKind, TaintMap};

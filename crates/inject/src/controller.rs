@@ -315,7 +315,7 @@ impl Controller {
             // halves of the image from the durable golden. Loading at
             // generation + 1 keeps the fresh checkpoint's file name
             // distinct from any existing link of the chain.
-            let disk = store.sync(&mut self.db).and_then(|_| store.durable_golden_detail());
+            let disk = store.sync(&mut self.db).and_then(|_| store.durable_golden_image());
             if let Ok(Some(durable)) = disk {
                 let gen = self.db.mutation_generation() + 1;
                 if self.db.load_image(&durable.golden, &durable.golden, gen).is_ok() {

@@ -48,6 +48,12 @@ pub const RECORD_COST: SimDuration = SimDuration::from_micros(50);
 /// draining alone consumes the whole audit interval.
 pub const SATURATION_EVENTS_PER_SEC: f64 = 2_000.0;
 
+/// The highest offered load a storm run takes, as a multiple of
+/// [`SATURATION_EVENTS_PER_SEC`]. Each client tick posts at most this
+/// load's worth of events, so a run at any larger load (even an
+/// infinite one) still ends; the CLI refuses `--load` above it.
+pub const MAX_LOAD: f64 = 100.0;
+
 /// The storm traffic models (the rows of the campaign table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StormModel {
@@ -477,8 +483,9 @@ fn storm_posts(config: &StormCampaignConfig, i: usize, now: SimTime, rng: &mut S
             factor * per_tick / f64::from(config.clients.max(1))
         }
     };
-    // Dither the fractional part deterministically so low rates still
-    // average out correctly.
+    // Saturate at `MAX_LOAD`'s volume, then dither the fractional part
+    // deterministically so low rates still average out correctly.
+    let share = share.min(MAX_LOAD * SATURATION_EVENTS_PER_SEC * CLIENT_TICK.as_secs_f64());
     let whole = share as u64;
     whole + u64::from(rng.unit() < share.fract())
 }
@@ -523,6 +530,21 @@ mod tests {
 
     fn storm(model: StormModel, load: f64, isolation: bool) -> StormCampaignConfig {
         StormCampaignConfig { model, load, isolation, ..StormCampaignConfig::default() }
+    }
+
+    #[test]
+    fn posts_per_tick_saturate_at_the_max_load() {
+        let posts = |load: f64| {
+            let mut rng = SimRng::seed_from(1);
+            storm_posts(&storm(StormModel::SuperProducer, load, true), 0, SimTime::ZERO, &mut rng)
+        };
+        let cap = posts(MAX_LOAD);
+        assert_eq!(cap, 20_000);
+        for load in [MAX_LOAD * 2.0, 1e300, f64::INFINITY] {
+            assert_eq!(posts(load), cap, "load {load}");
+        }
+        // Shipped loads are far below the cap and keep their volume.
+        assert_eq!(posts(4.0), 800);
     }
 
     #[test]

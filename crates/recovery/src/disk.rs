@@ -5,24 +5,28 @@
 //! in-memory golden image — which is itself RAM, and can be corrupted
 //! by the same fault that corrupted the region. When a durable store
 //! is attached, the controller hands the engine a
-//! [`DiskGoldenSource`] (the newest valid on-disk checkpoint's golden
-//! image carried forward by the journaled golden commits); before a
+//! [`DiskGoldenSource`] (the newest on-disk checkpoint's golden image
+//! carried forward by the journaled golden commits); before a
 //! golden-based repair executes, the engine refreshes the affected
 //! golden range from this copy, so the repair source is verified disk
-//! state rather than trusting surviving memory.
+//! state rather than trusting surviving memory. The source reads
+//! through [`GoldenBlocks`], so a store can serve and verify only the
+//! blocks a repair asks for.
 
-use wtnc_db::Database;
+use std::sync::Arc;
+
+use wtnc_db::{Database, GoldenBlocks};
 
 /// A durable golden image to repair from.
 #[derive(Debug, Clone)]
 pub struct DiskGoldenSource {
     base_gen: u64,
-    golden: Vec<u8>,
+    golden: Arc<dyn GoldenBlocks>,
     /// Per-block Merkle attestation from the store: `true` when the
-    /// block's bytes were authenticated against the checkpoint's
-    /// sealed root via an authentication path, `false` for blocks
-    /// overlaid from (CRC-framed but tree-external) journal records.
-    /// Empty when the source was built without attestation.
+    /// block's bytes are authenticated against the checkpoint's
+    /// sealed root, `false` for blocks overlaid from (CRC-framed but
+    /// tree-external) journal records. Empty when the source was built
+    /// without attestation.
     attested: Vec<bool>,
     /// Block granularity of `attested` (0 = no attestation info).
     block_size: usize,
@@ -33,11 +37,11 @@ impl DiskGoldenSource {
     /// attestation bitmap (`block_size`-byte granularity).
     pub fn with_attestation(
         base_gen: u64,
-        golden: Vec<u8>,
+        golden: impl GoldenBlocks + 'static,
         attested: Vec<bool>,
         block_size: usize,
     ) -> Self {
-        DiskGoldenSource { base_gen, golden, attested, block_size }
+        DiskGoldenSource { base_gen, golden: Arc::new(golden), attested, block_size }
     }
 
     /// Generation of the checkpoint the image was reconstructed from.
@@ -46,9 +50,9 @@ impl DiskGoldenSource {
     }
 
     /// Whether the block containing golden byte `offset` was
-    /// Merkle-path-verified against the checkpoint's sealed root
-    /// (`false` for journal-overlaid blocks or when the source carries
-    /// no attestation info).
+    /// Merkle-verified against the checkpoint's sealed root (`false`
+    /// for journal-overlaid blocks or when the source carries no
+    /// attestation info).
     pub fn is_attested(&self, offset: usize) -> bool {
         if self.block_size == 0 {
             return false;
@@ -58,28 +62,31 @@ impl DiskGoldenSource {
 
     /// Length of the golden image in bytes.
     pub fn len(&self) -> usize {
-        self.golden.len()
+        self.golden.golden_len()
     }
 
     /// Whether the image is empty.
     pub fn is_empty(&self) -> bool {
-        self.golden.is_empty()
+        self.len() == 0
     }
 
     /// Rewrites the in-memory golden bytes of `[offset, offset+len)`
     /// from the durable copy where they differ. Returns the number of
-    /// bytes refreshed (0 when memory already matches disk, or the
-    /// range is out of bounds for either image).
+    /// bytes refreshed (0 when memory already matches disk, the range
+    /// is out of bounds for either image, or the source refuses the
+    /// read — the repair then proceeds as with no disk source).
     pub fn refresh_range(&self, db: &mut Database, offset: usize, len: usize) -> usize {
-        let end = offset.saturating_add(len).min(self.golden.len()).min(db.region_len());
+        let end = offset.saturating_add(len).min(self.len()).min(db.region_len());
         if offset >= end {
             return 0;
         }
-        let disk = &self.golden[offset..end];
+        let Some(disk) = self.golden.read_golden(offset..end) else {
+            return 0;
+        };
         if db.golden()[offset..end] == *disk {
             return 0;
         }
-        let disk = disk.to_vec();
+        let disk = disk.into_owned();
         match db.restore_golden_range(offset, &disk) {
             Ok(()) => disk.len(),
             Err(_) => 0,
@@ -95,7 +102,8 @@ mod tests {
     #[test]
     fn refresh_repairs_a_corrupted_golden_range() {
         let mut db = Database::build(schema::standard_schema()).unwrap();
-        let disk = DiskGoldenSource::with_attestation(7, db.golden().to_vec(), Vec::new(), 0);
+        let durable = db.golden().to_vec();
+        let disk = DiskGoldenSource::with_attestation(7, durable.clone(), Vec::new(), 0);
         assert_eq!(disk.base_gen(), 7);
         assert_eq!(disk.len(), db.region_len());
 
@@ -103,10 +111,10 @@ mod tests {
         let offset = db.region_len() / 2;
         let byte = db.golden()[offset] ^ 0xA5;
         db.restore_golden_range(offset, &[byte]).unwrap();
-        assert_ne!(db.golden()[offset], disk.golden[offset]);
+        assert_ne!(db.golden()[offset], durable[offset]);
 
         assert_eq!(disk.refresh_range(&mut db, offset, 1), 1);
-        assert_eq!(db.golden()[offset], disk.golden[offset]);
+        assert_eq!(db.golden()[offset], durable[offset]);
         // Already clean: nothing to do.
         assert_eq!(disk.refresh_range(&mut db, offset, 1), 0);
         // Out of bounds: refused, not panicked.

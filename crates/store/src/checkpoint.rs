@@ -276,6 +276,22 @@ pub fn peek_delta_chain(bytes: &[u8]) -> Option<(u64, u64, u64, u64)> {
     Some((gen, prev_digest, base_gen, digest))
 }
 
+/// File offset of a full checkpoint's content (region, then golden).
+pub(crate) const FULL_CONTENT_AT: usize = 12 + META_LEN;
+
+/// File offset of content leaf `index` in a full checkpoint.
+pub(crate) fn full_block_offset(index: usize, block_size: usize) -> u64 {
+    (FULL_CONTENT_AT + index * block_size) as u64
+}
+
+/// File offset of the bytes of the `rank`-th dirty block (in ascending
+/// leaf order) of a delta checkpoint, past its leaf-index prefix. Only
+/// the image's final leaf can be short, and it sorts last, so every
+/// earlier block sits at a fixed stride.
+pub(crate) fn delta_block_offset(rank: usize, block_size: usize) -> u64 {
+    (12 + DELTA_META_LEN + rank * (4 + block_size) + 4) as u64
+}
+
 /// Byte length of `i`-th content block: `block_size` except for a
 /// short final block.
 fn block_len(content_len: usize, block_size: usize, index: usize) -> usize {
@@ -299,36 +315,51 @@ pub fn encode_checkpoint_with_tree(
     block_size: usize,
     key: &[u8; 16],
 ) -> (Vec<u8>, MerkleTree) {
+    let (head, tail, tree) =
+        encode_checkpoint_frame(region, golden, gen, prev_digest, block_size, key);
+    let mut out = Vec::with_capacity(head.len() + region.len() + golden.len() + tail.len());
+    for part in [&head[..], region, golden, &tail[..]] {
+        out.extend_from_slice(part);
+    }
+    (out, tree)
+}
+
+/// A full checkpoint as the frame around its content: the file is
+/// `head ‖ region ‖ golden ‖ tail` (the tail is the node table and the
+/// digest), so a writer can stream the content without copying it.
+/// Returns the frame with the built tree.
+pub(crate) fn encode_checkpoint_frame(
+    region: &[u8],
+    golden: &[u8],
+    gen: u64,
+    prev_digest: u64,
+    block_size: usize,
+    key: &[u8; 16],
+) -> (Vec<u8>, Vec<u8>, MerkleTree) {
     assert!(block_size > 0, "block size must be positive");
-    let content_len = region.len() + golden.len();
     let tree = MerkleTree::build(key, region, golden, gen, block_size);
     let nodes = tree.flatten();
 
-    let mut out = Vec::with_capacity(8 + 4 + META_LEN + content_len + nodes.len() * 8 + 8);
-    out.extend_from_slice(CKPT_MAGIC);
-    out.extend_from_slice(&(META_LEN as u32).to_le_bytes());
-    out.extend_from_slice(&gen.to_le_bytes());
-    out.extend_from_slice(&prev_digest.to_le_bytes());
-    out.extend_from_slice(&(region.len() as u64).to_le_bytes());
-    out.extend_from_slice(&(golden.len() as u64).to_le_bytes());
-    out.extend_from_slice(&(block_size as u32).to_le_bytes());
-    out.extend_from_slice(&(tree.leaf_count() as u32).to_le_bytes());
-    let header_len = out.len();
+    let mut head = Vec::with_capacity(FULL_CONTENT_AT);
+    head.extend_from_slice(CKPT_MAGIC);
+    head.extend_from_slice(&(META_LEN as u32).to_le_bytes());
+    head.extend_from_slice(&gen.to_le_bytes());
+    head.extend_from_slice(&prev_digest.to_le_bytes());
+    head.extend_from_slice(&(region.len() as u64).to_le_bytes());
+    head.extend_from_slice(&(golden.len() as u64).to_le_bytes());
+    head.extend_from_slice(&(block_size as u32).to_le_bytes());
+    head.extend_from_slice(&(tree.leaf_count() as u32).to_le_bytes());
 
-    out.extend_from_slice(region);
-    out.extend_from_slice(golden);
-
-    let mut node_bytes = Vec::with_capacity(nodes.len() * 8);
-    write_u64s(&mut node_bytes, &nodes);
+    let mut tail = Vec::with_capacity(nodes.len() * 8 + 8);
+    write_u64s(&mut tail, &nodes);
 
     let mut digest = SipHasher24::new(key);
-    digest.write(&out[..header_len]);
-    digest.write(&node_bytes);
+    digest.write(&head);
+    digest.write(&tail);
     let digest = digest.finish();
 
-    out.extend_from_slice(&node_bytes);
-    out.extend_from_slice(&digest.to_le_bytes());
-    (out, tree)
+    tail.extend_from_slice(&digest.to_le_bytes());
+    (head, tail, tree)
 }
 
 /// Serializes a full checkpoint.
@@ -353,6 +384,24 @@ pub fn encode_checkpoint(
 /// Returns the distinct [`CheckpointError`] variant for the failure
 /// mode encountered.
 pub fn decode_checkpoint(bytes: &[u8], key: &[u8; 16]) -> Result<Checkpoint, CheckpointError> {
+    let (meta, tree, digest) = verify_checkpoint(bytes, key)?;
+    let content = &bytes[FULL_CONTENT_AT..FULL_CONTENT_AT + meta.region_len + meta.golden_len];
+    Ok(Checkpoint {
+        meta,
+        region: content[..meta.region_len].to_vec(),
+        golden: content[meta.region_len..].to_vec(),
+        tree,
+        digest,
+    })
+}
+
+/// The checks of [`decode_checkpoint`] without copying the content
+/// out: returns the metadata, the verified tree and the stored digest.
+/// The content is `bytes[FULL_CONTENT_AT..]`, region then golden.
+pub(crate) fn verify_checkpoint(
+    bytes: &[u8],
+    key: &[u8; 16],
+) -> Result<(CheckpointMeta, MerkleTree, u64), CheckpointError> {
     let torn = |why: &str| CheckpointError::Torn(why.to_string());
     if bytes.len() < 8 + 4 + META_LEN {
         return Err(torn("file shorter than the header"));
@@ -372,7 +421,7 @@ pub fn decode_checkpoint(bytes: &[u8], key: &[u8; 16]) -> Result<Checkpoint, Che
     let block_size = u32::from_le_bytes(m[32..36].try_into().expect("4 bytes")) as usize;
     let leaf_count = u32::from_le_bytes(m[36..40].try_into().expect("4 bytes")) as usize;
 
-    let header_len = 12 + META_LEN;
+    let header_len = FULL_CONTENT_AT;
     if block_size == 0 {
         return Err(torn("zero block size"));
     }
@@ -424,13 +473,8 @@ pub fn decode_checkpoint(bytes: &[u8], key: &[u8; 16]) -> Result<Checkpoint, Che
         return Err(CheckpointError::MacMismatch(bad_blocks));
     }
 
-    Ok(Checkpoint {
-        meta: CheckpointMeta { gen, prev_digest, region_len, golden_len, block_size },
-        region: content[..region_len].to_vec(),
-        golden: content[region_len..].to_vec(),
-        tree,
-        digest: stored_digest,
-    })
+    let meta = CheckpointMeta { gen, prev_digest, region_len, golden_len, block_size };
+    Ok((meta, tree, stored_digest))
 }
 
 /// Serializes a delta checkpoint: the dirty blocks of the current

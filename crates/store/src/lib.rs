@@ -24,12 +24,14 @@
 //!   across torn or tampered checkpoints;
 //! - the disk side of the **storage audit**
 //!   ([`Store::storage_audit`]) — cross-checking the durable golden
-//!   image against the in-memory one, block by block. A durable-golden
-//!   read ([`Store::durable_golden_detail`]) MACs each content byte
-//!   once: it keeps the tree the checkpoint decode verified, folds
-//!   deltas by updating the paths of their dirty leaves, and compares
-//!   the result with the sealed root, so every block no journaled
-//!   golden commit overlaid is attested by that one comparison.
+//!   image against the in-memory one, block by block;
+//! - **demand-driven golden reads** ([`Store::durable_golden_detail`])
+//!   — the repair source is a [`GoldenHandle`] that reads only the
+//!   checkpoint leaves a requested range covers and proof-checks them
+//!   against the lineage Merkle tree the store keeps verified in
+//!   memory, falling back to the whole-image fold
+//!   ([`Store::durable_golden_image`]) when no warm tree exists or a
+//!   leaf fails its proof.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,8 +57,9 @@ pub use merkle::{
     leaf_mac, total_nodes, verify_proof, MerkleError, MerkleTree, NodeUpdate, SplitContent,
 };
 pub use store::{
-    ChainEntry, CheckpointKind, DurableGolden, RecoveryInfo, StorageAudit, Store, StoreConfig,
-    StoreError, StoreFinding, StoreFindingKind, StoreStats, DEFAULT_KEY, LEAF_BLOCK_SIZE,
+    ChainEntry, CheckpointKind, DurableGolden, GoldenHandle, RecoveryInfo, StorageAudit, Store,
+    StoreConfig, StoreError, StoreFinding, StoreFindingKind, StoreStats, DEFAULT_KEY,
+    LEAF_BLOCK_SIZE,
 };
 
 use std::path::{Path, PathBuf};

@@ -16,23 +16,27 @@
 //! skip reclaimed mutations and recovery honestly stops at the base
 //! image instead ([`StoreFindingKind::CompactionGap`]).
 
+use std::borrow::Cow;
 use std::fs::{File, OpenOptions};
-use std::io::Write as _;
+use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
-use wtnc_db::{crc32, CapturedMutation, Database, DbError, DIRTY_BLOCK_SIZE};
+use wtnc_db::{crc32, CapturedMutation, Database, DbError, GoldenBlocks, DIRTY_BLOCK_SIZE};
 
 use crate::checkpoint::{
-    checkpoint_file_name, decode_checkpoint, decode_delta_checkpoint, delta_file_name,
-    encode_checkpoint_with_tree, encode_delta_checkpoint, parse_checkpoint_file_name,
-    parse_delta_file_name, peek_chain, peek_delta_chain, CheckpointError,
+    checkpoint_file_name, decode_delta_checkpoint, delta_block_offset, delta_file_name,
+    encode_checkpoint_frame, encode_delta_checkpoint, full_block_offset,
+    parse_checkpoint_file_name, parse_delta_file_name, peek_chain, peek_delta_chain,
+    verify_checkpoint, CheckpointError, FULL_CONTENT_AT,
 };
 use crate::journal::{
     append_framed, rotate_journal, scan_journal, JournalDamage, JournalScan, JOURNAL_FILE,
     JOURNAL_TMP_FILE,
 };
-use crate::merkle::MerkleTree;
+use crate::merkle::{leaf_mac, verify_proof, MerkleTree};
 
 /// Default 128-bit MAC key. Deployments supply their own via
 /// [`StoreConfig`]; the default keeps fixtures and tooling
@@ -285,7 +289,7 @@ fn scan_dir(dir: &Path, config: &StoreConfig) -> std::io::Result<DirScan> {
             }
         };
         let decoded = match kind {
-            CheckpointKind::Full => decode_checkpoint(&bytes, &config.key).map(|c| c.meta.gen),
+            CheckpointKind::Full => verify_checkpoint(&bytes, &config.key).map(|(m, ..)| m.gen),
             CheckpointKind::Delta => {
                 decode_delta_checkpoint(&bytes, &config.key).map(|d| d.meta.gen)
             }
@@ -361,15 +365,49 @@ fn scan_dir(dir: &Path, config: &StoreConfig) -> std::io::Result<DirScan> {
 /// A verified image reconstructed from the chain: a full checkpoint,
 /// or a full base folded with its deltas.
 struct FoldedImage {
-    region: Vec<u8>,
-    golden: Vec<u8>,
-    /// Generation of the reconstructed image (the candidate's gen).
-    gen: u64,
-    /// Generation the Merkle leaves are keyed at (the lineage base).
-    base_gen: u64,
-    /// The tree over the reconstructed content, equal to the root the
+    /// Region, then golden.
+    content: Vec<u8>,
+    /// The lineage up to the image, its tree equal to the root the
     /// checkpoint sealed.
+    lineage: Lineage,
+}
+
+impl FoldedImage {
+    /// The golden half, in an allocation of its own.
+    fn into_golden(mut self) -> Vec<u8> {
+        self.content.split_off(self.lineage.region_len)
+    }
+}
+
+/// A checkpoint lineage as far as one chain entry: the Merkle tree over
+/// that entry's content (leaves keyed at the generation of the
+/// lineage's full image) and where each leaf's newest bytes live on
+/// disk.
+#[derive(Debug, Clone)]
+struct Lineage {
     tree: MerkleTree,
+    /// Generation of the chain entry the tree seals.
+    gen: u64,
+    region_len: usize,
+    golden_len: usize,
+    /// The lineage's full image.
+    base: PathBuf,
+    /// Each delta's file and its ascending dirty leaves, oldest first.
+    deltas: Vec<(PathBuf, Vec<u32>)>,
+}
+
+impl Lineage {
+    /// Where leaf `index`'s newest bytes live: the newest delta that
+    /// holds it, otherwise the full base.
+    fn locate(&self, index: usize) -> (&Path, u64) {
+        let block_size = self.tree.block_size();
+        for (path, leaves) in self.deltas.iter().rev() {
+            if let Ok(rank) = leaves.binary_search(&(index as u32)) {
+                return (path, delta_block_offset(rank, block_size));
+            }
+        }
+        (&self.base, full_block_offset(index, block_size))
+    }
 }
 
 /// A durable store rooted at one directory.
@@ -381,15 +419,20 @@ pub struct Store {
     journal_bytes: u64,
     journal_records: u64,
     journal_cache: Vec<CapturedMutation>,
-    chain: Vec<ChainEntry>,
+    /// The golden commits among `journal_cache`: what carries a
+    /// checkpoint's golden half forward, kept apart so a durable-golden
+    /// read does not scan every region record.
+    golden_commits: Vec<CapturedMutation>,
+    /// Shared with the golden handles, which refold from it.
+    chain: Arc<Vec<ChainEntry>>,
     open_findings: Vec<StoreFinding>,
     invalid_gens: Vec<u64>,
     compacted_through: u64,
-    /// In-memory Merkle tree of the current checkpoint lineage
-    /// (leaves keyed at `lineage_base`). Session state: a cold-opened
-    /// store has no tree, so its first checkpoint is forced full.
-    tree: Option<MerkleTree>,
-    lineage_base: u64,
+    /// The verified in-memory lineage of the newest checkpoint this
+    /// store wrote or recovered, shared with the golden handles it
+    /// hands out. Session state: a cold-opened store has none, so its
+    /// first checkpoint is forced full.
+    lineage: Option<Arc<Lineage>>,
     since_full: u32,
     compactions: u64,
     reclaimed_bytes: u64,
@@ -424,13 +467,13 @@ impl Store {
             journal,
             journal_bytes: scan.journal.valid_bytes,
             journal_records: scan.journal.records.len() as u64,
+            golden_commits: golden_commits(&scan.journal.records).collect(),
             journal_cache: scan.journal.records,
-            chain: scan.chain,
+            chain: Arc::new(scan.chain),
             open_findings: scan.findings,
             invalid_gens: scan.invalid_gens,
             compacted_through: scan.journal.compacted_through,
-            tree: None,
-            lineage_base: 0,
+            lineage: None,
             since_full: 0,
             compactions: 0,
             reclaimed_bytes: 0,
@@ -524,6 +567,7 @@ impl Store {
         self.journal_bytes += append_framed(&mut self.journal, records)?;
         self.journal_records += records.len() as u64;
         self.journal_cache.extend_from_slice(records);
+        self.golden_commits.extend(golden_commits(records));
         Ok(())
     }
 
@@ -561,7 +605,8 @@ impl Store {
         // so the new digest chains from the one before it.
         let mut replaced_kinds = Vec::new();
         while self.chain.last().is_some_and(|e| e.gen == gen) {
-            replaced_kinds.push(self.chain.pop().expect("checked non-empty").kind);
+            replaced_kinds
+                .push(Arc::make_mut(&mut self.chain).pop().expect("checked non-empty").kind);
         }
         let prev = self.chain.last().map_or(0, |e| e.digest);
 
@@ -574,12 +619,15 @@ impl Store {
             && replaced_kinds.is_empty()
             && self.since_full + 1 < self.config.full_every
             && tracker.n_blocks() == content_len.div_ceil(DIRTY_BLOCK_SIZE)
-            && self.tree.as_ref().is_some_and(|t| {
-                t.block_size() == LEAF_BLOCK_SIZE
-                    && t.leaf_count() == content_len.div_ceil(LEAF_BLOCK_SIZE)
+            && self.lineage.as_ref().is_some_and(|l| {
+                l.tree.block_size() == LEAF_BLOCK_SIZE
+                    && l.tree.leaf_count() == content_len.div_ceil(LEAF_BLOCK_SIZE)
             });
 
-        let (bytes, file_name, kind) = if write_delta {
+        // The file is `head ‖ region ‖ golden ‖ tail`: a full image
+        // streams the database's halves instead of copying them into
+        // one buffer; a delta is all head.
+        let (head, tail, file_name, kind) = if write_delta {
             let leaf_count = content_len.div_ceil(LEAF_BLOCK_SIZE);
             let mut dirty: Vec<usize> = Vec::new();
             for i in 0..leaf_count {
@@ -589,22 +637,30 @@ impl Store {
                     dirty.push(i);
                 }
             }
-            let tree = self.tree.as_mut().expect("delta requires a cached tree");
-            let updates = tree.update_blocks(db.region(), db.golden(), &dirty);
+            // A golden handle still holding the lineage keeps its own
+            // copy; the store moves on to the new one.
+            let lineage =
+                Arc::make_mut(self.lineage.as_mut().expect("delta requires a warm lineage"));
+            let updates = lineage.tree.update_blocks(db.region(), db.golden(), &dirty);
             let bytes = encode_delta_checkpoint(
                 db.region(),
                 db.golden(),
                 gen,
                 prev,
-                self.lineage_base,
+                lineage.tree.gen(),
                 LEAF_BLOCK_SIZE,
                 &dirty,
                 &updates,
                 &self.config.key,
             );
-            (bytes, delta_file_name(gen), CheckpointKind::Delta)
+            lineage.gen = gen;
+            lineage.deltas.push((
+                self.dir.join(delta_file_name(gen)),
+                dirty.iter().map(|&i| i as u32).collect(),
+            ));
+            (bytes, Vec::new(), delta_file_name(gen), CheckpointKind::Delta)
         } else {
-            let (bytes, tree) = encode_checkpoint_with_tree(
+            let (head, tail, tree) = encode_checkpoint_frame(
                 db.region(),
                 db.golden(),
                 gen,
@@ -612,16 +668,29 @@ impl Store {
                 LEAF_BLOCK_SIZE,
                 &self.config.key,
             );
-            self.tree = Some(tree);
-            self.lineage_base = gen;
-            (bytes, checkpoint_file_name(gen), CheckpointKind::Full)
+            self.lineage = Some(Arc::new(Lineage {
+                tree,
+                gen,
+                region_len: db.region().len(),
+                golden_len: db.golden().len(),
+                base: self.dir.join(checkpoint_file_name(gen)),
+                deltas: Vec::new(),
+            }));
+            (head, tail, checkpoint_file_name(gen), CheckpointKind::Full)
+        };
+        let content: [&[u8]; 2] = match kind {
+            CheckpointKind::Full => [db.region(), db.golden()],
+            CheckpointKind::Delta => [&[], &[]],
         };
 
-        let digest = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("8 bytes"));
+        let sealed = if tail.is_empty() { &head } else { &tail };
+        let digest = u64::from_le_bytes(sealed[sealed.len() - 8..].try_into().expect("8 bytes"));
         let path = self.dir.join(&file_name);
         let tmp = self.dir.join(format!("{file_name}.tmp"));
         let mut file = File::create(&tmp)?;
-        file.write_all(&bytes)?;
+        for part in [&head[..], content[0], content[1], &tail[..]] {
+            file.write_all(part)?;
+        }
         file.sync_data()?;
         drop(file);
         std::fs::rename(&tmp, &path)?;
@@ -646,8 +715,8 @@ impl Store {
                 self.delta_checkpoints += 1;
             }
         }
-        let base_gen = if kind == CheckpointKind::Full { gen } else { self.lineage_base };
-        self.chain.push(ChainEntry { gen, digest, path, kind, base_gen });
+        let base_gen = self.lineage.as_ref().expect("written above").tree.gen();
+        Arc::make_mut(&mut self.chain).push(ChainEntry { gen, digest, path, kind, base_gen });
         // Only after the rename: the dirty blocks are now durably part
         // of the checkpoint history.
         db.clear_checkpoint_dirty();
@@ -680,129 +749,12 @@ impl Store {
         self.journal_bytes = new_bytes;
         self.journal_records = retained.len() as u64;
         self.journal_cache = retained;
+        self.golden_commits.retain(|m| m.gen > horizon);
         self.compacted_through = horizon;
         self.compactions += 1;
         let reclaimed = old_bytes.saturating_sub(new_bytes);
         self.reclaimed_bytes += reclaimed;
         Ok(reclaimed)
-    }
-
-    /// Reconstructs and verifies the image of chain entry `i`: decodes
-    /// a full checkpoint directly, or folds a delta's lineage (full
-    /// base + every delta up to it). The fold path-updates the base's
-    /// verified tree over the union of the deltas' dirty leaves and
-    /// checks the resulting root against the root the deltas sealed.
-    /// Either way each content byte is MACed once. Failures push
-    /// findings and return `None` so the caller can fall back to an
-    /// older candidate.
-    fn fold_candidate(
-        &self,
-        i: usize,
-        findings: &mut Vec<StoreFinding>,
-    ) -> Result<Option<FoldedImage>, StoreError> {
-        let entry = &self.chain[i];
-        let base = entry.base_gen;
-        let base_entry = match entry.kind {
-            CheckpointKind::Full => Some(entry),
-            CheckpointKind::Delta => {
-                self.chain.iter().find(|e| e.kind == CheckpointKind::Full && e.gen == base)
-            }
-        };
-        let Some(base_entry) = base_entry else {
-            findings.push(StoreFinding {
-                kind: StoreFindingKind::ChainBreak,
-                detail: format!("delta checkpoint references missing or invalid base image {base}"),
-                gen: Some(entry.gen),
-                offset: None,
-            });
-            return Ok(None);
-        };
-        let ckpt = match decode_checkpoint(&std::fs::read(&base_entry.path)?, &self.config.key) {
-            Ok(c) => c,
-            // For a full candidate: the file changed since the
-            // open-time scan.
-            Err(e) => {
-                findings.push(checkpoint_finding(base_entry.gen, &e));
-                return Ok(None);
-            }
-        };
-        let (mut region, mut golden, mut tree) = (ckpt.region, ckpt.golden, ckpt.tree);
-        if entry.kind == CheckpointKind::Full {
-            return Ok(Some(FoldedImage { region, golden, gen: entry.gen, base_gen: base, tree }));
-        }
-        let block_size = ckpt.meta.block_size;
-        let mut claimed_root = tree.root();
-        let mut dirty: Vec<usize> = Vec::new();
-        // Fold every delta of this lineage up to the candidate.
-        for d in self.chain.iter().filter(|e| {
-            e.kind == CheckpointKind::Delta
-                && e.base_gen == base
-                && e.gen > base
-                && e.gen <= entry.gen
-        }) {
-            let bytes = std::fs::read(&d.path)?;
-            let delta = match decode_delta_checkpoint(&bytes, &self.config.key) {
-                Ok(x) => x,
-                Err(e) => {
-                    findings.push(checkpoint_finding(d.gen, &e));
-                    return Ok(None);
-                }
-            };
-            if delta.meta.region_len != region.len()
-                || delta.meta.golden_len != golden.len()
-                || delta.meta.block_size != block_size
-            {
-                findings.push(StoreFinding {
-                    kind: StoreFindingKind::ChainBreak,
-                    detail: "delta image shape disagrees with its base".to_string(),
-                    gen: Some(d.gen),
-                    offset: None,
-                });
-                return Ok(None);
-            }
-            delta.apply_blocks(&mut region, &mut golden);
-            dirty.extend(delta.blocks.iter().map(|(index, _)| *index as usize));
-            if let Some(root) = delta.nodes.iter().filter(|u| u.level > 0).max_by_key(|u| u.level) {
-                claimed_root = root.mac;
-            } else if let Some(leaf_root) =
-                delta.nodes.iter().find(|u| u.level == 0 && delta.meta.leaf_count == 1)
-            {
-                claimed_root = leaf_root.mac;
-            }
-        }
-        // Leaves outside `dirty` still hold the base content, so the
-        // path-updated tree is exactly the tree of the folded content.
-        // It must recompute to the root the delta lineage sealed —
-        // this is what catches a silently missing middle delta.
-        dirty.sort_unstable();
-        dirty.dedup();
-        tree.update_blocks(&region, &golden, &dirty);
-        if tree.root() != claimed_root {
-            findings.push(StoreFinding {
-                kind: StoreFindingKind::BlockMacMismatch,
-                detail: format!(
-                    "folded delta lineage root {:#018x} does not match the sealed root \
-                     {claimed_root:#018x}",
-                    tree.root()
-                ),
-                gen: Some(entry.gen),
-                offset: None,
-            });
-            return Ok(None);
-        }
-        Ok(Some(FoldedImage { region, golden, gen: entry.gen, base_gen: base, tree }))
-    }
-
-    /// The newest usable image, folding deltas as needed. Findings
-    /// from skipped candidates are discarded.
-    fn newest_image(&self) -> Result<Option<FoldedImage>, StoreError> {
-        let mut scratch = Vec::new();
-        for i in (0..self.chain.len()).rev() {
-            if let Some(img) = self.fold_candidate(i, &mut scratch)? {
-                return Ok(Some(img));
-            }
-        }
-        Ok(None)
     }
 
     /// Warm recovery: loads the newest valid checkpoint image (folding
@@ -823,28 +775,30 @@ impl Store {
         let mut recovered = false;
         let mut skipped_newer = false;
         for i in (0..self.chain.len()).rev() {
-            match self.fold_candidate(i, &mut findings)? {
+            match fold_candidate(&self.chain, &self.config.key, i, &mut findings, &mut 0)? {
                 Some(img) => {
-                    db.load_image(&img.region, &img.golden, img.gen)?;
+                    base_gen = img.lineage.gen;
+                    let (region, golden) = img.content.split_at(img.lineage.region_len);
+                    db.load_image(region, golden, base_gen)?;
                     // The loaded image is durably on disk: start the
                     // checkpoint-dirty tracker clean so the next delta
                     // covers only replayed + new mutations. When the
                     // newest candidate recovered cleanly, its folded
-                    // tree also re-warms the session lineage, letting
-                    // a reopened store keep writing deltas.
+                    // lineage also re-warms the session, letting a
+                    // reopened store keep writing deltas and serve
+                    // golden reads leaf by leaf.
                     db.clear_checkpoint_dirty();
                     if i == self.chain.len() - 1 {
-                        self.lineage_base = img.base_gen;
+                        let lineage_base = img.lineage.tree.gen();
                         self.since_full = self
                             .chain
                             .iter()
                             .filter(|e| {
-                                e.kind == CheckpointKind::Delta && e.base_gen == img.base_gen
+                                e.kind == CheckpointKind::Delta && e.base_gen == lineage_base
                             })
                             .count() as u32;
-                        self.tree = Some(img.tree);
+                        self.lineage = Some(Arc::new(img.lineage));
                     }
-                    base_gen = img.gen;
                     recovered = true;
                     break;
                 }
@@ -887,56 +841,76 @@ impl Store {
         Ok(RecoveryInfo { base_gen, replayed, findings })
     }
 
-    /// Reconstructs the durable golden image: the newest usable
-    /// checkpoint image's golden plus every journaled golden commit
-    /// with a newer generation. Returns `None` when no checkpoint is
-    /// usable (the journal alone cannot seed the initial golden
-    /// image). The image carries per-block Merkle attestation:
-    /// for each `block_size` block of the golden image, whether its
-    /// bytes come straight from checkpoint content verified against
-    /// the sealed Merkle root (`true`) or were overlaid by journaled
-    /// golden commits, which are CRC-framed but outside the tree
-    /// (`false`).
+    /// The durable golden image: the golden half of the newest usable
+    /// checkpoint image plus every journaled golden commit with a newer
+    /// generation. Returns `None` when no checkpoint is usable (the
+    /// journal alone cannot seed the initial golden image). A
+    /// checkpoint older than the compaction horizon is unusable: the
+    /// journal no longer holds the golden commits that would carry it
+    /// forward, so serving it would hand a repair stale bytes.
+    ///
+    /// The bytes are read on demand through the returned
+    /// [`GoldenHandle`]. When this store holds the verified lineage
+    /// tree of the newest chain entry (it wrote or recovered that
+    /// entry), the call reads nothing from disk: each read fetches only
+    /// the leaves covering its range, checks them against the tree's
+    /// root and overlays the journaled golden commits captured at this
+    /// call. A read whose leaves fail the check is served by the
+    /// whole-image fold of [`Store::durable_golden_image`], which is
+    /// also what this call does at once when there is no warm tree.
+    /// `attested` marks the blocks no journaled commit overlaid.
     ///
     /// # Errors
     ///
     /// Returns [`StoreError::Io`] on read failure.
     pub fn durable_golden_detail(&self) -> Result<Option<DurableGolden>, StoreError> {
-        // Callers keep the result until their next read (it is the
-        // recovery engine's repair source), so it gets an allocation of
-        // its own: keeping the fold's decode buffer instead pins that
-        // buffer among the journal's small allocations, and the heap
-        // fragments (peak RSS of a call-heavy node grows measurably).
-        Ok(self.newest_image()?.map(|img| self.carry_golden_forward(img.gen, img.golden.clone())))
-    }
-
-    /// Overlays every journaled golden commit newer than `gen` onto a
-    /// golden image and reports each byte range written. Nothing is
-    /// overlaid when compaction reclaimed records past `gen`.
-    fn overlay_journal(&self, gen: u64, target: &mut [u8], mut written: impl FnMut(Range<usize>)) {
-        if self.compacted_through > gen {
-            return;
-        }
-        for m in &self.journal_cache {
-            if m.golden && m.gen > gen && m.offset < target.len() {
-                let end = (m.offset + m.bytes.len()).min(target.len());
-                target[m.offset..end].copy_from_slice(&m.bytes[..end - m.offset]);
-                written(m.offset..end);
-            }
-        }
-    }
-
-    /// Carries the golden half of the verified image at `gen` forward
-    /// by the journal. The fold already matched the whole image
-    /// against its sealed root, so every block the journal left alone
-    /// is attested.
-    fn carry_golden_forward(&self, gen: u64, mut golden: Vec<u8>) -> DurableGolden {
-        let block = LEAF_BLOCK_SIZE;
-        let mut attested = vec![true; golden.len().div_ceil(block)];
-        self.overlay_journal(gen, &mut golden, |r| {
-            attested[r.start / block..r.end.div_ceil(block)].fill(false);
+        let warm = self.lineage.as_ref().filter(|l| {
+            self.chain.last().is_some_and(|e| e.gen == l.gen) && l.gen >= self.compacted_through
         });
-        DurableGolden { base_gen: gen, golden, attested, block_size: block }
+        let Some(lineage) = warm else {
+            let mut read = 0;
+            return Ok(self.fold_golden(&mut read)?.map(|d| DurableGolden {
+                base_gen: d.base_gen,
+                golden: GoldenHandle::new(d.golden.len(), GoldenSource::Image(d.golden), read),
+                attested: d.attested,
+                block_size: d.block_size,
+            }));
+        };
+        let commits = self.golden_commits.clone();
+        let attested = attested_blocks(&commits, lineage.gen, lineage.golden_len);
+        let source = GoldenSource::Lineage {
+            lineage: Arc::clone(lineage),
+            key: self.config.key,
+            commits,
+            chain: Arc::clone(&self.chain),
+            compacted_through: self.compacted_through,
+            fallback: OnceLock::new(),
+        };
+        Ok(Some(DurableGolden {
+            base_gen: lineage.gen,
+            golden: GoldenHandle::new(lineage.golden_len, source, 0),
+            attested,
+            block_size: LEAF_BLOCK_SIZE,
+        }))
+    }
+
+    /// The durable golden image folded and verified whole — the newest
+    /// chain entry that folds cleanly and is not older than the
+    /// compaction horizon, carried forward by the journaled golden
+    /// commits. Whole-image readers (a controller restart reloading
+    /// the database from disk) use this; repairs read through
+    /// [`Store::durable_golden_detail`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError::Io`] on read failure.
+    pub fn durable_golden_image(&self) -> Result<Option<DurableGolden<Vec<u8>>>, StoreError> {
+        self.fold_golden(&mut 0)
+    }
+
+    fn fold_golden(&self, read: &mut u64) -> Result<Option<DurableGolden<Vec<u8>>>, StoreError> {
+        let (chain, key) = (&self.chain, &self.config.key);
+        fold_durable_golden(chain, key, self.compacted_through, &self.golden_commits, read)
     }
 
     /// The disk side of the storage audit: re-reads and re-verifies
@@ -957,10 +931,29 @@ impl Store {
         // Reconstruct via the newest candidate only — a failure here
         // is a finding, not a silent fallback.
         let last = self.chain.len() - 1;
-        let Some(img) = self.fold_candidate(last, &mut audit.findings)? else {
+        let Some(img) =
+            fold_candidate(&self.chain, &self.config.key, last, &mut audit.findings, &mut 0)?
+        else {
             return Ok(audit);
         };
-        let durable = self.carry_golden_forward(img.gen, img.golden);
+        // Past the compaction horizon the journal cannot carry the
+        // image forward; comparing against it would flag (and repair
+        // from) stale bytes.
+        if img.lineage.gen < self.compacted_through {
+            audit.findings.push(StoreFinding {
+                kind: StoreFindingKind::CompactionGap,
+                detail: format!(
+                    "journal compacted through generation {}; the journal cannot carry the \
+                     newest checkpoint forward to a durable golden image",
+                    self.compacted_through
+                ),
+                gen: Some(img.lineage.gen),
+                offset: None,
+            });
+            return Ok(audit);
+        }
+        let gen = img.lineage.gen;
+        let durable = carry_golden_forward(gen, img.into_golden(), &self.golden_commits);
         let mem = db.golden();
         if durable.golden.len() != mem.len() {
             audit.findings.push(StoreFinding {
@@ -994,6 +987,331 @@ impl Store {
     }
 }
 
+/// Reads a checkpoint file whole, counting its bytes into `read`.
+fn read_file(path: &Path, read: &mut u64) -> std::io::Result<Vec<u8>> {
+    let bytes = std::fs::read(path)?;
+    *read += bytes.len() as u64;
+    Ok(bytes)
+}
+
+/// Reconstructs and verifies the image of `chain[i]`: decodes a full
+/// checkpoint directly, or folds a delta's lineage (full base + every
+/// delta up to it). The fold path-updates the base's verified tree over
+/// the union of the deltas' dirty leaves and checks the resulting root
+/// against the root the deltas sealed. Either way each content byte is
+/// MACed once, and `read` counts the file bytes read. Failures push
+/// findings and return `None` so the caller can fall back to an older
+/// candidate.
+fn fold_candidate(
+    chain: &[ChainEntry],
+    key: &[u8; 16],
+    i: usize,
+    findings: &mut Vec<StoreFinding>,
+    read: &mut u64,
+) -> Result<Option<FoldedImage>, StoreError> {
+    let entry = &chain[i];
+    let base = entry.base_gen;
+    let base_entry = match entry.kind {
+        CheckpointKind::Full => Some(entry),
+        CheckpointKind::Delta => {
+            chain.iter().find(|e| e.kind == CheckpointKind::Full && e.gen == base)
+        }
+    };
+    let Some(base_entry) = base_entry else {
+        findings.push(StoreFinding {
+            kind: StoreFindingKind::ChainBreak,
+            detail: format!("delta checkpoint references missing or invalid base image {base}"),
+            gen: Some(entry.gen),
+            offset: None,
+        });
+        return Ok(None);
+    };
+    let mut content = read_file(&base_entry.path, read)?;
+    let (meta, tree, _) = match verify_checkpoint(&content, key) {
+        Ok(v) => v,
+        // For a full candidate: the file changed since the open-time
+        // scan.
+        Err(e) => {
+            findings.push(checkpoint_finding(base_entry.gen, &e));
+            return Ok(None);
+        }
+    };
+    // The file buffer becomes the image: no second copy of the content.
+    content.truncate(FULL_CONTENT_AT + meta.region_len + meta.golden_len);
+    content.drain(..FULL_CONTENT_AT);
+    let mut lineage = Lineage {
+        tree,
+        gen: entry.gen,
+        region_len: meta.region_len,
+        golden_len: meta.golden_len,
+        base: base_entry.path.clone(),
+        deltas: Vec::new(),
+    };
+    if entry.kind == CheckpointKind::Full {
+        return Ok(Some(FoldedImage { content, lineage }));
+    }
+    let block_size = meta.block_size;
+    let mut claimed_root = lineage.tree.root();
+    let mut dirty: Vec<usize> = Vec::new();
+    // Fold every delta of this lineage up to the candidate.
+    for d in chain.iter().filter(|e| {
+        e.kind == CheckpointKind::Delta && e.base_gen == base && e.gen > base && e.gen <= entry.gen
+    }) {
+        let delta = match decode_delta_checkpoint(&read_file(&d.path, read)?, key) {
+            Ok(x) => x,
+            Err(e) => {
+                findings.push(checkpoint_finding(d.gen, &e));
+                return Ok(None);
+            }
+        };
+        if delta.meta.region_len != meta.region_len
+            || delta.meta.golden_len != meta.golden_len
+            || delta.meta.block_size != block_size
+        {
+            findings.push(StoreFinding {
+                kind: StoreFindingKind::ChainBreak,
+                detail: "delta image shape disagrees with its base".to_string(),
+                gen: Some(d.gen),
+                offset: None,
+            });
+            return Ok(None);
+        }
+        let (region, golden) = content.split_at_mut(meta.region_len);
+        delta.apply_blocks(region, golden);
+        let leaves: Vec<u32> = delta.blocks.iter().map(|(index, _)| *index).collect();
+        dirty.extend(leaves.iter().map(|&index| index as usize));
+        lineage.deltas.push((d.path.clone(), leaves));
+        if let Some(root) = delta.nodes.iter().filter(|u| u.level > 0).max_by_key(|u| u.level) {
+            claimed_root = root.mac;
+        } else if let Some(leaf_root) =
+            delta.nodes.iter().find(|u| u.level == 0 && delta.meta.leaf_count == 1)
+        {
+            claimed_root = leaf_root.mac;
+        }
+    }
+    // Leaves outside `dirty` still hold the base content, so the
+    // path-updated tree is exactly the tree of the folded content. It
+    // must recompute to the root the delta lineage sealed — this is
+    // what catches a silently missing middle delta.
+    dirty.sort_unstable();
+    dirty.dedup();
+    let (region, golden) = content.split_at(meta.region_len);
+    lineage.tree.update_blocks(region, golden, &dirty);
+    if lineage.tree.root() != claimed_root {
+        findings.push(StoreFinding {
+            kind: StoreFindingKind::BlockMacMismatch,
+            detail: format!(
+                "folded delta lineage root {:#018x} does not match the sealed root \
+                 {claimed_root:#018x}",
+                lineage.tree.root()
+            ),
+            gen: Some(entry.gen),
+            offset: None,
+        });
+        return Ok(None);
+    }
+    Ok(Some(FoldedImage { content, lineage }))
+}
+
+/// The whole-image durable golden: the newest chain entry that folds
+/// cleanly and is not older than `compacted_through`, carried forward
+/// by the golden commits among `journal`. Findings from skipped
+/// candidates are discarded; `read` counts the file bytes read.
+fn fold_durable_golden(
+    chain: &[ChainEntry],
+    key: &[u8; 16],
+    compacted_through: u64,
+    journal: &[CapturedMutation],
+    read: &mut u64,
+) -> Result<Option<DurableGolden<Vec<u8>>>, StoreError> {
+    let mut scratch = Vec::new();
+    for i in (0..chain.len()).rev() {
+        if chain[i].gen < compacted_through {
+            continue;
+        }
+        if let Some(img) = fold_candidate(chain, key, i, &mut scratch, read)? {
+            let gen = img.lineage.gen;
+            return Ok(Some(carry_golden_forward(gen, img.into_golden(), journal)));
+        }
+    }
+    Ok(None)
+}
+
+/// Carries the golden half of the verified image at `gen` forward by
+/// the journal. The fold already matched the whole image against its
+/// sealed root, so every block the journal left alone is attested.
+fn carry_golden_forward(
+    gen: u64,
+    mut golden: Vec<u8>,
+    journal: &[CapturedMutation],
+) -> DurableGolden<Vec<u8>> {
+    let attested = attested_blocks(journal, gen, golden.len());
+    overlay_commits(journal, gen, 0, &mut golden);
+    DurableGolden { base_gen: gen, golden, attested, block_size: LEAF_BLOCK_SIZE }
+}
+
+/// The golden commits among `records`.
+fn golden_commits(records: &[CapturedMutation]) -> impl Iterator<Item = CapturedMutation> + '_ {
+    records.iter().filter(|m| m.golden).cloned()
+}
+
+/// Golden commits among `journal` newer than the image at `gen`: the
+/// ones that carry it forward.
+fn newer_commits(
+    journal: &[CapturedMutation],
+    gen: u64,
+) -> impl Iterator<Item = &CapturedMutation> + '_ {
+    journal.iter().filter(move |m| m.golden && m.gen > gen)
+}
+
+/// Per [`LEAF_BLOCK_SIZE`] block of a `golden_len`-byte golden image:
+/// `false` where a journaled golden commit newer than `gen` overlays
+/// it.
+fn attested_blocks(journal: &[CapturedMutation], gen: u64, golden_len: usize) -> Vec<bool> {
+    let block = LEAF_BLOCK_SIZE;
+    let mut attested = vec![true; golden_len.div_ceil(block)];
+    for m in newer_commits(journal, gen).filter(|m| m.offset < golden_len) {
+        let end = (m.offset + m.bytes.len()).min(golden_len);
+        attested[m.offset / block..end.div_ceil(block)].fill(false);
+    }
+    attested
+}
+
+/// Overlays onto `out` — the golden bytes `at..at + out.len()` — every
+/// journaled golden commit newer than `gen`, in journal order.
+fn overlay_commits(journal: &[CapturedMutation], gen: u64, at: usize, out: &mut [u8]) {
+    let end = at + out.len();
+    for m in newer_commits(journal, gen) {
+        let (lo, hi) = (m.offset.max(at), (m.offset + m.bytes.len()).min(end));
+        if lo < hi {
+            out[lo - at..hi - at].copy_from_slice(&m.bytes[lo - m.offset..hi - m.offset]);
+        }
+    }
+}
+
+/// The golden half of a durable image, read on demand (see
+/// [`Store::durable_golden_detail`]). It implements [`GoldenBlocks`],
+/// the interface a recovery engine's disk source reads through.
+#[derive(Debug)]
+pub struct GoldenHandle {
+    golden_len: usize,
+    source: GoldenSource,
+    bytes_read: AtomicU64,
+}
+
+#[derive(Debug)]
+enum GoldenSource {
+    /// Folded and verified whole when the handle was made.
+    Image(Vec<u8>),
+    /// Leaves read on demand and checked against the lineage tree's
+    /// root, with the journal snapshot and chain to refold from when a
+    /// leaf fails its check.
+    Lineage {
+        lineage: Arc<Lineage>,
+        key: [u8; 16],
+        /// The journaled golden commits at the handle's creation.
+        commits: Vec<CapturedMutation>,
+        chain: Arc<Vec<ChainEntry>>,
+        compacted_through: u64,
+        /// The whole-image fold, made at the first failed check.
+        fallback: OnceLock<Option<Vec<u8>>>,
+    },
+}
+
+impl GoldenHandle {
+    fn new(golden_len: usize, source: GoldenSource, bytes_read: u64) -> Self {
+        GoldenHandle { golden_len, source, bytes_read: AtomicU64::new(bytes_read) }
+    }
+
+    /// Checkpoint bytes this handle has read from disk so far: the
+    /// leaves its reads fetched, plus every file of a whole-image fold
+    /// (made when the handle was created without a warm lineage tree,
+    /// or when a leaf failed its check).
+    pub fn bytes_read(&self) -> u64 {
+        self.bytes_read.load(Ordering::Relaxed)
+    }
+
+    /// Reads the leaves covering golden `range` from their newest
+    /// files and checks them against the lineage root: one leaf by its
+    /// authentication path, a run of leaves as one batch. Returns the
+    /// checkpointed golden bytes of `range`, or `None` when a read or
+    /// the check fails.
+    fn read_leaves(
+        &self,
+        lineage: &Lineage,
+        key: &[u8; 16],
+        range: Range<usize>,
+    ) -> Option<Vec<u8>> {
+        let tree = &lineage.tree;
+        let block_size = tree.block_size();
+        let content_len = lineage.region_len + lineage.golden_len;
+        let (lo, hi) = (lineage.region_len + range.start, lineage.region_len + range.end);
+        let (first, last) = (lo / block_size, (hi - 1) / block_size);
+        let span = first * block_size..((last + 1) * block_size).min(content_len);
+        let mut buf = vec![0u8; span.len()];
+        // One read per run of leaves that sit back to back in one file.
+        let mut at = 0;
+        let mut leaf = first;
+        while leaf <= last {
+            let (path, offset) = lineage.locate(leaf);
+            let mut len = (content_len - leaf * block_size).min(block_size);
+            leaf += 1;
+            while leaf <= last && lineage.locate(leaf) == (path, offset + len as u64) {
+                len += (content_len - leaf * block_size).min(block_size);
+                leaf += 1;
+            }
+            let mut file = File::open(path).ok()?;
+            file.seek(SeekFrom::Start(offset)).ok()?;
+            file.read_exact(&mut buf[at..at + len]).ok()?;
+            self.bytes_read.fetch_add(len as u64, Ordering::Relaxed);
+            at += len;
+        }
+        let proved = if first == last {
+            tree.proof(first).is_some_and(|proof| {
+                verify_proof(key, tree.gen(), tree.leaf_count(), first, &buf, &proof, tree.root())
+            })
+        } else {
+            let macs: Vec<u64> = buf
+                .chunks(block_size)
+                .zip(first as u64..)
+                .map(|(block, index)| leaf_mac(key, block, tree.gen(), index))
+                .collect();
+            tree.verify_run(first, &macs)
+        };
+        proved.then(|| buf[lo - span.start..hi - span.start].to_vec())
+    }
+}
+
+impl GoldenBlocks for GoldenHandle {
+    fn golden_len(&self) -> usize {
+        self.golden_len
+    }
+
+    fn read_golden(&self, range: Range<usize>) -> Option<Cow<'_, [u8]>> {
+        if range.start > range.end || range.end > self.golden_len {
+            return None;
+        }
+        match &self.source {
+            GoldenSource::Image(golden) => golden.get(range).map(Cow::Borrowed),
+            _ if range.is_empty() => Some(Cow::Borrowed(&[])),
+            GoldenSource::Lineage { lineage, key, commits, chain, compacted_through, fallback } => {
+                if let Some(mut bytes) = self.read_leaves(lineage, key, range.clone()) {
+                    overlay_commits(commits, lineage.gen, range.start, &mut bytes);
+                    return Some(Cow::Owned(bytes));
+                }
+                let image = fallback.get_or_init(|| {
+                    let mut read = 0;
+                    let image =
+                        fold_durable_golden(chain, key, *compacted_through, commits, &mut read);
+                    self.bytes_read.fetch_add(read, Ordering::Relaxed);
+                    image.ok().flatten().map(|d| d.golden)
+                });
+                image.as_ref()?.get(range).map(Cow::Borrowed)
+            }
+        }
+    }
+}
+
 /// What one [`Store::storage_audit`] pass found.
 #[derive(Debug, Clone)]
 pub struct StorageAudit {
@@ -1003,26 +1321,28 @@ pub struct StorageAudit {
     /// The durable golden the audit compared against — the repair
     /// source for [`StoreFindingKind::GoldenDivergence`] findings.
     /// Present only when the golden diverged.
-    pub repair_source: Option<DurableGolden>,
+    pub repair_source: Option<DurableGolden<Vec<u8>>>,
 }
 
 /// The durable golden image plus per-block Merkle attestation, from
-/// [`Store::durable_golden_detail`].
+/// [`Store::durable_golden_detail`] (read on demand through a
+/// [`GoldenHandle`]) or folded whole ([`Store::durable_golden_image`],
+/// [`StorageAudit::repair_source`]).
 #[derive(Debug, Clone)]
-pub struct DurableGolden {
+pub struct DurableGolden<G = GoldenHandle> {
     /// Generation of the checkpoint image the golden is based on.
     pub base_gen: u64,
-    /// The reconstructed golden bytes (journal overlay applied).
-    pub golden: Vec<u8>,
-    /// Per-block: `true` when the block's bytes were authenticated
-    /// against the checkpoint's sealed Merkle root (no journal
-    /// overlay touched it).
+    /// The golden bytes (journal overlay applied).
+    pub golden: G,
+    /// Per-block: `true` when the block's bytes are authenticated
+    /// against the checkpoint's sealed Merkle root (no journal overlay
+    /// touched it).
     pub attested: Vec<bool>,
     /// The block granularity of `attested`.
     pub block_size: usize,
 }
 
-impl DurableGolden {
+impl<G> DurableGolden<G> {
     /// Whether the block containing golden byte `offset` is
     /// Merkle-attested.
     pub fn is_attested(&self, offset: usize) -> bool {

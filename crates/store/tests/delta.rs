@@ -3,7 +3,7 @@
 //! image), fold-based recovery, and journal compaction.
 
 use proptest::prelude::*;
-use wtnc_db::{Database, FieldDef, FieldWidth, TableDef, TableNature};
+use wtnc_db::{Database, FieldDef, FieldWidth, GoldenBlocks, TableDef, TableNature};
 use wtnc_store::{
     decode_checkpoint, decode_delta_checkpoint, encode_checkpoint, encode_delta_checkpoint,
     parse_checkpoint_file_name, parse_delta_file_name, verify_proof, CheckpointKind, MerkleTree,
@@ -183,7 +183,8 @@ fn missing_middle_delta_is_detected_by_the_folded_root() {
     let durable = store.durable_golden_detail().expect("read").expect("an image survives");
     assert_eq!(durable.base_gen, newest_full.expect("full image").gen);
     assert_ne!(durable.base_gen, newest_delta.gen);
-    assert_eq!(durable.golden, db2.golden(), "the journal carries the older image forward");
+    let golden = durable.golden.read_golden(0..durable.golden.golden_len()).expect("served");
+    assert_eq!(*golden, *db2.golden(), "the journal carries the older image forward");
 }
 
 #[test]
@@ -226,7 +227,8 @@ fn attested_golden_blocks_prove_against_the_sealed_root() {
 
     let durable = store.durable_golden_detail().expect("read").expect("image");
     assert_eq!(durable.base_gen, newest.meta.gen);
-    assert_eq!(durable.golden, db.golden(), "journal overlay applied");
+    let golden = durable.golden.read_golden(0..durable.golden.golden_len()).expect("served");
+    assert_eq!(*golden, *db.golden(), "journal overlay applied");
     let content = SplitContent::new(&region_ckpt, &golden_ckpt);
     let r = region_ckpt.len();
     let mut scratch_block = Vec::new();
@@ -238,7 +240,7 @@ fn attested_golden_blocks_prove_against_the_sealed_root() {
         }
         assert!(attested, "block {b} is checkpoint-pure");
         let (start, end) = (b * bs, ((b + 1) * bs).min(golden_ckpt.len()));
-        assert_eq!(durable.golden[start..end], golden_ckpt[start..end]);
+        assert_eq!(golden[start..end], golden_ckpt[start..end]);
         for leaf in (r + start) / bs..=(r + end - 1) / bs {
             let block = content.block(leaf, bs, &mut scratch_block);
             let proof = tree.proof(leaf).expect("leaf in range");
