@@ -17,8 +17,9 @@
 //! 3. **O(log n) single-block update** — path-update latency as the
 //!    leaf count doubles, with the tree depth alongside;
 //! 4. **sw vs hw CRC framing** — journal framing throughput of one
-//!    batch into one buffer (`encode_records`, as a store sync writes
-//!    it) under the slice-by-8 and hardware CRC kernels (the journal
+//!    batch of mutations into one buffer (`push_frame` per mutation, as
+//!    the database's capture hook frames them for a store sync to
+//!    write) under the slice-by-8 and hardware CRC kernels (the journal
 //!    is the other half of every checkpoint interval).
 //!
 //! Gate: with `WTNC_BENCH_ASSERT_SPEEDUP=<x>` set, the bench fails
@@ -36,11 +37,9 @@
 
 use std::time::Instant;
 
-use wtnc::db::{set_crc_kernel_override, CapturedMutation, CrcKernel};
+use wtnc::db::{push_frame, set_crc_kernel_override, CrcKernel, FrameKind};
 use wtnc::sim::SimRng;
-use wtnc::store::{
-    encode_checkpoint_with_tree, encode_delta_checkpoint, encode_records, MerkleTree,
-};
+use wtnc::store::{encode_checkpoint_with_tree, encode_delta_checkpoint, MerkleTree};
 use wtnc_bench::{host_info_json, smoke, write_results};
 
 const KEY: [u8; 16] = *b"bench-ckpt-key16";
@@ -234,15 +233,15 @@ fn main() {
     // Journal framing: sw vs hw CRC kernel throughput.
     println!("\nJournal framing throughput (CRC kernel sweep)\n");
     let mut rng = SimRng::seed_from(0xF4A3);
-    let records: Vec<CapturedMutation> = (0..if smoke { 256 } else { 2048 })
-        .map(|i| CapturedMutation {
-            gen: i as u64,
-            offset: rng.index(1 << 16),
-            bytes: filled(64 + rng.index(192), &mut rng),
-            golden: i % 4 == 0,
+    let records: Vec<(u64, usize, Vec<u8>, FrameKind)> = (0..if smoke { 256 } else { 2048 })
+        .map(|i| {
+            let offset = rng.index(1 << 16);
+            let bytes = filled(64 + rng.index(192), &mut rng);
+            let kind = if i % 4 == 0 { FrameKind::Golden } else { FrameKind::Region };
+            (i as u64, offset, bytes, kind)
         })
         .collect();
-    let payload: usize = records.iter().map(|m| m.bytes.len()).sum();
+    let payload: usize = records.iter().map(|(_, _, bytes, _)| bytes.len()).sum();
     let mut crc_jsons: Vec<String> = Vec::new();
     for (kernel, name) in [(CrcKernel::Slice8, "slice8"), (CrcKernel::Hardware, "hardware")] {
         set_crc_kernel_override(Some(kernel));
@@ -250,7 +249,9 @@ fn main() {
         for _ in 0..reps {
             let t = Instant::now();
             let mut batch = Vec::new();
-            encode_records(&mut batch, &records);
+            for (gen, offset, bytes, kind) in &records {
+                push_frame(&mut batch, *kind, *gen, *offset, bytes);
+            }
             let secs = t.elapsed().as_secs_f64();
             std::hint::black_box(batch);
             mibs.push(payload as f64 / (1 << 20) as f64 / secs.max(1e-12));

@@ -380,8 +380,9 @@ impl Catalog {
         meta.def.fields.get(field.0 as usize).ok_or(DbError::UnknownField(table, field))
     }
 
-    /// Iterates over all table metadata in id order.
-    pub fn tables(&self) -> impl Iterator<Item = &TableMeta> {
+    /// Iterates over all table metadata in id order, which is also
+    /// ascending `offset` order.
+    pub fn tables(&self) -> std::slice::Iter<'_, TableMeta> {
         self.tables.iter()
     }
 

@@ -8,6 +8,7 @@ use wtnc_sim::{Pid, SimTime};
 use crate::catalog::{Catalog, FieldId, TableDef, TableId, TableNature};
 use crate::dirty::DirtyTracker;
 use crate::error::DbError;
+use crate::frame::{push_frame, Frame, FrameKind};
 use crate::layout::{
     encode_record_id, read_le, write_le, HDR_GROUP, HDR_NEXT, HDR_PREV, HDR_RECORD_ID, HDR_STATUS,
     LINK_NONE, RECORD_HEADER_SIZE, STATUS_ACTIVE, STATUS_FREE,
@@ -51,28 +52,6 @@ pub struct TableStats {
     pub accesses: u64,
     /// Errors the audit found in the table during the last audit cycle.
     pub errors_last_cycle: u64,
-}
-
-/// One captured region (or golden-image) mutation, in call order.
-///
-/// The capture buffer is the feed for the `wtnc-store` journal: every
-/// byte-level mutation that goes through the unified
-/// `Database::note_mutation` hook — API writes, repairs, reloads,
-/// even raw injector bit flips — lands here when capture is enabled,
-/// so the journal sees exactly what the dirty-block bitmap sees.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CapturedMutation {
-    /// The global mutation generation stamped on the write. Golden
-    /// commits share the generation of the region write they follow
-    /// (they do not bump it).
-    pub gen: u64,
-    /// Byte offset within the region (or golden image).
-    pub offset: usize,
-    /// The bytes as written.
-    pub bytes: Vec<u8>,
-    /// True when the mutation targeted the golden disk image
-    /// (operator reconfiguration committing new configuration).
-    pub golden: bool,
 }
 
 /// The decoded header of one record.
@@ -129,10 +108,11 @@ pub struct Database {
     /// Per-record generation: `global_gen` at the record's last
     /// mutation.
     record_gen: Vec<Vec<u64>>,
-    /// Journal capture buffer (`None` = capture disabled). Fed by the
-    /// same [`Database::note_mutation`] hook that maintains the dirty
+    /// Journal capture buffer (`None` = capture disabled): finished
+    /// journal frames, one per mutation, in call order. Fed by the same
+    /// [`Database::note_mutation`] hook that maintains the dirty
     /// bitmap, drained by `wtnc-store`.
-    capture: Option<Vec<CapturedMutation>>,
+    capture: Option<Vec<u8>>,
 }
 
 impl Database {
@@ -246,8 +226,8 @@ impl Database {
 
     /// Marks `[offset, offset + len)` mutated: dirties the overlapping
     /// blocks, bumps the global, per-table and per-record generations,
-    /// and (when capture is enabled) records the written bytes for the
-    /// mutation journal.
+    /// and (when capture is enabled) appends the written bytes as a
+    /// journal frame.
     fn note_mutation(&mut self, offset: usize, len: usize) {
         if len == 0 {
             return;
@@ -256,84 +236,85 @@ impl Database {
         self.ckpt_dirty.mark_range(offset, len);
         self.global_gen += 1;
         let gen = self.global_gen;
+        self.stamp_generations(offset, len, gen);
+        if let Some(buf) = self.capture.as_mut() {
+            let end = offset.saturating_add(len).min(self.region.len());
+            push_frame(buf, FrameKind::Region, gen, offset, &self.region[offset..end]);
+        }
+    }
+
+    /// Raises the generation of every table and record slot that
+    /// `[offset, offset + len)` overlaps to at least `gen`. Tables lie
+    /// in ascending, disjoint offset order, so the first overlapping
+    /// one is found by bisection and the walk stops past the range.
+    fn stamp_generations(&mut self, offset: usize, len: usize, gen: u64) {
         let end = offset.saturating_add(len);
-        for tm in self.catalog.tables() {
-            let t_start = tm.offset;
-            let t_end = t_start + tm.data_len();
-            if end <= t_start || offset >= t_end {
-                continue;
-            }
+        let tables = self.catalog.tables().as_slice();
+        let first_table = tables.partition_point(|tm| tm.offset + tm.data_len() <= offset);
+        for tm in tables[first_table..].iter().take_while(|tm| tm.offset < end) {
+            let (t_start, t_end) = (tm.offset, tm.offset + tm.data_len());
             let ti = tm.id.0 as usize;
-            self.table_gen[ti] = gen;
+            self.table_gen[ti] = self.table_gen[ti].max(gen);
             let lo = offset.max(t_start) - t_start;
             let hi = end.min(t_end) - t_start;
-            let first = (lo / tm.record_size) as u32;
-            let last = (((hi - 1) / tm.record_size) as u32).min(tm.def.record_count - 1);
-            for r in first..=last {
-                self.record_gen[ti][r as usize] = gen;
+            let first = lo / tm.record_size;
+            let last = ((hi - 1) / tm.record_size).min(tm.def.record_count as usize - 1);
+            for g in &mut self.record_gen[ti][first..=last] {
+                *g = (*g).max(gen);
             }
-        }
-        if let Some(buf) = self.capture.as_mut() {
-            let end = end.min(self.region.len());
-            buf.push(CapturedMutation {
-                gen,
-                offset,
-                bytes: self.region[offset..end].to_vec(),
-                golden: false,
-            });
         }
     }
 
     /// Enables or disables journal capture. Enabling starts an empty
-    /// buffer; disabling discards any undreained captures.
+    /// buffer; disabling discards any undrained captures.
     pub fn set_capture(&mut self, enabled: bool) {
         self.capture = if enabled { Some(Vec::new()) } else { None };
     }
 
-    /// Drains the capture buffer, returning the mutations in call
-    /// order. Empty when capture is disabled.
-    pub fn take_captured(&mut self) -> Vec<CapturedMutation> {
-        self.capture.as_mut().map(std::mem::take).unwrap_or_default()
+    /// The journal frames captured since the last
+    /// [`Database::clear_captured`], one per mutation in call order
+    /// (walk them with [`frames`](crate::frames)). Empty when capture
+    /// is disabled.
+    pub fn captured(&self) -> &[u8] {
+        self.capture.as_deref().unwrap_or_default()
     }
 
-    /// Applies one journaled mutation during replay, *without*
-    /// re-capturing it: bytes are written to the region (or golden
-    /// image), dirty blocks are marked, and the generations are
-    /// stamped with the journal's recorded generation so the recovered
-    /// database continues the same monotonic sequence.
+    /// Empties the capture buffer, keeping its allocation for the next
+    /// batch.
+    pub fn clear_captured(&mut self) {
+        if let Some(buf) = self.capture.as_mut() {
+            buf.clear();
+        }
+    }
+
+    /// Applies one journal frame during replay, *without* re-capturing
+    /// it: bytes are written to the region (or golden image), dirty
+    /// blocks are marked, and the generations are stamped with the
+    /// frame's generation so the recovered database continues the same
+    /// monotonic sequence. A compaction marker carries no mutation and
+    /// changes nothing.
     ///
     /// # Errors
     ///
     /// Returns [`DbError::OutOfBounds`] if the extent leaves the
     /// region (a corrupt journal record that framing failed to catch).
-    pub fn apply_captured(&mut self, m: &CapturedMutation) -> Result<(), DbError> {
-        self.check_bounds(m.offset, m.bytes.len())?;
-        let target = if m.golden { &mut self.golden } else { &mut self.region };
-        target[m.offset..m.offset + m.bytes.len()].copy_from_slice(&m.bytes);
-        let ckpt_off = if m.golden { self.region.len() + m.offset } else { m.offset };
-        self.ckpt_dirty.mark_range(ckpt_off, m.bytes.len());
-        if !m.golden {
-            self.dirty.mark_range(m.offset, m.bytes.len());
-            let end = m.offset + m.bytes.len();
-            for tm in self.catalog.tables() {
-                let t_start = tm.offset;
-                let t_end = t_start + tm.data_len();
-                if end <= t_start || m.offset >= t_end {
-                    continue;
-                }
-                let ti = tm.id.0 as usize;
-                self.table_gen[ti] = self.table_gen[ti].max(m.gen);
-                let lo = m.offset.max(t_start) - t_start;
-                let hi = end.min(t_end) - t_start;
-                let first = (lo / tm.record_size) as u32;
-                let last = (((hi - 1) / tm.record_size) as u32).min(tm.def.record_count - 1);
-                for r in first..=last {
-                    let g = &mut self.record_gen[ti][r as usize];
-                    *g = (*g).max(m.gen);
-                }
-            }
+    pub fn apply_frame(&mut self, frame: &Frame<'_>) -> Result<(), DbError> {
+        let (offset, len) = (frame.offset, frame.bytes.len());
+        let golden = match frame.kind {
+            FrameKind::Region => false,
+            FrameKind::Golden => true,
+            FrameKind::Compaction => return Ok(()),
+        };
+        self.check_bounds(offset, len)?;
+        let target = if golden { &mut self.golden } else { &mut self.region };
+        target[offset..offset + len].copy_from_slice(frame.bytes);
+        let ckpt_off = if golden { self.region.len() + offset } else { offset };
+        self.ckpt_dirty.mark_range(ckpt_off, len);
+        if !golden {
+            self.dirty.mark_range(offset, len);
+            self.stamp_generations(offset, len, frame.gen);
         }
-        self.global_gen = self.global_gen.max(m.gen);
+        self.global_gen = self.global_gen.max(frame.gen);
         Ok(())
     }
 
@@ -533,12 +514,8 @@ impl Database {
         self.golden[offset..offset + len].copy_from_slice(&self.region[offset..offset + len]);
         self.ckpt_dirty.mark_range(self.region.len() + offset, len);
         if let Some(buf) = self.capture.as_mut() {
-            buf.push(CapturedMutation {
-                gen: self.global_gen,
-                offset,
-                bytes: self.golden[offset..offset + len].to_vec(),
-                golden: true,
-            });
+            let bytes = &self.golden[offset..offset + len];
+            push_frame(buf, FrameKind::Golden, self.global_gen, offset, bytes);
         }
     }
 
@@ -558,12 +535,7 @@ impl Database {
         self.golden[offset..offset + bytes.len()].copy_from_slice(bytes);
         self.ckpt_dirty.mark_range(self.region.len() + offset, bytes.len());
         if let Some(buf) = self.capture.as_mut() {
-            buf.push(CapturedMutation {
-                gen: self.global_gen,
-                offset,
-                bytes: bytes.to_vec(),
-                golden: true,
-            });
+            push_frame(buf, FrameKind::Golden, self.global_gen, offset, bytes);
         }
         Ok(())
     }
@@ -1285,21 +1257,23 @@ mod tests {
         // A raw injector flip is captured too: nothing bypasses.
         let (off, _) = db.field_extent(rec, FieldId(0)).unwrap();
         db.flip_bit(off, 1).unwrap();
-        let captured = db.take_captured();
+        let captured: Vec<_> = crate::frames(db.captured()).collect();
         assert!(captured.len() >= 3);
+        assert_eq!(captured.iter().map(|f| f.raw.len()).sum::<usize>(), db.captured().len());
         for w in captured.windows(2) {
             assert!(w[0].gen <= w[1].gen, "capture order follows generation order");
         }
-        assert!(db.take_captured().is_empty(), "drained");
 
         // Replaying the stream over a fresh database reproduces the
         // exact image and generation.
         let mut fresh = Database::build(schema()).unwrap();
-        for m in &captured {
-            fresh.apply_captured(m).unwrap();
+        for f in &captured {
+            fresh.apply_frame(f).unwrap();
         }
         assert_eq!(fresh.region(), db.region());
         assert_eq!(fresh.mutation_generation(), db.mutation_generation());
+        db.clear_captured();
+        assert!(db.captured().is_empty(), "drained");
     }
 
     #[test]
@@ -1310,26 +1284,27 @@ mod tests {
         let (off, len) = db.field_extent(rec, FieldId(1)).unwrap();
         db.write_field_raw(rec, FieldId(1), 2000).unwrap();
         db.commit_golden(off, len);
-        let captured = db.take_captured();
-        let golden: Vec<_> = captured.iter().filter(|m| m.golden).collect();
+        let captured: Vec<_> = crate::frames(db.captured()).collect();
+        let golden: Vec<_> = captured.iter().filter(|f| f.kind == FrameKind::Golden).collect();
         assert_eq!(golden.len(), 1);
         assert_eq!(golden[0].offset, off);
         assert_eq!(golden[0].gen, captured[0].gen, "golden commit shares the write's generation");
 
         // Replay onto a fresh db: the golden image tracks the commit.
         let mut fresh = Database::build(schema()).unwrap();
-        for m in &captured {
-            fresh.apply_captured(m).unwrap();
+        for f in &captured {
+            fresh.apply_frame(f).unwrap();
         }
         assert_eq!(fresh.golden(), db.golden());
 
         // restore_golden_range is captured the same way.
         let patch = vec![0xEE; len];
+        db.clear_captured();
         db.restore_golden_range(off, &patch).unwrap();
-        let captured = db.take_captured();
+        let captured: Vec<_> = crate::frames(db.captured()).collect();
         assert_eq!(captured.len(), 1);
-        assert!(captured[0].golden);
-        assert_eq!(captured[0].bytes, patch);
+        assert_eq!(captured[0].kind, FrameKind::Golden);
+        assert_eq!(captured[0].bytes, &patch[..]);
         assert!(db.restore_golden_range(db.region_len(), &[1]).is_err());
     }
 

@@ -65,6 +65,7 @@ mod database;
 mod dirty;
 mod error;
 mod events;
+mod frame;
 mod golden;
 pub mod layout;
 pub mod schema;
@@ -77,9 +78,10 @@ pub use catalog::{
 pub use crc::{
     crc32, crc32_bytewise, crc32_slice8, crc32_with, crc_kernel, set_crc_kernel_override, CrcKernel,
 };
-pub use database::{CapturedMutation, Database, RecordMeta, RecordRef, TableStats};
+pub use database::{Database, RecordMeta, RecordRef, TableStats};
 pub use dirty::{DirtyTracker, DIRTY_BLOCK_SIZE};
 pub use error::DbError;
 pub use events::{DbEvent, DbOp};
+pub use frame::{frames, push_frame, Frame, FrameError, FrameKind, FRAME_HEADER, PAYLOAD_PREFIX};
 pub use golden::GoldenBlocks;
 pub use taint::{TaintEntry, TaintFate, TaintKind, TaintMap};

@@ -25,7 +25,7 @@
 //!   without reporting a finding. The acceptance bar is **zero** such
 //!   runs.
 
-use wtnc_db::{schema, Database, DbError, RecordRef};
+use wtnc_db::{frames, schema, Database, DbError, FrameKind, RecordRef};
 use wtnc_sim::SimRng;
 use wtnc_store::{ScratchDir, SipHasher24, Store, StoreConfig, JOURNAL_FILE};
 
@@ -346,15 +346,14 @@ pub fn run_once(config: &PowerFailConfig, seed: u64) -> PowerFailRunResult {
         store.attach(&mut db);
         let mut live = Vec::new();
         let mut drain = |db: &mut Database, store: &mut Store, journal_records: &mut u64| {
-            let records = db.take_captured();
-            for m in &records {
-                let target = if m.golden { &mut shadow_golden } else { &mut shadow_region };
+            for m in frames(db.captured()) {
+                let golden = m.kind == FrameKind::Golden;
+                let target = if golden { &mut shadow_golden } else { &mut shadow_region };
                 let end = (m.offset + m.bytes.len()).min(target.len());
                 target[m.offset..end].copy_from_slice(&m.bytes[..end - m.offset]);
                 timeline.push(image_hash(&shadow_region, &shadow_golden));
             }
-            *journal_records += records.len() as u64;
-            store.append_records(&records).expect("journal append");
+            *journal_records += store.sync(db).expect("journal sync") as u64;
         };
         for step in 1..=config.mutations {
             workload_step(&mut db, &mut rng, &mut live).expect("workload step");

@@ -6,7 +6,11 @@
 //!
 //! - an append-only **mutation journal** ([`journal`]) — every
 //!   `DbApi` mutation path funnels through `wtnc-db`'s unified capture
-//!   hook into length-prefixed, CRC-framed records;
+//!   hook, which writes each mutation as a length-prefixed, CRC-framed
+//!   journal frame ([`wtnc_db::Frame`]); [`Store::sync`] writes those
+//!   bytes to disk as they are and keeps the same bytes as its
+//!   in-memory journal copy, which recovery and the golden overlay
+//!   decode in place;
 //! - periodic **checkpoints** ([`checkpoint`]) — full images sealed by
 //!   a keyed **Merkle MAC tree** ([`merkle`]: leaf = SipHash-2-4 over
 //!   block bytes + generation + index, internal nodes fold children up
@@ -48,10 +52,7 @@ pub use checkpoint::{
     parse_checkpoint_file_name, parse_delta_file_name, peek_chain, peek_delta_chain, Checkpoint,
     CheckpointError, CheckpointMeta, DeltaCheckpoint, DeltaMeta, CKPT_MAGIC, DELTA_MAGIC,
 };
-pub use journal::{
-    encode_compaction_marker, encode_record, encode_records, rotate_journal, scan_journal,
-    JournalDamage, JournalScan, JOURNAL_FILE, JOURNAL_TMP_FILE, MAX_PAYLOAD,
-};
+pub use journal::{rotate_journal, scan_journal, JournalScan, JOURNAL_FILE, JOURNAL_TMP_FILE};
 pub use mac::{siphash24, SipHasher24};
 pub use merkle::{
     leaf_mac, total_nodes, verify_proof, MerkleError, MerkleTree, NodeUpdate, SplitContent,

@@ -24,7 +24,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use wtnc_db::{crc32, CapturedMutation, Database, DbError, GoldenBlocks, DIRTY_BLOCK_SIZE};
+use wtnc_db::{
+    crc32, frames, Database, DbError, Frame, FrameError, FrameKind, GoldenBlocks, DIRTY_BLOCK_SIZE,
+};
 
 use crate::checkpoint::{
     checkpoint_file_name, decode_delta_checkpoint, delta_block_offset, delta_file_name,
@@ -32,10 +34,7 @@ use crate::checkpoint::{
     parse_checkpoint_file_name, parse_delta_file_name, peek_chain, peek_delta_chain,
     verify_checkpoint, CheckpointError, FULL_CONTENT_AT,
 };
-use crate::journal::{
-    append_framed, rotate_journal, scan_journal, JournalDamage, JournalScan, JOURNAL_FILE,
-    JOURNAL_TMP_FILE,
-};
+use crate::journal::{rotate_journal, scan_journal, JournalScan, JOURNAL_FILE, JOURNAL_TMP_FILE};
 use crate::merkle::{leaf_mac, verify_proof, MerkleTree};
 
 /// Default 128-bit MAC key. Deployments supply their own via
@@ -340,23 +339,16 @@ fn scan_dir(dir: &Path, config: &StoreConfig) -> std::io::Result<DirScan> {
     }
 
     let journal = scan_journal(&dir.join(JOURNAL_FILE))?;
-    match journal.damage {
-        Some(JournalDamage::TornTail { at }) => findings.push(StoreFinding {
-            kind: StoreFindingKind::JournalTornTail,
-            detail: format!("journal ends mid-record; replay cut to {} bytes", journal.valid_bytes),
-            gen: None,
-            offset: Some(at),
-        }),
-        Some(JournalDamage::CorruptRecord { at }) => findings.push(StoreFinding {
-            kind: StoreFindingKind::JournalCorruptRecord,
-            detail: format!(
-                "journal record fails its CRC; replay cut to {} bytes",
-                journal.valid_bytes
-            ),
-            gen: None,
-            offset: Some(at),
-        }),
-        None => {}
+    if let Some(damage) = journal.damage {
+        let (kind, what) = match damage {
+            FrameError::Torn => (StoreFindingKind::JournalTornTail, "journal ends mid-record"),
+            FrameError::Corrupt => {
+                (StoreFindingKind::JournalCorruptRecord, "journal record fails its CRC")
+            }
+        };
+        let at = journal.frames.len();
+        let detail = format!("{what}; replay cut to {at} bytes");
+        findings.push(StoreFinding { kind, detail, gen: None, offset: Some(at as u64) });
     }
 
     Ok(DirScan { findings, chain, invalid_gens, journal })
@@ -416,13 +408,15 @@ pub struct Store {
     dir: PathBuf,
     config: StoreConfig,
     journal: File,
-    journal_bytes: u64,
+    /// Record frames in `journal_cache` (markers excluded).
     journal_records: u64,
-    journal_cache: Vec<CapturedMutation>,
-    /// The golden commits among `journal_cache`: what carries a
+    /// The journal file's valid bytes: the frames written since the
+    /// last compaction (behind its marker), exactly as on disk.
+    journal_cache: Vec<u8>,
+    /// The golden-commit frames among `journal_cache`: what carries a
     /// checkpoint's golden half forward, kept apart so a durable-golden
-    /// read does not scan every region record.
-    golden_commits: Vec<CapturedMutation>,
+    /// read does not walk every region record.
+    golden_frames: Vec<u8>,
     /// Shared with the golden handles, which refold from it.
     chain: Arc<Vec<ChainEntry>>,
     open_findings: Vec<StoreFinding>,
@@ -459,16 +453,16 @@ impl Store {
         let _ = std::fs::remove_file(dir.join(JOURNAL_TMP_FILE));
         let scan = scan_dir(&dir, &config)?;
         let journal = OpenOptions::new().create(true).append(true).open(dir.join(JOURNAL_FILE))?;
-        journal.set_len(scan.journal.valid_bytes)?;
+        journal.set_len(scan.journal.frames.len() as u64)?;
         journal.sync_data()?;
+        let mut golden_frames = Vec::new();
         Ok(Store {
             dir,
             config,
             journal,
-            journal_bytes: scan.journal.valid_bytes,
-            journal_records: scan.journal.records.len() as u64,
-            golden_commits: golden_commits(&scan.journal.records).collect(),
-            journal_cache: scan.journal.records,
+            journal_records: index_frames(&scan.journal.frames, &mut golden_frames),
+            journal_cache: scan.journal.frames,
+            golden_frames,
             chain: Arc::new(scan.chain),
             open_findings: scan.findings,
             invalid_gens: scan.invalid_gens,
@@ -510,7 +504,7 @@ impl Store {
 
     /// Valid journal length in bytes.
     pub fn journal_bytes(&self) -> u64 {
-        self.journal_bytes
+        self.journal_cache.len() as u64
     }
 
     /// The valid checkpoint chain, oldest first.
@@ -532,7 +526,7 @@ impl Store {
     /// Journal size and checkpoint/compaction counters.
     pub fn stats(&self) -> StoreStats {
         StoreStats {
-            journal_bytes: self.journal_bytes,
+            journal_bytes: self.journal_bytes(),
             journal_records: self.journal_records,
             compacted_through: self.compacted_through,
             compactions: self.compactions,
@@ -545,7 +539,7 @@ impl Store {
 
     /// Whether any durable state exists to recover from.
     pub fn has_state(&self) -> bool {
-        !self.chain.is_empty() || !self.journal_cache.is_empty() || !self.invalid_gens.is_empty()
+        !self.chain.is_empty() || self.journal_records > 0 || !self.invalid_gens.is_empty()
     }
 
     /// Turns on journal capture so every subsequent mutation lands in
@@ -554,33 +548,31 @@ impl Store {
         db.set_capture(true);
     }
 
-    /// Appends records to the journal (framed, CRC'd, flushed) and the
-    /// in-memory replay cache.
+    /// Drains the database's capture buffer into the journal: its
+    /// frames are written as they are, in one write and one
+    /// `fdatasync` (none for an empty buffer), and appended to the
+    /// in-memory journal copy. The buffer is emptied either way, and
+    /// keeps its allocation. Returns the number of records persisted.
     ///
     /// # Errors
     ///
-    /// Returns [`StoreError::Io`] if the append or flush fails.
-    pub fn append_records(&mut self, records: &[CapturedMutation]) -> Result<(), StoreError> {
-        if records.is_empty() {
-            return Ok(());
-        }
-        self.journal_bytes += append_framed(&mut self.journal, records)?;
-        self.journal_records += records.len() as u64;
-        self.journal_cache.extend_from_slice(records);
-        self.golden_commits.extend(golden_commits(records));
-        Ok(())
-    }
-
-    /// Drains the database's capture buffer into the journal. Returns
-    /// the number of records persisted.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StoreError::Io`] if the append fails.
+    /// Returns [`StoreError::Io`] if the write or sync fails; the
+    /// batch is then dropped.
     pub fn sync(&mut self, db: &mut Database) -> Result<usize, StoreError> {
-        let records = db.take_captured();
-        self.append_records(&records)?;
-        Ok(records.len())
+        let batch = db.captured();
+        if batch.is_empty() {
+            return Ok(0);
+        }
+        let written = self.journal.write_all(batch).and_then(|()| self.journal.sync_data());
+        let mut records = 0;
+        if written.is_ok() {
+            self.journal_cache.extend_from_slice(batch);
+            records = index_frames(batch, &mut self.golden_frames);
+            self.journal_records += records;
+        }
+        db.clear_captured();
+        written?;
+        Ok(records as usize)
     }
 
     /// Takes a checkpoint: syncs pending captures, then either seals a
@@ -737,22 +729,19 @@ impl Store {
         let Some(horizon) = self.chain.last().map(|e| e.gen) else {
             return Ok(0);
         };
-        if horizon <= self.compacted_through && self.journal_cache.iter().all(|m| m.gen > horizon) {
+        let reclaimable = |f: Frame<'_>| f.kind != FrameKind::Compaction && f.gen <= horizon;
+        if horizon <= self.compacted_through && !frames(&self.journal_cache).any(reclaimable) {
             return Ok(0);
         }
-        let retained: Vec<CapturedMutation> =
-            self.journal_cache.iter().filter(|m| m.gen > horizon).cloned().collect();
-        let old_bytes = self.journal_bytes;
-        let new_bytes = rotate_journal(&self.dir, horizon, &retained)?;
+        let old_bytes = self.journal_bytes();
+        self.journal_cache = rotate_journal(&self.dir, horizon, &self.journal_cache)?;
         self.journal =
             OpenOptions::new().create(true).append(true).open(self.dir.join(JOURNAL_FILE))?;
-        self.journal_bytes = new_bytes;
-        self.journal_records = retained.len() as u64;
-        self.journal_cache = retained;
-        self.golden_commits.retain(|m| m.gen > horizon);
+        self.golden_frames.clear();
+        self.journal_records = index_frames(&self.journal_cache, &mut self.golden_frames);
         self.compacted_through = horizon;
         self.compactions += 1;
-        let reclaimed = old_bytes.saturating_sub(new_bytes);
+        let reclaimed = old_bytes.saturating_sub(self.journal_bytes());
         self.reclaimed_bytes += reclaimed;
         Ok(reclaimed)
     }
@@ -831,11 +820,11 @@ impl Store {
                 offset: None,
             });
         } else {
-            for m in &self.journal_cache {
-                if m.gen > base_gen {
-                    db.apply_captured(m)?;
-                    replayed += 1;
-                }
+            for frame in frames(&self.journal_cache)
+                .filter(|f| f.kind != FrameKind::Compaction && f.gen > base_gen)
+            {
+                db.apply_frame(&frame)?;
+                replayed += 1;
             }
         }
         Ok(RecoveryInfo { base_gen, replayed, findings })
@@ -876,7 +865,7 @@ impl Store {
                 block_size: d.block_size,
             }));
         };
-        let commits = self.golden_commits.clone();
+        let commits = self.golden_frames.clone();
         let attested = attested_blocks(&commits, lineage.gen, lineage.golden_len);
         let source = GoldenSource::Lineage {
             lineage: Arc::clone(lineage),
@@ -910,7 +899,7 @@ impl Store {
 
     fn fold_golden(&self, read: &mut u64) -> Result<Option<DurableGolden<Vec<u8>>>, StoreError> {
         let (chain, key) = (&self.chain, &self.config.key);
-        fold_durable_golden(chain, key, self.compacted_through, &self.golden_commits, read)
+        fold_durable_golden(chain, key, self.compacted_through, &self.golden_frames, read)
     }
 
     /// The disk side of the storage audit: re-reads and re-verifies
@@ -953,7 +942,7 @@ impl Store {
             return Ok(audit);
         }
         let gen = img.lineage.gen;
-        let durable = carry_golden_forward(gen, img.into_golden(), &self.golden_commits);
+        let durable = carry_golden_forward(gen, img.into_golden(), &self.golden_frames);
         let mem = db.golden();
         if durable.golden.len() != mem.len() {
             audit.findings.push(StoreFinding {
@@ -1115,13 +1104,13 @@ fn fold_candidate(
 
 /// The whole-image durable golden: the newest chain entry that folds
 /// cleanly and is not older than `compacted_through`, carried forward
-/// by the golden commits among `journal`. Findings from skipped
+/// by the golden-commit frames `commits`. Findings from skipped
 /// candidates are discarded; `read` counts the file bytes read.
 fn fold_durable_golden(
     chain: &[ChainEntry],
     key: &[u8; 16],
     compacted_through: u64,
-    journal: &[CapturedMutation],
+    commits: &[u8],
     read: &mut u64,
 ) -> Result<Option<DurableGolden<Vec<u8>>>, StoreError> {
     let mut scratch = Vec::new();
@@ -1131,46 +1120,49 @@ fn fold_durable_golden(
         }
         if let Some(img) = fold_candidate(chain, key, i, &mut scratch, read)? {
             let gen = img.lineage.gen;
-            return Ok(Some(carry_golden_forward(gen, img.into_golden(), journal)));
+            return Ok(Some(carry_golden_forward(gen, img.into_golden(), commits)));
         }
     }
     Ok(None)
 }
 
 /// Carries the golden half of the verified image at `gen` forward by
-/// the journal. The fold already matched the whole image against its
-/// sealed root, so every block the journal left alone is attested.
-fn carry_golden_forward(
-    gen: u64,
-    mut golden: Vec<u8>,
-    journal: &[CapturedMutation],
-) -> DurableGolden<Vec<u8>> {
-    let attested = attested_blocks(journal, gen, golden.len());
-    overlay_commits(journal, gen, 0, &mut golden);
+/// the golden-commit frames `commits`. The fold already matched the
+/// whole image against its sealed root, so every block the journal
+/// left alone is attested.
+fn carry_golden_forward(gen: u64, mut golden: Vec<u8>, commits: &[u8]) -> DurableGolden<Vec<u8>> {
+    let attested = attested_blocks(commits, gen, golden.len());
+    overlay_commits(commits, gen, 0, &mut golden);
     DurableGolden { base_gen: gen, golden, attested, block_size: LEAF_BLOCK_SIZE }
 }
 
-/// The golden commits among `records`.
-fn golden_commits(records: &[CapturedMutation]) -> impl Iterator<Item = CapturedMutation> + '_ {
-    records.iter().filter(|m| m.golden).cloned()
+/// Counts the record frames of `journal` and appends its golden-commit
+/// frames to `golden`: the one header walk that keeps the store's
+/// record count and golden-commit copy in step with the journal bytes.
+fn index_frames(journal: &[u8], golden: &mut Vec<u8>) -> u64 {
+    let mut records = 0;
+    for frame in frames(journal).filter(|f| f.kind != FrameKind::Compaction) {
+        records += 1;
+        if frame.kind == FrameKind::Golden {
+            golden.extend_from_slice(frame.raw);
+        }
+    }
+    records
 }
 
-/// Golden commits among `journal` newer than the image at `gen`: the
-/// ones that carry it forward.
-fn newer_commits(
-    journal: &[CapturedMutation],
-    gen: u64,
-) -> impl Iterator<Item = &CapturedMutation> + '_ {
-    journal.iter().filter(move |m| m.golden && m.gen > gen)
+/// The golden commits among the frames `commits` newer than the image
+/// at `gen`: the ones that carry it forward.
+fn newer_commits(commits: &[u8], gen: u64) -> impl Iterator<Item = Frame<'_>> {
+    frames(commits).filter(move |f| f.kind == FrameKind::Golden && f.gen > gen)
 }
 
 /// Per [`LEAF_BLOCK_SIZE`] block of a `golden_len`-byte golden image:
 /// `false` where a journaled golden commit newer than `gen` overlays
 /// it.
-fn attested_blocks(journal: &[CapturedMutation], gen: u64, golden_len: usize) -> Vec<bool> {
+fn attested_blocks(commits: &[u8], gen: u64, golden_len: usize) -> Vec<bool> {
     let block = LEAF_BLOCK_SIZE;
     let mut attested = vec![true; golden_len.div_ceil(block)];
-    for m in newer_commits(journal, gen).filter(|m| m.offset < golden_len) {
+    for m in newer_commits(commits, gen).filter(|m| m.offset < golden_len) {
         let end = (m.offset + m.bytes.len()).min(golden_len);
         attested[m.offset / block..end.div_ceil(block)].fill(false);
     }
@@ -1179,10 +1171,10 @@ fn attested_blocks(journal: &[CapturedMutation], gen: u64, golden_len: usize) ->
 
 /// Overlays onto `out` — the golden bytes `at..at + out.len()` — every
 /// journaled golden commit newer than `gen`, in journal order.
-fn overlay_commits(journal: &[CapturedMutation], gen: u64, at: usize, out: &mut [u8]) {
+fn overlay_commits(commits: &[u8], gen: u64, at: usize, out: &mut [u8]) {
     let end = at + out.len();
-    for m in newer_commits(journal, gen) {
-        let (lo, hi) = (m.offset.max(at), (m.offset + m.bytes.len()).min(end));
+    for m in newer_commits(commits, gen) {
+        let (lo, hi) = (m.offset.max(at), m.offset.saturating_add(m.bytes.len()).min(end));
         if lo < hi {
             out[lo - at..hi - at].copy_from_slice(&m.bytes[lo - m.offset..hi - m.offset]);
         }
@@ -1209,8 +1201,8 @@ enum GoldenSource {
     Lineage {
         lineage: Arc<Lineage>,
         key: [u8; 16],
-        /// The journaled golden commits at the handle's creation.
-        commits: Vec<CapturedMutation>,
+        /// The journaled golden-commit frames at the handle's creation.
+        commits: Vec<u8>,
         chain: Arc<Vec<ChainEntry>>,
         compacted_through: u64,
         /// The whole-image fold, made at the first failed check.

@@ -17,7 +17,8 @@ use proptest::prelude::*;
 use std::ops::Range;
 use std::path::Path;
 use wtnc_db::{
-    schema, Database, FieldDef, FieldWidth, GoldenBlocks, RecordRef, TableDef, TableNature,
+    frames, schema, Database, FieldDef, FieldWidth, FrameKind, GoldenBlocks, RecordRef, TableDef,
+    TableNature,
 };
 use wtnc_store::{
     checkpoint_file_name, decode_checkpoint, decode_delta_checkpoint, parse_checkpoint_file_name,
@@ -133,7 +134,7 @@ fn eager_reference(dir: &Path, key: &[u8; 16]) -> Option<(u64, Vec<u8>, Vec<bool
         return None;
     }
     let mut attested = vec![true; golden.len().div_ceil(LEAF_BLOCK_SIZE)];
-    for m in journal.records.iter().filter(|m| m.golden && m.gen > gen) {
+    for m in frames(&journal.frames).filter(|m| m.kind == FrameKind::Golden && m.gen > gen) {
         if m.offset < golden.len() {
             let end = (m.offset + m.bytes.len()).min(golden.len());
             golden[m.offset..end].copy_from_slice(&m.bytes[..end - m.offset]);

@@ -5,7 +5,7 @@
 //! past the cut.
 
 use proptest::prelude::*;
-use wtnc::db::{crc32, schema, Database, DbError, RecordRef};
+use wtnc::db::{crc32, frames, schema, Database, DbError, RecordRef};
 use wtnc::sim::SimRng;
 use wtnc::store::{ScratchDir, Store, StoreConfig, JOURNAL_FILE};
 
@@ -86,11 +86,11 @@ proptest! {
         let scratch = ScratchDir::new("crash-prop");
         let mut rng = SimRng::seed_from(seed);
 
-        // Journal a seeded workload; keep every captured record so the
+        // Journal a seeded workload; keep every captured frame so the
         // reference replay below is independent of the store's own
         // recovery path.
         let mut db = Database::build(schema::standard_schema()).expect("standard schema");
-        let mut reference_records = Vec::new();
+        let mut reference_frames = Vec::new();
         {
             let mut store = Store::open(scratch.path(), StoreConfig::default()).expect("open");
             store.attach(&mut db);
@@ -98,15 +98,14 @@ proptest! {
             for i in 1..=mutations {
                 step(&mut db, &mut rng, &mut live);
                 if i % sync_every == 0 {
-                    let records = db.take_captured();
-                    store.append_records(&records).expect("append");
-                    reference_records.extend(records);
+                    reference_frames.extend_from_slice(db.captured());
+                    store.sync(&mut db).expect("sync");
                 }
             }
-            let records = db.take_captured();
-            store.append_records(&records).expect("append");
-            reference_records.extend(records);
+            reference_frames.extend_from_slice(db.captured());
+            store.sync(&mut db).expect("sync");
         }
+        let reference_records: Vec<_> = frames(&reference_frames).collect();
 
         // Tear the journal at an arbitrary byte offset.
         let journal_path = scratch.path().join(JOURNAL_FILE);
@@ -120,7 +119,7 @@ proptest! {
         // fresh image.
         let mut reference = Database::build(schema::standard_schema()).expect("standard schema");
         for m in &reference_records[..survivors] {
-            reference.apply_captured(m).expect("reference replay");
+            reference.apply_frame(m).expect("reference replay");
         }
 
         // Recover through the store.
@@ -177,7 +176,7 @@ proptest! {
         let mut rng = SimRng::seed_from(seed);
 
         let mut db = Database::build(schema::standard_schema()).expect("standard schema");
-        let mut reference_records = Vec::new();
+        let mut reference_frames = Vec::new();
         let ckpt_gen;
         let pre_ckpt;
         {
@@ -187,18 +186,17 @@ proptest! {
             for _ in 0..before {
                 step(&mut db, &mut rng, &mut live);
             }
-            let records = db.take_captured();
-            store.append_records(&records).expect("append");
-            reference_records.extend(records);
-            pre_ckpt = reference_records.len();
+            reference_frames.extend_from_slice(db.captured());
+            store.sync(&mut db).expect("sync");
+            pre_ckpt = frames(&reference_frames).count();
             ckpt_gen = store.checkpoint(&mut db).expect("checkpoint");
             for _ in 0..after {
                 step(&mut db, &mut rng, &mut live);
             }
-            let records = db.take_captured();
-            store.append_records(&records).expect("append");
-            reference_records.extend(records);
+            reference_frames.extend_from_slice(db.captured());
+            store.sync(&mut db).expect("sync");
         }
+        let reference_records: Vec<_> = frames(&reference_frames).collect();
 
         let journal_path = scratch.path().join(JOURNAL_FILE);
         let journal = std::fs::read(&journal_path).expect("read journal");
@@ -212,7 +210,7 @@ proptest! {
         let applied = survivors.max(pre_ckpt);
         let mut reference = Database::build(schema::standard_schema()).expect("standard schema");
         for m in &reference_records[..applied] {
-            reference.apply_captured(m).expect("reference replay");
+            reference.apply_frame(m).expect("reference replay");
         }
 
         let mut store = Store::open(scratch.path(), StoreConfig::default()).expect("reopen");
