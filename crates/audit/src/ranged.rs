@@ -41,6 +41,16 @@ fn ruled_fields(catalog: &Catalog, table: TableId) -> Vec<(u16, u64, u64, u64)> 
 #[derive(Debug, Clone, Default)]
 pub struct RangeAudit {
     skip: GenSkip,
+    visited: u64,
+}
+
+impl RangeAudit {
+    /// Record slots the element's table passes have visited, in total:
+    /// a deterministic work counter. A pass visits only the table's
+    /// active slots.
+    pub fn slots_visited(&self) -> u64 {
+        self.visited
+    }
 }
 
 impl AuditElement for RangeAudit {
@@ -49,9 +59,10 @@ impl AuditElement for RangeAudit {
     }
 
     /// Audits the dynamic ranged fields of every active record of one
-    /// table. Returns the number of records checked. Records currently
-    /// locked by a client are skipped (an intervening update would
-    /// invalidate the result; the paper re-runs such audits later).
+    /// table, visiting only the active slots the status index lists.
+    /// Returns the number of records checked. Records currently locked
+    /// by a client are skipped (an intervening update would invalidate
+    /// the result; the paper re-runs such audits later).
     fn audit_table(
         &mut self,
         db: &mut Database,
@@ -75,7 +86,13 @@ impl AuditElement for RangeAudit {
         let use_gen = self.skip.begin_pass(table, record_count as usize, policy);
         let screen = Screen { ruled: &ruled, is_dynamic_table, policy, at, only: None };
         let mut checked = 0u64;
-        for index in 0..record_count {
+        // A free slot yields no finding, so only active ones are
+        // visited; the index is re-read after each step, so a record an
+        // inline repair frees is not visited.
+        let mut from = 0;
+        while let Some(index) = db.next_active(table, from) {
+            from = index + 1;
+            self.visited += 1;
             let rec = RecordRef::new(table, index);
             let gen = db.record_generation(rec);
             if use_gen && self.skip.is_clean(table, index, gen) {
@@ -132,7 +149,7 @@ struct Screen<'a> {
 
 impl RangeAudit {
     /// The per-record check the pass and the recheck share. A free
-    /// record is recorded clean; a locked one is left unverified (an
+    /// record is not checked; a locked one is left unverified (an
     /// intervening update would invalidate the result; the paper
     /// re-runs such audits later). Otherwise every ruled field is
     /// checked, and the record is recorded clean at `gen` when all are
@@ -148,10 +165,7 @@ impl RangeAudit {
     ) -> bool {
         let (table, index, at) = (rec.table, rec.index, s.at);
         if !db.is_active(rec).unwrap_or(false) {
-            // A free record produces no range findings, and any
-            // reactivation mutates the header: safe to skip until the
-            // generation moves.
-            self.skip.set_clean(table, index, gen);
+            // A free record produces no range findings.
             return false;
         }
         if locked(rec) {

@@ -87,6 +87,7 @@ pub struct SemanticAudit {
     /// Per-anchor witnesses of the last clean walk (none under a
     /// full-scan schedule).
     walks: std::collections::BTreeMap<TableId, Vec<Option<WalkWitness>>>,
+    visited: u64,
 }
 
 impl Default for SemanticAudit {
@@ -103,7 +104,15 @@ impl SemanticAudit {
             clean: std::collections::BTreeMap::new(),
             sweeps: std::collections::BTreeMap::new(),
             walks: std::collections::BTreeMap::new(),
+            visited: 0,
         }
+    }
+
+    /// Anchor slots the element's table passes have visited, in total:
+    /// a deterministic work counter. A pass visits only the table's
+    /// active slots.
+    pub fn slots_visited(&self) -> u64 {
+        self.visited
     }
 }
 
@@ -112,9 +121,10 @@ impl AuditElement for SemanticAudit {
         AuditElementKind::Semantic
     }
 
-    /// Audits the semantic loops anchored at `table`. Locked records
-    /// are skipped (in-flight transactions). Returns the number of
-    /// records checked.
+    /// Audits the semantic loops anchored at the active records of
+    /// `table`, visiting only the active slots the status index lists.
+    /// Locked records are skipped (in-flight transactions). Returns the
+    /// number of records checked.
     fn audit_table(
         &mut self,
         db: &mut Database,
@@ -159,7 +169,13 @@ impl AuditElement for SemanticAudit {
         let walks = self.walks.entry(table).or_default();
         walks.resize(record_count as usize, None);
 
-        for index in 0..record_count {
+        // A free anchor yields no finding, so only active ones are
+        // visited; the index is re-read after each step, so an anchor
+        // an inline repair frees is not visited.
+        let mut from = 0;
+        while let Some(index) = db.next_active(table, from) {
+            from = index + 1;
+            self.visited += 1;
             let start = RecordRef::new(table, index);
             // Per-anchor witness skip: the last walk from this anchor
             // was clean, and none of the records it visited has been
@@ -172,7 +188,7 @@ impl AuditElement for SemanticAudit {
                 }
             }
             let walk = walk(db, start, start_field, locked, at, self.orphan_grace);
-            walks[index as usize] = witness(db, start, &walk, policy);
+            walks[index as usize] = witness(db, &walk, policy);
             match walk {
                 Walk::Free => {}
                 Walk::Abstained { at_anchor } => {
@@ -235,7 +251,7 @@ impl AuditElement for SemanticAudit {
         let walk = walk(db, start, start_field, locked, at, self.orphan_grace);
         let walks = self.walks.entry(table).or_default();
         walks.resize(record_count as usize, None);
-        walks[record as usize] = witness(db, start, &walk, policy);
+        walks[record as usize] = witness(db, &walk, policy);
         match walk {
             Walk::Clean(visited) => visited.len() as u64,
             Walk::Broken(visited, detail) => {
@@ -330,22 +346,14 @@ fn walk(
     Walk::Broken(visited, "loop exceeds hop budget")
 }
 
-/// The witness a walk leaves: the free anchor (any reactivation
-/// mutates its header and so bumps its generation), or every record of
-/// a clean walk, each at its current generation. Any other outcome
-/// leaves none, so the anchor is walked again. A schedule that sweeps
-/// every pass (`full_rescan_period` 1) never reads a witness, so it
-/// records none.
-fn witness(
-    db: &Database,
-    start: RecordRef,
-    walk: &Walk,
-    policy: ElementPolicy,
-) -> Option<WalkWitness> {
-    let records = match walk {
-        Walk::Free => std::slice::from_ref(&start),
-        Walk::Clean(visited) => visited.as_slice(),
-        _ => return None,
+/// The witness a walk leaves: every record of a clean walk, each at
+/// its current generation. Any other outcome leaves none, so the anchor
+/// is walked again (a free anchor is not walked by a pass at all). A
+/// schedule that sweeps every pass (`full_rescan_period` 1) never
+/// reads a witness, so it records none.
+fn witness(db: &Database, walk: &Walk, policy: ElementPolicy) -> Option<WalkWitness> {
+    let Walk::Clean(records) = walk else {
+        return None;
     };
     (policy.full_rescan_period != 1)
         .then(|| records.iter().map(|&r| (r, db.record_generation(r))).collect())

@@ -5,8 +5,15 @@
 //! as a node with a durable store runs them. The count is exact and
 //! host-independent, so the gate fires on any machine.
 //!
+//! A second gate counts the record headers decoded
+//! ([`Database::headers_decoded`]) per record allocation inside
+//! `start_call`, with a ceiling of zero: the allocator finds a free
+//! slot in the status index, so a scan that decodes headers to find
+//! one fails it.
+//!
 //! The ceilings are the counts of the current call path. When a change
-//! removes allocations, lower them to the new counts; never raise them.
+//! removes allocations or decodes, lower them to the new counts; never
+//! raise them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -74,6 +81,9 @@ const CONCURRENT: usize = 48;
 const START_CALL_ALLOCS_X100: u64 = 348;
 /// Ceiling on allocations per `end_call`, in hundredths.
 const END_CALL_ALLOCS_X100: u64 = 300;
+/// Records `start_call` allocates: a process, a connection and a
+/// resource record.
+const RECORDS_PER_CALL: u64 = 3;
 
 #[test]
 fn call_path_allocations_stay_under_the_committed_ceilings() {
@@ -85,12 +95,14 @@ fn call_path_allocations_stay_under_the_committed_ceilings() {
     let mut client = DesClient::new(workload, 7, true);
 
     let mut live = VecDeque::new();
-    let (mut start_allocs, mut end_allocs) = (0u64, 0u64);
+    let (mut start_allocs, mut end_allocs, mut start_headers) = (0u64, 0u64, 0u64);
     let mut now = SimTime::from_secs(1);
     for _ in 0..CALLS {
         now += SimDuration::from_millis(10);
+        let headers_before = db.headers_decoded();
         let (started, n) = counted(|| client.start_call(&mut db, &mut api, &mut registry, now));
         start_allocs += n;
+        start_headers += db.headers_decoded() - headers_before;
         let (handle, _) = started.expect("the loop never runs out of threads or records");
         live.push_back(handle);
         if live.len() > CONCURRENT {
@@ -105,7 +117,9 @@ fn call_path_allocations_stay_under_the_committed_ceilings() {
     let ends = CALLS - CONCURRENT as u64;
     let per_start_x100 = start_allocs * 100 / CALLS;
     let per_end_x100 = end_allocs * 100 / ends;
+    let headers_x100 = start_headers * 100 / (CALLS * RECORDS_PER_CALL);
     println!("allocations x100: start_call {per_start_x100}, end_call {per_end_x100}");
+    println!("headers decoded per record allocation x100: {headers_x100}");
     assert!(
         per_start_x100 <= START_CALL_ALLOCS_X100,
         "start_call allocates {per_start_x100}/100 per call, ceiling {START_CALL_ALLOCS_X100}"
@@ -114,4 +128,6 @@ fn call_path_allocations_stay_under_the_committed_ceilings() {
         per_end_x100 <= END_CALL_ALLOCS_X100,
         "end_call allocates {per_end_x100}/100 per call, ceiling {END_CALL_ALLOCS_X100}"
     );
+    // The ceiling is zero: an allocation decodes no header at all.
+    assert_eq!(headers_x100, 0, "a record allocation decodes {headers_x100}/100 headers");
 }

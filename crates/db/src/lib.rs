@@ -69,6 +69,7 @@ mod frame;
 mod golden;
 pub mod layout;
 pub mod schema;
+mod status;
 mod taint;
 
 pub use api::{ApiCosts, DbApi, IpcConfig, LockTable};
@@ -78,7 +79,7 @@ pub use catalog::{
 pub use crc::{
     crc32, crc32_bytewise, crc32_slice8, crc32_with, crc_kernel, set_crc_kernel_override, CrcKernel,
 };
-pub use database::{Database, RecordMeta, RecordRef, TableStats};
+pub use database::{Database, RecordHeader, RecordMeta, RecordRef, TableStats};
 pub use dirty::{DirtyTracker, DIRTY_BLOCK_SIZE};
 pub use error::DbError;
 pub use events::{DbEvent, DbOp};
