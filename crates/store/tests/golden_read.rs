@@ -166,9 +166,12 @@ fn random_range(rng: &mut Rng, len: usize) -> Range<usize> {
 }
 
 /// Compares the store's durable golden with the reference over random
-/// ranges. With a warm lineage the handle must serve every range from
-/// its covering leaves alone.
-fn assert_parity(store: &Store, rng: &mut Rng, region_len: usize, warm: bool) {
+/// ranges, and the reference with `live`, the in-memory golden image
+/// of a database whose every golden commit was synced. With a warm
+/// lineage the handle must serve every range from its covering leaves
+/// alone.
+fn assert_parity(store: &Store, rng: &mut Rng, live: &[u8], warm: bool) {
+    let region_len = live.len();
     let reference = eager_reference(store.dir(), &store.config().key);
     let detail = store.durable_golden_detail().expect("golden read");
     let (d, (gen, golden, attested)) = match (detail, reference) {
@@ -176,6 +179,7 @@ fn assert_parity(store: &Store, rng: &mut Rng, region_len: usize, warm: bool) {
         (Some(d), Some(r)) => (d, r),
         (d, r) => panic!("served {:?}, reference {:?}", d.map(|d| d.base_gen), r.map(|r| r.0)),
     };
+    assert_eq!(golden, live, "the durable golden is the synced in-memory golden");
     assert_eq!(d.base_gen, gen);
     assert_eq!(d.attested, attested);
     assert_eq!(d.block_size, LEAF_BLOCK_SIZE);
@@ -207,7 +211,6 @@ proptest! {
         let scratch = ScratchDir::new("golden-parity");
         let config = StoreConfig { full_every: 1 + rng.below(4) as u32, ..StoreConfig::default() };
         let mut db = Database::build(small_schema()).expect("db");
-        let region_len = db.region_len();
         let mut store = Store::open(scratch.path(), config).expect("open");
         store.attach(&mut db);
         for _ in 0..1 + rng.below(6) {
@@ -220,20 +223,20 @@ proptest! {
                 store.compact().expect("compact");
             }
         }
-        // Journaled commits newer than the image; with no region write
-        // first they share the checkpoint's generation.
+        // Journaled commits newer than the image, made right after the
+        // checkpoint when no region write comes first.
         let rounds = rng.below(3);
         mutate(&mut db, rounds, rng.next());
         let n = rng.below(4);
         golden_commits(&mut db, &mut rng, n);
         store.sync(&mut db).expect("sync");
 
-        assert_parity(&store, &mut rng, region_len, true);
+        assert_parity(&store, &mut rng, db.golden(), true);
         store.compact().expect("compact");
-        assert_parity(&store, &mut rng, region_len, true);
+        assert_parity(&store, &mut rng, db.golden(), true);
         drop(store);
         let reopened = Store::open(scratch.path(), config).expect("reopen");
-        assert_parity(&reopened, &mut rng, region_len, false);
+        assert_parity(&reopened, &mut rng, db.golden(), false);
     }
 }
 
