@@ -734,16 +734,25 @@ impl Store {
             return Ok(0);
         }
         let old_bytes = self.journal_bytes();
-        self.journal_cache = rotate_journal(&self.dir, horizon, &self.journal_cache)?;
+        self.rotate(horizon, true)?;
+        self.compactions += 1;
+        let reclaimed = old_bytes.saturating_sub(self.journal_bytes());
+        self.reclaimed_bytes += reclaimed;
+        Ok(reclaimed)
+    }
+
+    /// Rotates the journal to a compaction marker at `horizon`,
+    /// followed by the frames newer than it when `keep_newer` (and by
+    /// nothing otherwise), and reopens the append handle.
+    fn rotate(&mut self, horizon: u64, keep_newer: bool) -> Result<(), StoreError> {
+        let kept: &[u8] = if keep_newer { &self.journal_cache } else { &[] };
+        self.journal_cache = rotate_journal(&self.dir, horizon, kept)?;
         self.journal =
             OpenOptions::new().create(true).append(true).open(self.dir.join(JOURNAL_FILE))?;
         self.golden_frames.clear();
         self.journal_records = index_frames(&self.journal_cache, &mut self.golden_frames);
         self.compacted_through = horizon;
-        self.compactions += 1;
-        let reclaimed = old_bytes.saturating_sub(self.journal_bytes());
-        self.reclaimed_bytes += reclaimed;
-        Ok(reclaimed)
+        Ok(())
     }
 
     /// Warm recovery: loads the newest valid checkpoint image (folding
@@ -752,7 +761,11 @@ impl Store {
     /// checkpoint, the journal is replayed from the database's freshly
     /// built state. If the journal was compacted past the recovered
     /// base, the disjoint suffix is *not* replayed and the gap is
-    /// reported ([`StoreFindingKind::CompactionGap`]).
+    /// reported ([`StoreFindingKind::CompactionGap`]). Its frames
+    /// continue a timeline the recovered image has left, and the
+    /// database now reuses their generations, so the journal is
+    /// rotated to an empty one at the base: no later recovery or
+    /// compaction can mistake them for the new timeline's.
     ///
     /// # Errors
     ///
@@ -813,12 +826,14 @@ impl Store {
                 kind: StoreFindingKind::CompactionGap,
                 detail: format!(
                     "journal compacted through generation {}; records between the recovered base \
-                     {base_gen} and the horizon were reclaimed, suffix not replayed",
-                    self.compacted_through
+                     {base_gen} and the horizon were reclaimed, suffix of {} record(s) not \
+                     replayed and dropped",
+                    self.compacted_through, self.journal_records
                 ),
                 gen: Some(base_gen),
                 offset: None,
             });
+            self.rotate(base_gen, false)?;
         } else {
             for frame in frames(&self.journal_cache)
                 .filter(|f| f.kind != FrameKind::Compaction && f.gen > base_gen)
