@@ -83,20 +83,42 @@ impl GenSkip {
     /// True when the record was verified clean at exactly generation
     /// `gen` (and so cannot have changed since).
     pub fn is_clean(&self, table: TableId, index: u32, gen: u64) -> bool {
-        self.tables
-            .get(&table)
-            .and_then(|st| st.last_clean.get(index as usize))
-            .is_some_and(|&g| g == gen && g != NEVER_VERIFIED)
+        self.tables.get(&table).is_some_and(|st| is_clean(&st.last_clean, index, gen))
     }
 
     /// Records that the record was verified clean at generation `gen`.
     pub fn set_clean(&mut self, table: TableId, index: u32, gen: u64) {
-        if let Some(slot) =
-            self.tables.get_mut(&table).and_then(|st| st.last_clean.get_mut(index as usize))
-        {
+        if let Some(st) = self.tables.get_mut(&table) {
+            TableClean(&mut st.last_clean).set_clean(index, gen);
+        }
+    }
+
+    /// `table`'s per-record state, looked up once for a pass that
+    /// visits every record.
+    pub fn table(&mut self, table: TableId) -> TableClean<'_> {
+        TableClean(&mut self.tables.entry(table).or_default().last_clean)
+    }
+}
+
+/// One table's verified-clean generations ([`GenSkip::table`]).
+pub(crate) struct TableClean<'a>(&'a mut [u64]);
+
+impl TableClean<'_> {
+    /// [`GenSkip::is_clean`] for this table.
+    pub fn is_clean(&self, index: u32, gen: u64) -> bool {
+        is_clean(self.0, index, gen)
+    }
+
+    /// [`GenSkip::set_clean`] for this table.
+    pub fn set_clean(&mut self, index: u32, gen: u64) {
+        if let Some(slot) = self.0.get_mut(index as usize) {
             *slot = gen;
         }
     }
+}
+
+fn is_clean(last_clean: &[u64], index: u32, gen: u64) -> bool {
+    last_clean.get(index as usize).is_some_and(|&g| g == gen && g != NEVER_VERIFIED)
 }
 
 #[cfg(test)]
