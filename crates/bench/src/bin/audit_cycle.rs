@@ -9,6 +9,12 @@
 //! dirty block and generation-skips unchanged records; the full world
 //! (`full_rescan_period: 1`) scans everything every time.
 //!
+//! Two images are measured: 512 slots per dynamic table at ~70%
+//! occupancy (`slots`, `points`), and a node-scale image of 32,768
+//! slots at ~0.4% occupancy (`node_scale`), the occupancy of the
+//! nodebench `audit_sweep` workload, where the range and semantic
+//! passes visit only the few active slots.
+//!
 //! Emits `results/BENCH_audit_cycle.json`. `WTNC_BENCH_SMOKE=1` (or
 //! `--smoke`) runs a one-iteration CI smoke pass.
 //!
@@ -23,12 +29,15 @@ use wtnc::db::{schema, Database, DbApi, DIRTY_BLOCK_SIZE};
 use wtnc::sim::{ProcessRegistry, SimTime};
 
 const SLOTS: u32 = 512;
+/// Slots per dynamic table of the node-scale image.
+const NODE_SLOTS: u32 = 32_768;
 
-fn populated_db() -> Database {
-    let mut db = Database::build(schema::standard_schema_with_slots(SLOTS)).unwrap();
-    // Fill ~70% of the dynamic tables with linked call loops so the
-    // structural/range/semantic elements have real records to walk.
-    for _ in 0..(SLOTS * 7 / 10) {
+/// An image of `slots` slots per dynamic table holding `loops` linked
+/// call loops, so the structural/range/semantic elements have real
+/// records to walk.
+fn populated_db(slots: u32, loops: u32) -> Database {
+    let mut db = Database::build(schema::standard_schema_with_slots(slots)).unwrap();
+    for _ in 0..loops {
         let p = db.alloc_record_raw(schema::PROCESS_TABLE).unwrap();
         let c = db.alloc_record_raw(schema::CONNECTION_TABLE).unwrap();
         let r = db.alloc_record_raw(schema::RESOURCE_TABLE).unwrap();
@@ -99,17 +108,14 @@ impl World {
     }
 }
 
-fn main() {
-    let smoke = wtnc_bench::smoke();
-    let iters: usize = if smoke { 1 } else { 40 };
-    let base = populated_db();
+/// Prints the full-scan vs incremental table for one image and returns
+/// its JSON points.
+fn measure(base: &Database, slots: u32, loops: u32, iters: usize) -> String {
     let n_blocks = base.region_len() / DIRTY_BLOCK_SIZE;
-
     println!(
-        "Audit cycle: full scan vs incremental ({} slots, {} KiB region, {} blocks, {iters} iters)\n",
-        SLOTS,
+        "Audit cycle: full scan vs incremental ({slots} slots, {loops} active per table, \
+         {} KiB region, {n_blocks} blocks, {iters} iters)\n",
         base.region_len() / 1024,
-        n_blocks
     );
     println!(
         "{:>8} {:>8} {:>12} {:>12} {:>9}",
@@ -118,8 +124,8 @@ fn main() {
 
     let mut points = String::new();
     for &frac in &[0.01f64, 0.05, 0.10, 0.25, 0.50] {
-        let mut full = World::new(&base, 1);
-        let mut incr = World::new(&base, 0);
+        let mut full = World::new(base, 1);
+        let mut incr = World::new(base, 0);
         // Warm-up cycle: establishes the verified-clean baseline both
         // engines skip from (and faults in the CRC tables).
         full.cycle();
@@ -155,18 +161,33 @@ fn main() {
             speedup
         ));
     }
-    let points = points.trim_end_matches(",\n").to_string();
+    println!();
+    points.trim_end_matches(",\n").to_string()
+}
+
+fn main() {
+    let smoke = wtnc_bench::smoke();
+    let iters: usize = if smoke { 1 } else { 40 };
+    // ~70% of the small image's slots; ~0.4% of the node-scale one's.
+    let (loops, node_loops) = (SLOTS * 7 / 10, NODE_SLOTS / 256);
+    let base = populated_db(SLOTS, loops);
+    let points = measure(&base, SLOTS, loops, iters);
+    let node = populated_db(NODE_SLOTS, node_loops);
+    let node_points = measure(&node, NODE_SLOTS, node_loops, iters);
 
     let json = format!(
         "{{\n  \"bench\": \"audit_cycle\",\n  \"host\": {},\n  \"slots\": {SLOTS},\n  \
          \"region_bytes\": {},\n  \"block_size\": {DIRTY_BLOCK_SIZE},\n  \
-         \"iters\": {iters},\n  \"smoke\": {smoke},\n  \"points\": [\n{points}\n  ]\n}}\n",
+         \"iters\": {iters},\n  \"smoke\": {smoke},\n  \"points\": [\n{points}\n  ],\n  \
+         \"node_scale\": {{\"slots\": {NODE_SLOTS}, \"active_per_table\": {node_loops}, \
+         \"region_bytes\": {}, \"points\": [\n{node_points}\n  ]}}\n}}\n",
         wtnc_bench::host_info_json(),
-        base.region_len()
+        base.region_len(),
+        node.region_len()
     );
     let path = "results/BENCH_audit_cycle.json";
     match std::fs::write(path, &json) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => println!("\ncould not write {path}: {e}"),
+        Ok(()) => println!("wrote {path}"),
+        Err(e) => println!("could not write {path}: {e}"),
     }
 }
