@@ -11,16 +11,22 @@
 //! slot in the status index, so a scan that decodes headers to find
 //! one fails it.
 //!
+//! A third gate counts the journal frames and bytes the calls capture
+//! (`Database::captured`): each record operation is one mutation, so a
+//! `start_call` (three allocations, three `write_rec`s) captures exactly
+//! six frames and an `end_call` (three frees) exactly three. A call path
+//! that journals a record field by field fails it.
+//!
 //! The ceilings are the counts of the current call path. When a change
-//! removes allocations or decodes, lower them to the new counts; never
-//! raise them.
+//! removes allocations, decodes or journal bytes, lower them to the new
+//! counts; never raise them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::VecDeque;
 
 use wtnc_callproc::{DesClient, WorkloadConfig};
-use wtnc_db::{schema, Database, DbApi};
+use wtnc_db::{frames, schema, Database, DbApi};
 use wtnc_sim::{ProcessRegistry, SimDuration, SimTime};
 
 /// Counts allocations (and reallocations) per thread, so the test
@@ -84,6 +90,13 @@ const END_CALL_ALLOCS_X100: u64 = 300;
 /// Records `start_call` allocates: a process, a connection and a
 /// resource record.
 const RECORDS_PER_CALL: u64 = 3;
+/// Journal frames one `start_call` captures: an allocation and a
+/// `write_rec` per record.
+const START_CALL_FRAMES: usize = 6;
+/// Journal frames one `end_call` captures: a free per record.
+const END_CALL_FRAMES: usize = 3;
+/// Ceiling on journal bytes one call (set-up plus tear-down) captures.
+const JOURNAL_BYTES_PER_CALL: usize = 433;
 
 #[test]
 fn call_path_allocations_stay_under_the_committed_ceilings() {
@@ -96,6 +109,7 @@ fn call_path_allocations_stay_under_the_committed_ceilings() {
 
     let mut live = VecDeque::new();
     let (mut start_allocs, mut end_allocs, mut start_headers) = (0u64, 0u64, 0u64);
+    let (mut start_bytes, mut end_bytes) = (0usize, 0usize);
     let mut now = SimTime::from_secs(1);
     for _ in 0..CALLS {
         now += SimDuration::from_millis(10);
@@ -104,11 +118,16 @@ fn call_path_allocations_stay_under_the_committed_ceilings() {
         start_allocs += n;
         start_headers += db.headers_decoded() - headers_before;
         let (handle, _) = started.expect("the loop never runs out of threads or records");
+        assert_eq!(frames(db.captured()).count(), START_CALL_FRAMES, "frames per start_call");
+        start_bytes += db.captured().len();
+        db.clear_captured();
         live.push_back(handle);
         if live.len() > CONCURRENT {
             let oldest = live.pop_front().expect("non-empty");
             let (_, n) = counted(|| client.end_call(&mut db, &mut api, &mut registry, oldest, now));
             end_allocs += n;
+            assert_eq!(frames(db.captured()).count(), END_CALL_FRAMES, "frames per end_call");
+            end_bytes += db.captured().len();
         }
         // What a store sync would drain, outside the counted calls.
         db.clear_captured();
@@ -120,6 +139,12 @@ fn call_path_allocations_stay_under_the_committed_ceilings() {
     let headers_x100 = start_headers * 100 / (CALLS * RECORDS_PER_CALL);
     println!("allocations x100: start_call {per_start_x100}, end_call {per_end_x100}");
     println!("headers decoded per record allocation x100: {headers_x100}");
+    let bytes_per_call = start_bytes / CALLS as usize + end_bytes / ends as usize;
+    println!("journal bytes per call: {bytes_per_call}");
+    assert!(
+        bytes_per_call <= JOURNAL_BYTES_PER_CALL,
+        "a call journals {bytes_per_call} bytes, ceiling {JOURNAL_BYTES_PER_CALL}"
+    );
     assert!(
         per_start_x100 <= START_CALL_ALLOCS_X100,
         "start_call allocates {per_start_x100}/100 per call, ceiling {START_CALL_ALLOCS_X100}"

@@ -537,7 +537,8 @@ impl DbApi {
         Ok(value)
     }
 
-    /// `DBwrite_rec`: writes every field of an active record.
+    /// `DBwrite_rec`: writes every field of an active record, as one
+    /// mutation (one journal frame) over the span the fields cover.
     ///
     /// # Errors
     ///
@@ -568,16 +569,21 @@ impl DbApi {
         self.locks.acquire(rec, pid, at)?;
         let result = (|| {
             self.require_active(db, table, index, base, at)?;
-            for (fi, &v) in values.iter().enumerate() {
-                let f = Catalog::read_region_field(db.region(), table, &entry, FieldId(fi as u16))?;
-                let (off, w) = (base + f.offset_in_record, f.width.bytes());
-                // Legitimate data replaces corrupted data.
-                db.taint_mut().resolve_range(off, w, TaintFate::Overwritten { at });
-                let mut buf = [0u8; 8];
-                write_le(&mut buf, w, v);
-                db.poke(off, &buf[..w])?;
-            }
-            Ok(())
+            // One mutation for the record: fields written before a
+            // corrupt descriptor stops the loop are still noted.
+            db.write_span(|span| {
+                for (fi, &v) in values.iter().enumerate() {
+                    let field = FieldId(fi as u16);
+                    let f = Catalog::read_region_field(span.region(), table, &entry, field)?;
+                    let (off, w) = (base + f.offset_in_record, f.width.bytes());
+                    // Legitimate data replaces corrupted data.
+                    span.taint_mut().resolve_range(off, w, TaintFate::Overwritten { at });
+                    let mut buf = [0u8; 8];
+                    write_le(&mut buf, w, v);
+                    span.write(off, &buf[..w])?;
+                }
+                Ok(())
+            })
         })();
         if !held_before {
             self.locks.release(rec, pid);

@@ -2,11 +2,12 @@
 //! shadow metadata and the golden disk image.
 
 use std::cell::Cell;
+use std::ops::Range;
 use std::sync::Arc;
 
 use wtnc_sim::{Pid, SimTime};
 
-use crate::catalog::{Catalog, FieldId, TableDef, TableId, TableNature};
+use crate::catalog::{Catalog, FieldId, TableDef, TableId, TableMeta, TableNature};
 use crate::dirty::DirtyTracker;
 use crate::error::DbError;
 use crate::frame::{push_frame, Frame, FrameKind};
@@ -160,25 +161,13 @@ impl Database {
         for tm in catalog.tables() {
             meta.push(vec![RecordMeta::default(); tm.def.record_count as usize]);
             stats.push(TableStats::default());
-            let config = tm.def.nature == TableNature::Config;
+            let status_byte =
+                if tm.def.nature == TableNature::Config { STATUS_ACTIVE } else { STATUS_FREE };
             for index in 0..tm.def.record_count {
-                let base = tm.record_offset(index);
-                write_le(
-                    &mut region[base + HDR_RECORD_ID..],
-                    4,
-                    encode_record_id(tm.id.0, index) as u64,
-                );
-                region[base + HDR_STATUS] = if config { STATUS_ACTIVE } else { STATUS_FREE };
-                status.set(tm.id.0 as usize, index as usize, region[base + HDR_STATUS]);
-                region[base + HDR_GROUP] = 0;
-                write_le(&mut region[base + HDR_NEXT..], 2, LINK_NONE as u64);
-                write_le(&mut region[base + HDR_PREV..], 2, LINK_NONE as u64);
                 // Every field starts at its default; for config tables
                 // that *is* the configuration data.
-                for (fi, f) in tm.def.fields.iter().enumerate() {
-                    let off = base + tm.field_offsets[fi];
-                    write_le(&mut region[off..], f.width.bytes(), f.default);
-                }
+                format_slot(&mut region, tm, index, status_byte);
+                status.set(tm.id.0 as usize, index as usize, status_byte);
             }
         }
 
@@ -241,8 +230,9 @@ impl Database {
     // generations and journal capture.
     //
     // Every region mutation funnels through poke / flip_bit /
-    // reload_range / reload_all / write_header / write_field_raw, and
-    // each of those calls `note_mutation` — including the injector's
+    // reload_range / reload_all / write_header / write_field_raw /
+    // alloc_record_raw / write_span, and each of those calls
+    // `note_mutation` once — including the injector's
     // raw bit flips, so nothing bypasses the bitmap *or* the journal
     // capture buffer. Audit elements consume the bitmap and
     // generations to skip provably unchanged state; `wtnc-store`
@@ -831,6 +821,23 @@ impl Database {
         Ok(())
     }
 
+    /// Runs one record-level write: `write` writes through the
+    /// [`SpanWriter`], and the span from the lowest to the highest byte
+    /// it wrote is then noted as one mutation (one dirty mark, one
+    /// generation, one journal frame) — also when `write` fails part
+    /// way, so the writes made before the failure are journaled.
+    pub(crate) fn write_span(
+        &mut self,
+        write: impl FnOnce(&mut SpanWriter<'_>) -> Result<(), DbError>,
+    ) -> Result<(), DbError> {
+        let mut writer = SpanWriter { db: self, span: None };
+        let out = write(&mut writer);
+        if let Some(span) = writer.span {
+            self.note_mutation(span.start, span.len());
+        }
+        out
+    }
+
     /// Byte range `[offset, len)` of one field within the region.
     ///
     /// # Errors
@@ -846,13 +853,15 @@ impl Database {
 
     /// Finds the first free slot in `table`, marks it active, restores
     /// its header and resets its fields to defaults. Returns the index.
+    /// The slot is formatted in place and noted as one mutation (one
+    /// journal frame), so a replay never sees it half formatted.
     ///
     /// # Errors
     ///
     /// Returns [`DbError::TableFull`] when no slot is free, or
     /// [`DbError::UnknownTable`].
     pub fn alloc_record_raw(&mut self, table: TableId) -> Result<u32, DbError> {
-        let field_count = self.catalog.table(table)?.def.fields.len();
+        let tm = self.catalog.table(table)?;
         // The first free slot at or after the hint, else the first one
         // below it (a reload-style repair may have freed a slot behind
         // the hint's back).
@@ -860,21 +869,9 @@ impl Database {
             return Err(DbError::TableFull(table));
         };
         self.status.set_hint(table.0 as usize, index + 1);
-        let rec = RecordRef::new(table, index);
-        self.write_header(
-            rec,
-            RecordHeader {
-                record_id: encode_record_id(table.0, index),
-                status: STATUS_ACTIVE,
-                group: 0,
-                next: LINK_NONE,
-                prev: LINK_NONE,
-            },
-        )?;
-        for fi in 0..field_count {
-            let default = self.catalog.table(table)?.def.fields[fi].default;
-            self.write_field_raw(rec, FieldId(fi as u16), default)?;
-        }
+        let base = tm.record_offset(index);
+        let len = format_slot(&mut self.region, tm, index, STATUS_ACTIVE);
+        self.note_mutation(base, len);
         Ok(index)
     }
 
@@ -1071,6 +1068,66 @@ impl Database {
             return TaintKind::Slack;
         }
         TaintKind::Slack
+    }
+}
+
+/// Formats record slot `index` of `tm` in place: the header (record
+/// id, `status`, no group, no links) and every field at its catalog
+/// default. Padding bytes are left as they are. Returns the length of
+/// the formatted extent from the slot's start: the header through the
+/// last field.
+///
+/// Always inlined: `build` formats every slot through it, and as an
+/// out-of-line call a 32,768-slot build measured ~25% slower.
+#[inline(always)]
+fn format_slot(region: &mut [u8], tm: &TableMeta, index: u32, status: u8) -> usize {
+    let record = &mut region[tm.record_offset(index)..];
+    write_le(&mut record[HDR_RECORD_ID..], 4, encode_record_id(tm.id.0, index) as u64);
+    record[HDR_STATUS] = status;
+    record[HDR_GROUP] = 0;
+    write_le(&mut record[HDR_NEXT..], 2, LINK_NONE as u64);
+    write_le(&mut record[HDR_PREV..], 2, LINK_NONE as u64);
+    let mut end = RECORD_HEADER_SIZE;
+    for (f, &off) in tm.def.fields.iter().zip(&tm.field_offsets) {
+        write_le(&mut record[off..], f.width.bytes(), f.default);
+        end = end.max(off + f.width.bytes());
+    }
+    end
+}
+
+/// The region access of one record-level write in progress (see
+/// [`Database::write_span`]): its writes land at once, and the span
+/// they cover is noted as one mutation when the write ends.
+pub(crate) struct SpanWriter<'a> {
+    db: &'a mut Database,
+    span: Option<Range<usize>>,
+}
+
+impl SpanWriter<'_> {
+    /// Read-only view of the whole region, writes so far included.
+    pub(crate) fn region(&self) -> &[u8] {
+        &self.db.region
+    }
+
+    /// The ground-truth taint ledger.
+    pub(crate) fn taint_mut(&mut self) -> &mut TaintMap {
+        &mut self.db.taint
+    }
+
+    /// Overwrites bytes at `offset` and widens the span to cover them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DbError::OutOfBounds`] if the range leaves the region.
+    pub(crate) fn write(&mut self, offset: usize, bytes: &[u8]) -> Result<(), DbError> {
+        self.db.check_bounds(offset, bytes.len())?;
+        let end = offset + bytes.len();
+        self.db.region[offset..end].copy_from_slice(bytes);
+        self.span = Some(match self.span.take() {
+            Some(span) => span.start.min(offset)..span.end.max(end),
+            None => offset..end,
+        });
+        Ok(())
     }
 }
 

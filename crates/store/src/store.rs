@@ -755,6 +755,30 @@ impl Store {
         Ok(())
     }
 
+    /// Deletes every checkpoint above `base_gen`: the invalid files
+    /// and the chain entries that failed to fold. Called by a
+    /// compaction-gap recovery, which leaves their timeline for good.
+    /// Runs before the journal rotation, so a crash in between repeats
+    /// the gap recovery on the next open.
+    fn retire_above(&mut self, base_gen: u64) -> Result<(), StoreError> {
+        let mut doomed: Vec<PathBuf> = Vec::new();
+        for &gen in self.invalid_gens.iter().filter(|&&g| g > base_gen) {
+            doomed.push(self.dir.join(checkpoint_file_name(gen)));
+            doomed.push(self.dir.join(delta_file_name(gen)));
+        }
+        while self.chain.last().is_some_and(|e| e.gen > base_gen) {
+            doomed.push(Arc::make_mut(&mut self.chain).pop().expect("checked non-empty").path);
+        }
+        for path in doomed {
+            match std::fs::remove_file(&path) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e.into()),
+                _ => {}
+            }
+        }
+        self.invalid_gens.retain(|&g| g <= base_gen);
+        Ok(())
+    }
+
     /// Warm recovery: loads the newest valid checkpoint image (folding
     /// delta lineages) into the database and replays every journal
     /// record with a newer generation on top. With no usable
@@ -765,7 +789,10 @@ impl Store {
     /// continue a timeline the recovered image has left, and the
     /// database now reuses their generations, so the journal is
     /// rotated to an empty one at the base: no later recovery or
-    /// compaction can mistake them for the new timeline's.
+    /// compaction can mistake them for the new timeline's. For the same
+    /// reason the checkpoints above the base, none of which recovered,
+    /// are deleted (after this recovery has reported them), so later
+    /// opens do not report them again.
     ///
     /// # Errors
     ///
@@ -833,6 +860,7 @@ impl Store {
                 gen: Some(base_gen),
                 offset: None,
             });
+            self.retire_above(base_gen)?;
             self.rotate(base_gen, false)?;
         } else {
             for frame in frames(&self.journal_cache)

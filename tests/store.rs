@@ -409,8 +409,9 @@ fn a_golden_commit_right_after_a_checkpoint_survives_a_restart() {
 /// compaction and more synced writes, then a flipped byte in the newest
 /// `.img`; recovery falls back across the gap. The node then writes,
 /// checkpoints below the lost generations and compacts. A restart must
-/// replay only the new timeline's frames and recover exactly the image
-/// it had.
+/// replay only the new timeline's frames, recover exactly the image it
+/// had, and report nothing: the gap recovery retired the abandoned
+/// timeline's checkpoints.
 #[test]
 fn a_gap_recovery_leaves_no_stale_frames_for_the_next_restart() {
     let scratch = ScratchDir::new("gap-stale");
@@ -464,7 +465,9 @@ fn a_gap_recovery_leaves_no_stale_frames_for_the_next_restart() {
 
     let mut store = Store::open(scratch.path(), StoreConfig::default()).expect("reopen");
     let mut recovered = Database::build(schema::standard_schema()).expect("standard schema");
+    assert_eq!(store.open_findings(), [], "the gap recovery retired the abandoned checkpoints");
     let info = store.recover_into(&mut recovered).expect("recover");
+    assert_eq!(info.findings, [], "a clean restart reports nothing");
     assert_eq!(info.replayed, frames(&new_frames).count(), "only the new timeline replays");
     assert_eq!(recovered.region(), db.region());
     assert_eq!(recovered.golden(), db.golden());
@@ -478,10 +481,10 @@ fn a_gap_recovery_leaves_no_stale_frames_for_the_next_restart() {
 /// that moves a single byte fails here.
 #[test]
 fn on_disk_format_is_pinned_for_a_fixed_seed() {
-    const JOURNAL_LEN: u64 = 11_565;
-    const JOURNAL_CRC: u32 = 0x9F81_11D4;
+    const JOURNAL_LEN: u64 = 4_041;
+    const JOURNAL_CRC: u32 = 0x2E27_84C7;
     const CHECKPOINTS_LEN: u64 = 18_980;
-    const CHECKPOINTS_CRC: u32 = 0xFA29_4FBE;
+    const CHECKPOINTS_CRC: u32 = 0xC55D_8FD9;
 
     let scratch = ScratchDir::new("format-pin");
     let mut rng = SimRng::seed_from(0x5EED_F00D);
