@@ -1,15 +1,19 @@
 //! Shared change-tracking state for change-aware audit elements: the
-//! one every-`n`-th-pass full-sweep rule, and per-record generations.
+//! one every-`n`-th-pass full-sweep rule ([`SweepCounter`], kept by the
+//! range, semantic and static-data elements), and per-record
+//! generations ([`GenSkip`], kept by the range element alone).
 //!
 //! The database bumps a per-record generation on every mutation
 //! overlapping the record (see `wtnc_db::Database::record_generation`),
-//! including raw injector writes and golden reloads. An element records
-//! the generation at which it last *verified* a record clean; while the
-//! generation is unchanged, re-checking the record is provably
-//! redundant — the bytes cannot differ from the verified state. A
-//! record with findings never has its generation recorded, so deferred
-//! (detect-only) elements re-flag it every cycle exactly like a full
-//! scan would.
+//! including raw injector writes and golden reloads. The range element
+//! records the generation at which it last *verified* a record clean;
+//! while the generation is unchanged, re-checking the record is
+//! provably redundant — the bytes cannot differ from the verified
+//! state. A record with findings never has its generation recorded, so
+//! a deferred (detect-only) pass re-flags it every cycle exactly like a
+//! full scan would. The structural element keeps no such state: its
+//! per-header check costs about what reading and storing a generation
+//! would.
 
 use std::collections::BTreeMap;
 
@@ -83,42 +87,20 @@ impl GenSkip {
     /// True when the record was verified clean at exactly generation
     /// `gen` (and so cannot have changed since).
     pub fn is_clean(&self, table: TableId, index: u32, gen: u64) -> bool {
-        self.tables.get(&table).is_some_and(|st| is_clean(&st.last_clean, index, gen))
+        self.tables
+            .get(&table)
+            .and_then(|st| st.last_clean.get(index as usize))
+            .is_some_and(|&g| g == gen && g != NEVER_VERIFIED)
     }
 
     /// Records that the record was verified clean at generation `gen`.
     pub fn set_clean(&mut self, table: TableId, index: u32, gen: u64) {
-        if let Some(st) = self.tables.get_mut(&table) {
-            TableClean(&mut st.last_clean).set_clean(index, gen);
-        }
-    }
-
-    /// `table`'s per-record state, looked up once for a pass that
-    /// visits every record.
-    pub fn table(&mut self, table: TableId) -> TableClean<'_> {
-        TableClean(&mut self.tables.entry(table).or_default().last_clean)
-    }
-}
-
-/// One table's verified-clean generations ([`GenSkip::table`]).
-pub(crate) struct TableClean<'a>(&'a mut [u64]);
-
-impl TableClean<'_> {
-    /// [`GenSkip::is_clean`] for this table.
-    pub fn is_clean(&self, index: u32, gen: u64) -> bool {
-        is_clean(self.0, index, gen)
-    }
-
-    /// [`GenSkip::set_clean`] for this table.
-    pub fn set_clean(&mut self, index: u32, gen: u64) {
-        if let Some(slot) = self.0.get_mut(index as usize) {
+        if let Some(slot) =
+            self.tables.get_mut(&table).and_then(|st| st.last_clean.get_mut(index as usize))
+        {
             *slot = gen;
         }
     }
-}
-
-fn is_clean(last_clean: &[u64], index: u32, gen: u64) -> bool {
-    last_clean.get(index as usize).is_some_and(|&g| g == gen && g != NEVER_VERIFIED)
 }
 
 #[cfg(test)]

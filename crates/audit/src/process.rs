@@ -129,11 +129,15 @@ pub struct AuditConfig {
     /// When true, write-class API events queue their table for an
     /// immediate event-triggered audit on the next cycle.
     pub event_triggered: bool,
-    /// The audit schedule. Between forced full sweeps, elements consult
-    /// the dirty-block bitmap and mutation generations to skip provably
-    /// unchanged state; every `n`-th pass per table or static chunk
-    /// re-checks everything, bounding the window for anything that
-    /// could slip past the tracking. 0 never forces a sweep; 1 sweeps
+    /// The audit schedule. Between forced full sweeps, the static-data
+    /// element skips chunks the dirty-block bitmap shows unchanged, the
+    /// range element skips records whose mutation generation is
+    /// unchanged since they were verified clean, and the semantic
+    /// element skips anchors whose last clean walk's records are all
+    /// unchanged; every `n`-th pass per table or static chunk re-checks
+    /// everything, bounding the window for anything that could slip
+    /// past the tracking. The structural element checks every header on
+    /// every pass whatever the period. 0 never forces a sweep; 1 sweeps
     /// every pass, which is a full scan. The parity property
     /// (`crates/audit/tests/incremental.rs`) guarantees that every
     /// period reports the same findings.
@@ -203,7 +207,7 @@ impl AuditProcess {
             progress: ProgressIndicator::new(),
             static_audit: StaticDataAudit::new(db),
             elements: vec![
-                Box::new(StructuralAudit::default()),
+                Box::new(StructuralAudit),
                 Box::new(RangeAudit::default()),
                 Box::new(SemanticAudit::new(config.orphan_grace)),
             ],
@@ -252,9 +256,9 @@ impl AuditProcess {
     ///   forced sweep: at the boundary it leaves the count there, so
     ///   the next cycle pass sweeps;
     /// * records verified-clean state: the record generation for the
-    ///   structural and range audits, the anchor's walk witness for
-    ///   the semantic audit, and the chunk's dirty bits for the static
-    ///   audit;
+    ///   range audit, the anchor's walk witness for the semantic audit,
+    ///   and the chunk's dirty bits for the static audit (the
+    ///   structural audit keeps none);
     /// * bumps the table's error counters (through
     ///   `Database::note_errors_detected`) once per finding on the
     ///   target, which the [`PriorityScheduler`](crate::PriorityScheduler)

@@ -33,36 +33,6 @@ fn link_field(catalog: &Catalog, table: TableId) -> Option<(FieldId, TableId)> {
     })
 }
 
-/// Transitive closure of tables reachable from `table` over link
-/// fields (including `table` itself).
-fn link_closure(catalog: &Catalog, table: TableId) -> Vec<TableId> {
-    let mut closure = vec![table];
-    let mut i = 0;
-    while i < closure.len() {
-        if let Some((_, target)) = link_field(catalog, closure[i]) {
-            if !closure.contains(&target) {
-                closure.push(target);
-            }
-        }
-        i += 1;
-    }
-    closure
-}
-
-/// Verified-clean state of one anchor table, for change-aware skipping.
-#[derive(Debug, Clone, Copy)]
-struct CleanPass {
-    /// Sum of the generations of every table in the anchor's link
-    /// closure at the clean pass. Generations only grow, so an
-    /// unchanged sum proves no record in the closure was mutated.
-    closure_sig: u64,
-    /// Earliest `last_access` among tolerated (young, unlinked)
-    /// records; `None` when there were none. Accesses only push
-    /// `last_access` later, so re-checking once the grace period has
-    /// elapsed *from this time* can never miss an orphan.
-    earliest_unlinked_access: Option<SimTime>,
-}
-
 /// Every record one clean walk visited, with its generation at the
 /// time. The walk's verdict depends only on these records' bytes (the
 /// catalog the walk consults is guarded by the static-data element,
@@ -73,16 +43,15 @@ type WalkWitness = Vec<(RecordRef, u64)>;
 /// The referential-integrity audit element. In deferred mode broken
 /// walks are flagged (targeted at the anchor record) instead of freed;
 /// owner termination is likewise left to the recovery engine's ladder.
-/// Between forced full sweeps a table's walks are skipped when no
-/// record in its link closure has been mutated since the last clean
-/// pass and no tolerated orphan can have aged out.
+/// Between forced full sweeps an anchor's walk is skipped while its
+/// witness holds; an anchor without one (a young unlinked record among
+/// them) is walked on every pass.
 #[derive(Debug, Clone)]
 pub struct SemanticAudit {
     /// Records whose links are still unset (`LINK_NONE`) are tolerated
     /// for this long after their last access (a client may be mid-setup)
     /// before being treated as orphans.
     pub orphan_grace: SimDuration,
-    clean: std::collections::BTreeMap<TableId, CleanPass>,
     sweeps: std::collections::BTreeMap<TableId, SweepCounter>,
     /// Per-anchor witnesses of the last clean walk (none under a
     /// full-scan schedule).
@@ -101,7 +70,6 @@ impl SemanticAudit {
     pub fn new(orphan_grace: SimDuration) -> Self {
         SemanticAudit {
             orphan_grace,
-            clean: std::collections::BTreeMap::new(),
             sweeps: std::collections::BTreeMap::new(),
             walks: std::collections::BTreeMap::new(),
             visited: 0,
@@ -141,30 +109,7 @@ impl AuditElement for SemanticAudit {
             return 0;
         };
         let record_count = tm.def.record_count;
-
-        // Incremental skip: a walk's outcome depends only on records in
-        // the anchor table's link closure (plus orphan aging). If no
-        // closure table was mutated since the last clean pass and no
-        // tolerated unlinked record can have aged past the grace
-        // period, every walk would repeat its clean verdict.
-        let closure_sig = link_closure(db.catalog(), table)
-            .iter()
-            .fold(0u64, |acc, t| acc.wrapping_add(db.table_generation(*t)));
         let use_witness = self.sweeps.entry(table).or_default().may_skip(policy);
-        let deferred = policy.deferred;
-        if use_witness {
-            if let Some(cp) = self.clean.get(&table) {
-                let orphan_possible = cp
-                    .earliest_unlinked_access
-                    .is_some_and(|t0| at.saturating_since(t0) > self.orphan_grace);
-                if cp.closure_sig == closure_sig && !orphan_possible {
-                    return 0;
-                }
-            }
-        }
-        let mut abstained = false;
-        let mut earliest_unlinked: Option<SimTime> = None;
-        let findings_before = out.len();
         let mut checked = 0u64;
         let walks = self.walks.entry(table).or_default();
         walks.resize(record_count as usize, None);
@@ -191,34 +136,13 @@ impl AuditElement for SemanticAudit {
             walks[index as usize] = witness(db, &walk, policy);
             match walk {
                 Walk::Free => {}
-                Walk::Abstained { at_anchor } => {
-                    // Unverified walk: the table cannot be recorded clean.
-                    abstained = true;
-                    checked += u64::from(!at_anchor);
-                }
-                Walk::Unlinked(last_access) => {
-                    // Tolerated for now — remember when it could age out.
-                    checked += 1;
-                    earliest_unlinked =
-                        Some(earliest_unlinked.map_or(last_access, |t0| t0.min(last_access)));
-                }
-                Walk::Clean(_) => checked += 1,
+                Walk::Abstained { at_anchor } => checked += u64::from(!at_anchor),
+                Walk::Unlinked | Walk::Clean(_) => checked += 1,
                 Walk::Broken(visited, detail) => {
                     checked += 1;
-                    free_zombies(deferred, db, &visited, at, out, detail);
+                    free_zombies(policy.deferred, db, &visited, at, out, detail);
                 }
             }
-        }
-
-        if out.len() == findings_before && !abstained {
-            self.clean.insert(
-                table,
-                CleanPass { closure_sig, earliest_unlinked_access: earliest_unlinked },
-            );
-        } else {
-            // Findings mutated the closure (or walks went unverified):
-            // the entry is stale either way.
-            self.clean.remove(&table);
         }
         checked
     }
@@ -258,7 +182,7 @@ impl AuditElement for SemanticAudit {
                 free_zombies(policy.deferred, db, &visited, at, out, detail);
                 visited.len() as u64
             }
-            Walk::Free | Walk::Abstained { .. } | Walk::Unlinked(_) => 1,
+            Walk::Free | Walk::Abstained { .. } | Walk::Unlinked => 1,
         }
     }
 }
@@ -272,8 +196,8 @@ enum Walk {
     /// anchor itself is locked (the walk never started).
     Abstained { at_anchor: bool },
     /// The anchor is not linked yet but is inside the orphan grace
-    /// period; its last access time.
-    Unlinked(SimTime),
+    /// period.
+    Unlinked,
     /// The loop closed at the anchor (or a chain reached its terminal
     /// record) over these records.
     Clean(Vec<RecordRef>),
@@ -305,7 +229,7 @@ fn walk(
         return if at.saturating_since(meta.last_access) > orphan_grace {
             Walk::Broken(vec![start], "orphan record never linked")
         } else {
-            Walk::Unlinked(meta.last_access)
+            Walk::Unlinked
         };
     }
     let mut visited: Vec<RecordRef> = vec![start];
@@ -596,7 +520,7 @@ mod tests {
     }
 
     #[test]
-    fn unmutated_closure_skips_the_table_until_an_orphan_can_age_out() {
+    fn unmutated_closure_rewalks_only_the_young_anchor_until_it_ages_out() {
         let (mut d, ..) = with_call_loop();
         let index = d.alloc_record_raw(schema::PROCESS_TABLE).unwrap();
         let young = RecordRef::new(schema::PROCESS_TABLE, index);
@@ -611,11 +535,11 @@ mod tests {
         assert_eq!(pass(&mut d, 10, &mut out), 2, "first pass walks the loop and the young record");
         assert!(out.is_empty(), "{out:?}");
         // The loop's anchor has a walk witness, the unlinked record has
-        // none: only the table-level skip keeps it from a re-check.
-        assert_eq!(pass(&mut d, 20, &mut out), 0, "unmutated closure inside the grace period");
+        // none: it is walked again, and is still inside the grace period.
+        assert_eq!(pass(&mut d, 20, &mut out), 1, "only the young anchor is re-walked");
         assert!(out.is_empty(), "{out:?}");
         // Still no mutation, but the young record has aged past the
-        // grace period: the skip must not hide the orphan.
+        // grace period: its walk finds the orphan.
         assert_eq!(pass(&mut d, 100, &mut out), 1);
         let freed = RecoveryAction::FreedRecord { table: young.table, record: index };
         assert!(out.iter().any(|f| f.action == freed), "{out:?}");

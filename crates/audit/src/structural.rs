@@ -16,7 +16,6 @@ use wtnc_db::{Database, RecordHeader, RecordRef, TableId, TaintFate};
 use wtnc_sim::SimTime;
 
 use crate::finding::{AuditElementKind, Finding, FindingTarget, RecoveryAction};
-use crate::genskip::GenSkip;
 use crate::process::{AuditElement, ElementPolicy};
 
 /// Consecutive damaged headers in one table that escalate to a full
@@ -26,11 +25,10 @@ const ESCALATION_THRESHOLD: u32 = 3;
 /// The structural audit element. In deferred mode damaged headers are
 /// flagged (one finding per record, targeted at the header) instead of
 /// rebuilt, and the consecutive-damage escalation is left to the
-/// recovery engine's ladder.
+/// recovery engine's ladder. Stateless: every pass checks every
+/// header, which costs a few byte compares per slot.
 #[derive(Debug, Clone, Default)]
-pub struct StructuralAudit {
-    skip: GenSkip,
-}
+pub struct StructuralAudit;
 
 impl AuditElement for StructuralAudit {
     fn kind(&self) -> AuditElementKind {
@@ -59,23 +57,13 @@ impl AuditElement for StructuralAudit {
         let record_size = tm.record_size;
         let table_offset = tm.offset;
         let table_bytes = table_offset..table_offset + tm.data_len();
-        let use_gen = self.skip.begin_pass(table, record_count as usize, policy);
         let mut consecutive = 0u32;
         let mut damaged: Vec<u32> = Vec::new();
 
-        let mut clean = self.skip.table(table);
         let records = db.region()[table_bytes].chunks_exact(record_size);
         for (index, bytes) in (0..record_count).zip(records) {
-            let gen = db.record_generation(RecordRef::new(table, index));
-            if use_gen && clean.is_clean(index, gen) {
-                // Provably unchanged since its last verified-clean
-                // check: a full scan would find it clean too.
-                consecutive = 0;
-                continue;
-            }
             if header_ok(RecordHeader::parse(bytes), table, index, record_count) {
                 consecutive = 0;
-                clean.set_clean(index, gen);
                 continue;
             }
             damaged.push(index);
@@ -133,14 +121,14 @@ impl AuditElement for StructuralAudit {
         record_count as u64
     }
 
-    /// Re-checks the one header a [`FindingTarget::Header`] names,
-    /// whatever its generation says; any other target checks nothing.
-    /// Returns the number of records examined.
+    /// Re-checks the one header a [`FindingTarget::Header`] names; any
+    /// other target checks nothing. Returns the number of records
+    /// examined.
     fn recheck(
         &mut self,
         db: &mut Database,
         target: FindingTarget,
-        policy: ElementPolicy,
+        _policy: ElementPolicy,
         _locked: &dyn Fn(RecordRef) -> bool,
         at: SimTime,
         out: &mut Vec<Finding>,
@@ -155,12 +143,8 @@ impl AuditElement for StructuralAudit {
         if record >= record_count {
             return 0;
         }
-        self.skip.note_recheck(table, record_count as usize, policy);
-        let rec = RecordRef::new(table, record);
-        let hdr = db.header(rec).expect("index within table");
-        if header_ok(hdr, table, record, record_count) {
-            self.skip.set_clean(table, record, db.record_generation(rec));
-        } else {
+        let hdr = db.header(RecordRef::new(table, record)).expect("index within table");
+        if !header_ok(hdr, table, record, record_count) {
             flag(db, table, record, at, out);
         }
         1
@@ -205,14 +189,7 @@ mod tests {
 
     /// One inline-repair, full-scan pass over `table`.
     fn audit(d: &mut Database, table: TableId, at: SimTime, out: &mut Vec<Finding>) -> u64 {
-        StructuralAudit::default().audit_table(
-            d,
-            table,
-            ElementPolicy::default(),
-            &|_| false,
-            at,
-            out,
-        )
+        StructuralAudit.audit_table(d, table, ElementPolicy::default(), &|_| false, at, out)
     }
 
     #[test]

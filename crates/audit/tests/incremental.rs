@@ -105,8 +105,14 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// 64 cases, or the number the `PROPTEST_CASES` environment variable
+/// names (CI runs 1,024).
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(64)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     /// Per-cycle findings and the final image are identical between
     /// incremental auditing on the hardware CRC kernel and full-scan

@@ -45,7 +45,7 @@ proptest! {
         bit in 0u8..8,
     ) {
         let mut d = db();
-        let mut audit = StructuralAudit::default();
+        let mut audit = StructuralAudit;
         let rec = RecordRef::new(schema::PROCESS_TABLE, index);
         let base = d.record_offset(rec).unwrap();
         d.flip_bit(base + byte, bit).unwrap();

@@ -129,8 +129,6 @@ pub struct Database {
     /// Monotonic mutation counter; bumped once per mutation of the
     /// region or of the golden image.
     global_gen: u64,
-    /// Per-table generation: `global_gen` at the table's last mutation.
-    table_gen: Vec<u64>,
     /// Per-record generation: `global_gen` at the record's last
     /// mutation.
     record_gen: Vec<Vec<u64>>,
@@ -177,7 +175,6 @@ impl Database {
         // is checkpoint-dirty until the first (full) checkpoint seals it.
         let mut ckpt_dirty = DirtyTracker::new(region.len() * 2);
         ckpt_dirty.mark_all();
-        let table_gen = vec![0u64; catalog.table_count()];
         let record_gen =
             catalog.tables().map(|tm| vec![0u64; tm.def.record_count as usize]).collect();
         Ok(Database {
@@ -192,7 +189,6 @@ impl Database {
             dirty,
             ckpt_dirty,
             global_gen: 0,
-            table_gen,
             record_gen,
             capture: None,
         })
@@ -242,7 +238,7 @@ impl Database {
     // ------------------------------------------------------------------
 
     /// Marks `[offset, offset + len)` mutated: dirties the overlapping
-    /// blocks, bumps the global, per-table and per-record generations,
+    /// blocks, bumps the global and per-record generations,
     /// and (when capture is enabled) appends the written bytes as a
     /// journal frame.
     fn note_mutation(&mut self, offset: usize, len: usize) {
@@ -260,7 +256,7 @@ impl Database {
         }
     }
 
-    /// Raises the generation of every table and record slot that
+    /// Raises the generation of every record slot that
     /// `[offset, offset + len)` overlaps to at least `gen`, and
     /// re-derives the status bits of every slot whose status byte lies
     /// inside the range (a field-only write touches none). Tables lie
@@ -273,7 +269,6 @@ impl Database {
         for tm in tables[first_table..].iter().take_while(|tm| tm.offset < end) {
             let (t_start, t_end) = (tm.offset, tm.offset + tm.data_len());
             let ti = tm.id.0 as usize;
-            self.table_gen[ti] = self.table_gen[ti].max(gen);
             let lo = offset.max(t_start) - t_start;
             let hi = end.min(t_end) - t_start;
             let (first, last) = (lo / tm.record_size, (hi - 1) / tm.record_size);
@@ -380,9 +375,6 @@ impl Database {
                 self.status.set(tm.id.0 as usize, index, record[HDR_STATUS]);
             }
         }
-        for t in &mut self.table_gen {
-            *t = gen;
-        }
         for t in &mut self.record_gen {
             for r in t.iter_mut() {
                 *r = gen;
@@ -425,12 +417,6 @@ impl Database {
     /// mutation, never reset.
     pub fn mutation_generation(&self) -> u64 {
         self.global_gen
-    }
-
-    /// Generation of the last mutation overlapping `table` (0 = never
-    /// mutated since build, or unknown table).
-    pub fn table_generation(&self, table: TableId) -> u64 {
-        self.table_gen.get(table.0 as usize).copied().unwrap_or(0)
     }
 
     /// Generation of the last mutation overlapping the record slot
@@ -1315,13 +1301,12 @@ mod tests {
         assert_eq!(db.dirty().dirty_count(), 0, "fresh build starts clean");
         assert_eq!(db.mutation_generation(), 0);
 
-        // An API-path field write marks the record, table and block.
+        // An API-path field write marks the record and block.
         let t = TableId(1);
         let i = db.alloc_record_raw(t).unwrap();
         let rec = RecordRef::new(t, i);
         let gen_after_alloc = db.mutation_generation();
         assert!(gen_after_alloc > 0);
-        assert!(db.table_generation(t) > 0);
         assert!(db.record_generation(rec) > 0);
         assert!(db.dirty().dirty_count() > 0);
 
@@ -1338,9 +1323,10 @@ mod tests {
         assert!(db.mutation_generation() > before);
         assert!(db.dirty().any_dirty_in(base, size));
 
-        // Untouched table keeps generation 0. (Its dirty *density* may
-        // still be nonzero: 256-byte blocks can span table boundaries.)
-        assert_eq!(db.table_generation(TableId(0)), 0);
+        // An untouched table's records keep generation 0. (Its dirty
+        // *density* may still be nonzero: 256-byte blocks can span
+        // table boundaries.)
+        assert_eq!(db.record_generation(RecordRef::new(TableId(0), 0)), 0);
         assert!(db.dirty_density(t) > 0.0);
     }
 
@@ -1420,7 +1406,7 @@ mod tests {
         assert_eq!(other.region(), db.region());
         assert_eq!(other.golden(), db.golden());
         assert_eq!(other.mutation_generation(), 42);
-        assert_eq!(other.table_generation(TableId(1)), 42);
+        assert_eq!(other.record_generation(RecordRef::new(TableId(1), 0)), 42);
         assert!(other.dirty().dirty_count() > 0, "a recovered image is re-verified from scratch");
         assert!(other.load_image(&region[1..], &golden, 1).is_err());
     }

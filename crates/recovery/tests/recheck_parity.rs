@@ -57,7 +57,7 @@ fn oracle(
     let locked = |r: RecordRef| api.locks().holder(r).is_some();
     let mut out = Vec::new();
     let fresh: Box<dyn AuditElement> = match element {
-        AuditElementKind::Structural => Box::new(StructuralAudit::default()),
+        AuditElementKind::Structural => Box::new(StructuralAudit),
         AuditElementKind::Range => Box::new(RangeAudit::default()),
         AuditElementKind::Semantic => {
             Box::new(SemanticAudit::new(AuditConfig::default().orphan_grace))

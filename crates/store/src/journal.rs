@@ -16,7 +16,7 @@
 //! prefix, and the damage is reported instead of a partial record ever
 //! being applied.
 
-use std::fs::File;
+use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::Path;
 
@@ -82,28 +82,30 @@ pub fn scan_journal(path: &Path) -> io::Result<JournalScan> {
 /// Rotates the journal for compaction: builds a fresh journal of a
 /// compaction marker at `horizon` followed by the record frames of
 /// `journal` newer than `horizon`, writes it to [`JOURNAL_TMP_FILE`] in
-/// one write, syncs it, and atomically renames it over
-/// [`JOURNAL_FILE`]. A crash before the rename leaves the old journal
-/// intact (the stray tmp file is ignored and removed at open); a crash
-/// after it leaves the fully-synced rotated journal. Returns the new
-/// journal's bytes.
+/// one write through an append handle, syncs it, and atomically renames
+/// it over [`JOURNAL_FILE`]. A crash before the rename leaves the old
+/// journal intact (the stray tmp file is ignored and removed at open); a
+/// crash after it leaves the fully-synced rotated journal. Returns the
+/// new journal's bytes and the append handle, which follows the file
+/// through the rename: an error at any step leaves the old journal in
+/// place and returns no handle.
 ///
 /// # Errors
 ///
-/// Propagates I/O errors from the write, sync, or rename.
-pub fn rotate_journal(dir: &Path, horizon: u64, journal: &[u8]) -> io::Result<Vec<u8>> {
+/// Propagates I/O errors from the open, write, sync, or rename.
+pub fn rotate_journal(dir: &Path, horizon: u64, journal: &[u8]) -> io::Result<(Vec<u8>, File)> {
     let mut rotated = Vec::new();
     push_frame(&mut rotated, FrameKind::Compaction, horizon, 0, &[]);
     for frame in frames(journal).filter(|f| f.kind != FrameKind::Compaction && f.gen > horizon) {
         rotated.extend_from_slice(frame.raw);
     }
     let tmp = dir.join(JOURNAL_TMP_FILE);
-    let mut file = File::create(&tmp)?;
+    let mut file = OpenOptions::new().create(true).append(true).open(&tmp)?;
+    file.set_len(0)?;
     file.write_all(&rotated)?;
     file.sync_data()?;
-    drop(file);
     std::fs::rename(&tmp, dir.join(JOURNAL_FILE))?;
-    Ok(rotated)
+    Ok((rotated, file))
 }
 
 #[cfg(test)]
@@ -203,7 +205,7 @@ mod tests {
         let journal = sample(1..=6, 3);
         std::fs::write(&path, &journal).unwrap();
 
-        let rotated = rotate_journal(dir.path(), 4, &journal).unwrap();
+        let (rotated, mut file) = rotate_journal(dir.path(), 4, &journal).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), rotated);
         assert!(rotated.len() < journal.len());
         assert!(!dir.path().join(JOURNAL_TMP_FILE).exists());
@@ -217,15 +219,14 @@ mod tests {
         assert_eq!(scan.compacted_through, 4);
         assert_eq!(records(&scan.frames), [(FrameKind::Region, 5), (FrameKind::Golden, 6)]);
 
-        // Appends after rotation keep working on the renamed file, and
-        // a second rotation drops the old marker.
-        let mut file = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
+        // Appends through the returned handle land in the renamed file,
+        // and a second rotation drops the old marker.
         file.write_all(&sample(7..=7, 7)).unwrap();
         drop(file);
         let scan = scan_journal(&path).unwrap();
         assert_eq!(records(&scan.frames).len(), 3);
         assert_eq!(scan.compacted_through, 4);
-        let rotated = rotate_journal(dir.path(), 5, &scan.frames).unwrap();
+        let (rotated, _) = rotate_journal(dir.path(), 5, &scan.frames).unwrap();
         assert_eq!(frames(&rotated).filter(|f| f.kind == FrameKind::Compaction).count(), 1);
         assert_eq!(records(&rotated), [(FrameKind::Golden, 6), (FrameKind::Golden, 7)]);
     }
@@ -234,7 +235,7 @@ mod tests {
     fn torn_rotated_journal_still_reports_its_marker_prefix() {
         let dir = ScratchDir::new("journal-rotate-torn");
         let path = dir.path().join(JOURNAL_FILE);
-        let full = rotate_journal(dir.path(), 4, &sample(5..=6, u64::MAX)).unwrap();
+        let (full, _) = rotate_journal(dir.path(), 4, &sample(5..=6, u64::MAX)).unwrap();
         let marker_len = FRAME_HEADER + PAYLOAD_PREFIX;
 
         // Cut inside the first retained record: the marker survives.

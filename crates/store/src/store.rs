@@ -408,6 +408,9 @@ pub struct Store {
     dir: PathBuf,
     config: StoreConfig,
     journal: File,
+    /// A failed sync may have left bytes past `journal_cache` in the
+    /// file that are not cut off yet.
+    torn: bool,
     /// Record frames in `journal_cache` (markers excluded).
     journal_records: u64,
     /// The journal file's valid bytes: the frames written since the
@@ -460,6 +463,7 @@ impl Store {
             dir,
             config,
             journal,
+            torn: false,
             journal_records: index_frames(&scan.journal.frames, &mut golden_frames),
             journal_cache: scan.journal.frames,
             golden_frames,
@@ -557,13 +561,19 @@ impl Store {
     /// # Errors
     ///
     /// Returns [`StoreError::Io`] if the write or sync fails; the
-    /// batch is then dropped.
+    /// batch is then dropped, and the journal file is cut back to its
+    /// last good length through a fresh append handle, so no torn bytes
+    /// sit in front of the next sync's frames (a cut that fails too is
+    /// retried before the next sync writes).
     pub fn sync(&mut self, db: &mut Database) -> Result<usize, StoreError> {
         let batch = db.captured();
         if batch.is_empty() {
             return Ok(0);
         }
-        let written = self.journal.write_all(batch).and_then(|()| self.journal.sync_data());
+        let written = self
+            .cut_torn_tail()
+            .and_then(|()| self.journal.write_all(batch))
+            .and_then(|()| self.journal.sync_data());
         let mut records = 0;
         if written.is_ok() {
             self.journal_cache.extend_from_slice(batch);
@@ -571,8 +581,28 @@ impl Store {
             self.journal_records += records;
         }
         db.clear_captured();
-        written?;
+        if let Err(e) = written {
+            // The failed handle may have written part of the batch: cut
+            // it off now, or else before the next sync writes.
+            self.torn = true;
+            let _ = self.cut_torn_tail();
+            return Err(e.into());
+        }
         Ok(records as usize)
+    }
+
+    /// After a failed sync, truncates the journal file to its valid
+    /// bytes (`journal_cache`) through a freshly opened append handle,
+    /// which replaces the one that failed.
+    fn cut_torn_tail(&mut self) -> std::io::Result<()> {
+        if self.torn {
+            let journal = OpenOptions::new().append(true).open(self.dir.join(JOURNAL_FILE))?;
+            journal.set_len(self.journal_cache.len() as u64)?;
+            journal.sync_data()?;
+            self.journal = journal;
+            self.torn = false;
+        }
+        Ok(())
     }
 
     /// Takes a checkpoint: syncs pending captures, then either seals a
@@ -743,12 +773,13 @@ impl Store {
 
     /// Rotates the journal to a compaction marker at `horizon`,
     /// followed by the frames newer than it when `keep_newer` (and by
-    /// nothing otherwise), and reopens the append handle.
+    /// nothing otherwise), and takes the rotated file's append handle.
+    /// On error the old journal, its handle and the in-memory copy are
+    /// all left as they were.
     fn rotate(&mut self, horizon: u64, keep_newer: bool) -> Result<(), StoreError> {
         let kept: &[u8] = if keep_newer { &self.journal_cache } else { &[] };
-        self.journal_cache = rotate_journal(&self.dir, horizon, kept)?;
-        self.journal =
-            OpenOptions::new().create(true).append(true).open(self.dir.join(JOURNAL_FILE))?;
+        (self.journal_cache, self.journal) = rotate_journal(&self.dir, horizon, kept)?;
+        self.torn = false;
         self.golden_frames.clear();
         self.journal_records = index_frames(&self.journal_cache, &mut self.golden_frames);
         self.compacted_through = horizon;
@@ -1382,5 +1413,54 @@ impl<G> DurableGolden<G> {
     /// Merkle-attested.
     pub fn is_attested(&self, offset: usize) -> bool {
         self.attested.get(offset / self.block_size.max(1)).copied().unwrap_or(false)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ScratchDir;
+    use wtnc_db::{schema, RecordRef};
+
+    #[test]
+    fn a_failed_sync_leaves_no_torn_bytes_in_front_of_the_next() {
+        let dir = ScratchDir::new("store-failed-sync");
+        let path = dir.path().join(JOURNAL_FILE);
+        let mut db = Database::build(schema::standard_schema()).unwrap();
+        let mut store = Store::open(dir.path(), StoreConfig::default()).unwrap();
+        store.attach(&mut db);
+        let table = schema::PROCESS_TABLE;
+        let slot = |i| RecordRef::new(table, i);
+
+        assert_eq!(db.alloc_record_raw(table).unwrap(), 0);
+        let first = store.sync(&mut db).unwrap();
+        assert!(first > 0);
+
+        // Bytes a partial write left behind, then a sync whose handle
+        // cannot write at all: the sync fails and cuts both off.
+        OpenOptions::new().append(true).open(&path).unwrap().write_all(&[0xA5; 7]).unwrap();
+        let good = std::mem::replace(&mut store.journal, File::open(&path).unwrap());
+        assert_eq!(db.alloc_record_raw(table).unwrap(), 1);
+        assert!(store.sync(&mut db).is_err());
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), store.journal_bytes());
+
+        store.journal = good;
+        assert_eq!(db.alloc_record_raw(table).unwrap(), 2);
+        let third = store.sync(&mut db).unwrap();
+        drop(store);
+
+        let mut reopened = Store::open(dir.path(), StoreConfig::default()).unwrap();
+        let damage = [StoreFindingKind::JournalTornTail, StoreFindingKind::JournalCorruptRecord];
+        assert!(
+            !reopened.open_findings().iter().any(|f| damage.contains(&f.kind)),
+            "{:?}",
+            reopened.open_findings()
+        );
+        assert_eq!(reopened.journal_records(), (first + third) as u64);
+        let mut recovered = Database::build(schema::standard_schema()).unwrap();
+        let info = reopened.recover_into(&mut recovered).unwrap();
+        assert_eq!(info.replayed, first + third);
+        let active: Vec<bool> = (0..3).map(|i| recovered.is_active(slot(i)).unwrap()).collect();
+        assert_eq!(active, [true, false, true], "both successful syncs replay, the failed one not");
     }
 }
