@@ -185,9 +185,5 @@ fn main() {
         base.region_len(),
         node.region_len()
     );
-    let path = "results/BENCH_audit_cycle.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => println!("could not write {path}: {e}"),
-    }
+    wtnc_bench::write_results("audit_cycle", &json);
 }

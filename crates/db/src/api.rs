@@ -12,17 +12,37 @@
 //! Unlike the audit (which holds trusted layout knowledge), the API
 //! validates and uses the **in-region system catalog** on every call,
 //! so catalog corruption genuinely breaks client operations.
+//!
+//! Every record operation runs one access protocol, written once as
+//! private helpers and called in this order:
+//!
+//! 1. *Admission* (`admit`): charge the operation's cost, even when
+//!    the call then fails, check the connection and validate the
+//!    in-region catalog entry; `admit_record` also bound-checks the
+//!    record index.
+//! 2. *Lock rule*: the read rule (`check_read_lock`) refuses a record
+//!    locked by another client; the write rule (`with_write_lock`)
+//!    holds the lock for the call and releases it unless the caller
+//!    held it already.
+//! 3. *Completion* (`complete`): the shadow-metadata update, when
+//!    instrumented, then the one audit event.
+//!
+//! An operation whose steps differ calls only the helpers it needs:
+//! `alloc_record` names no record, `free_record` takes the read rule
+//! but does not require the record to be active, and `reconfigure`
+//! bypasses the in-region catalog and the lock.
 
 use std::collections::{BTreeSet, HashMap};
 
 use wtnc_sim::{Enqueue, FairQueue, Pid, SimDuration, SimTime};
 
-use crate::catalog::{Catalog, FieldId, TableId};
+use crate::catalog::{Catalog, FieldId, RegionTableEntry, TableId};
 use crate::database::{Database, RecordRef};
 use crate::error::DbError;
 use crate::events::{DbEvent, DbOp};
 use crate::layout::{
-    read_le, write_le, HDR_GROUP, HDR_NEXT, HDR_PREV, HDR_STATUS, LINK_NONE, STATUS_ACTIVE,
+    read_le, write_le, CATALOG_HEADER_SIZE, FIELD_DESC_SIZE, HDR_GROUP, HDR_NEXT, HDR_PREV,
+    HDR_STATUS, LINK_NONE, STATUS_ACTIVE, TABLE_DESC_SIZE,
 };
 use crate::taint::TaintFate;
 
@@ -225,7 +245,6 @@ pub struct DbApi {
     costs: ApiCosts,
     instrumented: bool,
     cost_accum: SimDuration,
-    ops_performed: u64,
 }
 
 impl Default for DbApi {
@@ -255,7 +274,6 @@ impl DbApi {
             costs: ApiCosts::default(),
             instrumented: true,
             cost_accum: SimDuration::ZERO,
-            ops_performed: 0,
         }
     }
 
@@ -324,14 +342,8 @@ impl DbApi {
         std::mem::take(&mut self.cost_accum)
     }
 
-    /// Total operations performed (successful or not) since creation.
-    pub fn ops_performed(&self) -> u64 {
-        self.ops_performed
-    }
-
     fn charge(&mut self, op: DbOp) {
         self.cost_accum += self.costs.cost(op, self.instrumented);
-        self.ops_performed += 1;
     }
 
     fn notify(
@@ -346,7 +358,7 @@ impl DbApi {
             // The fair queue accounts for every rejected event (shed
             // or backpressured), so nothing is lost silently even when
             // a storm saturates the audit IPC path.
-            let _ = self.events.try_send(pid, DbEvent { at, pid, op, table, record });
+            let _ = self.post_event(pid, op, table, record, at);
         }
     }
 
@@ -360,9 +372,7 @@ impl DbApi {
 
     /// `DBinit`: opens a client connection.
     pub fn init(&mut self, pid: Pid) {
-        self.charge(DbOp::Init);
-        self.connections.insert(pid);
-        self.notify(pid, DbOp::Init, None, None, SimTime::ZERO);
+        self.init_at(pid, SimTime::ZERO);
     }
 
     /// `DBinit` at a known simulation time.
@@ -388,72 +398,80 @@ impl DbApi {
         // Locks intentionally not released.
     }
 
-    /// Validates the in-region catalog entry for `table`, resolving any
-    /// consumed taints (a client that trips over corrupted catalog
-    /// bytes has been affected by the error).
-    fn region_entry(
+    /// Admission for an operation on `table`: charges `op` (even when
+    /// the call then fails), checks the connection and validates the
+    /// in-region catalog entry.
+    fn admit(
         &mut self,
         db: &mut Database,
+        op: DbOp,
+        pid: Pid,
         table: TableId,
         at: SimTime,
-    ) -> Result<crate::catalog::RegionTableEntry, DbError> {
-        let res = Catalog::read_region_entry(db.region(), table);
-        if res.is_err() {
-            // The failed validation *consumed* corrupted catalog bytes:
-            // mark the bytes it actually examined — the catalog header
-            // plus this table's descriptors — as escaped. Corruption in
-            // unexamined catalog bytes (other tables, range metadata)
-            // stays latent for the static-data audit to catch.
-            db.taint_mut().resolve_range(
-                0,
-                crate::layout::CATALOG_HEADER_SIZE,
-                TaintFate::Escaped { at },
-            );
-            if let Ok(tm) = db.catalog().table(table) {
-                let (d, fd, nf) = (tm.desc_offset, tm.field_desc_offset, tm.def.fields.len());
-                db.taint_mut().resolve_range(
-                    d,
-                    crate::layout::TABLE_DESC_SIZE,
-                    TaintFate::Escaped { at },
-                );
-                db.taint_mut().resolve_range(
-                    fd,
-                    nf * crate::layout::FIELD_DESC_SIZE,
-                    TaintFate::Escaped { at },
-                );
+    ) -> Result<RegionTableEntry, DbError> {
+        self.charge(op);
+        self.require_connection(pid)?;
+        region_entry(db, table, at)
+    }
+
+    /// `admit` for an operation on one record: also checks the
+    /// index against the in-region record count and returns the
+    /// record's base offset.
+    fn admit_record(
+        &mut self,
+        db: &mut Database,
+        op: DbOp,
+        pid: Pid,
+        rec: RecordRef,
+        at: SimTime,
+    ) -> Result<(RegionTableEntry, usize), DbError> {
+        let entry = self.admit(db, op, pid, rec.table, at)?;
+        if rec.index >= entry.record_count {
+            return Err(DbError::BadRecordIndex {
+                table: rec.table,
+                index: rec.index,
+                capacity: entry.record_count,
+            });
+        }
+        let base = entry.offset + entry.record_size * rec.index as usize;
+        Ok((entry, base))
+    }
+
+    /// The read lock rule: a record locked by another client is refused.
+    fn check_read_lock(&self, rec: RecordRef, pid: Pid) -> Result<(), DbError> {
+        match self.locks.holder(rec) {
+            Some(holder) if holder != pid => {
+                Err(DbError::LockHeld { table: rec.table, index: rec.index, holder })
             }
+            _ => Ok(()),
         }
-        res
     }
 
-    fn record_base(
-        entry: &crate::catalog::RegionTableEntry,
-        table: TableId,
-        index: u32,
-    ) -> Result<usize, DbError> {
-        if index >= entry.record_count {
-            return Err(DbError::BadRecordIndex { table, index, capacity: entry.record_count });
-        }
-        Ok(entry.offset + entry.record_size * index as usize)
-    }
-
-    fn require_active(
+    /// The write lock rule: runs `body` holding the lock on `rec`,
+    /// which is released afterwards unless `pid` already held it.
+    fn with_write_lock(
         &mut self,
-        db: &mut Database,
-        table: TableId,
-        index: u32,
-        base: usize,
+        rec: RecordRef,
+        pid: Pid,
         at: SimTime,
+        body: impl FnOnce() -> Result<(), DbError>,
     ) -> Result<(), DbError> {
-        let status = db.peek(base + HDR_STATUS, 1)?[0];
-        if status != STATUS_ACTIVE {
-            // A corrupted status byte that makes an active record look
-            // free has now affected the client; only the status byte
-            // was consulted.
-            db.taint_mut().resolve_range(base + HDR_STATUS, 1, TaintFate::Escaped { at });
-            return Err(DbError::RecordFree(table, index));
+        let held_before = self.locks.holder(rec) == Some(pid);
+        self.locks.acquire(rec, pid, at)?;
+        let result = body();
+        if !held_before {
+            self.locks.release(rec, pid);
         }
-        Ok(())
+        result
+    }
+
+    /// Completion of a successful record operation: the shadow
+    /// metadata update (instrumented API only) and the audit event.
+    fn complete(&mut self, db: &mut Database, op: DbOp, pid: Pid, rec: RecordRef, at: SimTime) {
+        if self.instrumented {
+            db.note_access(rec, pid, at, op.is_write());
+        }
+        self.notify(pid, op, Some(rec.table), Some(rec.index), at);
     }
 
     /// `DBread_rec`: reads every field of an active record.
@@ -461,8 +479,8 @@ impl DbApi {
     /// # Errors
     ///
     /// Returns [`DbError::NotConnected`], [`DbError::CatalogCorrupt`],
-    /// [`DbError::BadRecordIndex`], [`DbError::RecordFree`],
-    /// [`DbError::LockHeld`] or [`DbError::OutOfBounds`].
+    /// [`DbError::BadRecordIndex`], [`DbError::LockHeld`],
+    /// [`DbError::RecordFree`] or [`DbError::OutOfBounds`].
     pub fn read_rec(
         &mut self,
         db: &mut Database,
@@ -471,16 +489,10 @@ impl DbApi {
         index: u32,
         at: SimTime,
     ) -> Result<Vec<u64>, DbError> {
-        self.charge(DbOp::ReadRec);
-        self.require_connection(pid)?;
-        let entry = self.region_entry(db, table, at)?;
-        let base = Self::record_base(&entry, table, index)?;
-        if let Some(holder) = self.locks.holder(RecordRef::new(table, index)) {
-            if holder != pid {
-                return Err(DbError::LockHeld { table, index, holder });
-            }
-        }
-        self.require_active(db, table, index, base, at)?;
+        let rec = RecordRef::new(table, index);
+        let (entry, base) = self.admit_record(db, DbOp::ReadRec, pid, rec, at)?;
+        self.check_read_lock(rec, pid)?;
+        require_active(db, rec, base, at)?;
         let mut values = Vec::with_capacity(entry.field_count);
         for fi in 0..entry.field_count {
             let f = Catalog::read_region_field(db.region(), table, &entry, FieldId(fi as u16))?;
@@ -489,10 +501,7 @@ impl DbApi {
         }
         // The whole record (header + data) has been consumed.
         db.taint_mut().resolve_range(base, entry.record_size, TaintFate::Escaped { at });
-        if self.instrumented {
-            db.note_access(RecordRef::new(table, index), pid, at, false);
-        }
-        self.notify(pid, DbOp::ReadRec, Some(table), Some(index), at);
+        self.complete(db, DbOp::ReadRec, pid, rec, at);
         Ok(values)
     }
 
@@ -510,16 +519,10 @@ impl DbApi {
         field: FieldId,
         at: SimTime,
     ) -> Result<u64, DbError> {
-        self.charge(DbOp::ReadFld);
-        self.require_connection(pid)?;
-        let entry = self.region_entry(db, table, at)?;
-        let base = Self::record_base(&entry, table, index)?;
-        if let Some(holder) = self.locks.holder(RecordRef::new(table, index)) {
-            if holder != pid {
-                return Err(DbError::LockHeld { table, index, holder });
-            }
-        }
-        self.require_active(db, table, index, base, at)?;
+        let rec = RecordRef::new(table, index);
+        let (entry, base) = self.admit_record(db, DbOp::ReadFld, pid, rec, at)?;
+        self.check_read_lock(rec, pid)?;
+        require_active(db, rec, base, at)?;
         let f = Catalog::read_region_field(db.region(), table, &entry, field)?;
         let bytes = db.peek(base + f.offset_in_record, f.width.bytes())?;
         let value = read_le(bytes, f.width.bytes());
@@ -530,10 +533,7 @@ impl DbApi {
         );
         // Consulting the status byte consumed the header too.
         db.taint_mut().resolve_range(base + HDR_STATUS, 1, TaintFate::Escaped { at });
-        if self.instrumented {
-            db.note_access(RecordRef::new(table, index), pid, at, false);
-        }
-        self.notify(pid, DbOp::ReadFld, Some(table), Some(index), at);
+        self.complete(db, DbOp::ReadFld, pid, rec, at);
         Ok(value)
     }
 
@@ -543,7 +543,8 @@ impl DbApi {
     /// # Errors
     ///
     /// As for [`DbApi::read_rec`]; additionally the value slice must
-    /// have one entry per field or [`DbError::BadSchema`] is returned.
+    /// have one entry per field or [`DbError::BadSchema`] is returned
+    /// (before the lock is examined).
     pub fn write_rec(
         &mut self,
         db: &mut Database,
@@ -553,10 +554,8 @@ impl DbApi {
         values: &[u64],
         at: SimTime,
     ) -> Result<(), DbError> {
-        self.charge(DbOp::WriteRec);
-        self.require_connection(pid)?;
-        let entry = self.region_entry(db, table, at)?;
-        let base = Self::record_base(&entry, table, index)?;
+        let rec = RecordRef::new(table, index);
+        let (entry, base) = self.admit_record(db, DbOp::WriteRec, pid, rec, at)?;
         if values.len() != entry.field_count {
             return Err(DbError::BadSchema(format!(
                 "write_rec got {} values for {} fields",
@@ -564,11 +563,8 @@ impl DbApi {
                 entry.field_count
             )));
         }
-        let rec = RecordRef::new(table, index);
-        let held_before = self.locks.holder(rec) == Some(pid);
-        self.locks.acquire(rec, pid, at)?;
-        let result = (|| {
-            self.require_active(db, table, index, base, at)?;
+        self.with_write_lock(rec, pid, at, || {
+            require_active(db, rec, base, at)?;
             // One mutation for the record: fields written before a
             // corrupt descriptor stops the loop are still noted.
             db.write_span(|span| {
@@ -584,15 +580,8 @@ impl DbApi {
                 }
                 Ok(())
             })
-        })();
-        if !held_before {
-            self.locks.release(rec, pid);
-        }
-        result?;
-        if self.instrumented {
-            db.note_access(rec, pid, at, true);
-        }
-        self.notify(pid, DbOp::WriteRec, Some(table), Some(index), at);
+        })?;
+        self.complete(db, DbOp::WriteRec, pid, rec, at);
         Ok(())
     }
 
@@ -612,31 +601,18 @@ impl DbApi {
         value: u64,
         at: SimTime,
     ) -> Result<(), DbError> {
-        self.charge(DbOp::WriteFld);
-        self.require_connection(pid)?;
-        let entry = self.region_entry(db, table, at)?;
-        let base = Self::record_base(&entry, table, index)?;
         let rec = RecordRef::new(table, index);
-        let held_before = self.locks.holder(rec) == Some(pid);
-        self.locks.acquire(rec, pid, at)?;
-        let result = (|| {
-            self.require_active(db, table, index, base, at)?;
+        let (entry, base) = self.admit_record(db, DbOp::WriteFld, pid, rec, at)?;
+        self.with_write_lock(rec, pid, at, || {
+            require_active(db, rec, base, at)?;
             let f = Catalog::read_region_field(db.region(), table, &entry, field)?;
             let (off, w) = (base + f.offset_in_record, f.width.bytes());
             db.taint_mut().resolve_range(off, w, TaintFate::Overwritten { at });
             let mut buf = [0u8; 8];
             write_le(&mut buf, w, value);
-            db.poke(off, &buf[..w])?;
-            Ok(())
-        })();
-        if !held_before {
-            self.locks.release(rec, pid);
-        }
-        result?;
-        if self.instrumented {
-            db.note_access(rec, pid, at, true);
-        }
-        self.notify(pid, DbOp::WriteFld, Some(table), Some(index), at);
+            db.poke(off, &buf[..w])
+        })?;
+        self.complete(db, DbOp::WriteFld, pid, rec, at);
         Ok(())
     }
 
@@ -655,15 +631,10 @@ impl DbApi {
         new_group: u8,
         at: SimTime,
     ) -> Result<(), DbError> {
-        self.charge(DbOp::Move);
-        self.require_connection(pid)?;
-        let entry = self.region_entry(db, table, at)?;
-        let base = Self::record_base(&entry, table, index)?;
         let rec = RecordRef::new(table, index);
-        let held_before = self.locks.holder(rec) == Some(pid);
-        self.locks.acquire(rec, pid, at)?;
-        let result = (|| {
-            self.require_active(db, table, index, base, at)?;
+        let (entry, base) = self.admit_record(db, DbOp::Move, pid, rec, at)?;
+        self.with_write_lock(rec, pid, at, || {
+            require_active(db, rec, base, at)?;
             // Unlink from the old chain.
             let next = read_le(db.peek(base + HDR_NEXT, 2)?, 2) as u16;
             let prev = read_le(db.peek(base + HDR_PREV, 2)?, 2) as u16;
@@ -717,17 +688,9 @@ impl DbApi {
                     db.poke(base + HDR_PREV, &buf)?;
                 }
             }
-            db.poke(base + HDR_GROUP, &[new_group])?;
-            Ok(())
-        })();
-        if !held_before {
-            self.locks.release(rec, pid);
-        }
-        result?;
-        if self.instrumented {
-            db.note_access(rec, pid, at, true);
-        }
-        self.notify(pid, DbOp::Move, Some(table), Some(index), at);
+            db.poke(base + HDR_GROUP, &[new_group])
+        })?;
+        self.complete(db, DbOp::Move, pid, rec, at);
         Ok(())
     }
 
@@ -745,28 +708,24 @@ impl DbApi {
         table: TableId,
         at: SimTime,
     ) -> Result<u32, DbError> {
-        self.charge(DbOp::Alloc);
-        self.require_connection(pid)?;
-        self.region_entry(db, table, at)?;
+        self.admit(db, DbOp::Alloc, pid, table, at)?;
         let index = db.alloc_record_raw(table)?;
         // Fresh formatting overwrites any corruption in the slot.
         let tm = db.catalog().table(table)?;
         let (off, len) = (tm.record_offset(index), tm.record_size);
         db.taint_mut().resolve_range(off, len, TaintFate::Overwritten { at });
-        if self.instrumented {
-            db.note_access(RecordRef::new(table, index), pid, at, true);
-        }
-        self.notify(pid, DbOp::Alloc, Some(table), Some(index), at);
+        self.complete(db, DbOp::Alloc, pid, RecordRef::new(table, index), at);
         Ok(index)
     }
 
     /// Frees a record in `table` (write-class operation used at call
-    /// teardown).
+    /// teardown). The record need not be active, and the index is
+    /// checked only after the lock.
     ///
     /// # Errors
     ///
     /// Returns [`DbError::NotConnected`], [`DbError::CatalogCorrupt`],
-    /// [`DbError::BadRecordIndex`] or [`DbError::LockHeld`].
+    /// [`DbError::LockHeld`] or [`DbError::BadRecordIndex`].
     pub fn free_record(
         &mut self,
         db: &mut Database,
@@ -775,20 +734,11 @@ impl DbApi {
         index: u32,
         at: SimTime,
     ) -> Result<(), DbError> {
-        self.charge(DbOp::Free);
-        self.require_connection(pid)?;
-        self.region_entry(db, table, at)?;
         let rec = RecordRef::new(table, index);
-        if let Some(holder) = self.locks.holder(rec) {
-            if holder != pid {
-                return Err(DbError::LockHeld { table, index, holder });
-            }
-        }
+        self.admit(db, DbOp::Free, pid, table, at)?;
+        self.check_read_lock(rec, pid)?;
         db.free_record_raw(rec)?;
-        if self.instrumented {
-            db.note_access(rec, pid, at, true);
-        }
-        self.notify(pid, DbOp::Free, Some(table), Some(index), at);
+        self.complete(db, DbOp::Free, pid, rec, at);
         Ok(())
     }
 
@@ -796,7 +746,9 @@ impl DbApi {
     /// field and commits the change to the golden disk image, so the
     /// new value survives audit reloads. The caller must also
     /// rebaseline the static-data audit's checksums (the
-    /// [`Controller`](https://docs.rs/wtnc) facade does both).
+    /// [`Controller`](https://docs.rs/wtnc) facade does both). It
+    /// validates against the trusted catalog, not the in-region one,
+    /// and takes no lock.
     ///
     /// # Errors
     ///
@@ -825,10 +777,7 @@ impl DbApi {
         let (off, len) = db.field_extent(rec, field)?;
         db.commit_golden(off, len);
         db.taint_mut().resolve_range(off, len, TaintFate::Overwritten { at });
-        if self.instrumented {
-            db.note_access(rec, pid, at, true);
-        }
-        self.notify(pid, DbOp::WriteFld, Some(table), Some(index), at);
+        self.complete(db, DbOp::WriteFld, pid, rec, at);
         Ok(())
     }
 
@@ -846,6 +795,49 @@ impl DbApi {
     pub fn unlock(&mut self, rec: RecordRef, pid: Pid) -> bool {
         self.locks.release(rec, pid)
     }
+}
+
+/// Validates the in-region catalog entry for `table`, resolving any
+/// consumed taints (a client that trips over corrupted catalog bytes
+/// has been affected by the error).
+fn region_entry(
+    db: &mut Database,
+    table: TableId,
+    at: SimTime,
+) -> Result<RegionTableEntry, DbError> {
+    let res = Catalog::read_region_entry(db.region(), table);
+    if res.is_err() {
+        // The failed validation *consumed* corrupted catalog bytes:
+        // mark the bytes it actually examined — the catalog header
+        // plus this table's descriptors — as escaped. Corruption in
+        // unexamined catalog bytes (other tables, range metadata)
+        // stays latent for the static-data audit to catch.
+        db.taint_mut().resolve_range(0, CATALOG_HEADER_SIZE, TaintFate::Escaped { at });
+        if let Ok(tm) = db.catalog().table(table) {
+            let (d, fd, nf) = (tm.desc_offset, tm.field_desc_offset, tm.def.fields.len());
+            db.taint_mut().resolve_range(d, TABLE_DESC_SIZE, TaintFate::Escaped { at });
+            db.taint_mut().resolve_range(fd, nf * FIELD_DESC_SIZE, TaintFate::Escaped { at });
+        }
+    }
+    res
+}
+
+/// Refuses a record whose status byte does not read active.
+fn require_active(
+    db: &mut Database,
+    rec: RecordRef,
+    base: usize,
+    at: SimTime,
+) -> Result<(), DbError> {
+    let status = db.peek(base + HDR_STATUS, 1)?[0];
+    if status != STATUS_ACTIVE {
+        // A corrupted status byte that makes an active record look
+        // free has now affected the client; only the status byte was
+        // consulted.
+        db.taint_mut().resolve_range(base + HDR_STATUS, 1, TaintFate::Escaped { at });
+        return Err(DbError::RecordFree(rec.table, rec.index));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -191,8 +191,14 @@ mod api_sequences {
         ]
     }
 
+    /// 64 cases, or the number the `PROPTEST_CASES` environment
+    /// variable names (CI runs 1,024).
+    fn cases() -> u32 {
+        std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(64)
+    }
+
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+        #![proptest_config(ProptestConfig::with_cases(cases()))]
 
         /// Arbitrary interleaved API call sequences never panic, never
         /// corrupt catalog validation, and keep the lock table

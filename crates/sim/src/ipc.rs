@@ -90,6 +90,8 @@ pub struct FairQueue<T> {
     in_flight: BTreeMap<Pid, usize>,
     stats: BTreeMap<Pid, LaneStats>,
     total_sent: u64,
+    shed: u64,
+    backpressured: u64,
 }
 
 impl<T> FairQueue<T> {
@@ -114,6 +116,8 @@ impl<T> FairQueue<T> {
             in_flight: BTreeMap::new(),
             stats: BTreeMap::new(),
             total_sent: 0,
+            shed: 0,
+            backpressured: 0,
         }
     }
 
@@ -125,10 +129,12 @@ impl<T> FairQueue<T> {
         let lane = self.in_flight.entry(producer).or_insert(0);
         if *lane >= self.lane_capacity {
             stats.shed += 1;
+            self.shed += 1;
             return Enqueue::Shed;
         }
         if self.items.len() >= self.capacity {
             stats.backpressured += 1;
+            self.backpressured += 1;
             return Enqueue::Backpressure { retry_after: self.retry_after };
         }
         *lane += 1;
@@ -199,12 +205,18 @@ impl<T> FairQueue<T> {
 
     /// Messages shed across all producers.
     pub fn shed(&self) -> u64 {
-        self.stats.values().map(|s| s.shed).sum()
+        self.shed
     }
 
     /// Backpressure rejections across all producers.
     pub fn backpressured(&self) -> u64 {
-        self.stats.values().map(|s| s.backpressured).sum()
+        self.backpressured
+    }
+
+    /// Enqueue attempts across all producers: admitted, shed and
+    /// backpressured together.
+    pub fn offered(&self) -> u64 {
+        self.total_sent + self.shed + self.backpressured
     }
 }
 
@@ -306,5 +318,11 @@ mod tests {
         }
         let accounted: u64 = q.lanes().map(|(_, s)| s.accepted + s.backpressured + s.shed).sum();
         assert_eq!(accounted, attempts);
+        // The queue-wide totals equal the lane sums.
+        assert_eq!(q.shed(), q.lanes().map(|(_, s)| s.shed).sum::<u64>());
+        assert_eq!(q.backpressured(), q.lanes().map(|(_, s)| s.backpressured).sum::<u64>());
+        assert_eq!(q.total_sent(), q.lanes().map(|(_, s)| s.accepted).sum::<u64>());
+        assert_eq!(q.offered(), attempts);
+        assert!(q.shed() > 0 && q.backpressured() > 0, "both rejection modes exercised");
     }
 }
