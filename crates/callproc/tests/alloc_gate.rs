@@ -84,9 +84,9 @@ const CALLS: u64 = 2_000;
 /// Calls kept up at once.
 const CONCURRENT: usize = 48;
 /// Ceiling on allocations per `start_call`, in hundredths.
-const START_CALL_ALLOCS_X100: u64 = 348;
+const START_CALL_ALLOCS_X100: u64 = 146;
 /// Ceiling on allocations per `end_call`, in hundredths.
-const END_CALL_ALLOCS_X100: u64 = 300;
+const END_CALL_ALLOCS_X100: u64 = 0;
 /// Records `start_call` allocates: a process, a connection and a
 /// resource record.
 const RECORDS_PER_CALL: u64 = 3;
@@ -149,8 +149,9 @@ fn call_path_allocations_stay_under_the_committed_ceilings() {
         per_start_x100 <= START_CALL_ALLOCS_X100,
         "start_call allocates {per_start_x100}/100 per call, ceiling {START_CALL_ALLOCS_X100}"
     );
-    assert!(
-        per_end_x100 <= END_CALL_ALLOCS_X100,
+    // The ceiling is zero, so it is an equality.
+    assert_eq!(
+        per_end_x100, END_CALL_ALLOCS_X100,
         "end_call allocates {per_end_x100}/100 per call, ceiling {END_CALL_ALLOCS_X100}"
     );
     // The ceiling is zero: an allocation decodes no header at all.

@@ -129,6 +129,20 @@ impl ProcessRegistry {
         self.end(pid, ProcessState::Crashed, now)
     }
 
+    /// Ends `pid` normally and forgets it: the entry is removed, so
+    /// afterwards `pid` reads as unknown (`is_alive` false; `state`,
+    /// `name` and `lifetime` `None`; `restart` refused). A client ends
+    /// each short-lived thread this way, so the registry holds only
+    /// what is in flight. A process that something still reads after
+    /// its end — one the audit crate's `Supervisor` watches, or one
+    /// that may be restarted — ends with [`ProcessRegistry::kill`]
+    /// or [`ProcessRegistry::crash`] instead, which keep the entry.
+    /// `exit` also reaps a process that was already killed or crashed.
+    /// Returns `false` if `pid` is unknown.
+    pub fn exit(&mut self, pid: Pid) -> bool {
+        self.procs.remove(&pid).is_some()
+    }
+
     fn end(&mut self, pid: Pid, state: ProcessState, now: SimTime) -> bool {
         match self.procs.get_mut(&pid) {
             Some(entry) if entry.state == ProcessState::Alive => {
@@ -213,6 +227,17 @@ impl ProcessRegistry {
         self.procs.get(&pid).map(|e| (e.spawned_at, e.ended_at))
     }
 
+    /// Number of registered processes: the live ones plus the killed
+    /// and crashed ones not yet reaped by [`ProcessRegistry::exit`].
+    pub fn len(&self) -> usize {
+        self.procs.len()
+    }
+
+    /// True when no process is registered.
+    pub fn is_empty(&self) -> bool {
+        self.procs.is_empty()
+    }
+
     /// Iterates over all live processes.
     pub fn alive(&self) -> impl Iterator<Item = Pid> + '_ {
         self.procs.iter().filter(|(_, e)| e.state == ProcessState::Alive).map(|(pid, _)| *pid)
@@ -271,6 +296,39 @@ mod tests {
         let live: Vec<_> = reg.alive().collect();
         assert_eq!(live, vec![a, c]);
         assert_eq!(reg.procs.len(), 3, "killed processes stay registered");
+    }
+
+    #[test]
+    fn exit_of_an_unknown_pid_is_refused() {
+        let mut reg = ProcessRegistry::new();
+        assert!(!reg.exit(Pid(999)));
+        let p = reg.spawn("p", SimTime::ZERO);
+        assert!(reg.exit(p));
+        assert!(!reg.exit(p), "a second exit finds nothing");
+    }
+
+    #[test]
+    fn an_exited_process_is_forgotten() {
+        let mut reg = ProcessRegistry::new();
+        let a = reg.spawn("a", SimTime::ZERO);
+        let b = reg.spawn("b", SimTime::from_secs(1));
+        let c = reg.spawn("c", SimTime::from_secs(2));
+        reg.crash(c, SimTime::from_secs(3));
+        assert!(reg.exit(b));
+        assert!(!reg.is_alive(b));
+        assert_eq!(reg.state(b), None);
+        assert_eq!(reg.name(b), None);
+        assert_eq!(reg.lifetime(b), None);
+        assert_eq!(reg.restart(b, SimTime::from_secs(4)), None);
+        // The other entries, live or dead, are untouched.
+        assert_eq!(reg.alive().collect::<Vec<_>>(), vec![a]);
+        assert_eq!(reg.name(a), Some("a"));
+        assert_eq!(reg.state(c), Some(ProcessState::Crashed));
+        assert_eq!(reg.lifetime(c), Some((SimTime::from_secs(2), Some(SimTime::from_secs(3)))));
+        assert_eq!(reg.len(), 2);
+        // Exit also reaps a process that was already killed.
+        assert!(reg.exit(c));
+        assert_eq!(reg.len(), 1);
     }
 
     #[test]
