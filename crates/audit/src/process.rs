@@ -693,7 +693,7 @@ mod tests {
             at,
         )
         .unwrap();
-        api.lock(RecordRef::new(schema::RESOURCE_TABLE, 0), client, at).unwrap();
+        api.lock(&db, RecordRef::new(schema::RESOURCE_TABLE, 0), client, at).unwrap();
 
         let report = audit.run_cycle(&mut db, &mut api, &mut registry, SimTime::from_secs(10));
         assert!(report
@@ -760,7 +760,7 @@ mod tests {
             .alloc_record(&mut db, wedged, schema::CONNECTION_TABLE, SimTime::from_secs(1))
             .unwrap();
         assert_eq!(idx, 0);
-        api.lock(rec, wedged, SimTime::from_secs(1)).unwrap();
+        api.lock(&db, rec, wedged, SimTime::from_secs(1)).unwrap();
         api.crash_client(wedged);
         // The healthy client is blocked.
         assert!(matches!(

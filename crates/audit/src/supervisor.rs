@@ -769,7 +769,8 @@ mod tests {
         let client = registry.spawn("client", SimTime::ZERO);
         sup.register(client, SupervisedRole::Client, false, SimTime::ZERO);
         let rec = RecordRef::new(TableId(3), 0);
-        api.lock(rec, client, SimTime::from_secs(1)).unwrap();
+        let db = wtnc_db::Database::build(wtnc_db::schema::standard_schema()).unwrap();
+        api.lock(&db, rec, client, SimTime::from_secs(1)).unwrap();
         registry.set_responsiveness(client, Responsiveness::Hung);
         let reports = ticks(&mut sup, &mut api, &mut registry, 2, 4);
         let restarts: Vec<_> = reports.iter().flat_map(|r| r.restarts.clone()).collect();

@@ -555,7 +555,7 @@ pub fn supervise(args: &[String]) -> Result<(), String> {
     // Client A hangs (alive but silent) holding a connection lock;
     // client B crashes outright.
     let rec = wtnc::db::RecordRef::new(schema::CONNECTION_TABLE, 0);
-    controller.api.lock(rec, hung, SimTime::from_secs(1)).expect("lock free");
+    controller.api.lock(&controller.db, rec, hung, SimTime::from_secs(1)).expect("lock free");
     controller.registry.set_responsiveness(hung, Responsiveness::Hung);
     controller.registry.crash(crashed, SimTime::from_secs(2));
     println!("injected: {hung} hung holding a lock, {crashed} crashed");

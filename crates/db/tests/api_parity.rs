@@ -155,7 +155,7 @@ fn run(out: &mut String, seed: u64, steps: u64, instrumented: bool) {
                 ("close".to_string(), "()".to_string())
             }
             5..=7 => {
-                let r = api.lock(RecordRef::new(table, index), pid, at);
+                let r = api.lock(&db, RecordRef::new(table, index), pid, at);
                 (format!("lock {}.{index}", table.0), fmt_result(&r))
             }
             8 => {

@@ -246,6 +246,7 @@ mod api_sequences {
                         api.move_rec(&mut db, pid, dyn_tables[t as usize], i as u32, g, now)
                     }
                     Op::Lock(t, i) => api.lock(
+                        &db,
                         wtnc_db::RecordRef::new(dyn_tables[t as usize], i as u32 % 6),
                         pid,
                         now,

@@ -586,7 +586,7 @@ mod tests {
             .with_supervision(fast_supervision());
         let client = c.spawn_client("cp-client", SimTime::ZERO);
         let rec = wtnc_db::RecordRef::new(schema::CONNECTION_TABLE, 0);
-        c.api.lock(rec, client, SimTime::from_secs(1)).unwrap();
+        c.api.lock(&c.db, rec, client, SimTime::from_secs(1)).unwrap();
         c.registry.set_responsiveness(client, wtnc_sim::Responsiveness::Hung);
         let mut restarted = Vec::new();
         for s in 2..=5 {

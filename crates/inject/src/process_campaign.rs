@@ -245,7 +245,7 @@ impl Worker {
                     return;
                 };
                 let rec = RecordRef::new(table, index);
-                if api.lock(rec, self.pid, now).is_err() {
+                if api.lock(db, rec, self.pid, now).is_err() {
                     let _ = api.free_record(db, self.pid, table, index, now);
                     return;
                 }
@@ -474,7 +474,8 @@ fn inject_fault(
             // in-flight call record, or a fresh lock it wedges on.
             if call.is_none() {
                 let index = rng.index(8) as u32;
-                let _ = c.api.lock(RecordRef::new(schema::CONNECTION_TABLE, index), pid, now);
+                let _ =
+                    c.api.lock(&c.db, RecordRef::new(schema::CONNECTION_TABLE, index), pid, now);
             }
             c.registry.set_responsiveness(pid, Responsiveness::Hung);
         }

@@ -152,7 +152,7 @@ fn apply(op: &Op, db: &mut Database, api: &mut DbApi, at: SimTime) {
             let _ = db.reload_range(offset, len.min(db.region_len() - offset));
         }
         Op::Lock { table, index } => {
-            let _ = api.lock(RecordRef::new(dynamic_table(table), index), PID, at);
+            let _ = api.lock(db, RecordRef::new(dynamic_table(table), index), PID, at);
         }
         Op::Unlock { table, index } => {
             api.unlock(RecordRef::new(dynamic_table(table), index), PID);

@@ -88,7 +88,7 @@ fn progress_indicator_resolves_client_deadlock() {
         .alloc_record(&mut c.db, wedged, schema::CONNECTION_TABLE, SimTime::from_secs(1))
         .unwrap();
     c.api
-        .lock(RecordRef::new(schema::CONNECTION_TABLE, idx), wedged, SimTime::from_secs(1))
+        .lock(&c.db, RecordRef::new(schema::CONNECTION_TABLE, idx), wedged, SimTime::from_secs(1))
         .unwrap();
     c.api.crash_client(wedged);
     assert_eq!(c.api.locks().len(), 1);
