@@ -14,7 +14,7 @@ use std::time::Instant;
 
 use wtnc::audit::{AuditScheduler, PriorityScheduler, PriorityWeights, RoundRobinScheduler};
 use wtnc::db::{schema, Database};
-use wtnc::inject::priority_campaign::{run_once_with_weights, PriorityCampaignConfig};
+use wtnc::inject::priority_campaign::{run_once_with_weights, PriorityCampaignConfig, SEED};
 use wtnc::sim::{SimDuration, SimRng};
 use wtnc_bench::scaled_runs;
 
@@ -23,7 +23,7 @@ fn campaign(
     weights: Option<PriorityWeights>,
     runs: usize,
 ) -> (f64, f64) {
-    let mut rng = SimRng::seed_from(config.seed);
+    let mut rng = SimRng::seed_from(SEED);
     let mut injected = 0u64;
     let mut escaped = 0u64;
     let mut latency = wtnc::sim::stats::Accumulator::new();

@@ -160,7 +160,7 @@ fn main() {
     let smoke = smoke();
     let (iterations, reps) = if smoke { (6u16, 5usize) } else { (120, 120) };
 
-    let source = AsmClientConfig { iterations, ..AsmClientConfig::default() }.program_source();
+    let source = AsmClientConfig { iterations }.program_source();
     let asm = Assembly::parse(&source).expect("client parses");
     let bare = asm.assemble().expect("client assembles");
     let inst = instrument(&asm).expect("client instruments");

@@ -29,7 +29,6 @@ fn main() {
             duration: SimDuration::from_secs(1_000),
             error_iat: SimDuration::from_secs(5),
             recovery: RecoveryConfig { cycle_budget: budget, ..RecoveryConfig::default() },
-            ..RecoveryCampaignConfig::default()
         };
         let r = run_campaign(&config, runs);
         println!(

@@ -22,9 +22,7 @@
 use std::time::Instant;
 
 use wtnc::db::{schema, Database};
-use wtnc::inject::powerfail_campaign::{
-    run_campaign, workload_step, PowerFailConfig, PowerFailModel,
-};
+use wtnc::inject::powerfail_campaign::{run_campaign, workload_step, PowerFailModel};
 use wtnc::sim::SimRng;
 use wtnc::store::{ScratchDir, Store, StoreConfig};
 use wtnc_bench::{host_info_json, outcome_counts_json, scaled_runs, write_results};
@@ -116,8 +114,7 @@ fn main() {
     );
     let mut model_jsons: Vec<String> = Vec::new();
     for model in PowerFailModel::ALL {
-        let config = PowerFailConfig { model, ..PowerFailConfig::default() };
-        let r = run_campaign(&config, runs);
+        let r = run_campaign(model, runs);
         let fsv = r.outcomes.count(wtnc::inject::RunOutcome::FailSilenceViolation);
         println!(
             "{:>20} {:>9} {:>9} {:>9} {:>7} {:>6} {:>6}",

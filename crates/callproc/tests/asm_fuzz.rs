@@ -187,7 +187,7 @@ proptest! {
         iterations in 1u16..64,
         edits in prop::collection::vec(mutation(), 0..6),
     ) {
-        let source = AsmClientConfig { iterations, ..AsmClientConfig::default() }.program_source();
+        let source = AsmClientConfig { iterations }.program_source();
         check(&mutate(&source, &edits))?;
     }
 }

@@ -5,9 +5,7 @@ use std::collections::HashMap;
 use wtnc::audit::{AuditConfig, SupervisorConfig};
 use wtnc::db::schema;
 use wtnc::inject::db_campaign::{run_campaign as run_db_campaign, DbCampaignConfig};
-use wtnc::inject::powerfail_campaign::{
-    run_campaign as run_powerfail_campaign, PowerFailConfig, PowerFailModel,
-};
+use wtnc::inject::powerfail_campaign::{run_campaign as run_powerfail_campaign, PowerFailModel};
 use wtnc::inject::process_campaign::{
     run_campaign as run_process_campaign, ProcessCampaignConfig, ProcessFaultModel,
 };
@@ -935,8 +933,7 @@ pub fn campaign(args: &[String]) -> Result<(), String> {
                 None => PowerFailModel::ALL.to_vec(),
             };
             for model in models {
-                let config = PowerFailConfig { model, ..PowerFailConfig::default() };
-                let r = run_powerfail_campaign(&config, runs);
+                let r = run_powerfail_campaign(model, runs);
                 println!(
                     "{:<20} injected {:>3}, detected {:>3}, repaired {:>3}, exact \
                      recoveries {:>3}, fail-silence {:>2}, findings {:>3}, replayed {:>5}",

@@ -17,7 +17,29 @@ use wtnc_sim::{EventQueue, SimDuration, SimRng, SimTime};
 
 use crate::Controller;
 
-/// Configuration of one database-injection run.
+/// Periodic audit interval of the §5.1 node (paper: 10 s).
+pub(crate) const AUDIT_PERIOD: SimDuration = SimDuration::from_secs(10);
+
+/// Record slots per dynamic table of the §5.1 node. Sized so the
+/// workload keeps the tables densely used, as in the production
+/// controller.
+pub(crate) const SLOTS: u32 = 14;
+
+/// Base seed the campaign draws its run seeds from.
+const SEED: u64 = 0xDB01;
+
+/// Client workload of the §5.1 node (paper Table 2). Table 2 lists a
+/// 10 s average inter-arrival time per call-processing thread; with 16
+/// threads the paper's run processes "approximately 1000 calls" in
+/// 2000 s, i.e. one arrival every ~2 s globally — which is what we
+/// schedule.
+pub(crate) fn workload() -> WorkloadConfig {
+    WorkloadConfig { interarrival_mean: SimDuration::from_secs(2), ..WorkloadConfig::default() }
+}
+
+/// Configuration of one database-injection run. The node is fixed: a
+/// 10 s audit period, 14 slots per dynamic table and Table 2's
+/// workload at a 2 s arrival gap.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DbCampaignConfig {
     /// Whether the audit subsystem runs.
@@ -26,41 +48,20 @@ pub struct DbCampaignConfig {
     pub duration: SimDuration,
     /// Mean error inter-arrival time (exponential; paper: 2–20 s).
     pub error_iat: SimDuration,
-    /// Periodic audit interval (paper: 10 s).
-    pub audit_period: SimDuration,
-    /// Client workload parameters (paper Table 2).
-    pub workload: WorkloadConfig,
-    /// Record slots per dynamic table. Sized so the workload keeps the
-    /// tables densely used, as in the production controller.
-    pub slots: u32,
     /// Registers the §4.4.2 selective-monitoring element (with
     /// derived-invariant repair) over the schema's unruled attributes —
     /// the extension experiment closing part of the "lack of rule"
     /// escape category.
     pub selective_monitoring: bool,
-    /// Base RNG seed.
-    pub seed: u64,
 }
 
 impl Default for DbCampaignConfig {
     fn default() -> Self {
-        // Table 2 lists a 10 s average inter-arrival time per
-        // call-processing thread; with 16 threads the paper's run
-        // processes "approximately 1000 calls" in 2000 s, i.e. one
-        // arrival every ~2 s globally — which is what we schedule.
-        let workload = WorkloadConfig {
-            interarrival_mean: SimDuration::from_secs(2),
-            ..WorkloadConfig::default()
-        };
         DbCampaignConfig {
             audits: true,
             duration: SimDuration::from_secs(2_000),
             error_iat: SimDuration::from_secs(20),
-            audit_period: SimDuration::from_secs(10),
-            workload,
-            slots: 14,
             selective_monitoring: false,
-            seed: 0xDB01,
         }
     }
 }
@@ -188,13 +189,9 @@ fn catalog_broken(db: &Database) -> bool {
 /// Runs one §5.1 experiment run and returns its result.
 pub fn run_once(config: &DbCampaignConfig, seed: u64) -> DbCampaignResult {
     let mut rng = SimRng::seed_from(seed);
-    let mut c =
-        Controller::new(schema::standard_schema_with_slots(config.slots)).expect("schema builds");
+    let mut c = Controller::new(schema::standard_schema_with_slots(SLOTS)).expect("schema builds");
     if config.audits {
-        c = c.with_audit(AuditConfig {
-            periodic_interval: config.audit_period,
-            ..AuditConfig::default()
-        });
+        c = c.with_audit(AuditConfig { periodic_interval: AUDIT_PERIOD, ..AuditConfig::default() });
         if config.selective_monitoring {
             let monitor = wtnc_audit::SelectiveMonitor::new(
                 wtnc_audit::SelectiveConfig {
@@ -214,13 +211,13 @@ pub fn run_once(config: &DbCampaignConfig, seed: u64) -> DbCampaignResult {
         // The "original" API: no audit instrumentation, base costs.
         c.api = DbApi::without_instrumentation();
     }
-    let mut client = DesClient::new(config.workload, rng.bits(), config.audits);
+    let mut client = DesClient::new(workload(), rng.bits(), config.audits);
 
     let mut queue: EventQueue<Ev> = EventQueue::new();
     queue.schedule(SimTime::ZERO + client.next_arrival_gap(), Ev::Arrival);
     queue.schedule(SimTime::ZERO + rng.exponential(config.error_iat), Ev::Inject);
     if config.audits {
-        queue.schedule(SimTime::ZERO + config.audit_period, Ev::AuditTick);
+        queue.schedule(SimTime::ZERO + AUDIT_PERIOD, Ev::AuditTick);
     }
 
     let mut injected: u64 = 0;
@@ -272,7 +269,7 @@ pub fn run_once(config: &DbCampaignConfig, seed: u64) -> DbCampaignResult {
             }
             Ev::AuditTick => {
                 c.run_audit_cycle(now);
-                queue.schedule(now + config.audit_period, Ev::AuditTick);
+                queue.schedule(now + AUDIT_PERIOD, Ev::AuditTick);
             }
             Ev::Inject => {
                 let offset = rng.index(c.db.region_len());
@@ -360,7 +357,7 @@ fn classify(
 /// 30 runs per configuration). Runs execute in parallel across cores;
 /// results are identical to a serial execution.
 pub fn run_campaign(config: &DbCampaignConfig, runs: usize) -> DbCampaignResult {
-    let results = crate::parallel::run_runs(config.seed, runs, |seed| run_once(config, seed));
+    let results = crate::parallel::run_runs(SEED, runs, |seed| run_once(config, seed));
     let mut total = DbCampaignResult::default();
     let mut setup = Accumulator::new();
     let mut latency = Accumulator::new();

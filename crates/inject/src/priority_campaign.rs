@@ -22,6 +22,15 @@ pub const ACCESS_RATIO: [f64; 6] = [6.0, 5.0, 4.0, 3.0, 2.0, 1.0];
 /// Database operations per second per application thread (paper: 20).
 const OPS_PER_SEC_PER_THREAD: f64 = 20.0;
 
+/// Application threads (paper: 16).
+const THREADS: usize = 16;
+
+/// Audit period — one table checked per tick (paper: 5 s).
+const AUDIT_PERIOD: SimDuration = SimDuration::from_secs(5);
+
+/// Base seed [`run_campaign`] draws its run seeds from.
+pub const SEED: u64 = 0x5EED;
+
 /// Configuration of one prioritized-audit run (paper Table 5).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PriorityCampaignConfig {
@@ -34,14 +43,8 @@ pub struct PriorityCampaignConfig {
     pub mtbf: SimDuration,
     /// Run length.
     pub duration: SimDuration,
-    /// Application threads (paper: 16).
-    pub threads: usize,
-    /// Audit period — one table checked per tick (paper: 5 s).
-    pub audit_period: SimDuration,
     /// Schema scale factor (multiplies the size ratio).
     pub scale: u32,
-    /// Base RNG seed.
-    pub seed: u64,
 }
 
 impl Default for PriorityCampaignConfig {
@@ -51,14 +54,11 @@ impl Default for PriorityCampaignConfig {
             proportional_errors: false,
             mtbf: SimDuration::from_secs(2),
             duration: SimDuration::from_secs(300),
-            threads: 16,
-            audit_period: SimDuration::from_secs(5),
             // Sized from the paper's "actual controller database
             // measurements": large enough that per-record touch
             // intervals in the hot tables straddle the audit period,
             // which is the regime where prioritization matters.
             scale: 400,
-            seed: 0x5EED,
         }
     }
 }
@@ -114,7 +114,7 @@ pub fn run_once_with_weights(
     let mut c = Controller::new(schema::six_table_schema(config.scale))
         .expect("schema builds")
         .with_audit(AuditConfig {
-            periodic_interval: config.audit_period,
+            periodic_interval: AUDIT_PERIOD,
             scope: AuditScope::OneTable,
             ..AuditConfig::default()
         });
@@ -142,14 +142,14 @@ pub fn run_once_with_weights(
     }
 
     let pids: Vec<Pid> =
-        (0..config.threads).map(|_| c.spawn_client("app-thread", SimTime::ZERO)).collect();
+        (0..THREADS).map(|_| c.spawn_client("app-thread", SimTime::ZERO)).collect();
 
     let op_gap = SimDuration::from_secs_f64(1.0 / OPS_PER_SEC_PER_THREAD);
     let mut queue: EventQueue<Ev> = EventQueue::new();
     for (i, _) in pids.iter().enumerate() {
         queue.schedule(SimTime::ZERO + rng.exponential(op_gap), Ev::Op(i));
     }
-    queue.schedule(SimTime::ZERO + config.audit_period, Ev::AuditTick);
+    queue.schedule(SimTime::ZERO + AUDIT_PERIOD, Ev::AuditTick);
     queue.schedule(SimTime::ZERO + rng.exponential(config.mtbf), Ev::Inject);
 
     // Pre-compute table extents for proportional placement.
@@ -196,7 +196,7 @@ pub fn run_once_with_weights(
             }
             Ev::AuditTick => {
                 c.run_audit_cycle(now);
-                queue.schedule(now + config.audit_period, Ev::AuditTick);
+                queue.schedule(now + AUDIT_PERIOD, Ev::AuditTick);
             }
             Ev::Inject => {
                 let offset = if config.proportional_errors {
@@ -238,7 +238,7 @@ pub fn run_once_with_weights(
 /// Runs `runs` independent runs and aggregates. Runs execute in
 /// parallel across cores; results are identical to a serial execution.
 pub fn run_campaign(config: &PriorityCampaignConfig, runs: usize) -> PriorityResult {
-    let results = crate::parallel::run_runs(config.seed, runs, |seed| run_once(config, seed));
+    let results = crate::parallel::run_runs(SEED, runs, |seed| run_once(config, seed));
     let mut total = PriorityResult::default();
     let mut latency = Accumulator::new();
     for r in results {

@@ -94,6 +94,15 @@ impl ProcessFaultModel {
 /// advances its current call by one step.
 const WORK_PERIOD: SimDuration = SimDuration::from_secs(2);
 
+/// Periodic audit-cycle interval.
+const AUDIT_PERIOD: SimDuration = SimDuration::from_secs(10);
+
+/// Record slots per dynamic table.
+const SLOTS: u32 = 64;
+
+/// Base seed the campaign draws its run seeds from.
+const SEED: u64 = 0x5EC5;
+
 /// Configuration of one process-campaign run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProcessCampaignConfig {
@@ -101,19 +110,13 @@ pub struct ProcessCampaignConfig {
     pub duration: SimDuration,
     /// Mean fault inter-arrival time (exponential).
     pub fault_iat: SimDuration,
-    /// Periodic audit-cycle interval.
-    pub audit_period: SimDuration,
     /// Call-processing clients.
     pub clients: u32,
-    /// Record slots per dynamic table.
-    pub slots: u32,
     /// Supervision thresholds. The supervision tick runs every
     /// [`HEARTBEAT_INTERVAL`].
     pub supervisor: SupervisorConfig,
     /// The fault model injected this run.
     pub model: ProcessFaultModel,
-    /// Base RNG seed.
-    pub seed: u64,
 }
 
 impl Default for ProcessCampaignConfig {
@@ -121,12 +124,9 @@ impl Default for ProcessCampaignConfig {
         ProcessCampaignConfig {
             duration: SimDuration::from_secs(600),
             fault_iat: SimDuration::from_secs(60),
-            audit_period: SimDuration::from_secs(10),
             clients: 4,
-            slots: 64,
             supervisor: SupervisorConfig::default(),
             model: ProcessFaultModel::ClientCrash,
-            seed: 0x5EC5,
         }
     }
 }
@@ -297,19 +297,16 @@ enum Ev {
 /// Runs one process-campaign run and returns its result.
 pub fn run_once(config: &ProcessCampaignConfig, seed: u64) -> ProcessRunResult {
     let mut rng = SimRng::seed_from(seed);
-    let mut c = Controller::new(schema::standard_schema_with_slots(config.slots))
+    let mut c = Controller::new(schema::standard_schema_with_slots(SLOTS))
         .expect("schema builds")
-        .with_audit(AuditConfig {
-            periodic_interval: config.audit_period,
-            ..AuditConfig::default()
-        })
+        .with_audit(AuditConfig { periodic_interval: AUDIT_PERIOD, ..AuditConfig::default() })
         .with_supervision(config.supervisor);
     let mut workers = Worker::spawn_all(&mut c, config.clients);
 
     let mut queue: EventQueue<Ev> = EventQueue::new();
     queue.schedule(SimTime::ZERO + WORK_PERIOD, Ev::WorkTick);
     queue.schedule(SimTime::ZERO + HEARTBEAT_INTERVAL, Ev::Supervise);
-    queue.schedule(SimTime::ZERO + config.audit_period, Ev::AuditTick);
+    queue.schedule(SimTime::ZERO + AUDIT_PERIOD, Ev::AuditTick);
     queue.schedule(SimTime::ZERO + rng.exponential(config.fault_iat), Ev::Inject);
 
     let mut injected: u64 = 0;
@@ -376,7 +373,7 @@ pub fn run_once(config: &ProcessCampaignConfig, seed: u64) -> ProcessRunResult {
                 if c.registry.responsiveness(audit_pid) == Some(Responsiveness::Responsive) {
                     c.run_audit_cycle(now);
                 }
-                queue.schedule(now + config.audit_period, Ev::AuditTick);
+                queue.schedule(now + AUDIT_PERIOD, Ev::AuditTick);
             }
             Ev::Inject => {
                 injected += 1;
@@ -492,7 +489,7 @@ fn inject_fault(
 /// Runs `runs` independent runs in parallel and sums the results
 /// (deterministic: identical to a serial execution).
 pub fn run_campaign(config: &ProcessCampaignConfig, runs: usize) -> ProcessCampaignResult {
-    let results = crate::parallel::run_runs(config.seed, runs, |seed| run_once(config, seed));
+    let results = crate::parallel::run_runs(SEED, runs, |seed| run_once(config, seed));
     let mut total = ProcessCampaignResult::default();
     let mut latency = Accumulator::new();
     let mut unavail = Accumulator::new();
@@ -608,7 +605,6 @@ mod tests {
                 ..SupervisorConfig::default()
             },
             model: ProcessFaultModel::ClientCrash,
-            ..ProcessCampaignConfig::default()
         };
         let r = run_once(&config, 23);
         assert!(r.escalations > 0, "storm escalated: {r:?}");

@@ -14,48 +14,38 @@
 //! corruption storm.
 
 use wtnc_audit::AuditConfig;
-use wtnc_callproc::{CallHandle, DesClient, WorkloadConfig};
+use wtnc_callproc::{CallHandle, DesClient};
 use wtnc_db::{schema, TaintFate};
 use wtnc_recovery::{RecoveryConfig, RecoveryEngine, RepairLogEntry, RepairOutcome, TOKEN_TIME};
 use wtnc_sim::stats::Accumulator;
 use wtnc_sim::{EventQueue, SimDuration, SimRng, SimTime};
 
+use crate::db_campaign::{workload, AUDIT_PERIOD, SLOTS};
 use crate::outcome::{OutcomeCounts, RunOutcome};
 use crate::Controller;
 
-/// Configuration of one recovery-campaign run.
+/// Base seed the campaign draws its run seeds from.
+const SEED: u64 = 0x4EC0;
+
+/// Configuration of one recovery-campaign run. The node is the
+/// database campaign's: a 10 s audit period, 14 slots per dynamic table
+/// and Table 2's workload at a 2 s arrival gap.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryCampaignConfig {
     /// Run length.
     pub duration: SimDuration,
     /// Mean error inter-arrival time (exponential).
     pub error_iat: SimDuration,
-    /// Periodic audit interval.
-    pub audit_period: SimDuration,
-    /// Client workload parameters.
-    pub workload: WorkloadConfig,
-    /// Record slots per dynamic table.
-    pub slots: u32,
     /// Engine configuration (cycle budget, recurrence escalation).
     pub recovery: RecoveryConfig,
-    /// Base RNG seed.
-    pub seed: u64,
 }
 
 impl Default for RecoveryCampaignConfig {
     fn default() -> Self {
-        let workload = WorkloadConfig {
-            interarrival_mean: SimDuration::from_secs(2),
-            ..WorkloadConfig::default()
-        };
         RecoveryCampaignConfig {
             duration: SimDuration::from_secs(2_000),
             error_iat: SimDuration::from_secs(20),
-            audit_period: SimDuration::from_secs(10),
-            workload,
-            slots: 14,
             recovery: RecoveryConfig::default(),
-            seed: 0x4EC0,
         }
     }
 }
@@ -134,19 +124,16 @@ enum Ev {
 /// Runs one recovery-campaign run and returns its result.
 pub fn run_once(config: &RecoveryCampaignConfig, seed: u64) -> RecoveryRunResult {
     let mut rng = SimRng::seed_from(seed);
-    let mut c = Controller::new(schema::standard_schema_with_slots(config.slots))
+    let mut c = Controller::new(schema::standard_schema_with_slots(SLOTS))
         .expect("schema builds")
-        .with_audit(AuditConfig {
-            periodic_interval: config.audit_period,
-            ..AuditConfig::default()
-        })
+        .with_audit(AuditConfig { periodic_interval: AUDIT_PERIOD, ..AuditConfig::default() })
         .with_recovery(config.recovery);
-    let mut client = DesClient::new(config.workload, rng.bits(), true);
+    let mut client = DesClient::new(workload(), rng.bits(), true);
 
     let mut queue: EventQueue<Ev> = EventQueue::new();
     queue.schedule(SimTime::ZERO + client.next_arrival_gap(), Ev::Arrival);
     queue.schedule(SimTime::ZERO + rng.exponential(config.error_iat), Ev::Inject);
-    queue.schedule(SimTime::ZERO + config.audit_period, Ev::AuditTick);
+    queue.schedule(SimTime::ZERO + AUDIT_PERIOD, Ev::AuditTick);
 
     let mut injected: u64 = 0;
     // Repairs consume controller time; arrivals stall (not drop) until
@@ -188,7 +175,7 @@ pub fn run_once(config: &RecoveryCampaignConfig, seed: u64) -> RecoveryRunResult
                 if stalled > busy_until {
                     busy_until = stalled;
                 }
-                queue.schedule(now + config.audit_period, Ev::AuditTick);
+                queue.schedule(now + AUDIT_PERIOD, Ev::AuditTick);
             }
             Ev::Inject => {
                 let offset = rng.index(c.db.region_len());
@@ -264,7 +251,7 @@ fn classify(
 /// Runs `runs` independent runs in parallel and sums the results
 /// (deterministic: identical to a serial execution).
 pub fn run_campaign(config: &RecoveryCampaignConfig, runs: usize) -> RecoveryCampaignResult {
-    let results = crate::parallel::run_runs(config.seed, runs, |seed| run_once(config, seed));
+    let results = crate::parallel::run_runs(SEED, runs, |seed| run_once(config, seed));
     let mut total = RecoveryCampaignResult::default();
     let mut setup = Accumulator::new();
     let mut latency = Accumulator::new();

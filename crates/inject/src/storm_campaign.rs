@@ -90,6 +90,18 @@ impl StormModel {
 /// alignment.
 const CORRUPT_AT: SimDuration = SimDuration::from_secs(32);
 
+/// Call-processing clients (client 0 is the super-producer).
+const CLIENTS: u32 = 4;
+
+/// Record slots per dynamic table.
+const SLOTS: u32 = 64;
+
+/// Periodic audit-cycle interval.
+const AUDIT_PERIOD: SimDuration = SimDuration::from_secs(5);
+
+/// Base seed the campaign draws its run seeds from.
+const SEED: u64 = 0x5708_4ABC;
+
 /// Configuration of one storm-campaign run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StormCampaignConfig {
@@ -98,12 +110,6 @@ pub struct StormCampaignConfig {
     /// Offered IPC load as a multiple of the auditor's saturation rate
     /// ([`SATURATION_EVENTS_PER_SEC`]).
     pub load: f64,
-    /// Call-processing clients (client 0 is the super-producer).
-    pub clients: u32,
-    /// Record slots per dynamic table.
-    pub slots: u32,
-    /// Periodic audit-cycle interval.
-    pub audit_period: SimDuration,
     /// Supervision thresholds. The supervision tick runs every
     /// [`HEARTBEAT_INTERVAL`].
     pub supervisor: SupervisorConfig,
@@ -112,8 +118,6 @@ pub struct StormCampaignConfig {
     /// Resource isolation on/off: bounded fair IPC, audit CPU budget,
     /// starvation-aware supervision.
     pub isolation: bool,
-    /// Base RNG seed.
-    pub seed: u64,
 }
 
 impl Default for StormCampaignConfig {
@@ -121,13 +125,9 @@ impl Default for StormCampaignConfig {
         StormCampaignConfig {
             duration: SimDuration::from_secs(120),
             load: 2.0,
-            clients: 4,
-            slots: 64,
-            audit_period: SimDuration::from_secs(5),
             supervisor: SupervisorConfig::default(),
             model: StormModel::SuperProducer,
             isolation: true,
-            seed: 0x5708_4ABC,
         }
     }
 }
@@ -269,7 +269,7 @@ fn isolated_budget() -> BudgetConfig {
 pub fn run_once(config: &StormCampaignConfig, seed: u64) -> StormRunResult {
     let mut rng = SimRng::seed_from(seed);
     let audit_config = AuditConfig {
-        periodic_interval: config.audit_period,
+        periodic_interval: AUDIT_PERIOD,
         // A full scan every cycle, so detection is decided by the
         // overload dynamics, not by the change-tracking window.
         full_rescan_period: 1,
@@ -278,7 +278,7 @@ pub fn run_once(config: &StormCampaignConfig, seed: u64) -> StormRunResult {
         budget: config.isolation.then(isolated_budget),
         ..AuditConfig::default()
     };
-    let mut c = Controller::new(schema::standard_schema_with_slots(config.slots))
+    let mut c = Controller::new(schema::standard_schema_with_slots(SLOTS))
         .expect("schema builds")
         .with_audit(audit_config)
         .with_supervision(config.supervisor);
@@ -292,7 +292,7 @@ pub fn run_once(config: &StormCampaignConfig, seed: u64) -> StormRunResult {
         true,
         SimTime::ZERO,
     );
-    let mut workers = Worker::spawn_all(&mut c, config.clients.max(1));
+    let mut workers = Worker::spawn_all(&mut c, CLIENTS);
 
     // The victim: a long-lived valid connection record whose ruled
     // caller_id field the storm-time corruption will flip out of range.
@@ -316,7 +316,7 @@ pub fn run_once(config: &StormCampaignConfig, seed: u64) -> StormRunResult {
     let mut queue: EventQueue<Ev> = EventQueue::new();
     queue.schedule(SimTime::ZERO + CLIENT_TICK, Ev::ClientTick);
     queue.schedule(SimTime::ZERO + HEARTBEAT_INTERVAL, Ev::Supervise);
-    queue.schedule(SimTime::ZERO + config.audit_period, Ev::AuditStart);
+    queue.schedule(SimTime::ZERO + AUDIT_PERIOD, Ev::AuditStart);
     queue.schedule(SimTime::ZERO + CORRUPT_AT, Ev::Corrupt);
 
     let end_of_run = SimTime::ZERO + config.duration;
@@ -348,7 +348,7 @@ pub fn run_once(config: &StormCampaignConfig, seed: u64) -> StormRunResult {
                             w.pid,
                             DbOp::ReadFld,
                             Some(schema::CONNECTION_TABLE),
-                            Some((k % u64::from(config.slots)) as u32),
+                            Some((k % u64::from(SLOTS)) as u32),
                             now,
                         );
                         match verdict {
@@ -383,7 +383,7 @@ pub fn run_once(config: &StormCampaignConfig, seed: u64) -> StormRunResult {
                     cycle_gen += 1;
                     let fresh = AuditProcess::new(audit_config, &c.db);
                     *c.audit_mut().expect("audit attached") = fresh;
-                    queue.schedule(now + config.audit_period, Ev::AuditStart);
+                    queue.schedule(now + AUDIT_PERIOD, Ev::AuditStart);
                 }
                 queue.schedule(now + HEARTBEAT_INTERVAL, Ev::Supervise);
             }
@@ -427,7 +427,7 @@ pub fn run_once(config: &StormCampaignConfig, seed: u64) -> StormRunResult {
                         detected_at = Some(now);
                     }
                 }
-                queue.schedule((started + config.audit_period).max(now), Ev::AuditStart);
+                queue.schedule((started + AUDIT_PERIOD).max(now), Ev::AuditStart);
             }
             Ev::Corrupt => {
                 let rec = RecordRef::new(schema::CONNECTION_TABLE, victim);
@@ -475,12 +475,12 @@ fn storm_posts(config: &StormCampaignConfig, i: usize, now: SimTime, rng: &mut S
                 0.0
             }
         }
-        StormModel::IpcFlood => per_tick / f64::from(config.clients.max(1)),
+        StormModel::IpcFlood => per_tick / f64::from(CLIENTS),
         StormModel::DiurnalBurst => {
             // 20 s busy-hour bursts alternating with quarter-rate lulls.
             let phase = (now.as_secs_f64() / 20.0) as u64 % 2;
             let factor = if phase == 0 { 1.0 } else { 0.25 };
-            factor * per_tick / f64::from(config.clients.max(1))
+            factor * per_tick / f64::from(CLIENTS)
         }
     };
     // Saturate at `MAX_LOAD`'s volume, then dither the fractional part
@@ -493,7 +493,7 @@ fn storm_posts(config: &StormCampaignConfig, i: usize, now: SimTime, rng: &mut S
 /// Runs `runs` independent runs in parallel and aggregates the results
 /// (deterministic: identical to a serial execution).
 pub fn run_campaign(config: &StormCampaignConfig, runs: usize) -> StormCampaignResult {
-    let results = crate::parallel::run_runs(config.seed, runs, |seed| run_once(config, seed));
+    let results = crate::parallel::run_runs(SEED, runs, |seed| run_once(config, seed));
     let mut total = StormCampaignResult { runs: runs as u64, ..StormCampaignResult::default() };
     let mut latency = Accumulator::new();
     let mut cycle = Accumulator::new();
@@ -618,14 +618,10 @@ mod tests {
             assert!(r.detected, "isolation={isolation}: {r:?}");
             assert!(r.false_restarts == 0, "isolation={isolation}: {r:?}");
             assert!(
-                r.detection_latency_s <= 2.0 * config_period_s(),
+                r.detection_latency_s <= 2.0 * AUDIT_PERIOD.as_secs_f64(),
                 "unloaded detection within ~2 cycles: {r:?}"
             );
         }
-    }
-
-    fn config_period_s() -> f64 {
-        StormCampaignConfig::default().audit_period.as_secs_f64()
     }
 
     #[test]

@@ -102,8 +102,7 @@ enum FirstEvent {
 /// Runs one injection run and classifies it.
 pub fn run_one(config: &TextCampaignConfig, seed: u64) -> RunOutcome {
     let mut rng = SimRng::seed_from(seed);
-    let client_cfg =
-        AsmClientConfig { iterations: config.iterations, ..AsmClientConfig::default() };
+    let client_cfg = AsmClientConfig { iterations: config.iterations };
     let source = client_cfg.program_source();
     let (program, meta): (_, Option<PecosMeta>) = if config.pecos {
         let asm = wtnc_isa::asm::Assembly::parse(&source).expect("client parses");

@@ -15,7 +15,7 @@
 use std::fmt::Write as _;
 
 use wtnc_inject::db_campaign::{self, DbCampaignConfig};
-use wtnc_inject::powerfail_campaign::{self, PowerFailConfig, PowerFailModel};
+use wtnc_inject::powerfail_campaign::{self, PowerFailModel};
 use wtnc_inject::priority_campaign::{self, PriorityCampaignConfig};
 use wtnc_inject::process_campaign::{self, ProcessCampaignConfig, ProcessFaultModel};
 use wtnc_inject::recovery_campaign::{self, RecoveryCampaignConfig};
@@ -79,8 +79,7 @@ fn render() -> String {
     }
 
     for model in PowerFailModel::ALL {
-        let cfg = PowerFailConfig { model, ..PowerFailConfig::default() };
-        let r = powerfail_campaign::run_campaign(&cfg, 2);
+        let r = powerfail_campaign::run_campaign(model, 2);
         writeln!(out, "powerfail {}: {r:?}", model.name()).unwrap();
     }
 
