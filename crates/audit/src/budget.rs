@@ -49,19 +49,12 @@ pub struct TokenBucket {
     tokens: f64,
     last_refill: SimTime,
     spent: u64,
-    exhaustions: u64,
 }
 
 impl TokenBucket {
     /// Creates a bucket starting with a full burst allowance.
     pub fn new(config: BudgetConfig) -> Self {
-        TokenBucket {
-            config,
-            tokens: config.burst as f64,
-            last_refill: SimTime::ZERO,
-            spent: 0,
-            exhaustions: 0,
-        }
+        TokenBucket { config, tokens: config.burst as f64, last_refill: SimTime::ZERO, spent: 0 }
     }
 
     /// Banks the tokens earned since the last refill, clamped to the
@@ -74,15 +67,14 @@ impl TokenBucket {
     }
 
     /// Charges `cost` tokens if the bucket can afford them. On refusal
-    /// the bucket is untouched and the exhaustion is counted — nothing
-    /// is lost silently.
+    /// the bucket is untouched; the caller sheds the work and counts
+    /// it.
     pub fn try_charge(&mut self, cost: u64) -> bool {
         if self.tokens >= cost as f64 {
             self.tokens -= cost as f64;
             self.spent += cost;
             true
         } else {
-            self.exhaustions += 1;
             false
         }
     }
@@ -106,12 +98,6 @@ impl TokenBucket {
         self.spent
     }
 
-    /// Refused charges since construction (each one corresponds to a
-    /// shed decision somewhere upstream).
-    pub fn exhaustions(&self) -> u64 {
-        self.exhaustions
-    }
-
     /// The configuration in force.
     pub fn config(&self) -> BudgetConfig {
         self.config
@@ -131,7 +117,6 @@ mod tests {
         assert_eq!(b.available(), 100);
         assert!(!b.try_charge(200), "cannot overdraw");
         assert_eq!(b.available(), 100, "refused charge leaves the balance untouched");
-        assert_eq!(b.exhaustions(), 1);
         assert_eq!(b.spent(), 400);
     }
 

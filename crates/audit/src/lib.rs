@@ -42,9 +42,12 @@
 //! *after* a repair, to attribute ground-truth corruptions to the
 //! element that removed them.
 //!
-//! Elements repair locally and never escalate. Each tier has one
-//! escalation ladder: data damage that local repair does not hold is
-//! climbed field → record → table → client → controller by the
+//! Elements repair locally, with one exception: in inline mode the
+//! structural element reloads the whole database after 3 consecutive
+//! damaged headers in one table (suspected misalignment; in deferred
+//! mode it only flags them). Each tier has one escalation ladder: data
+//! damage that local repair does not hold is climbed
+//! field → record → table → client → controller by the
 //! `wtnc-recovery` engine (which runs the audit with
 //! [`AuditProcess::set_deferred_repair`]), and restart storms are
 //! escalated by the [`Supervisor`].

@@ -534,11 +534,6 @@ impl AuditProcess {
         self.degraded_cycles
     }
 
-    /// Tables shed by the last cycle, awaiting the next one.
-    pub fn shed_backlog(&self) -> &[TableId] {
-        &self.shed_backlog
-    }
-
     /// The CPU-budget bucket, when isolation is configured.
     pub fn budget(&self) -> Option<&TokenBucket> {
         self.bucket.as_ref()

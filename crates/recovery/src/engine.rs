@@ -4,7 +4,7 @@ use std::collections::{HashMap, VecDeque};
 
 use wtnc_audit::{AuditElementKind, AuditProcess, Finding, FindingTarget, RecoveryAction};
 use wtnc_db::{Database, DbApi, RecordRef, TableId, TaintEntry, TaintFate};
-use wtnc_sim::{Pid, ProcessRegistry, SimDuration, SimTime};
+use wtnc_sim::{ProcessRegistry, SimDuration, SimTime};
 
 use crate::log::{RecoveryStats, RepairLogEntry, RepairOutcome};
 
@@ -26,7 +26,9 @@ pub enum Rung {
     /// re-corrupting the data) and re-initialize the record.
     ClientRestart,
     /// Reload the entire database and request a controller restart
-    /// from the manager.
+    /// from the manager ([`CycleOutcome::restart_requested`]). The
+    /// rung itself kills or restarts no process: processes are the
+    /// supervisor's.
     ControllerRestart,
 }
 
@@ -147,7 +149,6 @@ pub struct RecoveryEngine {
     /// element (mirrors `AuditProcess::catch_log` for campaigns).
     catches: Vec<(TaintEntry, AuditElementKind, SimTime)>,
     disk: Option<crate::DiskGoldenSource>,
-    disk_refreshed_bytes: u64,
     seq: u64,
 }
 
@@ -162,7 +163,6 @@ impl RecoveryEngine {
             stats: RecoveryStats::default(),
             catches: Vec::new(),
             disk: None,
-            disk_refreshed_bytes: 0,
             seq: 0,
         }
     }
@@ -173,11 +173,6 @@ impl RecoveryEngine {
     /// instead of trusting the surviving in-memory golden image.
     pub fn set_disk_source(&mut self, source: Option<crate::DiskGoldenSource>) {
         self.disk = source;
-    }
-
-    /// Total golden bytes refreshed from disk ahead of repairs.
-    pub fn disk_refreshed_bytes(&self) -> u64 {
-        self.disk_refreshed_bytes
     }
 
     /// The deterministic repair log.
@@ -358,7 +353,7 @@ impl RecoveryEngine {
                 (_, FindingTarget::Client { .. }) => None,
             };
             if let Some((offset, len)) = range {
-                self.disk_refreshed_bytes += disk.refresh_range(db, offset, len) as u64;
+                disk.refresh_range(db, offset, len);
             }
         }
         match (ticket.rung, ticket.target) {
@@ -446,23 +441,13 @@ impl RecoveryEngine {
                 }
             }
             (Rung::ControllerRestart, _) => {
+                // The data half of the global action. Processes are the
+                // supervisor's: the engine sees no hang or livelock, and
+                // a restart behind the supervisor's back would leave it
+                // tracking the old pid.
                 db.reload_all();
                 let len = db.region_len();
                 caught.extend(resolve(db, 0, len));
-                // The global action also restarts every process-tier
-                // casualty: a hung or livelocked process cannot survive
-                // a controller restart with its fault intact.
-                let faulty: Vec<Pid> = registry
-                    .alive()
-                    .filter(|&p| {
-                        registry.responsiveness(p) != Some(wtnc_sim::Responsiveness::Responsive)
-                    })
-                    .collect();
-                for pid in faulty {
-                    api.locks_mut().release_all(pid);
-                    registry.kill(pid, now);
-                    registry.restart(pid, now);
-                }
             }
             (Rung::FieldRepair, FindingTarget::Client { pid })
             | (Rung::RecordReinit, FindingTarget::Client { pid }) => {

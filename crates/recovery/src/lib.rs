@@ -26,7 +26,10 @@
 //! * recurring or verification-failing targets **escalate** along the
 //!   ladder [`Rung::FieldRepair`] → [`Rung::RecordReinit`] →
 //!   [`Rung::TableRebuild`] → [`Rung::ClientRestart`] →
-//!   [`Rung::ControllerRestart`].
+//!   [`Rung::ControllerRestart`]. The top rung reloads the whole
+//!   database and reports [`CycleOutcome::restart_requested`]; it
+//!   restarts no process, which is the supervisor's job in
+//!   `wtnc-audit`.
 //!
 //! Everything is deterministic under a fixed seed: the engine consumes
 //! virtual time only (each budget token costs [`TOKEN_TIME`] of
