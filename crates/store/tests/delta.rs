@@ -134,6 +134,56 @@ fn delta_files_scale_with_dirty_not_image() {
     }
 }
 
+/// Work gate on delta checkpoint bytes: for the fixed image of
+/// `schema()` and k dirty leaves, the `.delta` file is exactly the
+/// committed length. A delta holds its header, the k leaves and the
+/// Merkle nodes on their paths, each with a keyed code; a change that
+/// writes more bytes per dirty leaf (or dirties leaves it did not
+/// touch) fails here rather than only in a wall-time ratio.
+#[test]
+fn delta_bytes_for_k_dirty_leaves_are_pinned() {
+    /// `(k, .delta bytes)`.
+    const BASELINE: [(usize, u64); 4] = [(1, 416), (2, 692), (3, 984), (4, 1260)];
+    let conn = wtnc_db::TableId(1);
+    let caller = wtnc_db::FieldId(0);
+    for (k, want) in BASELINE {
+        let scratch = ScratchDir::new(&format!("delta-bytes-{k}"));
+        let mut db = db();
+        let record_count = db.catalog().table(conn).unwrap().def.record_count;
+        for _ in 0..record_count {
+            db.alloc_record_raw(conn).expect("alloc");
+        }
+        let mut store = Store::open(scratch.path(), delta_config()).expect("open");
+        store.attach(&mut db);
+        store.checkpoint(&mut db).expect("full base");
+
+        // One field write inside each of k distinct leaves.
+        let mut leaves = Vec::new();
+        for index in 0..record_count {
+            let rec = wtnc_db::RecordRef::new(conn, index);
+            let (offset, len) = db.field_extent(rec, caller).unwrap();
+            let leaf = offset / LEAF_BLOCK_SIZE;
+            if leaves.len() < k
+                && !leaves.contains(&leaf)
+                && (offset + len - 1) / LEAF_BLOCK_SIZE == leaf
+            {
+                db.write_field_raw(rec, caller, 7).expect("write");
+                leaves.push(leaf);
+            }
+        }
+        assert_eq!(leaves.len(), k, "the image has {k} leaves with a caller field");
+        store.checkpoint(&mut db).expect("delta");
+
+        let (_, deltas) = files(scratch.path());
+        assert_eq!(deltas.len(), 1);
+        let bytes = std::fs::read(&deltas[0]).unwrap();
+        let delta = decode_delta_checkpoint(&bytes, &delta_config().key).expect("delta decodes");
+        let written: Vec<usize> = delta.blocks.iter().map(|(i, _)| *i as usize).collect();
+        assert_eq!(written, leaves, "exactly the {k} written leaves");
+        assert_eq!(bytes.len() as u64, want, "{k} dirty leaves");
+    }
+}
+
 #[test]
 fn torn_newest_delta_falls_back_and_the_journal_carries_forward() {
     let scratch = ScratchDir::new("delta-torn");
