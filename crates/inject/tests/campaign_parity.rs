@@ -30,6 +30,16 @@ fn render() -> String {
     let db =
         DbCampaignConfig { duration: SimDuration::from_secs(300), ..DbCampaignConfig::default() };
     writeln!(out, "db: {:?}", db_campaign::run_campaign(&db, 2)).unwrap();
+    // The uninstrumented node: no audit tick, cold restarts on a
+    // refused arrival.
+    let no_audit = DbCampaignConfig { audits: false, ..db };
+    writeln!(out, "db audits=false: {:?}", db_campaign::run_campaign(&no_audit, 2)).unwrap();
+    // A 2 s error gap, so every element attribution (the selective
+    // element's too) shows up in the breakdown.
+    let selective =
+        DbCampaignConfig { selective_monitoring: true, error_iat: SimDuration::from_secs(2), ..db };
+    let r = db_campaign::run_campaign(&selective, 2);
+    writeln!(out, "db selective_monitoring=true: {r:?}").unwrap();
 
     for (prioritized, proportional_errors) in [(true, false), (false, true)] {
         let cfg = PriorityCampaignConfig {
