@@ -9,7 +9,7 @@
 
 use std::collections::BTreeSet;
 
-use wtnc_db::{Database, DbApi, RecordRef, TableId, TaintEntry};
+use wtnc_db::{Database, DbApi, RecordRef, TableId};
 use wtnc_sim::{ProcessRegistry, SimDuration, SimTime};
 
 use crate::budget::{BudgetConfig, TokenBucket};
@@ -178,7 +178,6 @@ pub struct AuditProcess {
     policy: ElementPolicy,
     scheduler: Box<dyn AuditScheduler + Send>,
     event_tables: BTreeSet<TableId>,
-    catch_log: Vec<(TaintEntry, AuditElementKind, SimTime)>,
     cycles: u64,
     bucket: Option<TokenBucket>,
     shed_backlog: Vec<TableId>,
@@ -192,7 +191,6 @@ impl std::fmt::Debug for AuditProcess {
             .field("config", &self.config)
             .field("cycles", &self.cycles)
             .field("pending_event_tables", &self.event_tables.len())
-            .field("catches", &self.catch_log.len())
             .finish()
     }
 }
@@ -217,7 +215,6 @@ impl AuditProcess {
             },
             scheduler: Box::new(RoundRobinScheduler::new()),
             event_tables: BTreeSet::new(),
-            catch_log: Vec::new(),
             cycles: 0,
             bucket: config.budget.map(TokenBucket::new),
             shed_backlog: Vec::new(),
@@ -312,12 +309,6 @@ impl AuditProcess {
     /// would "repair" the new configuration away.
     pub fn rebaseline_static(&mut self, db: &Database) {
         self.static_audit.rebaseline(db);
-    }
-
-    /// Ground-truth corruptions removed so far, attributed to the
-    /// element that removed each.
-    pub fn catch_log(&self) -> &[(TaintEntry, AuditElementKind, SimTime)] {
-        &self.catch_log
     }
 
     /// Completed audit cycles.
@@ -422,13 +413,6 @@ impl AuditProcess {
             if let RecoveryAction::TerminatedClient { pid } = f.action {
                 registry.kill(pid, now);
                 api.locks_mut().release_all(pid);
-            }
-        }
-
-        // Attribute removed ground-truth corruptions.
-        for f in &findings {
-            for &taint in &f.caught {
-                self.catch_log.push((taint, f.element, now));
             }
         }
 
@@ -578,7 +562,7 @@ impl AuditProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wtnc_db::{schema, DbError, TaintKind};
+    use wtnc_db::{schema, DbError, TaintEntry, TaintKind};
     use wtnc_sim::Pid;
 
     fn setup() -> (Database, DbApi, ProcessRegistry, AuditProcess) {
@@ -599,7 +583,7 @@ mod tests {
     }
 
     #[test]
-    fn full_cycle_catches_static_structural_and_range_errors() {
+    fn full_cycle_repairs_static_structural_and_range_errors() {
         let (mut db, mut api, mut registry, mut audit) = setup();
         let client = Pid(1);
         api.init(client);
@@ -630,10 +614,9 @@ mod tests {
         assert!(kinds.contains(&AuditElementKind::Range));
         assert_eq!(report.caught_count(), 3);
         assert_eq!(db.taint().latent_count(), 0);
-        assert_eq!(audit.catch_log().len(), 3);
         // All three elements attributed.
         let attributed: BTreeSet<AuditElementKind> =
-            audit.catch_log().iter().map(|&(_, k, _)| k).collect();
+            report.findings.iter().filter(|f| !f.caught.is_empty()).map(|f| f.element).collect();
         assert_eq!(attributed.len(), 3);
     }
 

@@ -7,7 +7,10 @@
 //! `AuditProcess::run_cycle` in both worlds. The incremental world
 //! (`full_rescan_period: 0`) re-checksums only static chunks with a
 //! dirty block and generation-skips unchanged records; the full world
-//! (`full_rescan_period: 1`) scans everything every time.
+//! (`full_rescan_period: 1`) scans everything every time. Each point
+//! reports the median of its per-cycle times, and one throwaway cycle
+//! pair per image runs before the first point, so no point is measured
+//! cold.
 //!
 //! Two images are measured: 512 slots per dynamic table at ~70%
 //! occupancy (`slots`, `points`), and a node-scale image of 32,768
@@ -27,6 +30,7 @@ use std::time::Instant;
 use wtnc::audit::{AuditConfig, AuditProcess};
 use wtnc::db::{schema, Database, DbApi, DIRTY_BLOCK_SIZE};
 use wtnc::sim::{ProcessRegistry, SimTime};
+use wtnc_bench::median;
 
 const SLOTS: u32 = 512;
 /// Slots per dynamic table of the node-scale image.
@@ -108,13 +112,38 @@ impl World {
     }
 }
 
+/// Times `iters` cycle pairs at dirty fraction `frac` on fresh worlds
+/// cloned from `base`; returns the per-cycle seconds of the full and
+/// the incremental world and the blocks touched per cycle.
+fn time_point(base: &Database, frac: f64, iters: usize) -> (Vec<f64>, Vec<f64>, usize) {
+    let mut full = World::new(base, 1);
+    let mut incr = World::new(base, 0);
+    // Warm-up cycle: establishes the verified-clean baseline both
+    // engines skip from.
+    full.cycle();
+    incr.cycle();
+
+    let (mut t_full, mut t_incr, mut touched) = (Vec::new(), Vec::new(), 0usize);
+    for i in 0..iters {
+        touched = touch_blocks(&mut full.db, frac, i + 1);
+        touch_blocks(&mut incr.db, frac, i + 1);
+        let (tf, ff) = full.cycle();
+        let (ti, fi) = incr.cycle();
+        assert_eq!(ff, fi, "parity violated: full={ff} incremental={fi} findings");
+        assert_eq!(ff, 0, "valid writes must produce no findings");
+        t_full.push(tf);
+        t_incr.push(ti);
+    }
+    (t_full, t_incr, touched)
+}
+
 /// Prints the full-scan vs incremental table for one image and returns
 /// its JSON points.
 fn measure(base: &Database, slots: u32, loops: u32, iters: usize) -> String {
     let n_blocks = base.region_len() / DIRTY_BLOCK_SIZE;
     println!(
         "Audit cycle: full scan vs incremental ({slots} slots, {loops} active per table, \
-         {} KiB region, {n_blocks} blocks, {iters} iters)\n",
+         {} KiB region, {n_blocks} blocks, {iters} iters, median)\n",
         base.region_len() / 1024,
     );
     println!(
@@ -122,42 +151,29 @@ fn measure(base: &Database, slots: u32, loops: u32, iters: usize) -> String {
         "dirty %", "blocks", "full (us)", "incr (us)", "speedup"
     );
 
+    // A throwaway cycle pair first, so the first point is not measured
+    // cold (code, CRC tables and allocator not yet warm).
+    time_point(base, 0.01, 1);
+
     let mut points = String::new();
     for &frac in &[0.01f64, 0.05, 0.10, 0.25, 0.50] {
-        let mut full = World::new(base, 1);
-        let mut incr = World::new(base, 0);
-        // Warm-up cycle: establishes the verified-clean baseline both
-        // engines skip from (and faults in the CRC tables).
-        full.cycle();
-        incr.cycle();
-
-        let (mut t_full, mut t_incr, mut touched) = (0.0f64, 0.0f64, 0usize);
-        for i in 0..iters {
-            touched = touch_blocks(&mut full.db, frac, i + 1);
-            touch_blocks(&mut incr.db, frac, i + 1);
-            let (tf, ff) = full.cycle();
-            let (ti, fi) = incr.cycle();
-            assert_eq!(ff, fi, "parity violated: full={ff} incremental={fi} findings");
-            assert_eq!(ff, 0, "valid writes must produce no findings");
-            t_full += tf;
-            t_incr += ti;
-        }
-        let (avg_full, avg_incr) = (t_full / iters as f64, t_incr / iters as f64);
-        let speedup = avg_full / avg_incr.max(1e-12);
+        let (mut t_full, mut t_incr, touched) = time_point(base, frac, iters);
+        let (med_full, med_incr) = (median(&mut t_full), median(&mut t_incr));
+        let speedup = med_full / med_incr.max(1e-12);
         println!(
             "{:>8.0} {:>8} {:>12.1} {:>12.1} {:>8.1}x",
             frac * 100.0,
             touched,
-            avg_full * 1e6,
-            avg_incr * 1e6,
+            med_full * 1e6,
+            med_incr * 1e6,
             speedup
         );
         points.push_str(&format!(
             "    {{\"dirty_frac\": {frac}, \"dirty_blocks\": {touched}, \
              \"full_cycle_us\": {:.2}, \"incremental_cycle_us\": {:.2}, \
              \"speedup\": {:.2}}},\n",
-            avg_full * 1e6,
-            avg_incr * 1e6,
+            med_full * 1e6,
+            med_incr * 1e6,
             speedup
         ));
     }

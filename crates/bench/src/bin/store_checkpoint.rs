@@ -40,7 +40,7 @@ use std::time::Instant;
 use wtnc::db::{push_frame, set_crc_kernel_override, CrcKernel, FrameKind};
 use wtnc::sim::SimRng;
 use wtnc::store::{encode_checkpoint_with_tree, encode_delta_checkpoint, MerkleTree};
-use wtnc_bench::{host_info_json, smoke, write_results};
+use wtnc_bench::{host_info_json, median, smoke, write_results};
 
 const KEY: [u8; 16] = *b"bench-ckpt-key16";
 const BLOCK: usize = 256;
@@ -82,11 +82,6 @@ fn dirty_leaves(
         }
     }
     dirty
-}
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    samples[samples.len() / 2]
 }
 
 fn main() {

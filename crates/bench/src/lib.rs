@@ -31,6 +31,17 @@ pub fn smoke() -> bool {
     std::env::var_os("WTNC_BENCH_SMOKE").is_some() || std::env::args().any(|a| a == "--smoke")
 }
 
+/// The median of `samples` (the upper one of an even count); sorts
+/// them in place.
+///
+/// # Panics
+///
+/// Panics on an empty slice or a NaN sample.
+pub fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    samples[samples.len() / 2]
+}
+
 /// A JSON object describing the machine a benchmark ran on, embedded
 /// in every `results/BENCH_*.json`: wall-clock numbers measured on a
 /// single-core container do not transfer to multi-core hosts, so the

@@ -958,7 +958,7 @@ impl Database {
     ///   [`TaintKind::Structural`].
     /// * Dynamic field bytes of active records → ruled when the
     ///   post-flip value violates its range rule or perturbs a
-    ///   semantic link (the loop check catches even valid-looking
+    ///   semantic link (the loop check flags even valid-looking
     ///   wrong indices), unruled when the corrupted value would pass
     ///   every rule.
     /// * Everything else (free slots, padding, rule-silent header

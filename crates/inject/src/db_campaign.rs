@@ -7,9 +7,15 @@
 //! classified from the ground-truth taint ledger: **escaped** (the
 //! client consumed it first), **caught** (an audit element repaired
 //! it), or **no effect** (overwritten by a legitimate write, or latent
-//! at the end of the run).
+//! at the end of the run). The catching element comes from the audit
+//! reports' findings, the detection time from the taint's fate.
+//!
+//! The recovery campaign runs this same node, through the same event
+//! loop, with the repair engine attached.
 
-use wtnc_audit::{AuditConfig, AuditElementKind, AuditProcess};
+use std::collections::HashMap;
+
+use wtnc_audit::{AuditConfig, AuditElementKind};
 use wtnc_callproc::{CallHandle, DesClient, WorkloadConfig};
 use wtnc_db::{schema, Database, DbApi, TaintFate, TaintKind};
 use wtnc_sim::stats::Accumulator;
@@ -18,12 +24,12 @@ use wtnc_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use crate::Controller;
 
 /// Periodic audit interval of the §5.1 node (paper: 10 s).
-pub(crate) const AUDIT_PERIOD: SimDuration = SimDuration::from_secs(10);
+const AUDIT_PERIOD: SimDuration = SimDuration::from_secs(10);
 
 /// Record slots per dynamic table of the §5.1 node. Sized so the
 /// workload keeps the tables densely used, as in the production
 /// controller.
-pub(crate) const SLOTS: u32 = 14;
+const SLOTS: u32 = 14;
 
 /// Base seed the campaign draws its run seeds from.
 const SEED: u64 = 0xDB01;
@@ -186,43 +192,53 @@ fn catalog_broken(db: &Database) -> bool {
     false
 }
 
-/// Runs one §5.1 experiment run and returns its result.
-pub fn run_once(config: &DbCampaignConfig, seed: u64) -> DbCampaignResult {
-    let mut rng = SimRng::seed_from(seed);
+/// The §5.1 node: the standard schema at [`SLOTS`] slots per dynamic
+/// table with the periodic audit attached, or — without `audits` — the
+/// "original" node: no audit process and the uninstrumented API.
+pub(crate) fn node(audits: bool) -> Controller {
     let mut c = Controller::new(schema::standard_schema_with_slots(SLOTS)).expect("schema builds");
-    if config.audits {
-        c = c.with_audit(AuditConfig { periodic_interval: AUDIT_PERIOD, ..AuditConfig::default() });
-        if config.selective_monitoring {
-            let monitor = wtnc_audit::SelectiveMonitor::new(
-                wtnc_audit::SelectiveConfig {
-                    suspect_fraction: 0.25,
-                    min_observations: 40,
-                    repair_unseen: true,
-                },
-                vec![
-                    (schema::PROCESS_TABLE, schema::process::NAME_ID),
-                    (schema::CONNECTION_TABLE, schema::connection::BILLING_UNITS),
-                    (schema::RESOURCE_TABLE, schema::resource::POWER_MW),
-                ],
-            );
-            c.audit_mut().expect("audit attached").register_element(Box::new(monitor));
-        }
-    } else {
-        // The "original" API: no audit instrumentation, base costs.
+    if !audits {
         c.api = DbApi::without_instrumentation();
+        return c;
     }
-    let mut client = DesClient::new(workload(), rng.bits(), config.audits);
+    c.with_audit(AuditConfig { periodic_interval: AUDIT_PERIOD, ..AuditConfig::default() })
+}
 
+/// What one run of the §5.1 node leaves for a campaign's classifier.
+pub(crate) struct NodeRun {
+    /// Bit flips injected.
+    pub(crate) injected: u64,
+    /// Cold restarts after a refused arrival found the catalog broken.
+    pub(crate) cold_restarts: u64,
+    /// The audit element whose finding caught each taint id.
+    pub(crate) caught_by: HashMap<u64, AuditElementKind>,
+}
+
+/// Runs the §5.1 node for `duration`: Table 2's client and bit flips
+/// at a mean gap of `error_iat`. What is attached to `c` decides the
+/// rest. An audit process gets a tick every [`AUDIT_PERIOD`]. With a
+/// recovery engine the tick is a detect→repair round whose busy time
+/// stalls (not drops) call arrivals; without one it is an audit cycle,
+/// and an arrival refused by a broken catalog cold-restarts the
+/// descriptor area.
+pub(crate) fn run_node(
+    c: &mut Controller,
+    client: &mut DesClient,
+    rng: &mut SimRng,
+    duration: SimDuration,
+    error_iat: SimDuration,
+) -> NodeRun {
+    let engine = c.recovery().is_some();
     let mut queue: EventQueue<Ev> = EventQueue::new();
     queue.schedule(SimTime::ZERO + client.next_arrival_gap(), Ev::Arrival);
-    queue.schedule(SimTime::ZERO + rng.exponential(config.error_iat), Ev::Inject);
-    if config.audits {
+    queue.schedule(SimTime::ZERO + rng.exponential(error_iat), Ev::Inject);
+    if c.audit().is_some() {
         queue.schedule(SimTime::ZERO + AUDIT_PERIOD, Ev::AuditTick);
     }
 
-    let mut injected: u64 = 0;
-    let mut cold_restarts: u64 = 0;
-    let end_of_run = SimTime::ZERO + config.duration;
+    let mut run = NodeRun { injected: 0, cold_restarts: 0, caught_by: HashMap::new() };
+    let mut busy_until = SimTime::ZERO;
+    let end_of_run = SimTime::ZERO + duration;
 
     while let Some(at) = queue.peek_time() {
         if at > end_of_run {
@@ -231,31 +247,28 @@ pub fn run_once(config: &DbCampaignConfig, seed: u64) -> DbCampaignResult {
         let (now, ev) = queue.pop().expect("peeked");
         match ev {
             Ev::Arrival => {
+                if now < busy_until {
+                    queue.schedule(busy_until, Ev::Arrival);
+                    continue;
+                }
                 match client.start_call(&mut c.db, &mut c.api, &mut c.registry, now) {
                     Some((handle, setup)) => {
                         let call_duration = client.next_call_duration();
                         queue.schedule(now + setup + call_duration, Ev::End(handle));
                         queue.schedule(now + setup + client.config().poll_period, Ev::Poll(handle));
                     }
-                    None => {
-                        // Fatal catalog corruption takes the whole
-                        // controller down; the manager escalates to a
-                        // cold restart (full reload from disk). Errors
-                        // swept away by the reload never reached the
-                        // application: no effect.
-                        if catalog_broken(&c.db) {
-                            // Reload the descriptor area from disk;
-                            // call state survives the warm restart.
-                            let len = c.db.catalog().catalog_len();
-                            c.db.reload_range(0, len).expect("catalog within region");
-                            c.db.taint_mut().resolve_range(
-                                0,
-                                len,
-                                TaintFate::Overwritten { at: now },
-                            );
-                            cold_restarts += 1;
-                        }
+                    // Fatal catalog corruption takes the whole
+                    // controller down; the manager escalates to a cold
+                    // restart, reloading the descriptor area from disk
+                    // (call state survives). Errors swept away by the
+                    // reload never reached the application: no effect.
+                    None if !engine && catalog_broken(&c.db) => {
+                        let len = c.db.catalog().catalog_len();
+                        c.db.reload_range(0, len).expect("catalog within region");
+                        c.db.taint_mut().resolve_range(0, len, TaintFate::Overwritten { at: now });
+                        run.cold_restarts += 1;
                     }
+                    None => {}
                 }
                 queue.schedule(now + client.next_arrival_gap(), Ev::Arrival);
             }
@@ -268,54 +281,74 @@ pub fn run_once(config: &DbCampaignConfig, seed: u64) -> DbCampaignResult {
                 client.end_call(&mut c.db, &mut c.api, &mut c.registry, handle, now);
             }
             Ev::AuditTick => {
-                c.run_audit_cycle(now);
+                let report = if engine {
+                    let (report, outcome) =
+                        c.run_recovery_cycle(now).expect("audit alive, engine attached");
+                    busy_until = busy_until.max(now + outcome.busy);
+                    Some(report)
+                } else {
+                    c.run_audit_cycle(now)
+                };
+                for f in report.iter().flat_map(|r| &r.findings) {
+                    for taint in &f.caught {
+                        run.caught_by.insert(taint.id, f.element);
+                    }
+                }
                 queue.schedule(now + AUDIT_PERIOD, Ev::AuditTick);
             }
             Ev::Inject => {
                 let offset = rng.index(c.db.region_len());
                 let bit = (rng.bits() % 8) as u8;
                 c.inject_bit_flip(offset, bit, now);
-                injected += 1;
-                queue.schedule(now + rng.exponential(config.error_iat), Ev::Inject);
+                run.injected += 1;
+                queue.schedule(now + rng.exponential(error_iat), Ev::Inject);
             }
         }
     }
+    run
+}
 
-    let mut result = classify(&c.db, c.audit(), &client, injected);
-    result.cold_restarts = cold_restarts;
-    result
+/// Runs one §5.1 experiment run and returns its result.
+pub fn run_once(config: &DbCampaignConfig, seed: u64) -> DbCampaignResult {
+    let mut rng = SimRng::seed_from(seed);
+    let mut c = node(config.audits);
+    if config.audits && config.selective_monitoring {
+        let monitor = wtnc_audit::SelectiveMonitor::new(
+            wtnc_audit::SelectiveConfig {
+                suspect_fraction: 0.25,
+                min_observations: 40,
+                repair_unseen: true,
+            },
+            vec![
+                (schema::PROCESS_TABLE, schema::process::NAME_ID),
+                (schema::CONNECTION_TABLE, schema::connection::BILLING_UNITS),
+                (schema::RESOURCE_TABLE, schema::resource::POWER_MW),
+            ],
+        );
+        c.audit_mut().expect("audit attached").register_element(Box::new(monitor));
+    }
+    let mut client = DesClient::new(workload(), rng.bits(), config.audits);
+    let run = run_node(&mut c, &mut client, &mut rng, config.duration, config.error_iat);
+    classify(&c.db, &client, &run)
 }
 
 /// Classifies the run's taints into the campaign result.
-fn classify(
-    db: &Database,
-    audit: Option<&AuditProcess>,
-    client: &DesClient,
-    injected: u64,
-) -> DbCampaignResult {
+fn classify(db: &Database, client: &DesClient, run: &NodeRun) -> DbCampaignResult {
     let mut result = DbCampaignResult {
-        injected,
+        injected: run.injected,
+        cold_restarts: run.cold_restarts,
         avg_setup_ms: client.stats().setup_time.mean(),
         calls: client.stats().calls_completed_setup,
         ..DbCampaignResult::default()
     };
     let mut latency = Accumulator::new();
 
-    // Element attribution by taint id.
-    let caught_by: std::collections::HashMap<u64, AuditElementKind> = audit
-        .map(|a| a.catch_log().iter().map(|&(entry, kind, _)| (entry.id, kind)).collect())
-        .unwrap_or_default();
-    let caught_at: std::collections::HashMap<u64, SimTime> = audit
-        .map(|a| a.catch_log().iter().map(|&(entry, _, at)| (entry.id, at)).collect())
-        .unwrap_or_default();
-
     for &(_offset, entry, fate) in db.taint().resolved() {
         match fate {
             TaintFate::Caught { at } => {
                 result.caught += 1;
-                let when = caught_at.get(&entry.id).copied().unwrap_or(at);
-                latency.push(when.saturating_since(entry.at).as_secs_f64());
-                match (entry.kind, caught_by.get(&entry.id)) {
+                latency.push(at.saturating_since(entry.at).as_secs_f64());
+                match (entry.kind, run.caught_by.get(&entry.id)) {
                     (TaintKind::Structural, _) => result.breakdown.structural_detected += 1,
                     (TaintKind::StaticData, _) => result.breakdown.static_detected += 1,
                     (_, Some(AuditElementKind::Range)) => {

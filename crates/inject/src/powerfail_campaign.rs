@@ -124,12 +124,8 @@ pub struct PowerFailRunResult {
     pub outcomes: OutcomeCounts,
     /// Store findings reported across open + recovery.
     pub findings: u64,
-    /// Checkpoint generation recovery restarted from.
-    pub base_gen: u64,
     /// Journal records replayed on top of the base image.
     pub replayed: u64,
-    /// Journal records the workload wrote before the failure.
-    pub journal_records: u64,
     /// Whether recovery reproduced the exact pre-failure image.
     pub recovered_exact: bool,
 }
@@ -278,12 +274,9 @@ fn mutilate(dir: &std::path::Path, model: PowerFailModel, rng: &mut SimRng) {
             let path = ckpts.last().expect("at least one checkpoint");
             let mut bytes = std::fs::read(path).expect("read checkpoint");
             // Flip a bit inside the image content (between the header
-            // and the MAC table): bytes [52, 52 + region + golden).
-            let word = |at: usize| {
-                u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes")) as usize
-            };
-            let content_len = word(12 + 16) + word(12 + 24);
-            let at = 52 + rng.index(content_len);
+            // and the MAC table).
+            let content = wtnc_store::full_content_range(&bytes).expect("checkpoint header");
+            let at = content.start + rng.index(content.len());
             bytes[at] ^= 1 << rng.index(8);
             std::fs::write(path, &bytes).expect("tamper checkpoint");
         }
@@ -341,12 +334,11 @@ pub fn run_once(model: PowerFailModel, seed: u64) -> PowerFailRunResult {
     let mut shadow_region = db.region().to_vec();
     let mut shadow_golden = db.golden().to_vec();
     let mut timeline = vec![image_hash(&shadow_region, &shadow_golden)];
-    let mut journal_records = 0u64;
     {
         let mut store = Store::open(scratch.path(), store_config).expect("open store");
         store.attach(&mut db);
         let mut live = Vec::new();
-        let mut drain = |db: &mut Database, store: &mut Store, journal_records: &mut u64| {
+        let mut drain = |db: &mut Database, store: &mut Store| {
             for m in frames(db.captured()) {
                 let golden = m.kind == FrameKind::Golden;
                 let target = if golden { &mut shadow_golden } else { &mut shadow_region };
@@ -354,15 +346,15 @@ pub fn run_once(model: PowerFailModel, seed: u64) -> PowerFailRunResult {
                 target[m.offset..end].copy_from_slice(&m.bytes[..end - m.offset]);
                 timeline.push(image_hash(&shadow_region, &shadow_golden));
             }
-            *journal_records += store.sync(db).expect("journal sync") as u64;
+            store.sync(db).expect("journal sync");
         };
         for step in 1..=MUTATIONS {
             workload_step(&mut db, &mut rng, &mut live).expect("workload step");
             if step % SYNC_EVERY == 0 {
-                drain(&mut db, &mut store, &mut journal_records);
+                drain(&mut db, &mut store);
             }
             if step % CHECKPOINT_EVERY == 0 {
-                drain(&mut db, &mut store, &mut journal_records);
+                drain(&mut db, &mut store);
                 store.checkpoint(&mut db).expect("checkpoint");
                 // The compaction-crash model compacts mid-run (at the
                 // second checkpoint) so the later crash tears a journal
@@ -372,7 +364,7 @@ pub fn run_once(model: PowerFailModel, seed: u64) -> PowerFailRunResult {
                 }
             }
         }
-        drain(&mut db, &mut store, &mut journal_records);
+        drain(&mut db, &mut store);
     }
 
     // Phase 2: the power failure / tampering event.
@@ -400,9 +392,7 @@ pub fn run_once(model: PowerFailModel, seed: u64) -> PowerFailRunResult {
         injected: 1,
         outcomes,
         findings: info.findings.len() as u64,
-        base_gen: info.base_gen,
         replayed: info.replayed as u64,
-        journal_records,
         recovered_exact: exact,
     }
 }

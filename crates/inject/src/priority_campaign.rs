@@ -216,16 +216,12 @@ pub fn run_once_with_weights(
 
     // Classify.
     let mut result = PriorityResult { injected, ..PriorityResult::default() };
-    let audit = c.audit().expect("audit attached");
-    let caught_at: std::collections::HashMap<u64, SimTime> =
-        audit.catch_log().iter().map(|&(entry, _, at)| (entry.id, at)).collect();
     let mut latency = Accumulator::new();
     for &(_offset, entry, fate) in c.db.taint().resolved() {
         match fate {
             TaintFate::Caught { at } => {
                 result.caught += 1;
-                let when = caught_at.get(&entry.id).copied().unwrap_or(at);
-                latency.push(when.saturating_since(entry.at).as_secs_f64());
+                latency.push(at.saturating_since(entry.at).as_secs_f64());
             }
             TaintFate::Escaped { .. } => result.escaped += 1,
             TaintFate::Overwritten { .. } => {}
@@ -268,7 +264,7 @@ mod tests {
     }
 
     #[test]
-    fn campaign_injects_and_catches() {
+    fn campaign_injects_and_detects() {
         let r = run_campaign(&cfg(true, false), 2);
         assert!(r.injected > 50);
         assert!(r.caught > 0);

@@ -1,28 +1,28 @@
 //! Injection campaign driving the staged recovery engine.
 //!
 //! The database campaign (§5.1) lets each audit element repair inline.
-//! This harness runs the same workload and error process with the
-//! audit subsystem in *detect-only* mode and the [`RecoveryEngine`]
-//! consuming the flagged findings: repairs execute under a per-cycle
-//! token budget, escalate along the ladder when verification fails,
-//! and every successful repair is verified by re-running the
-//! originating audit element. Each injected error is classified into
-//! the extended outcome table ([`RunOutcome::DetectedRepaired`],
-//! [`RunOutcome::RepairFailed`]), and the engine's busy time stalls
-//! call arrivals — which is how the per-cycle budget translates into
+//! This campaign runs the same node — the same workload, error process
+//! and event loop ([`crate::db_campaign`]) — with the
+//! [`RecoveryEngine`] attached. That puts the audit subsystem in
+//! *detect-only* mode, and the engine consumes the flagged findings:
+//! repairs execute under a per-cycle token budget, escalate along the
+//! ladder when verification fails, and every successful repair is
+//! verified by re-running the originating audit element. Each injected
+//! error is classified into the extended outcome table
+//! ([`RunOutcome::DetectedRepaired`], [`RunOutcome::RepairFailed`])
+//! from the engine's repair log, and the engine's busy time stalls call
+//! arrivals — which is how the per-cycle budget translates into
 //! graceful (rather than total) throughput degradation under a
 //! corruption storm.
 
-use wtnc_audit::AuditConfig;
-use wtnc_callproc::{CallHandle, DesClient};
-use wtnc_db::{schema, TaintFate};
-use wtnc_recovery::{RecoveryConfig, RecoveryEngine, RepairLogEntry, RepairOutcome, TOKEN_TIME};
+use wtnc_callproc::DesClient;
+use wtnc_db::TaintFate;
+use wtnc_recovery::{RecoveryConfig, RecoveryEngine, RepairLogEntry, RepairOutcome};
 use wtnc_sim::stats::Accumulator;
-use wtnc_sim::{EventQueue, SimDuration, SimRng, SimTime};
+use wtnc_sim::{SimDuration, SimRng};
 
-use crate::db_campaign::{workload, AUDIT_PERIOD, SLOTS};
+use crate::db_campaign::{node, run_node, workload};
 use crate::outcome::{OutcomeCounts, RunOutcome};
-use crate::Controller;
 
 /// Base seed the campaign draws its run seeds from.
 const SEED: u64 = 0x4EC0;
@@ -74,8 +74,6 @@ pub struct RecoveryRunResult {
     /// Mean repair latency (detection to closed finding), virtual
     /// seconds.
     pub repair_latency_s: f64,
-    /// Controller busy time consumed by repairs, virtual seconds.
-    pub repair_busy_s: f64,
     /// Calls whose setup completed.
     pub calls: u64,
     /// Mean call setup time in milliseconds.
@@ -112,82 +110,13 @@ pub struct RecoveryCampaignResult {
     pub avg_setup_ms: f64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Ev {
-    Arrival,
-    Poll(CallHandle),
-    End(CallHandle),
-    AuditTick,
-    Inject,
-}
-
 /// Runs one recovery-campaign run and returns its result.
 pub fn run_once(config: &RecoveryCampaignConfig, seed: u64) -> RecoveryRunResult {
     let mut rng = SimRng::seed_from(seed);
-    let mut c = Controller::new(schema::standard_schema_with_slots(SLOTS))
-        .expect("schema builds")
-        .with_audit(AuditConfig { periodic_interval: AUDIT_PERIOD, ..AuditConfig::default() })
-        .with_recovery(config.recovery);
+    let mut c = node(true).with_recovery(config.recovery);
     let mut client = DesClient::new(workload(), rng.bits(), true);
-
-    let mut queue: EventQueue<Ev> = EventQueue::new();
-    queue.schedule(SimTime::ZERO + client.next_arrival_gap(), Ev::Arrival);
-    queue.schedule(SimTime::ZERO + rng.exponential(config.error_iat), Ev::Inject);
-    queue.schedule(SimTime::ZERO + AUDIT_PERIOD, Ev::AuditTick);
-
-    let mut injected: u64 = 0;
-    // Repairs consume controller time; arrivals stall (not drop) until
-    // the engine's busy window has passed.
-    let mut busy_until = SimTime::ZERO;
-    let end_of_run = SimTime::ZERO + config.duration;
-
-    while let Some(at) = queue.peek_time() {
-        if at > end_of_run {
-            break;
-        }
-        let (now, ev) = queue.pop().expect("peeked");
-        match ev {
-            Ev::Arrival => {
-                if now < busy_until {
-                    queue.schedule(busy_until, Ev::Arrival);
-                    continue;
-                }
-                if let Some((handle, setup)) =
-                    client.start_call(&mut c.db, &mut c.api, &mut c.registry, now)
-                {
-                    let call_duration = client.next_call_duration();
-                    queue.schedule(now + setup + call_duration, Ev::End(handle));
-                    queue.schedule(now + setup + client.config().poll_period, Ev::Poll(handle));
-                }
-                queue.schedule(now + client.next_arrival_gap(), Ev::Arrival);
-            }
-            Ev::Poll(handle) => {
-                if client.poll_call(&mut c.db, &mut c.api, &c.registry, handle, now) {
-                    queue.schedule(now + client.config().poll_period, Ev::Poll(handle));
-                }
-            }
-            Ev::End(handle) => {
-                client.end_call(&mut c.db, &mut c.api, &mut c.registry, handle, now);
-            }
-            Ev::AuditTick => {
-                let (_, outcome) = c.run_recovery_cycle(now).expect("audit alive, engine attached");
-                let stalled = now + outcome.busy;
-                if stalled > busy_until {
-                    busy_until = stalled;
-                }
-                queue.schedule(now + AUDIT_PERIOD, Ev::AuditTick);
-            }
-            Ev::Inject => {
-                let offset = rng.index(c.db.region_len());
-                let bit = (rng.bits() % 8) as u8;
-                c.inject_bit_flip(offset, bit, now);
-                injected += 1;
-                queue.schedule(now + rng.exponential(config.error_iat), Ev::Inject);
-            }
-        }
-    }
-
-    classify(&c.db, c.recovery().expect("engine attached"), &client, injected)
+    let run = run_node(&mut c, &mut client, &mut rng, config.duration, config.error_iat);
+    classify(&c.db, c.recovery().expect("engine attached"), &client, run.injected)
 }
 
 /// Maps every injected error's fate to an extended-table outcome.
@@ -241,7 +170,6 @@ fn classify(
         tokens_spent: stats.tokens_spent,
         controller_restarts: stats.controller_restarts,
         repair_latency_s: stats.mean_latency_s(),
-        repair_busy_s: TOKEN_TIME.as_secs_f64() * stats.tokens_spent as f64,
         calls: client.stats().calls_completed_setup,
         avg_setup_ms: client.stats().setup_time.mean(),
         log: engine.log().to_vec(),

@@ -145,9 +145,6 @@ pub struct RecoveryEngine {
     history: HashMap<FindingTarget, History>,
     log: Vec<RepairLogEntry>,
     stats: RecoveryStats,
-    /// Ground-truth corruptions removed, attributed to the detecting
-    /// element (mirrors `AuditProcess::catch_log` for campaigns).
-    catches: Vec<(TaintEntry, AuditElementKind, SimTime)>,
     disk: Option<crate::DiskGoldenSource>,
     seq: u64,
 }
@@ -161,7 +158,6 @@ impl RecoveryEngine {
             history: HashMap::new(),
             log: Vec::new(),
             stats: RecoveryStats::default(),
-            catches: Vec::new(),
             disk: None,
             seq: 0,
         }
@@ -183,12 +179,6 @@ impl RecoveryEngine {
     /// Aggregate statistics.
     pub fn stats(&self) -> &RecoveryStats {
         &self.stats
-    }
-
-    /// Ground-truth corruptions removed by repairs, attributed to the
-    /// element that detected each.
-    pub fn catch_log(&self) -> &[(TaintEntry, AuditElementKind, SimTime)] {
-        &self.catches
     }
 
     /// Tickets currently queued.
@@ -255,9 +245,6 @@ impl RecoveryEngine {
             if ticket.rung == Rung::ControllerRestart {
                 outcome.restart_requested = true;
                 self.stats.controller_restarts += 1;
-            }
-            for &entry in &caught {
-                self.catches.push((entry, ticket.element, now));
             }
             if let Some(table) = ticket.table {
                 db.note_errors_detected(table, caught.len().max(1) as u64);
@@ -526,7 +513,7 @@ mod tests {
         assert_eq!(cycle.failed, 0);
         assert_eq!(db.taint().latent_count(), 0);
         assert_eq!(db.read_field_raw(rec, schema::sysconfig::MAX_CALLS).unwrap(), 1_000);
-        assert_eq!(engine.catch_log().len(), 1);
+        assert_eq!(engine.log()[0].caught, [1]);
         assert!(engine.stats().mean_latency_s() >= 0.0);
     }
 

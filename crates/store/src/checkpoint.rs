@@ -279,6 +279,16 @@ pub fn peek_delta_chain(bytes: &[u8]) -> Option<(u64, u64, u64, u64)> {
 /// File offset of a full checkpoint's content (region, then golden).
 pub(crate) const FULL_CONTENT_AT: usize = 12 + META_LEN;
 
+/// The byte range of a full checkpoint's content (region, then golden)
+/// as its header states it, or `None` when `bytes` is shorter than the
+/// header. Neither the framing nor the digest is checked.
+pub fn full_content_range(bytes: &[u8]) -> Option<std::ops::Range<usize>> {
+    let m = bytes.get(12..FULL_CONTENT_AT)?;
+    let len = |at: usize| u64::from_le_bytes(m[at..at + 8].try_into().expect("8 bytes")) as usize;
+    let content_len = len(16).checked_add(len(24))?;
+    Some(FULL_CONTENT_AT..FULL_CONTENT_AT.checked_add(content_len)?)
+}
+
 /// File offset of content leaf `index` in a full checkpoint.
 pub(crate) fn full_block_offset(index: usize, block_size: usize) -> u64 {
     (FULL_CONTENT_AT + index * block_size) as u64
@@ -708,6 +718,17 @@ mod tests {
         let rebuilt = MerkleTree::build(&KEY, &c.region, &c.golden, 42, 256);
         assert_eq!(c.tree.flatten(), rebuilt.flatten());
         assert_eq!(c.tree.flatten().len(), total_nodes(1400usize.div_ceil(256)));
+    }
+
+    #[test]
+    fn content_range_spans_region_then_golden() {
+        let bytes = sample();
+        let range = full_content_range(&bytes).expect("whole header");
+        assert_eq!(range, FULL_CONTENT_AT..FULL_CONTENT_AT + 1400);
+        let c = decode_checkpoint(&bytes, &KEY).unwrap();
+        assert_eq!(&bytes[range.start..range.start + 700], &c.region[..]);
+        assert_eq!(&bytes[range.end - 700..range.end], &c.golden[..]);
+        assert_eq!(full_content_range(&bytes[..FULL_CONTENT_AT - 1]), None);
     }
 
     #[test]

@@ -48,7 +48,7 @@ mod store;
 
 pub use checkpoint::{
     checkpoint_file_name, decode_checkpoint, decode_delta_checkpoint, delta_file_name,
-    encode_checkpoint, encode_checkpoint_with_tree, encode_delta_checkpoint,
+    encode_checkpoint, encode_checkpoint_with_tree, encode_delta_checkpoint, full_content_range,
     parse_checkpoint_file_name, parse_delta_file_name, peek_chain, peek_delta_chain, Checkpoint,
     CheckpointError, CheckpointMeta, DeltaCheckpoint, DeltaMeta, CKPT_MAGIC, DELTA_MAGIC,
 };

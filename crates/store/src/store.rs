@@ -1155,7 +1155,7 @@ fn fold_candidate(
     // Leaves outside `dirty` still hold the base content, so the
     // path-updated tree is exactly the tree of the folded content. It
     // must recompute to the root the delta lineage sealed — this is
-    // what catches a silently missing middle delta.
+    // what detects a silently missing middle delta.
     dirty.sort_unstable();
     dirty.dedup();
     let (region, golden) = content.split_at(meta.region_len);
